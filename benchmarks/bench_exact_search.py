@@ -9,7 +9,7 @@ on ``T_4^2``) trace the ISSUE-3 speed-up story:
   orbit enumeration with incremental loads, zero full evaluations, exact
   histogram;
 * **symmetry + B&B** — ``exact_global_minimum(mode="bound")``: adds
-  monotone-``E_max``/Lemma-1 pruning, exact minimum and count.
+  monotone-``E_max`` pruning, exact minimum and count.
 
 All three must agree bit-for-bit; the engines must perform at least 20x
 fewer full placement evaluations than the brute force (they perform
@@ -43,7 +43,6 @@ def _counts(result) -> dict:
         "variant_evaluations": counters.variant_evaluations,
         "pair_updates": counters.pair_updates,
         "subtrees_pruned_emax": counters.subtrees_pruned_emax,
-        "subtrees_pruned_separator": counters.subtrees_pruned_separator,
         "variants_dropped": counters.variants_dropped,
     }
 

@@ -812,9 +812,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
           f"{counters.pair_updates} pair updates, "
           f"{counters.full_evaluations} full evaluations")
     print(f"pruning         : {counters.subtrees_pruned_emax} subtrees by "
-          f"partial E_max, {counters.subtrees_pruned_separator} by the "
-          f"Lemma-1 separator bound, "
-          f"{counters.variants_dropped} variants dropped")
+          f"partial E_max, {counters.variants_dropped} variants dropped")
     if result.emax_histogram is not None:
         print("E_max histogram :")
         for value in sorted(result.emax_histogram):

@@ -7,8 +7,8 @@ This module aggregates every committed baseline into one schema-versioned
 ``benchmarks/BENCH_trajectory.json``:
 
 * each baseline contributes named **metrics** (``batch.speedup``,
-  ``exp22.symmetry_bnb_T6.pair_updates``, ...), classified by
-  *direction* — ``higher``/``lower`` for thresholded measurements,
+  ``exp22.symmetry_bnb_T6.pair_updates``, ``certify.T6.seconds``, ...),
+  classified by *direction* — ``higher``/``lower`` for thresholded measurements,
   ``exact`` for deterministic pins that must never drift;
 * each metric carries a **series** of ``{value, recorded_unix}`` points,
   appended on regeneration only when the value actually changed, so the
@@ -75,6 +75,19 @@ def _extract_batch(data: dict[str, Any]) -> Iterator[Metric]:
     yield "batch.emax_values", data.get("emax_values"), "exact", None
 
 
+def _extract_certify(data: dict[str, Any]) -> Iterator[Metric]:
+    limits = data.get("max_seconds", {})
+    for case, entry in sorted(data.get("cases", {}).items()):
+        yield (
+            f"certify.{case}.seconds",
+            entry.get("seconds"),
+            "lower",
+            limits.get(case),
+        )
+        for field, value in sorted(entry.get("counts", {}).items()):
+            yield f"certify.{case}.{field}", value, "exact", None
+
+
 def _extract_engines(data: dict[str, Any]) -> Iterator[Metric]:
     for config in data.get("configs", []):
         torus = str(config.get("torus", "?"))
@@ -109,6 +122,7 @@ def _extract_lint(data: dict[str, Any]) -> Iterator[Metric]:
 
 _EXTRACTORS: dict[str, Callable[[dict[str, Any]], Iterator[Metric]]] = {
     "BENCH_batch.json": _extract_batch,
+    "BENCH_certify.json": _extract_certify,
     "BENCH_engines.json": _extract_engines,
     "BENCH_exp22.json": _extract_exp22,
     "BENCH_lint.json": _extract_lint,

@@ -15,20 +15,31 @@ without materializing any path:
 
 This scales to every sweep size the experiments use (e.g. ``k=20, d=3``:
 400 processors, 160 000 pairs) in milliseconds-to-seconds.
+
+Incremental updates (a processor added or swapped) touch only
+:math:`O(|P|)` pairs, too few for per-step passes to pay for
+themselves.  :class:`OdrPathTable` therefore stores every displacement's
+path once, so a batch of such pairs — across any number of placements —
+costs one gather and one ``np.bincount``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.placements.base import Placement
+from repro.torus.coords import all_coords
 from repro.util.modular import minimal_correction_array
 
 __all__ = [
     "odr_edge_loads",
     "dimension_order_edge_loads",
     "accumulate_pair_loads",
+    "OdrPathTable",
+    "odr_path_table",
     "odr_edge_loads_swap_delta",
     "odr_edge_loads_add_delta",
 ]
@@ -112,8 +123,11 @@ def accumulate_pair_loads(
     """Add the dimension-ordered path loads of explicit pairs into ``loads``.
 
     The workhorse behind :func:`dimension_order_edge_loads` exposed for
-    callers that work with pair subsets — e.g. incremental updates when a
-    single processor moves (see :func:`odr_edge_loads_swap_delta`).
+    callers that work with pair subsets.  It walks paths hop by hop over
+    the given pairs only, so its memory stays linear in the pair count;
+    the incremental kernels (:func:`odr_edge_loads_add_delta`,
+    :func:`odr_edge_loads_swap_delta`) instead gather whole paths from an
+    :class:`OdrPathTable`.
 
     Parameters
     ----------
@@ -164,6 +178,102 @@ def accumulate_pair_loads(
         base = base_wo_dim + q[:, dim] * strides[dim]
 
 
+class OdrPathTable:
+    """Every ODR path of one torus as a padded edge template.
+
+    ODR is translation invariant: the path ``p → q`` is the path
+    ``0 → (q - p) mod k`` shifted by ``p``.  Row ``c`` of the table holds
+    the path from the origin to the node whose id is ``c``, as the tail
+    offsets and packed ``2*dim + sign_bit`` of its hops — one segment of
+    ``k // 2`` slots per dimension, unused slots padded with the sink
+    edge id :attr:`sink` (``num_edges``).  The hop walk of
+    :func:`accumulate_pair_loads` runs once, vectorized over all ``k^d``
+    displacements, when the table is built; afterwards any batch of pairs
+    is one gather (:meth:`path_edges`) and one ``np.bincount``
+    (:meth:`edge_counts`), however many rows it spans.
+    """
+
+    def __init__(self, torus):
+        k, d = torus.k, torus.d
+        half = k // 2
+        disp = all_coords(k, d)  # row c: the displacement with node id c
+        n = disp.shape[0]
+        self.k = k
+        self.two_d = 2 * d
+        self.num_edges = torus.num_edges
+        #: padding edge id; :meth:`edge_counts` drops its column.
+        self.sink = self.num_edges
+        self.strides = np.array(
+            [k ** (d - 1 - i) for i in range(d)], dtype=np.int64
+        )
+        steps = np.arange(half)
+        offsets = np.zeros((n, d, half, d), dtype=np.min_scalar_type(k))
+        dim_sign = np.full(
+            (n, d, half), self.sink, dtype=np.min_scalar_type(self.sink)
+        )
+        walker = np.zeros((n, d), dtype=np.int64)  # corrected prefix of q
+        for dim in range(d):
+            delta, _tied = minimal_correction_array(0, disp[:, dim], k)
+            active = steps[None, :] < np.abs(delta)[:, None]  # (n, half)
+            tails = np.repeat(walker[:, None, :], half, axis=1)
+            tails[:, :, dim] = np.mod(np.sign(delta)[:, None] * steps, k)
+            offsets[:, dim] = np.where(active[..., None], tails, 0)
+            dim_sign[:, dim] = np.where(
+                active, 2 * dim + (delta < 0)[:, None], self.sink
+            )
+            walker[:, dim] = disp[:, dim]
+        #: ``(k^d, d·(k//2), d)`` hop-tail offsets from the path source.
+        self.offsets = offsets.reshape(n, d * half, d)
+        #: ``(k^d, d·(k//2))`` packed ``2*dim + sign_bit``, or :attr:`sink`.
+        self.dim_sign = dim_sign.reshape(n, d * half)
+
+    def path_edges(self, p, q) -> np.ndarray:
+        """Edge ids of the ODR paths ``p → q``.
+
+        ``p`` and ``q`` are broadcastable ``(..., d)`` coordinate arrays;
+        the result has shape ``(..., d·(k//2))`` with unused hop slots
+        (and every slot of a ``p == q`` pair) set to :attr:`sink`.
+        """
+        p = np.asarray(p, dtype=np.int64)
+        q = np.asarray(q, dtype=np.int64)
+        codes = np.mod(q - p, self.k) @ self.strides
+        tails = np.mod(p[..., None, :] + self.offsets[codes], self.k)
+        edges = (tails @ self.strides) * self.two_d + self.dim_sign[codes]
+        return np.minimum(edges, self.sink)
+
+    def exchange_edges(self, node, others) -> np.ndarray:
+        """Edge ids of the pairs ``node ↔ others``, both directions.
+
+        ``node`` is ``(..., d)`` and ``others`` ``(..., m, d)``; the
+        result is ``(..., 2m, d·(k//2))``.
+        """
+        node = np.asarray(node, dtype=np.int64)[..., None, :]
+        return np.concatenate(
+            [self.path_edges(node, others), self.path_edges(others, node)],
+            axis=-2,
+        )
+
+    def edge_counts(self, edges: np.ndarray) -> np.ndarray:
+        """Per-row edge traversal counts of ``(..., pairs, hops)`` edge ids.
+
+        One ``np.bincount`` over a flat ``(rows, num_edges + 1)`` index —
+        the extra column absorbs the padding — returns an int64 array of
+        shape ``(..., num_edges)``.
+        """
+        batch = edges.shape[:-2]
+        rows = int(np.prod(batch, dtype=np.int64))
+        width = self.num_edges + 1
+        flat = edges.reshape(rows, -1) + (np.arange(rows) * width)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=rows * width)
+        return counts.reshape(batch + (width,))[..., : self.num_edges]
+
+
+@functools.lru_cache(maxsize=8)
+def odr_path_table(torus) -> OdrPathTable:
+    """The (cached) :class:`OdrPathTable` of ``torus``."""
+    return OdrPathTable(torus)
+
+
 def odr_edge_loads_swap_delta(
     torus,
     loads: np.ndarray,
@@ -182,23 +292,17 @@ def odr_edge_loads_swap_delta(
     * subtract ``removed ↔ kept`` (both directions),
     * add ``added ↔ kept`` (both directions).
 
-    The input ``loads`` array is not modified.
+    Leading axes batch independent swaps: ``kept_coords`` ``(..., m, d)``
+    with ``removed_coord``/``added_coord`` ``(..., d)`` and ``loads``
+    broadcastable to ``(..., num_edges)`` evaluate every swap in one
+    template scatter (:class:`OdrPathTable`).  The input ``loads`` array
+    is not modified.
     """
-    k, d = torus.k, torus.d
+    table = odr_path_table(torus)
     kept = np.atleast_2d(np.asarray(kept_coords, dtype=np.int64))
-    removed = np.asarray(removed_coord, dtype=np.int64).reshape(1, d)
-    added = np.asarray(added_coord, dtype=np.int64).reshape(1, d)
-    out = np.array(loads, dtype=np.float64, copy=True)
-    n = kept.shape[0]
-    if n == 0:
-        return out
-    rem_rep = np.repeat(removed, n, axis=0)
-    add_rep = np.repeat(added, n, axis=0)
-    accumulate_pair_loads(out, k, d, rem_rep, kept, scale=-1.0)
-    accumulate_pair_loads(out, k, d, kept, rem_rep, scale=-1.0)
-    accumulate_pair_loads(out, k, d, add_rep, kept, scale=+1.0)
-    accumulate_pair_loads(out, k, d, kept, add_rep, scale=+1.0)
-    return out
+    gained = table.edge_counts(table.exchange_edges(added_coord, kept))
+    lost = table.edge_counts(table.exchange_edges(removed_coord, kept))
+    return np.asarray(loads, dtype=np.float64) + (gained - lost)
 
 
 def odr_edge_loads_add_delta(
@@ -216,20 +320,19 @@ def odr_edge_loads_add_delta(
     :math:`O(|P|)` pair work instead of :math:`O(|P|^2)` — only the
     ``added ↔ kept`` pairs (both directions) are new.
 
+    Leading axes batch independent placements: ``loads``
+    ``(..., num_edges)``, ``kept_coords`` ``(..., m, d)`` and
+    ``added_coord`` ``(..., d)`` grow every row in one template scatter
+    (:class:`OdrPathTable`) — the exact search grows all of a node's
+    surviving symmetry variants this way.
+
     Since every pair contributes non-negative load, growing a placement
     one node at a time makes the partial :math:`E_{max}` monotone
     non-decreasing — the property the search's pruning relies on.
 
     The input ``loads`` array is not modified.
     """
-    k, d = torus.k, torus.d
+    table = odr_path_table(torus)
     kept = np.atleast_2d(np.asarray(kept_coords, dtype=np.int64))
-    added = np.asarray(added_coord, dtype=np.int64).reshape(1, d)
-    out = np.array(loads, dtype=np.float64, copy=True)
-    n = kept.shape[0]
-    if n == 0:
-        return out
-    add_rep = np.repeat(added, n, axis=0)
-    accumulate_pair_loads(out, k, d, add_rep, kept, scale=+1.0)
-    accumulate_pair_loads(out, k, d, kept, add_rep, scale=+1.0)
-    return out
+    added = table.edge_counts(table.exchange_edges(added_coord, kept))
+    return np.asarray(loads, dtype=np.float64) + added

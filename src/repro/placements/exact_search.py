@@ -34,19 +34,22 @@ orbit member :math:`t\\cdot h\\cdot R` has
 times in the orbit — an integer, because the fibers of
 :math:`g \\mapsto g(R)` partition evenly.
 
-**Branch and bound.**  Each variant's load vector is maintained
-incrementally along the prefix tree via
-:func:`repro.load.odr_loads.odr_edge_loads_add_delta` —
-:math:`O(|P|)` pair work per grown node instead of :math:`O(|P|^2)` per
-leaf; the engine performs *zero* from-scratch placement evaluations.
-Because loads only ever increase as processors are added, the partial
-:math:`E_{max}` of a prefix lower-bounds every completion, and Lemma 1
-gives a second, routing-independent bound
-:math:`2|S|(|P|-|S|)/|∂S|` from the prefix's separator.  In ``bound``
-mode any subtree (or individual variant) whose bound strictly exceeds
-the incumbent is pruned — exact for the minimum and ``num_optimal``
-(achievers are never pruned), while the full histogram is only produced
-in ``full`` mode, which disables pruning.
+**Branch and bound.**  The surviving variants' load vectors are kept as
+one ``(variants, edges)`` array and grown together along the prefix
+tree: :func:`repro.load.odr_loads.odr_edge_loads_add_delta` gathers the
+ODR path templates of every (variant, kept node) pair and scatters them
+in one ``bincount`` per grown node — :math:`O(|P|)` pair work per node
+instead of :math:`O(|P|^2)` per leaf; the engine performs *zero*
+from-scratch placement evaluations.  Because loads only ever increase as
+processors are added, the partial :math:`E_{max}` of a prefix
+lower-bounds every completion.  In ``bound`` mode any subtree (or
+individual variant) whose bound strictly exceeds the incumbent is pruned
+— exact for the minimum and ``num_optimal`` (achievers are never
+pruned), while the full histogram is only produced in ``full`` mode,
+which disables pruning.  (A Lemma 1 separator bound
+:math:`2|S|(|P|-|S|)/|∂S|` on the prefix was tried as a second prune; it
+never cut a subtree on any certified torus, so the search does not pay
+for it.)
 
 Subtree roots can be sharded over a process pool (per-worker group
 tables, the :mod:`repro.load.engine.parallel` pattern); per-worker
@@ -69,10 +72,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.bisection.separator import separator_size
+# re-exported so the per-layer benchmark (benchmarks/e2e) can wrap it here
+from repro.bisection.separator import separator_size  # noqa: F401
 from repro.errors import ExecutionError, InvalidParameterError, SearchError
 from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
-from repro.load.formulas import separator_lower_bound
 from repro.load.odr_loads import odr_edge_loads_add_delta
 from repro.obs.console import progress as _progress_line
 from repro.obs.tracer import current_tracer
@@ -128,8 +131,6 @@ class SearchCounters:
     subtrees_pruned_emax:
         Subtrees cut because every variant's monotone partial
         :math:`E_{max}` exceeded the incumbent.
-    subtrees_pruned_separator:
-        Subtrees cut by the Lemma 1 separator bound.
     variants_dropped:
         Individual variants retired early (their partial :math:`E_{max}`
         alone exceeded the incumbent).
@@ -142,7 +143,6 @@ class SearchCounters:
     pair_updates: int
     full_evaluations: int
     subtrees_pruned_emax: int
-    subtrees_pruned_separator: int
     variants_dropped: int
 
 
@@ -227,6 +227,8 @@ class _SearchContext:
             self.variant_weight = 1
         self.variant_rows = np.array(rows, dtype=np.int64)
         self.variant_ids = self.group.point_ids[self.variant_rows]
+        #: (variants, k^d, d) — coordinates of every node's variant images.
+        self.variant_coords = self.coords[self.variant_ids]
         self.num_variants = len(rows)
         # pruning incumbent: certified upper bound on the global minimum,
         # shared across all roots this context processes.
@@ -268,14 +270,16 @@ class _SearchContext:
             (self.num_variants, self.torus.num_edges), dtype=np.float64
         )
         # rebuild the prefix's incremental loads (workers receive ids only)
-        ids: tuple[int, ...] = ()
-        stab = self.group.order
-        for node in root:
-            alive, loads, stab = self._grow(ids, alive, loads, node)
-            ids += (node,)
+        for m, node in enumerate(root):
+            alive, loads = self._grow(root[:m], alive, loads, node)
             if alive.size == 0:
                 return self.take_partial()
-        self._descend(ids, alive, loads, stab, frontier=None)
+        stab = self.group.order
+        if root:
+            canonical, stab = self.group.canonicity(root)
+            if not canonical:  # pragma: no cover - roots are always canonical
+                raise SearchError(f"prefix {tuple(root)} is not canonical")
+        self._descend(tuple(root), alive, loads, stab, frontier=None)
         return self.take_partial()
 
     def collect_frontier(self, depth: int) -> tuple[list[tuple[int, ...]], dict]:
@@ -296,40 +300,29 @@ class _SearchContext:
         alive: np.ndarray,
         loads: np.ndarray,
         node: int,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Extend every surviving variant's loads by one grown node.
 
-        Returns the (possibly reduced) alive variant rows, their new load
-        vectors, and the stabilizer order of the extended prefix.
+        One template scatter covers all variants.  Returns the (possibly
+        reduced) alive variant rows and their new load vectors.
         """
-        child = np.array(ids + (node,), dtype=np.int64)
-        canonical, stab = self.group.canonicity(child)
-        if not canonical:  # pragma: no cover - roots are always canonical
-            raise SearchError(f"prefix {tuple(child)} is not canonical")
         m = len(ids)
         prefix = np.array(ids, dtype=np.int64)
-        new_rows = []
-        for row in range(alive.size):
-            variant = self.variant_ids[alive[row]]
-            new_rows.append(
-                odr_edge_loads_add_delta(
-                    self.torus,
-                    loads[row],
-                    self.coords[variant[prefix]],
-                    self.coords[variant[node]],
-                )
-            )
-            self.counters["pair_updates"] += 2 * m
-        new_loads = np.stack(new_rows) if new_rows else loads[:0]
+        new_loads = odr_edge_loads_add_delta(
+            self.torus,
+            loads,
+            self.variant_coords[alive[:, None], prefix],
+            self.variant_coords[alive, node],
+        )
+        self.counters["pair_updates"] += 2 * m * int(alive.size)
         if self.mode == "bound" and math.isfinite(self.incumbent):
-            emaxes = new_loads.max(axis=1) if new_loads.size else np.empty(0)
-            keep = emaxes <= self.incumbent + _TOL
+            keep = new_loads.max(axis=1) <= self.incumbent + _TOL
             dropped = int(np.count_nonzero(~keep))
             if dropped:
                 self.counters["variants_dropped"] += dropped
                 alive = alive[keep]
                 new_loads = new_loads[keep]
-        return alive, new_loads, stab
+        return alive, new_loads
 
     def _descend(
         self,
@@ -346,30 +339,21 @@ class _SearchContext:
         if frontier is not None and m == frontier[0]:
             frontier[1].append(ids)
             return
-        num_nodes = self.torus.num_nodes
         lower = ids[-1] + 1 if ids else 0
-        for node in range(lower, num_nodes - (self.size - m) + 1):
-            child = np.array(ids + (node,), dtype=np.int64)
-            self.counters["canonicity_checks"] += 1
-            canonical, child_stab = self.group.canonicity(child)
-            if not canonical:
-                continue
+        nodes = np.arange(lower, self.torus.num_nodes - (self.size - m) + 1)
+        if nodes.size == 0:
+            return
+        # every candidate child of this prefix is tested in one call
+        children = np.empty((nodes.size, m + 1), dtype=np.int64)
+        children[:, :m] = ids
+        children[:, m] = nodes
+        self.counters["canonicity_checks"] += int(nodes.size)
+        canonical, stabs = self.group.canonicity(children)
+        for node, child_stab in zip(
+            nodes[canonical].tolist(), stabs[canonical].tolist()
+        ):
             self.counters["canonical_nodes"] += 1
-            grown = m + 1
-            if (
-                self.mode == "bound"
-                and grown < self.size
-                and math.isfinite(self.incumbent)
-            ):
-                # Lemma 1 on the prefix: every completion still exchanges
-                # 2·m·(n-m) messages across the prefix's separator.
-                bound = separator_lower_bound(
-                    grown, self.size, separator_size(self.torus, child)
-                )
-                if bound > self.incumbent + _TOL:
-                    self.counters["subtrees_pruned_separator"] += 1
-                    continue
-            child_alive, child_loads, _ = self._grow(ids, alive, loads, node)
+            child_alive, child_loads = self._grow(ids, alive, loads, node)
             if child_alive.size == 0:
                 self.counters["subtrees_pruned_emax"] += 1
                 continue
@@ -426,9 +410,7 @@ class _SearchContext:
         def tally(key: str) -> int:
             return self.lifetime[key] + self.counters[key]
 
-        pruned = tally("subtrees_pruned_emax") + tally(
-            "subtrees_pruned_separator"
-        )
+        pruned = tally("subtrees_pruned_emax")
         incumbent = (
             "inf" if math.isinf(self.incumbent) else f"{self.incumbent:g}"
         )
@@ -497,8 +479,12 @@ def _decode_partial(data: dict) -> dict:
             float(value): int(count) for value, count in data["histogram"]
         },
         "orbit_total": int(data["orbit_total"]),
+        # journals from older versions may carry retired counters (the
+        # separator prune's), which merge as nothing
         "counters": {
-            str(key): int(val) for key, val in data["counters"].items()
+            str(key): int(val)
+            for key, val in data["counters"].items()
+            if key in SearchCounters.__dataclass_fields__
         },
     }
 
@@ -768,9 +754,6 @@ def exact_global_minimum(
         )
         metrics.counter("search.subtrees_pruned_emax").add(
             counters["subtrees_pruned_emax"]
-        )
-        metrics.counter("search.subtrees_pruned_separator").add(
-            counters["subtrees_pruned_separator"]
         )
         metrics.counter("search.variants_dropped").add(
             counters["variants_dropped"]

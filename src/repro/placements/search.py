@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.load.odr_loads import odr_edge_loads
+from repro.load.odr_loads import odr_edge_loads, odr_edge_loads_swap_delta
 from repro.placements.base import Placement
 from repro.torus.topology import Torus
 from repro.util.rng import resolve_rng
@@ -123,34 +123,41 @@ def local_search_placement(
         )
 
     # maintain the full load vector so each candidate swap costs O(|P|)
-    # pair work via the incremental engine instead of O(|P|^2)
-    from repro.load.odr_loads import odr_edge_loads_swap_delta
-
+    # pair work via the incremental engine instead of O(|P|^2); a move's
+    # sampled candidates are evaluated together in one template scatter
     current_loads = odr_edge_loads(current)
+    coords = torus.all_node_coords()
+    slots = np.arange(current_ids.size - 1)
 
     accepted = 0
     rejections = 0
     while accepted < max_moves and rejections < 4 * max_moves:
-        # sample candidate swaps and take the best
-        best_cand = None
-        for _ in range(candidates_per_move):
-            out_idx = int(rng.integers(current_ids.size))
-            in_idx = int(rng.integers(routers.size))
-            removed_id = int(current_ids[out_idx])
-            added_id = int(routers[in_idx])
-            kept_ids = np.delete(current_ids, out_idx)
-            cand_loads = odr_edge_loads_swap_delta(
-                torus,
-                current_loads,
-                torus.coords(kept_ids),
-                torus.coord(removed_id),
-                torus.coord(added_id),
-            )
-            emax = float(cand_loads.max())
-            evaluations += 1
-            if best_cand is None or emax < best_cand[0]:
-                best_cand = (emax, cand_loads, out_idx, in_idx, added_id)
-        emax, cand_loads, out_idx, in_idx, added_id = best_cand
+        # sample candidate swaps and take the best (the first, on ties)
+        draws = np.array(
+            [
+                (rng.integers(current_ids.size), rng.integers(routers.size))
+                for _ in range(candidates_per_move)
+            ],
+            dtype=np.int64,
+        )
+        out_idx, in_idx = draws[:, 0], draws[:, 1]
+        # row i keeps every processor except the one at out_idx[i]
+        skip = slots[None, :] >= out_idx[:, None]
+        kept = current_ids[slots[None, :] + skip]
+        cand_loads = odr_edge_loads_swap_delta(
+            torus,
+            current_loads,
+            coords[kept],
+            coords[current_ids[out_idx]],
+            coords[routers[in_idx]],
+        )
+        evaluations += candidates_per_move
+        emaxes = cand_loads.max(axis=1)
+        best_row = int(np.argmin(emaxes))
+        emax = float(emaxes[best_row])
+        cand_loads = cand_loads[best_row]
+        out_idx = int(out_idx[best_row])
+        added_id = int(routers[in_idx[best_row]])
         delta = emax - current_emax
         accept = delta < 0 or (
             temperature > 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import Any
 
 import numpy as np
 
@@ -126,10 +127,11 @@ class AutomorphismGroup:
     :math:`k^d \\cdot d! \\cdot 2^d`; for ``k == 2`` some elements coincide
     as node permutations, which the orbit–stabilizer accounting absorbs).
 
-    Every image is computed on coordinate *matrices*: a point-group table
-    of shape ``(d!·2^d, k^d, d)`` is built once, and each query broadcasts
-    the selected rows against all translation offsets — no per-element
-    Python objects.
+    Every image is a table lookup: a point-group table of shape
+    ``(d!·2^d, k^d)`` and a ``(k^d, k^d)`` translation table are built
+    once, and each query is one gather through both — no per-element
+    Python objects.  The translation table is quadratic in the node
+    count, which suits the small tori symmetry reduction is run on.
 
     Point-group elements are applied as ``reflect(permute(x))`` and are
     indexed by :attr:`point_descs` ``(perm, reflection_mask)`` pairs;
@@ -140,9 +142,7 @@ class AutomorphismGroup:
         self.torus = torus
         k, d = torus.k, torus.d
         base = all_coords(k, d)  # (k^d, d); row i == coordinate of node i
-        self._strides = np.array(
-            [k ** (d - 1 - i) for i in range(d)], dtype=np.int64
-        )
+        strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
         tables: list[np.ndarray] = []
         descs: list[tuple[tuple[int, ...], int]] = []
         for perm in itertools.permutations(range(d)):
@@ -154,18 +154,22 @@ class AutomorphismGroup:
                         image[:, dim] = np.mod(-image[:, dim], k)
                 tables.append(image)
                 descs.append((perm, mask))
-        #: (point_order, k^d, d) — coordinates of every node's image under
-        #: each point-group element.
-        self.point_coords: np.ndarray = np.stack(tables)
-        #: (point_order, k^d) — same images as dense node ids.
-        self.point_ids: np.ndarray = self.point_coords @ self._strides
+        #: (point_order, k^d) — every node's image under each point-group
+        #: element, as dense node ids.
+        self.point_ids: np.ndarray = np.stack(tables) @ strides
         #: ``(perm, reflection_mask)`` describing each point-group row.
         self.point_descs: tuple[tuple[tuple[int, ...], int], ...] = tuple(descs)
         self.point_order: int = len(descs)
         self.num_translations: int = k**d
         #: full group order :math:`k^d \\cdot d! \\cdot 2^d`.
         self.order: int = self.point_order * self.num_translations
-        self._offsets = base  # the k^d translation vectors
+        #: (k^d, k^d) — ``_translate[t, v]`` is node ``v`` shifted by the
+        #: translation whose offset vector is node ``t``'s coordinate.
+        self._translate: np.ndarray = (
+            np.mod(base[:, None, :] + base[None, :, :], k) @ strides
+        )
+        #: (k^d,) — the node at minus each node's coordinate.
+        self._negate: np.ndarray = np.mod(-base, k) @ strides
 
     # ----------------------------------------------------------- images
 
@@ -176,19 +180,15 @@ class AutomorphismGroup:
 
         Returns an ``(order, m)`` array (``(k^d, m)`` when
         ``translations_only``); each row is one image of the set, sorted
-        ascending so rows compare as canonical set keys.
+        ascending so rows compare as canonical set keys.  One gather from
+        the translation table: point-group images first, then every
+        translation of each.
         """
-        torus = self.torus
         ids = np.asarray(node_ids, dtype=np.int64)
         if translations_only:
-            selected = torus.coords(ids)[None, :, :]  # (1, m, d)
+            images = self._translate[:, ids]  # (k^d, m)
         else:
-            selected = self.point_coords[:, ids, :]  # (point_order, m, d)
-        shifted = np.mod(
-            selected[:, None, :, :] + self._offsets[None, :, None, :],
-            torus.k,
-        )  # (rows, k^d, m, d)
-        images = shifted @ self._strides
+            images = self._translate[:, self.point_ids[:, ids]]  # (k^d, P, m)
         return np.sort(images.reshape(-1, ids.size), axis=1)
 
     def canonical_ids(
@@ -197,25 +197,44 @@ class AutomorphismGroup:
         """The lexicographically smallest sorted image of the node set."""
         return _lexmin_row(self.sorted_images(node_ids, translations_only))
 
-    def canonicity(self, node_ids) -> tuple[bool, int]:
+    def canonicity(self, node_ids) -> tuple[Any, Any]:
         """Whether the sorted node set is its orbit's canonical (lex-min)
         representative, and the order of its stabilizer.
 
-        Returns ``(False, 0)`` as soon as a strictly smaller image is
-        found; otherwise ``(True, |Stab|)`` where ``|Stab|`` counts the
+        Returns ``(False, 0)`` when some image is lexicographically
+        smaller; otherwise ``(True, |Stab|)`` where ``|Stab|`` counts the
         group elements (with multiplicity in the ``k == 2`` degenerate
         case) that fix the set, so ``order // |Stab|`` is the exact orbit
         size.
+
+        Leading axes batch sets of equal size: ``(..., m)`` ids give a
+        boolean and an integer array of shape ``(...)``.
+
+        Only *anchored* images are built.  An image can sort at or below
+        the set only if it contains node 0, since the lex-min set always
+        does; and each group element mapping some ``x`` of the set to 0 is
+        ``h`` followed by the translation by ``-h(x)``.  So the ``P·m``
+        images ``{h(y) - h(x) : y}`` decide canonicity, and the ones equal
+        to the set count its stabilizer exactly.
         """
-        ids = np.sort(np.asarray(node_ids, dtype=np.int64))
-        alive = self.sorted_images(ids)
-        for col in range(ids.size):
-            values = alive[:, col]
-            smallest = values.min()
-            if smallest < ids[col]:
-                return False, 0
-            alive = alive[values == smallest]
-        return True, int(alive.shape[0])
+        ids = np.sort(np.asarray(node_ids, dtype=np.int64), axis=-1)
+        sets = ids.reshape(-1, ids.shape[-1])  # (B, m)
+        moved = np.moveaxis(self.point_ids[:, sets], 0, 1)  # (B, P, m)
+        anchored = self._translate[
+            self._negate[moved][..., :, None], moved[..., None, :]
+        ]  # (B, P, m anchors, m)
+        images = np.sort(anchored.reshape(len(sets), -1, sets.shape[1]), -1)
+        # compare every image with its set at their first differing column
+        target = sets[:, None, :]
+        differs = images != target
+        first = differs.argmax(axis=-1)[..., None]
+        smaller = np.take_along_axis(images < target, first, axis=-1)[..., 0]
+        canonical = ~smaller.any(axis=-1)
+        fixed = np.count_nonzero(~differs.any(axis=-1), axis=-1)
+        stab = np.where(canonical, fixed, 0)
+        if ids.ndim == 1:
+            return bool(canonical[0]), int(stab[0])
+        return canonical.reshape(ids.shape[:-1]), stab.reshape(ids.shape[:-1])
 
     def orbit_size(self, node_ids) -> int:
         """Exact orbit size of the node set, via orbit–stabilizer."""

@@ -53,6 +53,19 @@ class TestExtractMetrics:
         assert direction == "higher"
         assert threshold == 2.0
 
+    def test_certify_seconds_gated_and_counts_exact(self):
+        data = {
+            "max_seconds": {"T6": 1.0},
+            "cases": {
+                "T6": {"seconds": 0.5, "counts": {"leaf_orbits": 93}},
+                "T7": {"seconds": 3.4, "counts": {"leaf_orbits": 167}},
+            },
+        }
+        metrics = {m[0]: m for m in extract_metrics("BENCH_certify.json", data)}
+        assert metrics["certify.T6.seconds"] == ("certify.T6.seconds", 0.5, "lower", 1.0)
+        assert metrics["certify.T7.seconds"][3] is None  # the frontier: tracked only
+        assert metrics["certify.T7.leaf_orbits"][1:3] == (167, "exact")
+
     def test_unknown_file_falls_back_to_numeric_leaves(self, bench_dir):
         data = json.loads(
             (bench_dir / "BENCH_custom.json").read_text(encoding="utf-8")

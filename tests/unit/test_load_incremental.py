@@ -8,6 +8,7 @@ from repro.load.odr_loads import (
     odr_edge_loads,
     odr_edge_loads_add_delta,
     odr_edge_loads_swap_delta,
+    odr_path_table,
 )
 from repro.placements.base import Placement
 from repro.placements.random_placement import random_placement
@@ -171,3 +172,79 @@ class TestAccumulatePairLoads:
             loads, 4, 2, p, q, weights=np.array([2.5])
         )
         assert loads.sum() == pytest.approx(2.5)
+
+
+class TestOdrPathTable:
+    @pytest.mark.parametrize(
+        "k,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3)]
+    )
+    def test_every_pair_matches_hop_walker(self, k, d):
+        # each (source, destination) path, one at a time, against the walker
+        torus = Torus(k, d)
+        table = odr_path_table(torus)
+        coords = torus.all_node_coords()
+        pi, qi = np.meshgrid(
+            np.arange(torus.num_nodes), np.arange(torus.num_nodes), indexing="ij"
+        )
+        p, q = coords[pi.ravel()], coords[qi.ravel()]
+        edges = table.path_edges(p, q)
+        assert edges.shape == (p.shape[0], d * (k // 2))
+        for row in range(p.shape[0]):
+            expected = np.zeros(torus.num_edges)
+            accumulate_pair_loads(expected, k, d, p[row : row + 1], q[row : row + 1])
+            walked = np.sort(np.flatnonzero(expected))
+            gathered = np.sort(edges[row][edges[row] != table.sink])
+            assert np.array_equal(walked, gathered)
+
+    def test_self_pairs_are_all_padding(self):
+        torus = Torus(5, 2)
+        table = odr_path_table(torus)
+        coords = torus.all_node_coords()
+        assert np.all(table.path_edges(coords, coords) == table.sink)
+
+    def test_edge_counts_keep_batch_shape(self):
+        torus = Torus(4, 2)
+        table = odr_path_table(torus)
+        edges = np.full((2, 3, 5, 4), table.sink)
+        edges[1, 2, 0, 0] = 7
+        counts = table.edge_counts(edges)
+        assert counts.shape == (2, 3, torus.num_edges)
+        assert counts.sum() == 1 and counts[1, 2, 7] == 1
+
+    def test_table_is_cached(self):
+        assert odr_path_table(Torus(4, 2)) is odr_path_table(Torus(4, 2))
+
+
+class TestBatchedDeltas:
+    """Leading axes batch independent rows; each row equals its own call."""
+
+    def test_add_delta_rows_match_single_calls(self):
+        torus = Torus(5, 2)
+        rng = np.random.default_rng(11)
+        rows = [rng.choice(torus.num_nodes, size=5, replace=False) for _ in range(4)]
+        base = np.stack(
+            [odr_edge_loads(Placement(torus, list(ids[:-1]))) for ids in rows]
+        )
+        kept = np.stack([torus.coords(ids[:-1]) for ids in rows])
+        added = np.stack([torus.coords(ids[-1:])[0] for ids in rows])
+        grown = odr_edge_loads_add_delta(torus, base, kept, added)
+        assert grown.shape == base.shape
+        for i, ids in enumerate(rows):
+            assert np.array_equal(grown[i], odr_edge_loads(Placement(torus, list(ids))))
+
+    def test_swap_delta_candidates_share_one_load_vector(self):
+        # the local-search shape: one current placement, many candidate swaps
+        torus = Torus(6, 2)
+        placement = random_placement(torus, 6, seed=3)
+        ids = placement.node_ids
+        loads = odr_edge_loads(placement)
+        routers = np.setdiff1d(np.arange(torus.num_nodes), ids)
+        outs, ins = np.array([0, 3, 5, 3]), np.array([1, 4, 0, 9])
+        kept = np.stack([torus.coords(np.delete(ids, o)) for o in outs])
+        swapped = odr_edge_loads_swap_delta(
+            torus, loads, kept, torus.coords(ids[outs]), torus.coords(routers[ins])
+        )
+        assert swapped.shape == (len(outs), torus.num_edges)
+        for row, (o, i) in enumerate(zip(outs, ins)):
+            moved = list(np.delete(ids, o)) + [int(routers[i])]
+            assert np.array_equal(swapped[row], odr_edge_loads(Placement(torus, moved)))

@@ -137,6 +137,24 @@ class TestCounters:
         assert counters.subtrees_pruned_emax + counters.variants_dropped > 0
         assert counters.leaf_orbits < 33  # full mode visits all 33 orbits
 
+    @pytest.mark.parametrize("mode", ["full", "bound"])
+    def test_one_kernel_call_per_grown_node(self, mode, monkeypatch):
+        # every surviving variant grows in the same scatter, so the add
+        # kernel runs once per expanded node, never once per variant
+        from repro.placements import exact_search
+
+        calls = []
+        kernel = exact_search.odr_edge_loads_add_delta
+
+        def counted(torus, loads, kept, added):
+            calls.append(loads.shape[0])
+            return kernel(torus, loads, kept, added)
+
+        monkeypatch.setattr(exact_search, "odr_edge_loads_add_delta", counted)
+        result = exact_global_minimum(Torus(4, 2), 4, mode=mode)
+        assert len(calls) == result.counters.canonical_nodes
+        assert max(calls) == result.num_variants
+
 
 class TestParallel:
     def test_parallel_matches_serial_full(self, full_4_2):
@@ -173,3 +191,27 @@ class TestValidation:
         result = exact_global_minimum(Torus(3, 2), 1, mode="full")
         assert result.minimum_emax == 0.0
         assert result.num_optimal == 9
+
+
+class TestJournalRecords:
+    def test_retired_counter_in_old_journal_is_ignored(self):
+        # journals written before the separator prune was removed carry
+        # its (always zero) counter; resuming from them must still merge
+        from repro.placements.exact_search import (
+            SearchCounters,
+            _decode_partial,
+            _encode_partial,
+        )
+
+        counters = dict.fromkeys(SearchCounters.__dataclass_fields__, 1)
+        record = _encode_partial(
+            {
+                "best_value": 2.0,
+                "best_image_ids": None,
+                "histogram": {2.0: 3},
+                "orbit_total": 3,
+                "counters": counters,
+            }
+        )
+        record["counters"]["subtrees_pruned_separator"] = 0
+        assert _decode_partial(record)["counters"] == counters

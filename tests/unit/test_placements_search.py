@@ -56,6 +56,28 @@ class TestLocalSearch:
         assert a.best_emax == b.best_emax
         assert a.trajectory == b.trajectory
 
+    @pytest.mark.parametrize(
+        "k,seed_start,moves,seed,temperature,trajectory,evaluations,best",
+        [
+            (6, 4, 8, 21, 0.0, (7.0, 5.0, 4.0), 545, [13, 17, 19, 22, 30, 32]),
+            (5, 2, 6, 5, 0.7, (3.0,) * 5 + (2.0, 2.0), 97, [7, 8, 10, 12, 20]),
+        ],
+    )
+    def test_pinned_runs(
+        self, k, seed_start, moves, seed, temperature, trajectory, evaluations,
+        best,
+    ):
+        # recorded with one swap-delta call per candidate; evaluating a
+        # move's candidates in one batched call must not change any draw
+        # or any choice
+        start = random_placement(Torus(k, 2), k, seed=seed_start)
+        res = local_search_placement(
+            start, max_moves=moves, temperature=temperature, seed=seed
+        )
+        assert res.trajectory == trajectory
+        assert res.evaluations == evaluations
+        assert res.best.node_ids.tolist() == best
+
     def test_fully_populated_has_no_moves(self):
         p = fully_populated_placement(Torus(3, 2))
         res = local_search_placement(p, max_moves=5, seed=0)

@@ -175,6 +175,33 @@ class TestAutomorphismGroup:
             if canonical:
                 assert group.order // stab == group.orbit_size(ids)
 
+    @pytest.mark.parametrize("k,d,size", [(4, 2, 4), (2, 3, 3), (5, 2, 3)])
+    def test_canonicity_matches_brute_force(self, k, d, size):
+        # canonical <=> no per-element image sorts below the set, and the
+        # stabilizer counts the images equal to it (with multiplicity)
+        torus = Torus(k, d)
+        group = automorphism_group(torus)
+        for seed in range(12):
+            ids = tuple(random_placement(torus, size, seed=seed).node_ids)
+            images = _brute_force_images(Placement(torus, ids))
+            canonical, stab = group.canonicity(ids)
+            assert canonical == (min(images) == ids)
+            if canonical:
+                assert stab == images.count(ids)
+
+    def test_batched_canonicity_matches_single_sets(self):
+        import itertools
+
+        torus = Torus(4, 2)
+        group = automorphism_group(torus)
+        sets = np.array(list(itertools.combinations(range(16), 3)))
+        canonical, stab = group.canonicity(sets.reshape(-1, 4, 3)[:100])
+        assert canonical.shape == stab.shape == (100, 4)
+        for ids, flag, count in zip(
+            sets[:400], canonical.ravel(), stab.ravel()
+        ):
+            assert group.canonicity(ids) == (bool(flag), int(count))
+
     def test_group_is_cached(self):
         torus = Torus(4, 2)
         assert automorphism_group(torus) is automorphism_group(Torus(4, 2))
