@@ -27,11 +27,7 @@ import pytest
 from _timing import best_of
 
 from repro.exec import ExecPolicy, ExecTask, ResilientExecutor
-from repro.placements.catalog import (
-    _evaluate_chunk,
-    _evaluate_span,
-    _init_span_worker,
-)
+from repro.placements.catalog import _evaluate_chunk, _evaluate_span
 from repro.torus.topology import Torus
 
 K, D, SIZE = 4, 2, 4
@@ -53,7 +49,7 @@ def _spans():
         block = list(itertools.islice(stream, chunk))
         if not block:
             return spans
-        spans.append((block[0], len(block)))
+        spans.append((K, D, block[0], len(block)))
 
 
 SPANS = _spans()
@@ -72,9 +68,7 @@ def _merge(partials):
 
 
 def _run_bare_pool():
-    with ProcessPoolExecutor(
-        max_workers=JOBS, initializer=_init_span_worker, initargs=(K, D)
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=JOBS) as pool:
         return list(pool.map(_evaluate_span, SPANS))
 
 
@@ -86,8 +80,6 @@ def _run_resilient():
     executor = ResilientExecutor(
         _evaluate_span,
         jobs=JOBS,
-        initializer=_init_span_worker,
-        initargs=(K, D),
         policy=ExecPolicy(),
         label="bench-exec",
     )

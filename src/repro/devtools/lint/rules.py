@@ -77,7 +77,6 @@ _ENGINE_INTERNALS = frozenset(
         "VectorizedBackend",
         "FFTBackend",
         "DisplacementBackend",
-        "ParallelBackend",
     }
 )
 

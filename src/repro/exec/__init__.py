@@ -1,9 +1,9 @@
 """Resilient execution layer: retries, deadlines, checkpoint/resume.
 
-Every process-pool fan-out in the package (the parallel load backend, the
-brute-force placement catalog, the exact-search subtree shards) goes
-through this subsystem instead of constructing pools directly (lint rule
-RL009 enforces the facade).  The layer turns a fragile
+Every process-pool fan-out in the package (the brute-force placement
+catalog and the exact-search subtree shards) goes through this subsystem
+instead of constructing pools directly (lint rule RL009 enforces the
+facade).  The layer turns a fragile
 ``ProcessPoolExecutor`` into a production-shaped executor:
 
 * :class:`ResilientExecutor` — bounded retries with deterministic

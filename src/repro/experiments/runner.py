@@ -3,7 +3,7 @@
 The suite's load computations all flow through
 :func:`repro.core.analysis.compute_loads` and therefore honour the
 process-wide default :class:`~repro.load.engine.LoadEngine`; passing
-``engine=`` here pins a specific backend (e.g. ``"parallel"``) for the
+``engine=`` here pins a specific backend (e.g. ``"reference"``) for the
 duration of the run.
 
 The runner is partial-failure tolerant: an experiment that *raises* is

@@ -20,9 +20,8 @@ computes it three ways:
 * :mod:`repro.load.engine` — the :class:`~repro.load.engine.LoadEngine`
   facade unifying the above behind pluggable backends, adding a
   displacement-class path cache, an FFT circular-correlation backend
-  (all edges in one spectral pass, exact via the
-  :mod:`repro.load.quantize` snap-back), and a process-parallel
-  pair-sharding backend;
+  (all edges in one spectral pass for coset placements, exact via the
+  :mod:`repro.load.quantize` snap-back);
 
 and provides every closed form and lower bound the paper states
 (:mod:`repro.load.formulas`, :mod:`repro.load.bounds`), traffic patterns

@@ -2,7 +2,7 @@
 
 One entry point for every per-edge load computation in the package::
 
-    engine = LoadEngine("parallel", jobs=8)
+    engine = LoadEngine("auto")
     loads = engine.edge_loads(placement, routing)
     emax = engine.emax(placement, routing)
 
@@ -17,18 +17,19 @@ Backends by name:
     routing, weighted traffic included.
 ``fft``
     Spectral circular correlation over :math:`Z_k^d` with integer
-    snap-back; any translation-invariant routing, all edges in one
-    ``rfftn`` pass.
-``parallel``
-    The pair matrix sharded over a process pool (displacement templates
-    inside each worker where applicable).
+    snap-back, all edges in one ``rfftn`` pass; spectral only for
+    complete-exchange cosets, displacement-served otherwise.
 ``auto``
-    Pick the fastest applicable serial backend per call:
-    vectorized → fft → displacement → reference.
+    The first backend of vectorized → fft → displacement → reference
+    that supports the call, which makes the choice structural:
+    dimension-order routings and unweighted UDR go to ``vectorized``,
+    cosets on other translation-invariant routings to ``fft``, every
+    other translation-invariant case to ``displacement``, and
+    fault-masked routings to ``reference``.
 
 A process-wide *default engine* (``auto`` unless overridden) backs
 :func:`repro.core.analysis.compute_loads` and the experiment runner; the
-CLI's ``--engine``/``--jobs`` flags swap it via :func:`using_engine`.
+CLI's ``--engine`` flag swaps it via :func:`using_engine`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.load.engine.base import LoadBackend
 from repro.obs.tracer import current_tracer
 from repro.load.engine.displacement import DisplacementBackend
 from repro.load.engine.fft import FFTBackend
-from repro.load.engine.parallel import DEFAULT_CHUNK_PAIRS, ParallelBackend
 from repro.load.engine.reference import ReferenceBackend
 from repro.load.engine.vectorized import VectorizedBackend
 from repro.placements.base import Placement
@@ -60,10 +60,10 @@ __all__ = [
     "cross_check",
 ]
 
-#: the serial preference order the ``auto`` engine tries per call.
+#: the preference order the ``auto`` engine tries per call.
 _AUTO_ORDER = ("vectorized", "fft", "displacement", "reference")
 
-_BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement", "parallel")
+_BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")
 
 
 def available_backends() -> tuple[str, ...]:
@@ -87,8 +87,6 @@ def _count_backend_call(metrics, backend_name: str) -> None:
         metrics.counter("engine.calls.fft").add(1)
     elif backend_name == "displacement":
         metrics.counter("engine.calls.displacement").add(1)
-    elif backend_name == "parallel":
-        metrics.counter("engine.calls.parallel").add(1)
     else:  # pragma: no cover - the registry rejects unknown names
         metrics.counter("engine.calls.other").add(1)
 
@@ -100,28 +98,16 @@ class LoadEngine:
     ----------
     backend:
         One of :func:`available_backends` (default ``auto``).
-    jobs:
-        Worker processes for the ``parallel`` backend; ignored by the
-        serial backends.
-    chunk_pairs:
-        Shard size for the ``parallel`` backend.
     """
 
-    def __init__(
-        self,
-        backend: str = "auto",
-        jobs: int | None = None,
-        chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-    ):
+    def __init__(self, backend: str = "auto"):
         if backend not in available_backends():
             raise EngineError(
                 f"unknown load backend {backend!r}; available: "
                 f"{', '.join(available_backends())}"
             )
         self.backend_name = backend
-        self.jobs = jobs
         self._backends: dict[str, LoadBackend] = {}
-        self._chunk_pairs = chunk_pairs
 
     # ----------------------------------------------------------- backends
 
@@ -136,10 +122,6 @@ class LoadEngine:
                 backend = FFTBackend()
             elif name == "displacement":
                 backend = DisplacementBackend()
-            elif name == "parallel":
-                backend = ParallelBackend(
-                    jobs=self.jobs, chunk_pairs=self._chunk_pairs
-                )
             else:  # pragma: no cover - guarded by __init__
                 raise EngineError(f"unknown load backend {name!r}")
             self._backends[name] = backend
@@ -157,7 +139,8 @@ class LoadEngine:
         whose :meth:`~repro.load.engine.base.LoadBackend.supports` accepts
         the configuration; an explicitly named backend is returned
         unconditionally (its ``compute`` raises a descriptive
-        :class:`~repro.errors.EngineError` if unsupported).
+        :class:`~repro.errors.EngineError` for inputs it cannot serve;
+        ``fft`` serves non-cosets through the displacement evaluation).
         """
         if self.backend_name != "auto":
             return self._backend(self.backend_name)
@@ -293,8 +276,7 @@ class LoadEngine:
         return loads.max(axis=1, initial=0.0)
 
     def __repr__(self) -> str:
-        jobs = f", jobs={self.jobs}" if self.jobs is not None else ""
-        return f"LoadEngine(backend={self.backend_name!r}{jobs})"
+        return f"LoadEngine(backend={self.backend_name!r})"
 
 
 # --------------------------------------------------------- default engine
@@ -361,7 +343,6 @@ def cross_check(
     routing: RoutingAlgorithm,
     pair_weights: np.ndarray | None = None,
     backends: Iterable[str] | None = None,
-    jobs: int | None = None,
     atol: float = 1e-9,
 ) -> dict[str, float]:
     """Assert every applicable backend agrees with the reference oracle.
@@ -386,8 +367,7 @@ def cross_check(
     oracle = ReferenceBackend().compute(placement, routing, pair_weights)
     diffs: dict[str, float] = {}
     for name in names:
-        engine = LoadEngine(name, jobs=jobs)
-        backend = engine.backend_for(placement, routing, pair_weights)
+        backend = LoadEngine(name).backend_for(placement, routing, pair_weights)
         if name != "reference" and not backend.supports(
             placement, routing, pair_weights
         ):

@@ -1,4 +1,4 @@
-"""FFT circular-correlation load backend — all edges in one spectral pass.
+"""FFT circular-correlation load backend — coset placements in one pass.
 
 :math:`T_k^d` is the Cayley graph of the group :math:`Z_k^d`, and for a
 translation-invariant routing the Definition-4 contribution of an ordered
@@ -14,27 +14,21 @@ convolution
             \\;=\\; \\sum_{δ} (S_δ * T_δ)(v)
 
 of per-displacement *source fields* :math:`S_δ` (which pairs of class
-``δ`` start where, and with what traffic weight) with per-displacement
-*path-usage templates* :math:`T_δ`, evaluated for **all** :math:`2dk^d`
-edges at once by ``numpy.fft.rfftn`` over :math:`Z_k^d` instead of the
-:math:`O(|P|^2)` pair translation passes of the displacement backend.
+``δ`` start where) with per-displacement *path-usage templates*
+:math:`T_δ`.
 
-Two regimes:
-
-* **Uniform (coset) placements** — linear, sublattice, multiple-linear
-  with aligned offsets, fully populated.  A placement with exactly
-  ``|P| - 1`` distinct nonzero pairwise displacements is a coset of a
-  subgroup of :math:`Z_k^d` (``|P - P| = |P|`` forces ``P - P`` to be a
-  group), so under complete exchange every source field collapses to the
-  placement's indicator function ``f`` and the whole sum becomes **one**
-  correlation of ``f`` with the aggregated usage tensor
-  :math:`U = \\sum_δ T_δ`: :math:`O(d\\,k^d \\log k)` total, independent
-  of the pair count.  This is the regime that unlocks ``k`` in the
-  hundreds.
-* **General placements / weighted traffic** — each displacement class
-  keeps its own source field; the fields are transformed in chunked
-  batches and accumulated in the frequency domain, so the inverse
-  transform is still paid only once per edge channel.
+The backend evaluates that sum spectrally where it collapses: **coset**
+placements — linear, sublattice, multiple-linear with aligned offsets,
+fully populated — under complete exchange.  A placement with exactly
+``|P| - 1`` distinct nonzero pairwise displacements is a coset of a
+subgroup of :math:`Z_k^d` (``|P - P| = |P|`` forces ``P - P`` to be a
+group), so every source field is the placement's indicator function
+``f`` and the whole sum becomes **one** correlation of ``f`` with the
+aggregated usage tensor :math:`U = \\sum_δ T_δ`, evaluated for all
+:math:`2dk^d` edges by ``numpy.fft.rfftn`` in :math:`O(d\\,k^d \\log k)`,
+independent of the pair count.  Every other input — non-coset
+placements, weighted traffic — is served by the exact displacement-cache
+evaluation instead.
 
 Exactness is restored by the *snap-back* of :mod:`repro.load.quantize`:
 all template weights are scaled to integer numerators over a common
@@ -43,20 +37,17 @@ the convolution result is rounded to the nearest integer — which is the
 exact value whenever the accumulated FFT error is below one half — and
 divided back by ``Q``.  A snap that would move any value by
 :data:`~repro.load.quantize.LOAD_SNAP_TOLERANCE` or more falls back to
-the exact displacement-cache evaluation instead of shipping a wrong
-answer.  Non-integral traffic matrices carry no rational grid; they skip
-the snap and are covered by the engine's 1e-9 agreement bound.
+the displacement evaluation too, instead of shipping a wrong answer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import EngineError
-from repro.load.engine.base import LoadBackend, validate_pair_weights
+from repro.load.engine.base import LoadBackend
 from repro.load.engine.displacement import (
     DisplacementPathCache,
     displacement_edge_loads,
@@ -73,52 +64,38 @@ from repro.load.plancache import (
 from repro.obs.tracer import current_tracer
 from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
+from repro.torus.topology import Torus
 from repro.util.itertools_ext import ordered_pair_index_arrays
 
 __all__ = ["FFTBackend", "fft_edge_loads", "fft_edge_loads_many"]
 
-#: classes transformed per batch in the general regime — bounds the
-#: ``(chunk, 2d, k^d)`` scratch tensors to a few megabytes.
-_CLASS_CHUNK = 32
+
+# --------------------------------------------------------- coset classes
 
 
-# ------------------------------------------------------------ class table
+def _strides(torus: Torus) -> np.ndarray:
+    k, d = torus.k, torus.d
+    return np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class _ClassTable:
-    """Displacement classes of one (placement, traffic) configuration.
+def _coset_classes(
+    placement: Placement, strides: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Difference set of a coset placement, or ``None`` for any other.
 
-    ``codes[i]`` is the mixed-radix code of class ``i`` (sorted unique),
-    ``numerators[i]``/``channels[i]``/``offsets[i]`` the integer template
-    scatter data, and ``denominators[i]`` the class's path count.
+    Returns the sorted nonzero displacement codes and one displacement
+    per code when ``|P - P| = |P|`` (and ``|P| >= 2``).
     """
-
-    codes: np.ndarray
-    offsets: list[np.ndarray]
-    channels: list[np.ndarray]
-    numerators: list[np.ndarray]
-    denominators: np.ndarray
-
-
-def _build_class_table(
-    cache: DisplacementPathCache,
-    strides: np.ndarray,
-    codes: np.ndarray,
-    rep_disp: np.ndarray,
-) -> _ClassTable:
-    offsets: list[np.ndarray] = []
-    channels: list[np.ndarray] = []
-    numerators: list[np.ndarray] = []
-    denominators = np.empty(codes.size, dtype=np.int64)
-    for i in range(codes.size):
-        tpl = cache.template(rep_disp[i])
-        numerator = np.rint(tpl.weight * tpl.num_paths)
-        offsets.append(tpl.offsets @ strides)
-        channels.append(tpl.dim_sign)
-        numerators.append(numerator)
-        denominators[i] = tpl.num_paths
-    return _ClassTable(codes, offsets, channels, numerators, denominators)
+    coords = placement.coords()
+    m = coords.shape[0]
+    if m < 2:
+        return None
+    pi, qi = ordered_pair_index_arrays(m)
+    disp = np.mod(coords[qi] - coords[pi], placement.torus.k)
+    codes, first = np.unique(disp @ strides, return_index=True)
+    if codes.size != m - 1:
+        return None
+    return codes, disp[first]
 
 
 def _denominator_groups(
@@ -146,25 +123,6 @@ def _denominator_groups(
 # --------------------------------------------------------------- kernels
 
 
-def _scatter_usage(
-    table: _ClassTable,
-    rows: np.ndarray,
-    quantum: int,
-    two_d: int,
-    num_nodes: int,
-) -> np.ndarray:
-    """Aggregate usage tensor ``U[channel, node]`` of one group's classes."""
-    usage = np.zeros((two_d, num_nodes), dtype=np.float64)
-    for i in rows:
-        scale = quantum // int(table.denominators[i])
-        np.add.at(
-            usage,
-            (table.channels[i], table.offsets[i]),
-            table.numerators[i] * scale,
-        )
-    return usage
-
-
 def _spectrum(fields: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Batched ``rfftn`` over the trailing torus axes."""
     d = len(shape)
@@ -178,250 +136,69 @@ def _inverse(acc: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out.reshape(out.shape[:-d] + (-1,))
 
 
-def _convolve_groups(
-    indicator_hat: np.ndarray,
-    group_spectra: list[tuple[int, np.ndarray]],
-    shape: tuple[int, ...],
-    snap: bool,
-) -> tuple[np.ndarray, float]:
-    """Correlate one source spectrum against cached usage spectra."""
-    loads: np.ndarray | None = None
-    drift = 0.0
-    for quantum, usage_hat in group_spectra:
-        conv = _inverse(indicator_hat[None, ...] * usage_hat, shape)
-        if snap:
-            snapped = np.rint(conv)
-            drift = max(drift, float(np.abs(conv - snapped).max(initial=0.0)))
-            conv = snapped
-        part = conv / quantum if quantum != 1 else conv
-        loads = part if loads is None else loads + part
-    assert loads is not None
-    return loads, drift
-
-
-# ------------------------------------------------------------ entry point
-
-
-def fft_edge_loads(
-    placement: Placement,
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None = None,
-    cache: DisplacementPathCache | None = None,
-) -> np.ndarray:
-    """Exact per-edge loads via spectral circular correlation.
-
-    Drop-in equivalent of
-    :func:`repro.load.edge_loads.edge_loads_reference` for any
-    translation-invariant routing; after the integer snap-back the values
-    land on the same rational grid the oracle's sums approximate.
-    ``cache`` overrides the path-template cache of the ambient plan
-    (kept for callers that manage their own templates).
-    """
-    plan = _resolve_plan(placement, routing, pair_weights)
-    if cache is not None:
-        plan = SpectralPlan(placement.torus, routing, plan.fingerprint)
-        plan.path_cache = cache
-    loads, _drift, _fast = _fft_edge_loads_impl(
-        placement, routing, pair_weights, plan
-    )
-    return loads
-
-
-def fft_edge_loads_many(
-    placements: list[Placement],
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-edge loads of a placement batch, ``(B, num_edges)``.
-
-    Bit-identical to stacking :func:`fft_edge_loads` rows; see
-    :meth:`FFTBackend.compute_many` for the batching strategy.
-    """
-    return FFTBackend().compute_many(
-        placements, routing, pair_weights=pair_weights
-    )
-
-
-def _resolve_plan(
-    placement: Placement,
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None,
-) -> SpectralPlan:
-    """The ambient cache's plan for this configuration."""
-    traffic = "complete-exchange" if pair_weights is None else "weighted"
-    return current_plan_cache().get(placement.torus, routing, traffic)
-
-
-def _plan_tables(
-    plan: SpectralPlan,
+def _usage_spectra(
+    cache: DisplacementPathCache,
+    torus: Torus,
     strides: np.ndarray,
-    codes: np.ndarray,
     rep_disp: np.ndarray,
-) -> tuple[_ClassTable, list[tuple[int, np.ndarray]]]:
-    """Class table + denominator groups, memoized on the plan.
-
-    Both depend only on the displacement-class set (the sorted codes),
-    never on which placement produced it or on traffic weights, so every
-    placement sharing a difference set shares one entry — repeated
-    same-plan calls skip the template scatter entirely.
-    """
-    key = codes.tobytes()
-    entry = plan.class_tables.get(key)
-    if entry is None:
-        table = _build_class_table(plan.path_cache, strides, codes, rep_disp)
-        entry = (table, _denominator_groups(table.denominators))
-        if len(plan.class_tables) >= MAX_PLAN_ENTRIES:
-            plan.class_tables.clear()
-        plan.class_tables[key] = entry
-    return entry
-
-
-def _uniform_spectra(
-    plan: SpectralPlan,
-    table: _ClassTable,
-    groups: list[tuple[int, np.ndarray]],
-    shape: tuple[int, ...],
-    two_d: int,
-    num_nodes: int,
 ) -> list[tuple[int, np.ndarray]]:
-    """Forward usage spectra of one class set, memoized on the plan."""
-    ckey = table.codes.tobytes()
-    spectra = plan.spectra.get(ckey)
-    if spectra is None:
-        spectra = [
-            (
-                quantum,
-                _spectrum(
-                    _scatter_usage(table, rows, quantum, two_d, num_nodes),
-                    shape,
-                ),
+    """Forward spectra of the aggregated usage tensor ``U[channel, node]``.
+
+    One ``(Q, spectrum)`` entry per denominator group, with every class
+    template scaled to integer numerators over ``Q``.
+    """
+    templates = [cache.template(disp) for disp in rep_disp]
+    denominators = np.array(
+        [tpl.num_paths for tpl in templates], dtype=np.int64
+    )
+    spectra = []
+    for quantum, rows in _denominator_groups(denominators):
+        usage = np.zeros((2 * torus.d, torus.num_nodes), dtype=np.float64)
+        for i in rows:
+            tpl = templates[i]
+            numerator = np.rint(tpl.weight * tpl.num_paths)
+            np.add.at(
+                usage,
+                (tpl.dim_sign, tpl.offsets @ strides),
+                numerator * (quantum // denominators[i]),
             )
-            for quantum, rows in groups
-        ]
-        if len(plan.spectra) >= MAX_PLAN_ENTRIES:
-            plan.spectra.clear()
-        plan.spectra[ckey] = spectra
+        spectra.append((quantum, _spectrum(usage, torus.shape)))
     return spectra
 
 
-def _remember_placement_spectra(
-    plan: SpectralPlan, placement: Placement, spectra: list
-) -> None:
-    """Alias the spectra under the placement's id-bytes for warm calls."""
+def _coset_spectra(
+    placement: Placement, plan: SpectralPlan, strides: np.ndarray
+) -> list[tuple[int, np.ndarray]] | None:
+    """The plan's usage spectra serving a coset placement, or ``None``.
+
+    Memoized twice on the plan: per difference set (every coset of one
+    subgroup shares an entry) and per placement id-bytes, so warm repeat
+    calls skip the pair pass.
+    """
+    ids = placement.node_ids.tobytes()
+    spectra = plan.placement_spectra.get(ids)
+    if spectra is not None:
+        return spectra
+    classes = _coset_classes(placement, strides)
+    if classes is None:
+        return None
+    codes, rep_disp = classes
+    key = codes.tobytes()
+    spectra = plan.spectra.get(key)
+    if spectra is None:
+        spectra = _usage_spectra(
+            plan.path_cache, plan.torus, strides, rep_disp
+        )
+        if len(plan.spectra) >= MAX_PLAN_ENTRIES:
+            plan.spectra.clear()
+        plan.spectra[key] = spectra
     if len(plan.placement_spectra) >= MAX_PLAN_ENTRIES:
         plan.placement_spectra.clear()
-    plan.placement_spectra[placement.node_ids.tobytes()] = spectra
+    plan.placement_spectra[ids] = spectra
+    return spectra
 
 
-def _fft_edge_loads_impl(
-    placement: Placement,
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None,
-    plan: SpectralPlan,
-) -> tuple[np.ndarray, float, bool]:
-    torus = placement.torus
-    k, d = torus.k, torus.d
-    shape, two_d = torus.shape, 2 * d
-    num_nodes = torus.num_nodes
-    coords = placement.coords()
-    m = coords.shape[0]
-    pair_weights = validate_pair_weights(pair_weights, m)
-    strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-
-    spectra = (
-        None
-        if pair_weights is not None
-        else plan.placement_spectra.get(placement.node_ids.tobytes())
-    )
-    if spectra is not None:
-        indicator = np.zeros(num_nodes, dtype=np.float64)
-        indicator[placement.node_ids] = 1.0
-        loads, drift = _convolve_groups(
-            _spectrum(indicator, shape), spectra, shape, snap=True
-        )
-        return loads.T.ravel(), drift, True
-
-    pi, qi = ordered_pair_index_arrays(m)
-    disp = np.mod(coords[qi] - coords[pi], k)
-    weights = None if pair_weights is None else pair_weights[pi, qi]
-    if weights is not None:
-        keep = weights != 0.0
-        pi, disp, weights = pi[keep], disp[keep], weights[keep]
-    if disp.shape[0] == 0:
-        return np.zeros(torus.num_edges, dtype=np.float64), 0.0, False
-    codes = disp @ strides
-    uniq_codes, first, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    table, groups = _plan_tables(plan, strides, uniq_codes, disp[first])
-    integral = weights is None or bool(
-        np.all(np.rint(weights) == weights)
-    )
-
-    # uniform regime: |P - P| = |P| means P is a coset of a subgroup, so
-    # every class's source field is the placement indicator itself.
-    if weights is None and uniq_codes.size == m - 1:
-        spectra = _uniform_spectra(
-            plan, table, groups, shape, two_d, num_nodes
-        )
-        _remember_placement_spectra(plan, placement, spectra)
-        indicator = np.zeros(num_nodes, dtype=np.float64)
-        indicator[placement.node_ids] = 1.0
-        loads, drift = _convolve_groups(
-            _spectrum(indicator, shape), spectra, shape, snap=True
-        )
-        return loads.T.ravel(), drift, True
-
-    # general regime: per-class source fields, accumulated spectrally.
-    p_nodes = coords[pi] @ strides
-    w = np.ones(p_nodes.size, dtype=np.float64) if weights is None else weights
-    freq_shape = shape[:-1] + (k // 2 + 1,)
-    loads_total: np.ndarray | None = None
-    drift = 0.0
-    for quantum, rows in groups:
-        acc = np.zeros((two_d,) + freq_shape, dtype=np.complex128)
-        for lo in range(0, rows.size, _CLASS_CHUNK):
-            chunk = rows[lo : lo + _CLASS_CHUNK]
-            local = np.full(uniq_codes.size, -1, dtype=np.int64)
-            local[chunk] = np.arange(chunk.size)
-            sel = np.flatnonzero(local[inverse] >= 0)
-            fields = np.zeros((chunk.size, num_nodes), dtype=np.float64)
-            np.add.at(fields, (local[inverse[sel]], p_nodes[sel]), w[sel])
-            usage = np.zeros(
-                (chunk.size, two_d, num_nodes), dtype=np.float64
-            )
-            for j, i in enumerate(chunk):
-                scale = quantum // int(table.denominators[i])
-                np.add.at(
-                    usage[j],
-                    (table.channels[i], table.offsets[i]),
-                    table.numerators[i] * scale,
-                )
-            acc += np.einsum(
-                "a...,ab...->b...",
-                _spectrum(fields, shape),
-                _spectrum(usage, shape),
-            )
-        conv = _inverse(acc, shape)
-        if integral:
-            snapped = np.rint(conv)
-            drift = max(drift, float(np.abs(conv - snapped).max(initial=0.0)))
-            conv = snapped
-        part = conv / quantum if quantum != 1 else conv
-        loads_total = part if loads_total is None else loads_total + part
-    assert loads_total is not None
-    # Exact by construction: `conv` is rint-snapped to integer numerators
-    # before the `/ quantum` division, so each entry is the correctly
-    # rounded float of a lattice rational, and the caller enforces the
-    # LOAD_SNAP_TOLERANCE drift contract (falling back to the exact
-    # displacement backend past it).
-    return loads_total.T.ravel(), drift, False  # repro: noqa(RL013)
-
-
-# --------------------------------------------------------- batched kernel
-
-
-def _convolve_groups_batch(
+def _convolve(
     indicator_hat: np.ndarray,
     group_spectra: list[tuple[int, np.ndarray]],
     shape: tuple[int, ...],
@@ -452,110 +229,94 @@ def _convolve_groups_batch(
     return loads, drift
 
 
-def _fft_edge_loads_many_impl(
-    placements: list[Placement],
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None,
-    plan: SpectralPlan,
+def _coset_loads(
+    placements: list[Placement], plan: SpectralPlan
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched per-edge loads; ``(loads (B, E), drifts (B,), fast (B,))``.
+    """Spectral loads of a complete-exchange batch's coset rows.
 
-    Placements sharing a displacement-class set (every coset of one
-    subgroup — e.g. all offsets of a linear placement family) are stacked
-    on a leading batch axis and resolved by a single ``rfftn``/inverse
-    pair against the plan's cached usage spectrum.  Non-coset placements
-    and weighted traffic fall through to the per-placement general path,
-    which stays bit-identical to the sequential call by construction.
+    Returns ``(loads (B, E), drifts (B,), spectral (B,))``; rows that are
+    not cosets stay zero with ``spectral`` false.  Placements sharing a
+    difference set — every coset of one subgroup, e.g. all offsets of a
+    linear family — are stacked on a leading batch axis and resolved by
+    a single ``rfftn``/inverse pair against the shared usage spectrum.
     """
-    torus = placements[0].torus
-    shape, two_d = torus.shape, 2 * torus.d
-    num_nodes = torus.num_nodes
+    torus = plan.torus
+    strides = _strides(torus)
     batch = len(placements)
-    loads_out = np.zeros((batch, torus.num_edges), dtype=np.float64)
+    loads = np.zeros((batch, torus.num_edges), dtype=np.float64)
     drifts = np.zeros(batch, dtype=np.float64)
-    fast = np.zeros(batch, dtype=bool)
-
-    # group batch rows by the spectra object serving them (one group per
-    # distinct difference set), falling back per placement otherwise.
+    spectral = np.zeros(batch, dtype=bool)
     groups: dict[int, tuple[list, list[int]]] = {}
-    strides = np.array(
-        [torus.k ** (torus.d - 1 - i) for i in range(torus.d)],
-        dtype=np.int64,
-    )
     for b, placement in enumerate(placements):
-        spectra = None
-        if pair_weights is None:
-            spectra = plan.placement_spectra.get(
-                placement.node_ids.tobytes()
-            )
-            if spectra is None:
-                spectra = _classify_for_batch(placement, plan, strides)
-        if spectra is None:
-            loads_out[b], drifts[b], fast[b] = _fft_edge_loads_impl(
-                placement, routing, pair_weights, plan
-            )
-        else:
+        spectra = _coset_spectra(placement, plan, strides)
+        if spectra is not None:
             groups.setdefault(id(spectra), (spectra, []))[1].append(b)
 
     for spectra, rows in groups.values():
-        indicators = np.zeros((len(rows), num_nodes), dtype=np.float64)
+        indicators = np.zeros((len(rows), torus.num_nodes), dtype=np.float64)
         for i, b in enumerate(rows):
             indicators[i, placements[b].node_ids] = 1.0
-        block, block_drift = _convolve_groups_batch(
-            _spectrum(indicators, shape), spectra, shape
+        block, block_drift = _convolve(
+            _spectrum(indicators, torus.shape), spectra, torus.shape
         )
-        loads_out[rows] = np.swapaxes(block, 1, 2).reshape(len(rows), -1)
+        loads[rows] = np.swapaxes(block, 1, 2).reshape(len(rows), -1)
         drifts[rows] = block_drift
-        fast[rows] = True
-    return loads_out, drifts, fast
+        spectral[rows] = True
+    return loads, drifts, spectral
 
 
-def _classify_for_batch(
-    placement: Placement, plan: SpectralPlan, strides: np.ndarray
-) -> "list[tuple[int, np.ndarray]] | None":
-    """Uniform-regime spectra for one batch member, or ``None``.
+# ------------------------------------------------------------ entry point
 
-    The coset test and spectra construction mirror the single-placement
-    path exactly (same plan memo keys), so batched and sequential calls
-    share — and warm — the same cache entries.
+
+def fft_edge_loads(
+    placement: Placement,
+    routing: RoutingAlgorithm,
+    pair_weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact per-edge loads through the :class:`FFTBackend`.
+
+    Drop-in equivalent of
+    :func:`repro.load.edge_loads.edge_loads_reference` for any
+    translation-invariant routing: spectral for complete-exchange
+    cosets, the displacement evaluation otherwise.
     """
-    cached = plan.placement_spectra.get(placement.node_ids.tobytes())
-    if cached is not None:
-        return cached
-    coords = placement.coords()
-    m = coords.shape[0]
-    if m < 2:
-        return None
-    k = plan.torus.k
-    pi, qi = ordered_pair_index_arrays(m)
-    disp = np.mod(coords[qi] - coords[pi], k)
-    codes = disp @ strides
-    uniq_codes, first = np.unique(codes, return_index=True)
-    if uniq_codes.size != m - 1:
-        return None
-    table, groups = _plan_tables(plan, strides, uniq_codes, disp[first])
-    shape, two_d = plan.torus.shape, 2 * plan.torus.d
-    spectra = _uniform_spectra(
-        plan, table, groups, shape, two_d, plan.torus.num_nodes
+    return FFTBackend().compute(placement, routing, pair_weights=pair_weights)
+
+
+def fft_edge_loads_many(
+    placements: list[Placement],
+    routing: RoutingAlgorithm,
+    pair_weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-edge loads of a placement batch, ``(B, num_edges)``.
+
+    Bit-identical to stacking :func:`fft_edge_loads` rows; see
+    :meth:`FFTBackend.compute_many` for the batching strategy.
+    """
+    return FFTBackend().compute_many(
+        placements, routing, pair_weights=pair_weights
     )
-    _remember_placement_spectra(plan, placement, spectra)
-    return spectra
 
 
 # --------------------------------------------------------------- backend
 
 
 class FFTBackend(LoadBackend):
-    """Spectral backend built on :func:`fft_edge_loads`.
+    """Spectral backend for coset placements under complete exchange.
 
-    All configuration-dependent state — path templates, displacement
-    class tables, forward usage spectra — lives in the ambient
-    content-addressed :class:`~repro.load.plancache.PlanCache` (see
+    :meth:`supports` accepts exactly those inputs on translation-invariant
+    routings, so ``auto`` sends nothing else here.  Named explicitly,
+    the backend serves every other translation-invariant input through
+    the displacement evaluation, with the path templates of the same
+    plan.
+
+    All configuration-dependent state — path templates and forward
+    usage spectra — lives in the ambient content-addressed
+    :class:`~repro.load.plancache.PlanCache` (see
     :func:`~repro.load.plancache.using_plan_cache`), so sweeps and
     search loops that re-evaluate the same configuration pay only one
-    forward transform, one product, and one inverse transform per call —
-    across backend instances, engine facades, and (via initializer-
-    populated worker caches) process-pool fan-outs.
+    forward transform, one product, and one inverse transform per call,
+    across backend instances and engine facades.
 
     Attributes
     ----------
@@ -563,7 +324,7 @@ class FFTBackend(LoadBackend):
         Largest absolute correction the integer snap-back applied on the
         most recent :meth:`compute` / :meth:`compute_many` call — the
         quantity the :data:`~repro.load.quantize.LOAD_SNAP_TOLERANCE`
-        contract bounds.
+        contract bounds (0 when no row was spectral).
     """
 
     name = "fft"
@@ -577,20 +338,12 @@ class FFTBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> bool:
-        return bool(getattr(routing, "translation_invariant", False))
-
-    def _require_supported(
-        self,
-        placement: Placement,
-        routing: RoutingAlgorithm,
-        pair_weights: np.ndarray | None,
-    ) -> None:
-        if not self.supports(placement, routing, pair_weights):
-            raise EngineError(
-                f"routing {routing.name!r} is not translation-invariant; "
-                "the FFT correlation backend would be unsound for it — "
-                "use the 'reference' backend (the 'auto' engine does so)"
-            )
+        return (
+            pair_weights is None
+            and bool(getattr(routing, "translation_invariant", False))
+            and _coset_classes(placement, _strides(placement.torus))
+            is not None
+        )
 
     def compute(
         self,
@@ -598,33 +351,7 @@ class FFTBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        self._require_supported(placement, routing, pair_weights)
-        plan = _resolve_plan(placement, routing, pair_weights)
-        loads, drift, fast = _fft_edge_loads_impl(
-            placement, routing, pair_weights, plan
-        )
-        self.last_snap_drift = drift
-        if drift >= LOAD_SNAP_TOLERANCE:
-            # the spectral accumulation lost too much precision for the
-            # snap-back contract — recompute exactly instead of shipping
-            # a possibly mis-rounded grid point.
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.metrics.counter("engine.fft.snap_fallbacks").add(1)
-            return displacement_edge_loads(
-                placement,
-                routing,
-                pair_weights=pair_weights,
-                cache=plan.path_cache,
-            )
-        tracer = current_tracer()
-        if tracer.enabled:
-            if fast:
-                tracer.metrics.counter("engine.fft.fast_path").add(1)
-            else:
-                tracer.metrics.counter("engine.fft.general_path").add(1)
-            tracer.metrics.gauge("engine.fft.snap_drift").set(drift)
-        return loads
+        return self.compute_many([placement], routing, pair_weights)[0]
 
     def compute_many(
         self,
@@ -632,38 +359,40 @@ class FFTBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        self._require_supported(placements[0], routing, pair_weights)
-        plan = _resolve_plan(placements[0], routing, pair_weights)
-        loads, drifts, fast = _fft_edge_loads_many_impl(
-            placements, routing, pair_weights, plan
-        )
+        if not getattr(routing, "translation_invariant", False):
+            raise EngineError(
+                f"routing {routing.name!r} is not translation-invariant; "
+                "the FFT correlation backend would be unsound for it — "
+                "use the 'reference' backend (the 'auto' engine does so)"
+            )
+        plan = current_plan_cache().get(placements[0].torus, routing)
+        if pair_weights is None:
+            loads, drifts, spectral = _coset_loads(placements, plan)
+        else:
+            batch = len(placements)
+            loads = np.zeros((batch, plan.torus.num_edges), dtype=np.float64)
+            drifts = np.zeros(batch, dtype=np.float64)
+            spectral = np.zeros(batch, dtype=bool)
         self.last_snap_drift = float(drifts.max(initial=0.0))
-        tracer = current_tracer()
-        fallbacks = np.flatnonzero(drifts >= LOAD_SNAP_TOLERANCE)
-        for b in fallbacks:
-            # per-placement drift fallback: only the rows that broke the
-            # snap contract pay the exact displacement evaluation.
+        drifted = spectral & (drifts >= LOAD_SNAP_TOLERANCE)
+        for b in np.flatnonzero(~spectral | drifted):
+            # non-cosets, weighted traffic, and rows whose snap broke the
+            # contract pay the exact displacement evaluation.
             loads[b] = displacement_edge_loads(
                 placements[b],
                 routing,
                 pair_weights=pair_weights,
                 cache=plan.path_cache,
             )
+        tracer = current_tracer()
         if tracer.enabled:
             metrics = tracer.metrics
-            if fallbacks.size:
-                metrics.counter("engine.fft.snap_fallbacks").add(
-                    int(fallbacks.size)
-                )
-            ok = np.setdiff1d(
-                np.arange(len(placements)), fallbacks, assume_unique=True
-            )
-            n_fast = int(fast[ok].sum())
+            n_fast = int((spectral & ~drifted).sum())
             if n_fast:
                 metrics.counter("engine.fft.fast_path").add(n_fast)
-            if ok.size - n_fast:
-                metrics.counter("engine.fft.general_path").add(
-                    int(ok.size) - n_fast
+            if drifted.any():
+                metrics.counter("engine.fft.snap_fallbacks").add(
+                    int(drifted.sum())
                 )
             metrics.gauge("engine.fft.snap_drift").set(self.last_snap_drift)
         return loads

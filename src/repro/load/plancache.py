@@ -1,21 +1,19 @@
 """Content-addressed spectral plan cache — shared warm state for the engine.
 
 The FFT backend's per-call cost splits into two parts: work that depends
-only on the *configuration* ``(torus shape, routing, traffic)`` —
-displacement path templates, class tables, forward usage spectra — and
-work that depends on the *placement* — one indicator transform, one
-product, one inverse transform.  PR 6 cached the first part per backend
-instance, which meant every fresh :class:`~repro.load.engine.LoadEngine`,
-every pool worker, and every subprocess re-derived it from scratch.
+only on the *configuration* ``(torus shape, routing)`` — displacement
+path templates and forward usage spectra — and work that depends on the
+*placement* — one indicator transform, one product, one inverse
+transform.  Caching the first part per backend instance would make every
+fresh :class:`~repro.load.engine.LoadEngine` re-derive it from scratch.
 
 This module hoists that state into a process-wide bounded LRU keyed by a
 **content address**: the same JSON-compatible fingerprint scheme
 :class:`repro.exec.journal.CheckpointJournal` uses for workload headers,
-here over ``(shape, routing, traffic, plan-scheme version)``.  Two
-routing *instances* with the same structural fingerprint share one plan —
-``id()`` never appears in a key, so worker processes populated via
-:class:`repro.exec.ResilientExecutor` initializers address the exact same
-plans the parent does.
+here over ``(shape, routing, plan-scheme version)``.  Two routing
+*instances* with the same structural fingerprint share one plan —
+``id()`` never appears in a key, so a worker process addresses the exact
+same plans the parent does.
 
 The ambient-policy convention mirrors ``using_engine`` /
 ``using_exec_policy`` / ``using_tracer``: instrumented code asks
@@ -60,18 +58,17 @@ __all__ = [
     "using_plan_cache",
     "default_batch_size",
     "set_default_batch_size",
-    "warm_worker_plan_cache",
 ]
 
 #: bump when the cached plan layout changes incompatibly — a different
 #: scheme version is a different content address, never a stale hit.
-PLAN_SCHEME_VERSION = 1
+PLAN_SCHEME_VERSION = 2
 
 #: plans kept by the default LRU before the least-recently-used rolls off.
 DEFAULT_PLAN_CAPACITY = 32
 
-#: per-plan bound on memoized class tables / spectra entries (cleared
-#: wholesale when full, like the PR-6 per-backend plan store).
+#: per-plan bound on memoized spectra entries (cleared wholesale when
+#: full).
 MAX_PLAN_ENTRIES = 64
 
 #: placements evaluated per spectral block when the caller gives no
@@ -97,25 +94,16 @@ def routing_fingerprint(routing: RoutingAlgorithm) -> Dict[str, Any]:
     }
 
 
-def plan_fingerprint(
-    torus: Torus,
-    routing: RoutingAlgorithm,
-    traffic: str = "complete-exchange",
-) -> Dict[str, Any]:
+def plan_fingerprint(torus: Torus, routing: RoutingAlgorithm) -> Dict[str, Any]:
     """The JSON-compatible content address of one spectral plan.
 
     The same shape a :class:`~repro.exec.journal.CheckpointJournal`
     header carries: exact-match comparable, picklable, journal-able.
-    ``traffic`` is a label, not a tensor — weighted traffic reuses only
-    the traffic-independent parts of a plan (path templates and class
-    tables), so ``"weighted"`` addresses a separate plan from the
-    complete-exchange one.
     """
     return {
         "scheme": PLAN_SCHEME_VERSION,
         "shape": [int(side) for side in torus.shape],
         "routing": routing_fingerprint(routing),
-        "traffic": traffic,
     }
 
 
@@ -128,19 +116,14 @@ def plan_key(fingerprint: Dict[str, Any]) -> str:
 
 
 class SpectralPlan:
-    """The reusable spectral state of one ``(torus, routing, traffic)``.
+    """The reusable spectral state of one ``(torus, routing)``.
 
-    Holds the displacement path-template cache plus two memo layers the
-    FFT backend fills lazily (values are opaque to this module):
-
-    ``class_tables``
-        displacement-class tables and their integer denominator groups,
-        keyed by the sorted class-code bytes — placement-independent, so
-        every placement sharing a difference set shares one entry;
-    ``spectra``
-        forward usage-tensor spectra per class-code key (uniform-regime
-        placements only), and ``placement_spectra`` aliases them per
-        placement id-bytes so warm repeat calls skip the pair pass.
+    Holds the displacement path-template cache plus the memo the FFT
+    backend fills lazily (values are opaque to this module):
+    ``spectra`` maps the sorted difference-set codes of a coset to its
+    forward usage-tensor spectra — every coset of one subgroup shares
+    an entry — and ``placement_spectra`` aliases them per placement
+    id-bytes so warm repeat calls skip the pair pass.
     """
 
     def __init__(
@@ -153,7 +136,6 @@ class SpectralPlan:
         self.routing = routing
         self.fingerprint = fingerprint
         self.path_cache = DisplacementPathCache(torus, routing)
-        self.class_tables: Dict[bytes, Any] = {}
         self.spectra: Dict[bytes, Any] = {}
         self.placement_spectra: Dict[bytes, Any] = {}
 
@@ -164,8 +146,7 @@ class SpectralPlan:
     def __repr__(self) -> str:
         return (
             f"SpectralPlan(shape={self.torus.shape}, "
-            f"routing={self.routing.name!r}, "
-            f"tables={len(self.class_tables)}, spectra={len(self.spectra)})"
+            f"routing={self.routing.name!r}, spectra={len(self.spectra)})"
         )
 
 
@@ -209,14 +190,9 @@ class PlanCache:
 
     # ------------------------------------------------------------- lookup
 
-    def get(
-        self,
-        torus: Torus,
-        routing: RoutingAlgorithm,
-        traffic: str = "complete-exchange",
-    ) -> SpectralPlan:
+    def get(self, torus: Torus, routing: RoutingAlgorithm) -> SpectralPlan:
         """The plan for this configuration, built on first request."""
-        fingerprint = plan_fingerprint(torus, routing, traffic)
+        fingerprint = plan_fingerprint(torus, routing)
         key = plan_key(fingerprint)
         metrics = current_tracer().metrics
         plan = self._plans.get(key)
@@ -274,15 +250,8 @@ class _NullPlanCache(PlanCache):
     def __init__(self) -> None:
         super().__init__(capacity=1)
 
-    def get(
-        self,
-        torus: Torus,
-        routing: RoutingAlgorithm,
-        traffic: str = "complete-exchange",
-    ) -> SpectralPlan:
-        return SpectralPlan(
-            torus, routing, plan_fingerprint(torus, routing, traffic)
-        )
+    def get(self, torus: Torus, routing: RoutingAlgorithm) -> SpectralPlan:
+        return SpectralPlan(torus, routing, plan_fingerprint(torus, routing))
 
 
 #: the shared do-nothing cache — plan reuse disabled, semantics unchanged.
@@ -358,20 +327,3 @@ def set_default_batch_size(size: int | None) -> int:
             raise EngineError(f"batch size must be >= 1, got {size}")
         _default_batch_size = int(size)
     return _default_batch_size
-
-
-# ------------------------------------------------------ worker population
-
-
-def warm_worker_plan_cache(
-    k: int, d: int, routing: RoutingAlgorithm
-) -> None:
-    """Pool-initializer hook: pre-build one plan in this worker process.
-
-    Pass as ``initializer=warm_worker_plan_cache, initargs=(k, d,
-    routing)`` to :class:`repro.exec.ResilientExecutor`, so every worker
-    derives the configuration's templates once at startup instead of
-    once per task.  Content addressing guarantees the worker-built plan
-    answers the same keys the parent's does.
-    """
-    get_default_plan_cache().get(Torus(k, d), routing)

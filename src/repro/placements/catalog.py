@@ -4,27 +4,42 @@ EXP-19's local search suggests linear placements sit on the load floor;
 this module *proves* it for small tori by brute force: enumerate every
 ``C(k^d, n)`` placement of ``n`` processors, compute each exact ODR
 :math:`E_{max}`, and return the global minimum plus (a sample of) its
-achievers.  On :math:`T_4^2` that is 1 820 placements — a second of work —
-turning "no counterexample found" into "no counterexample exists".
+achievers.  On :math:`T_4^2` that is 1 820 placements, on :math:`T_6^2`
+with six processors all 1 947 792 — turning "no counterexample found"
+into "no counterexample exists".
+
+Placements are scored in blocks through the
+:class:`~repro.load.odr_loads.OdrPathTable` the exact search and the
+local search also use: every ODR path is one row of that table, so a
+block of placements costs one gather and one ``np.bincount``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
+
+import numpy as np
 
 from repro.errors import ExecutionError, InvalidParameterError, SearchError
 from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
-from repro.load.odr_loads import odr_edge_loads
+from repro.load.odr_loads import odr_edge_loads, odr_path_table
 from repro.placements.base import Placement
+from repro.torus.coords import all_coords
 from repro.torus.topology import Torus
-from repro.util.itertools_ext import combinations_from
+from repro.util.itertools_ext import combinations_from, ordered_pair_index_arrays
 
 __all__ = ["CatalogResult", "enumerate_placements", "global_minimum_emax"]
 
 #: refuse exhaustive enumeration beyond this many candidate placements.
 MAX_CATALOG = 2_000_000
+
+#: hop slots (placements x ordered pairs x path slots) gathered per block;
+#: keeps the block's scratch arrays near a megabyte, so a sweep adds
+#: almost nothing to peak memory.
+_BLOCK_SLOTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,7 +81,7 @@ def enumerate_placements(torus: Torus, size: int):
 def _evaluate_chunk(args) -> tuple[float, tuple[int, ...], int, dict[float, int]]:
     """Reference worker: evaluate a chunk of id-tuples one placement at a
     time; returns (min, argmin ids, count at min, emax histogram).  This
-    is the per-placement brute-force oracle the batched path is
+    is the per-placement brute-force oracle :func:`_scan` is
     cross-checked against; top-level so it pickles for multiprocessing."""
     k, d, chunk = args
     torus = Torus(k, d)
@@ -90,77 +105,67 @@ def _evaluate_chunk(args) -> tuple[float, tuple[int, ...], int, dict[float, int]
     return best, best_ids, num_optimal, histogram
 
 
-def _evaluate_chunk_batched(
-    args,
-) -> tuple[float, tuple[int, ...], int, dict[float, int]]:
-    """Batched worker: same contract as :func:`_evaluate_chunk`, but the
-    id-tuples are evaluated in placement blocks through the engine's
-    ``emax_many`` — one stacked spectral transform per block against the
-    plan-cached usage spectrum, bit-identical to the oracle after the
-    integer snap-back."""
-    k, d, chunk, batch_size = args
-    # deferred: repro.load's package init imports this module via
-    # repro.placements before the engine subpackage finishes loading.
-    from repro.load.engine import LoadEngine
-    from repro.load.plancache import default_batch_size
-    from repro.routing.odr import OrderedDimensionalRouting
+def _scan(
+    torus: Torus, size: int, combos: Iterator[tuple[int, ...]]
+) -> tuple[float | None, tuple[int, ...] | None, int, dict[float, int]]:
+    """Table-scatter worker: same contract as :func:`_evaluate_chunk`.
 
-    torus = Torus(k, d)
-    engine = LoadEngine("fft")
-    routing = OrderedDimensionalRouting(d)
-    block = int(batch_size) if batch_size else default_batch_size()
-    best: float | None = None
+    ``combos`` is a lexicographic stream of ``size``-subsets of node ids.
+    Each block of it is one coordinate gather, one
+    :meth:`~repro.load.odr_loads.OdrPathTable.path_edges` call over every
+    ordered pair of every placement, one
+    :meth:`~repro.load.odr_loads.OdrPathTable.edge_counts` scatter, and a
+    row-wise ``max`` — exact integer loads, bit-identical to the oracle.
+    """
+    table = odr_path_table(torus)
+    coords = all_coords(torus.k, torus.d)
+    pi, qi = ordered_pair_index_arrays(size)
+    block = max(1, _BLOCK_SLOTS // max(1, pi.size * table.dim_sign.shape[1]))
+    best: int | None = None
     best_ids: tuple[int, ...] | None = None
     num_optimal = 0
     histogram: dict[float, int] = {}
-    stream = iter(chunk)
     while True:
-        ids_block = list(itertools.islice(stream, block))
-        if not ids_block:
+        ids = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, block)),
+            dtype=np.int64,
+        ).reshape(-1, size)
+        if ids.shape[0] == 0:
             break
-        placements = [Placement(torus, list(ids)) for ids in ids_block]
-        emaxes = engine.emax_many(placements, routing, batch_size=block)
-        for ids, value in zip(ids_block, emaxes):
-            emax = float(value)
-            histogram[emax] = histogram.get(emax, 0) + 1
-            if best is None or emax < best - 1e-12:
-                best, best_ids, num_optimal = emax, ids, 1
-            elif abs(emax - best) <= 1e-12:
-                num_optimal += 1
-                if ids < best_ids:  # type: ignore[operator]
-                    best_ids = ids
-    return best, best_ids, num_optimal, histogram
+        placed = coords[ids]
+        edges = table.path_edges(placed[:, pi], placed[:, qi])
+        emax = table.edge_counts(edges).max(axis=1, initial=0)
+        values, counts = np.unique(emax, return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            histogram[float(value)] = histogram.get(float(value), 0) + count
+        low = int(values[0])
+        if best is None or low < best:
+            # the stream is lexicographic, so the first achiever of a new
+            # minimum is the lex-smallest one
+            best, num_optimal = low, int(counts[0])
+            best_ids = tuple(int(x) for x in ids[int(np.argmax(emax == low))])
+        elif low == best:
+            num_optimal += int(counts[0])
+    return (
+        None if best is None else float(best),
+        best_ids,
+        num_optimal,
+        histogram,
+    )
 
 
 # ----------------------------------------------------- restartable sharding
 #
-# Workers receive (start_combination, count) spans, not the combinations
-# themselves: `combinations_from` regenerates the slice in-place, so a
-# span is a few bytes over the pipe, idempotent to re-run after a worker
-# crash, and small enough to journal for checkpoint/resume.
-
-_SPAN_CONFIG: tuple[int, int, int | None] | None = None
-
-
-def _init_span_worker(k: int, d: int, batch_size: int | None = None) -> None:
-    global _SPAN_CONFIG
-    _SPAN_CONFIG = (k, d, batch_size)
-    # pre-build this worker's spectral plan once at pool startup; content
-    # addressing means every span task then hits the same warm entry.
-    from repro.load.plancache import warm_worker_plan_cache
-    from repro.routing.odr import OrderedDimensionalRouting
-
-    warm_worker_plan_cache(k, d, OrderedDimensionalRouting(d))
+# Workers receive (k, d, start_combination, count) spans, not the
+# combinations themselves: `combinations_from` regenerates the slice
+# in-place, so a span is a few bytes over the pipe, idempotent to re-run
+# after a worker crash, and small enough to journal for checkpoint/resume.
 
 
 def _evaluate_span(payload) -> tuple:
-    start, span_count = payload
-    assert _SPAN_CONFIG is not None
-    k, d, batch_size = _SPAN_CONFIG
-    combos = itertools.islice(
-        combinations_from(k**d, tuple(start)), span_count
-    )
-    return _evaluate_chunk_batched((k, d, combos, batch_size))
+    k, d, start, span_count = payload
+    combos = itertools.islice(combinations_from(k**d, tuple(start)), span_count)
+    return _scan(Torus(k, d), len(start), combos)
 
 
 def _encode_catalog_partial(partial: tuple) -> dict[str, Any]:
@@ -192,7 +197,6 @@ def global_minimum_emax(
     processes: int | None = None,
     checkpoint: str | None = None,
     resume: bool = False,
-    batch_size: int | None = None,
 ) -> CatalogResult:
     """Exhaustively find the minimum ODR :math:`E_{max}` over all placements.
 
@@ -212,10 +216,6 @@ def global_minimum_emax(
     resume:
         Resume from an existing ``checkpoint``: journaled spans are
         merged from their stored partials without re-evaluating.
-    batch_size:
-        Placements per ``emax_many`` block (``None``: the ambient
-        default, normally 64).  Purely a throughput knob — results are
-        bit-identical to the per-placement oracle for any value.
 
     Raises
     ------
@@ -225,8 +225,6 @@ def global_minimum_emax(
     SearchError
         If the resilient fan-out itself fails beyond recovery.
     """
-    import math
-
     count = math.comb(torus.num_nodes, size)
     if count > MAX_CATALOG:
         raise InvalidParameterError(
@@ -244,9 +242,7 @@ def global_minimum_emax(
     if serial and checkpoint is None:
         # the combination stream is consumed lazily — never materialized
         all_ids = itertools.combinations(range(torus.num_nodes), size)
-        partials = [
-            _evaluate_chunk_batched((torus.k, torus.d, all_ids, batch_size))
-        ]
+        partials = [_scan(torus, size, all_ids)]
     else:
         workers = 1 if serial else int(processes)  # type: ignore[arg-type]
         chunk_size = max(1, count // max(16, workers * 4))
@@ -259,8 +255,8 @@ def global_minimum_emax(
                 break
             spans.append((block[0], len(block)))
         tasks = [
-            ExecTask(f"span-{index:05d}", span)
-            for index, span in enumerate(spans)
+            ExecTask(f"span-{index:05d}", (torus.k, torus.d, start, length))
+            for index, (start, length) in enumerate(spans)
         ]
         journal = None
         if checkpoint is not None:
@@ -280,8 +276,6 @@ def global_minimum_emax(
         executor = ResilientExecutor(
             _evaluate_span,
             jobs=workers,
-            initializer=_init_span_worker,
-            initargs=(torus.k, torus.d, batch_size),
             journal=journal,
             label=f"catalog[T_{torus.k}^{torus.d} n={size}]",
         )

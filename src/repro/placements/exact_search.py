@@ -52,7 +52,7 @@ never cut a subtree on any certified torus, so the search does not pay
 for it.)
 
 Subtree roots can be sharded over a process pool (per-worker group
-tables, the :mod:`repro.load.engine.parallel` pattern); per-worker
+tables installed once by the pool initializer); per-worker
 incumbents keep the search exact without cross-process communication.
 The fan-out runs through :class:`repro.exec.ResilientExecutor`, so worker
 crashes and hangs are retried (and, past the retry budget, recomputed

@@ -5,9 +5,9 @@ The contract under test is the contrapositive documented in
 workers, retries re-roll the schedule, and the serial fallback is always
 fault-free — so a run surviving injected crashes and hangs must produce
 *exactly* the fault-free answer, not an approximation of it.  These
-drills exercise every wired call site: the parallel load engine, the
-exact-search certifier, and the catalog sweep, plus mid-run kill +
-resume through the checkpoint journal.
+drills exercise every wired call site: the exact-search certifier and
+the catalog sweep, plus mid-run kill + resume through the checkpoint
+journal.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import SearchError
 from repro.exec import (
     ChaosPolicy,
     ExecPolicy,
@@ -22,12 +23,10 @@ from repro.exec import (
     recent_reports,
     using_exec_policy,
 )
-from repro.load.engine import LoadEngine
 from repro.load.odr_loads import odr_edge_loads
 from repro.placements.catalog import global_minimum_emax
 from repro.placements.exact_search import exact_global_minimum
 from repro.placements.linear import linear_placement
-from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
 
 #: the ISSUE acceptance drill: ~20% of worker executions crash.
@@ -49,6 +48,15 @@ HANGY = ExecPolicy(
     chaos=ChaosPolicy(seed=13, hang_fraction=0.3, hang_seconds=60.0),
 )
 
+#: every worker execution crashes and nothing falls back: the fan-out fails.
+EXHAUSTED = ExecPolicy(
+    retries=0,
+    backoff_base=0.001,
+    heartbeat=0.02,
+    fallback_serial=False,
+    chaos=ChaosPolicy(seed=7, crash_fraction=1.0),
+)
+
 
 def _certify_key(result):
     """Everything that must be bit-identical across executions."""
@@ -61,35 +69,14 @@ def _certify_key(result):
     )
 
 
-class TestParallelEngineUnderChaos:
-    def test_crash_chaos_is_bit_identical_on_t8_2(self):
-        torus = Torus(8, 2)
-        placement = linear_placement(torus)
-        routing = OrderedDimensionalRouting(torus.d)
-        baseline = LoadEngine("parallel", jobs=1).edge_loads(
-            placement, routing
-        )
-        with using_exec_policy(CRASHY):
-            chaotic = LoadEngine("parallel", jobs=2).edge_loads(
-                placement, routing
-            )
-        assert np.array_equal(baseline, chaotic)
-
-    def test_hang_chaos_is_bit_identical_on_t8_2(self):
-        torus = Torus(8, 2)
-        placement = linear_placement(torus)
-        routing = OrderedDimensionalRouting(torus.d)
-        baseline = LoadEngine("parallel", jobs=1).edge_loads(
-            placement, routing
-        )
-        clear_reports()
-        with using_exec_policy(HANGY):
-            chaotic = LoadEngine("parallel", jobs=2).edge_loads(
-                placement, routing
-            )
-        assert np.array_equal(baseline, chaotic)
-        report = recent_reports()[-1]
-        assert report.label.startswith("parallel-loads")
+def _catalog_key(result):
+    """Everything that must be bit-identical across catalog sweeps."""
+    return (
+        result.minimum_emax,
+        result.num_optimal,
+        result.emax_histogram,
+        result.example_optimal.node_ids.tolist(),
+    )
 
 
 class TestCertifyUnderChaos:
@@ -126,6 +113,17 @@ class TestCatalogUnderChaos:
         assert np.array_equal(
             chaotic.example_optimal.coords(), serial.example_optimal.coords()
         )
+
+    def test_hang_chaos_is_bit_identical_on_t4_2(self):
+        torus = Torus(4, 2)
+        serial = global_minimum_emax(torus, 4)
+        clear_reports()
+        with using_exec_policy(HANGY):
+            chaotic = global_minimum_emax(torus, 4, processes=2)
+        assert _catalog_key(chaotic) == _catalog_key(serial)
+        report = recent_reports()[-1]
+        assert report.label.startswith("catalog[")
+        assert report.timeouts > 0  # the watchdog reaped hung spans
 
     def test_catalog_checkpoint_resume_matches(self, tmp_path):
         torus = Torus(4, 2)
@@ -219,34 +217,12 @@ class TestCertifyKillResume:
 
 
 class TestWrappedErrors:
-    def test_engine_failure_names_backend_and_workers(self):
-        from repro.errors import LoadError
-        from repro.load.engine.parallel import parallel_edge_loads
-
-        torus = Torus(8, 2)
-        placement = linear_placement(torus)
-        routing = OrderedDimensionalRouting(torus.d)
-        exhausted = ExecPolicy(
-            retries=0,
-            backoff_base=0.001,
-            heartbeat=0.02,
-            fallback_serial=False,
-            chaos=ChaosPolicy(seed=7, crash_fraction=1.0),
-        )
-        with using_exec_policy(exhausted):
-            with pytest.raises(LoadError, match=r"backend 'parallel'.*workers"):
-                parallel_edge_loads(placement, routing, jobs=2)
+    def test_catalog_failure_names_spans_and_workers(self):
+        with using_exec_policy(EXHAUSTED):
+            with pytest.raises(SearchError, match=r"spans.*workers"):
+                global_minimum_emax(Torus(4, 2), 4, processes=2)
 
     def test_certify_failure_names_roots_and_workers(self):
-        from repro.errors import SearchError
-
-        exhausted = ExecPolicy(
-            retries=0,
-            backoff_base=0.001,
-            heartbeat=0.02,
-            fallback_serial=False,
-            chaos=ChaosPolicy(seed=7, crash_fraction=1.0),
-        )
-        with using_exec_policy(exhausted):
+        with using_exec_policy(EXHAUSTED):
             with pytest.raises(SearchError, match=r"roots.*workers"):
                 exact_global_minimum(Torus(4, 2), 4, processes=2)

@@ -19,14 +19,13 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["analyze", "--k", "4", "--d", "2"])
         assert args.t == 1 and args.routing == "odr"
-        assert args.engine == "auto" and args.jobs is None
+        assert args.engine == "auto" and not hasattr(args, "jobs")
 
     def test_engine_args(self):
         args = build_parser().parse_args(
-            ["analyze", "--k", "4", "--d", "2", "--engine", "parallel",
-             "--jobs", "2"]
+            ["analyze", "--k", "4", "--d", "2", "--engine", "fft"]
         )
-        assert (args.engine, args.jobs) == ("parallel", 2)
+        assert args.engine == "fft"
 
     def test_engine_rejects_unknown(self):
         with pytest.raises(SystemExit):
@@ -47,11 +46,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "bounds hold     : True" in out
 
-    @pytest.mark.parametrize("engine", ["reference", "displacement", "parallel"])
+    @pytest.mark.parametrize("engine", ["reference", "displacement", "fft"])
     def test_analyze_engines_agree(self, capsys, engine):
         argv = ["analyze", "--k", "6", "--d", "2", "--engine", engine]
-        if engine == "parallel":
-            argv += ["--jobs", "2"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "E_max           : 3" in out
@@ -85,11 +82,52 @@ class TestCommands:
 
     def test_error_exit_code(self, capsys):
         # k=1 is an invalid radix: the CLI reports and exits 2
-        assert main(["design", "--k", "1", "--d", "2"]) == 2
-        assert "error:" in capsys.readouterr().err
+        _assert_named_error(capsys, ["design", "--k", "1", "--d", "2"])
 
     def test_unknown_experiment_errors(self, capsys):
-        assert main(["experiments", "--only", "EXP-99"]) == 2
+        _assert_named_error(capsys, ["experiments", "--only", "EXP-99"])
+
+
+def _assert_named_error(capsys, argv):
+    """``argv`` exits 2 with an ``error:`` line and no traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the flags
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    return captured
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--k", "3", "--d", "2", "--resume"],
+            ["certify", "--k", "1", "--d", "2"],
+            ["certify", "--k", "3", "--d", "2", "--size", "100"],
+            ["trace", "summarize", "{corrupt}"],
+            ["analyze", "--k", "4", "--d", "2", "--engine", "parallel"],
+            ["analyze", "--k", "4", "--d", "2", "--jobs", "2"],
+        ],
+        ids=[
+            "resume-without-checkpoint",
+            "radix-one",
+            "size-beyond-torus",
+            "corrupt-trace",
+            "deleted-parallel-engine",
+            "jobs-on-analyze",
+        ],
+    )
+    def test_exits_2_with_named_error(self, capsys, tmp_path, argv):
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text("not a trace\n")
+        argv = [str(corrupt) if arg == "{corrupt}" else arg for arg in argv]
+        captured = _assert_named_error(capsys, argv)
+        # the --resume check runs before the incumbent screen
+        assert "incumbent seed" not in captured.out
 
 
 class TestCertify:
@@ -115,10 +153,9 @@ class TestCertify:
         assert "certified space : all C(9, 2) = 36 placements" in out
 
     def test_unachievable_ub_exits_nonzero(self, capsys):
-        assert main(
-            ["certify", "--k", "3", "--d", "2", "--ub", "0.25"]
-        ) == 2
-        assert "error:" in capsys.readouterr().err
+        _assert_named_error(
+            capsys, ["certify", "--k", "3", "--d", "2", "--ub", "0.25"]
+        )
 
 
 class TestAnalyzeMarkdown:
@@ -156,8 +193,9 @@ class TestObservabilityFlags:
         assert "search.certify" in out
 
     def test_trace_summarize_missing_file_errors(self, capsys, tmp_path):
-        assert main(["trace", "summarize", str(tmp_path / "nope.jsonl")]) == 2
-        assert "error:" in capsys.readouterr().err
+        _assert_named_error(
+            capsys, ["trace", "summarize", str(tmp_path / "nope.jsonl")]
+        )
 
     def test_profile_flag_writes_dump(self, capsys, tmp_path):
         out = tmp_path / "analyze.prof"

@@ -6,23 +6,24 @@ import pytest
 from repro.errors import EngineError, LoadError
 from repro.load.edge_loads import edge_loads_reference
 from repro.load.engine import (
+    DisplacementBackend,
     DisplacementPathCache,
     FFTBackend,
     LoadEngine,
-    ParallelBackend,
     ReferenceBackend,
     VectorizedBackend,
     available_backends,
     cross_check,
     displacement_edge_loads,
     get_default_engine,
-    parallel_edge_loads,
     resolve_engine,
     set_default_engine,
     using_engine,
 )
+from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.load.traffic import hotspot_traffic_weights
 from repro.placements.base import Placement
+from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
 from repro.routing.faults import FaultMaskedRouting
 from repro.routing.minimal import AllMinimalPaths
@@ -47,25 +48,16 @@ class TestBackendAgreement:
     )
     def test_all_backends_match_oracle(self, k, d, make_routing):
         placement = linear_placement(Torus(k, d))
-        diffs = cross_check(placement, make_routing(d), jobs=2, atol=ATOL)
-        assert set(diffs) >= {"reference", "displacement", "parallel"}
+        diffs = cross_check(placement, make_routing(d), atol=ATOL)
+        assert set(diffs) >= {"reference", "displacement", "fft"}
         assert all(v <= ATOL for v in diffs.values())
-
-    @pytest.mark.parametrize("k,d", [(8, 2), (4, 3)])
-    def test_parallel_matches_oracle_acceptance(self, k, d):
-        """The ISSUE-1 acceptance instances: T_8^2 and T_4^3, linear."""
-        placement = linear_placement(Torus(k, d))
-        routing = OrderedDimensionalRouting(d)
-        oracle = edge_loads_reference(placement, routing)
-        loads = parallel_edge_loads(placement, routing, jobs=2, chunk_pairs=64)
-        assert np.abs(loads - oracle).max() <= ATOL
 
     def test_weighted_traffic(self, linear_4_2):
         routing = OrderedDimensionalRouting(2)
         w = hotspot_traffic_weights(len(linear_4_2), hotspot_index=1, background=0.5)
         oracle = edge_loads_reference(linear_4_2, routing, w)
-        for name in ("vectorized", "fft", "displacement", "parallel"):
-            engine = LoadEngine(name, jobs=2)
+        for name in ("vectorized", "fft", "displacement"):
+            engine = LoadEngine(name)
             loads = engine.edge_loads(linear_4_2, routing, pair_weights=w)
             assert np.abs(loads - oracle).max() <= ATOL, name
 
@@ -94,18 +86,73 @@ class TestAutoDispatch:
             engine.backend_for(linear_4_2, masked), ReferenceBackend
         )
 
-    def test_auto_udr_weighted_uses_fft(self, linear_4_2):
+    def test_auto_udr_weighted_uses_displacement(self, linear_4_2):
         engine = LoadEngine("auto")
         routing = UnorderedDimensionalRouting()
         w = np.ones((len(linear_4_2), len(linear_4_2)))
         assert isinstance(
-            engine.backend_for(linear_4_2, routing, w), FFTBackend
+            engine.backend_for(linear_4_2, routing, w), DisplacementBackend
         )
         # and the numbers still match the oracle
         np.fill_diagonal(w, 0.0)
         loads = engine.edge_loads(linear_4_2, routing, pair_weights=w)
         oracle = edge_loads_reference(linear_4_2, routing, w)
         assert np.abs(loads - oracle).max() <= ATOL
+
+    @pytest.mark.parametrize(
+        "placement_kind,make_routing,weighted,expected",
+        [
+            (
+                "random",
+                lambda: OrderedDimensionalRouting(2),
+                True,
+                VectorizedBackend,
+            ),
+            ("random", UnorderedDimensionalRouting, False, VectorizedBackend),
+            ("subtorus", AllMinimalPaths, False, FFTBackend),
+            ("random", UnrestrictedODR, False, DisplacementBackend),
+            ("linear", AllMinimalPaths, True, DisplacementBackend),
+            (
+                "linear",
+                lambda: FaultMaskedRouting(UnorderedDimensionalRouting(), [0]),
+                False,
+                ReferenceBackend,
+            ),
+        ],
+        ids=[
+            "dimension-order-vectorized",
+            "unweighted-udr-vectorized",
+            "coset-fft",
+            "non-coset-displacement",
+            "weighted-displacement",
+            "fault-masked-reference",
+        ],
+    )
+    def test_dispatch_rule(
+        self, torus_4_2, placement_kind, make_routing, weighted, expected
+    ):
+        placement = {
+            "linear": linear_placement(torus_4_2),
+            "subtorus": single_subtorus_placement(torus_4_2),
+            "random": Placement(torus_4_2, [0, 1, 6, 11], name="non-coset"),
+        }[placement_kind]
+        routing = make_routing()
+        w = None
+        if weighted:
+            w = hotspot_traffic_weights(
+                len(placement), hotspot_index=0, background=1.0
+            )
+        engine = LoadEngine("auto")
+        assert isinstance(engine.backend_for(placement, routing, w), expected)
+        loads = engine.edge_loads(placement, routing, pair_weights=w)
+        oracle = edge_loads_reference(placement, routing, w)
+        quantum = routing_load_quantum(routing, torus_4_2.d)
+        if quantum is None:
+            assert np.abs(loads - oracle).max() <= ATOL
+        else:
+            assert np.array_equal(
+                snap_loads(loads, quantum), snap_loads(oracle, quantum)
+            )
 
 
 class TestDisplacementCache:
@@ -148,31 +195,6 @@ class TestDisplacementCache:
             loads = displacement_edge_loads(placement, routing)
             oracle = edge_loads_reference(placement, routing)
             assert np.abs(loads - oracle).max() <= ATOL
-
-
-class TestParallelBackend:
-    def test_single_job_runs_inline(self, linear_4_2):
-        routing = OrderedDimensionalRouting(2)
-        loads = parallel_edge_loads(linear_4_2, routing, jobs=1)
-        assert np.abs(loads - edge_loads_reference(linear_4_2, routing)).max() <= ATOL
-
-    def test_non_invariant_routing_in_workers(self, torus_4_2):
-        # fault-masked routing forces the per-pair reference fallback path
-        placement = linear_placement(torus_4_2)
-        routing = FaultMaskedRouting(UnorderedDimensionalRouting(), [0])
-        oracle = edge_loads_reference(placement, routing)
-        loads = parallel_edge_loads(placement, routing, jobs=2, chunk_pairs=16)
-        assert np.abs(loads - oracle).max() <= ATOL
-
-    def test_invalid_jobs(self):
-        with pytest.raises(ValueError):
-            ParallelBackend(jobs=0)
-
-    def test_invalid_chunk(self, linear_4_2):
-        with pytest.raises(ValueError):
-            parallel_edge_loads(
-                linear_4_2, OrderedDimensionalRouting(2), chunk_pairs=0
-            )
 
 
 class TestEngineErrors:
@@ -250,5 +272,4 @@ class TestDefaultEngine:
             "vectorized",
             "fft",
             "displacement",
-            "parallel",
         }

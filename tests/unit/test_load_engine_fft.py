@@ -3,7 +3,9 @@
 The contract under test is *bit*-identity: after canonicalizing both
 sides with :func:`repro.load.quantize.snap_loads`, the FFT backend must
 equal the reference oracle exactly — not merely within a float
-tolerance — on every translation-invariant configuration.
+tolerance — on every translation-invariant configuration, spectrally for
+complete-exchange cosets and through the displacement fallback for
+everything else.
 """
 
 import numpy as np
@@ -157,13 +159,36 @@ class TestRegimes:
         oracle = edge_loads_reference(placement, routing, w)
         assert np.abs(got - oracle).max(initial=0.0) <= 1e-9
 
-    def test_general_regime_for_non_coset_placement(self):
+    def test_non_coset_placement_uses_displacement_fallback(self):
         # 3 collinear-free nodes: |P - P| > |P|, so the coset fast path
-        # must not trigger and the chunked general path must be exact.
+        # must not trigger and the displacement fallback must be exact.
         torus = Torus(5, 2)
         placement = Placement(torus, [0, 1, 7], name="non-coset")
         for routing in _routings(2):
+            assert not FFTBackend().supports(placement, routing)
+            assert np.array_equal(
+                LoadEngine("fft").edge_loads(placement, routing),
+                displacement_edge_loads(placement, routing),
+            )
             _assert_bit_identical(placement, routing)
+
+    def test_explicit_fft_serves_weighted_traffic_exactly(self):
+        torus = Torus(5, 2)
+        placement = linear_placement(torus)
+        m = len(placement)
+        w = np.arange(m * m, dtype=np.float64).reshape(m, m) % 3
+        np.fill_diagonal(w, 0.0)
+        for routing in _routings(2):
+            assert not FFTBackend().supports(placement, routing, w)
+            got = LoadEngine("fft").edge_loads(placement, routing, pair_weights=w)
+            oracle = edge_loads_reference(placement, routing, w)
+            quantum = routing_load_quantum(routing, torus.d)
+            if quantum is None:
+                assert np.abs(got - oracle).max() <= 1e-9
+            else:
+                assert np.array_equal(
+                    snap_loads(got, quantum), snap_loads(oracle, quantum)
+                )
 
     def test_empty_pair_set(self):
         torus = Torus(4, 2)
@@ -197,6 +222,11 @@ class TestFallbacks:
         assert not backend.supports(
             placement,
             FaultMaskedRouting(OrderedDimensionalRouting(2), [0]),
+        )
+        # complete-exchange cosets only
+        weights = np.ones((len(placement), len(placement)))
+        assert not backend.supports(
+            placement, OrderedDimensionalRouting(2), weights
         )
 
 

@@ -27,7 +27,6 @@ from repro.load.plancache import (
     set_default_batch_size,
     set_plan_cache,
     using_plan_cache,
-    warm_worker_plan_cache,
 )
 from repro.obs import Tracer, using_tracer
 from repro.routing.odr import OrderedDimensionalRouting
@@ -48,11 +47,8 @@ class TestFingerprints:
         odr = plan_fingerprint(torus, OrderedDimensionalRouting(2))
         udr = plan_fingerprint(torus, UnorderedDimensionalRouting())
         other_shape = plan_fingerprint(Torus(5, 2), OrderedDimensionalRouting(2))
-        weighted = plan_fingerprint(
-            torus, OrderedDimensionalRouting(2), traffic="weighted"
-        )
-        keys = {plan_key(f) for f in (odr, udr, other_shape, weighted)}
-        assert len(keys) == 4
+        keys = {plan_key(f) for f in (odr, udr, other_shape)}
+        assert len(keys) == 3
 
     def test_routing_order_lands_in_the_fingerprint(self):
         from repro.routing.dimension_order import DimensionOrderRouting
@@ -192,19 +188,3 @@ class TestBatchSize:
         with pytest.raises(EngineError, match="batch size"):
             set_default_batch_size(0)
         assert default_batch_size() == DEFAULT_BATCH_SIZE
-
-
-class TestWorkerWarmup:
-    def test_warm_worker_plan_cache_prebuilds_the_plan(self):
-        previous = current_plan_cache()
-        try:
-            cache = set_plan_cache(PlanCache())
-            routing = OrderedDimensionalRouting(2)
-            warm_worker_plan_cache(4, 2, routing)
-            # the warmed plan answers the key a later lookup asks for
-            assert plan_key(plan_fingerprint(Torus(4, 2), routing)) in cache
-            hits_before = cache.stats.hits
-            cache.get(Torus(4, 2), OrderedDimensionalRouting(2))
-            assert cache.stats.hits == hits_before + 1
-        finally:
-            set_plan_cache(previous)

@@ -88,7 +88,7 @@ def _worker_records(run="aaaa0001", exec_run="aaaa0001-x0001"):
         {
             "kind": "metrics",
             "values": {
-                "counters": {"engine.parallel.pairs": 12.0},
+                "counters": {"search.pair_updates": 12.0},
                 "gauges": {},
                 "histograms": {},
             },
@@ -133,7 +133,7 @@ class TestStitchTraces:
         (metrics,) = [r for r in stitched if r.get("kind") == "metrics"]
         counters = metrics["values"]["counters"]
         assert counters["exec.tasks"] == 1.0
-        assert counters["engine.parallel.pairs"] == 12.0
+        assert counters["search.pair_updates"] == 12.0
 
     def test_parentless_worker_span_anchored_to_exec_run(self):
         worker = _worker_records()

@@ -1,5 +1,6 @@
 """Unit tests for repro.placements.catalog."""
 
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from repro.errors import InvalidParameterError
 from repro.load.odr_loads import odr_edge_loads
 from repro.placements.catalog import (
     MAX_CATALOG,
+    _evaluate_chunk,
     enumerate_placements,
     global_minimum_emax,
 )
@@ -77,3 +79,23 @@ class TestParallel:
         a = global_minimum_emax(torus, 3, processes=1)
         b = global_minimum_emax(torus, 3)
         assert a.minimum_emax == b.minimum_emax
+
+
+class TestAgainstOracle:
+    """The table-scatter sweep against the per-placement hop walker."""
+
+    @pytest.mark.parametrize(
+        "k,d,size,processes",
+        [(4, 2, n, None) for n in (1, 2, 3, 5)]
+        + [(4, 2, 4, 2), (5, 2, 3, None), (3, 3, 3, None)],
+    )
+    def test_matches_hop_walker_oracle(self, k, d, size, processes):
+        torus = Torus(k, d)
+        combos = itertools.combinations(range(torus.num_nodes), size)
+        best, best_ids, num_optimal, histogram = _evaluate_chunk((k, d, combos))
+        res = global_minimum_emax(torus, size, processes=processes)
+        assert res.minimum_emax == best
+        assert res.num_optimal == num_optimal
+        assert res.emax_histogram == histogram
+        # the witness is the lexicographically smallest optimum
+        assert tuple(res.example_optimal.node_ids.tolist()) == best_ids
