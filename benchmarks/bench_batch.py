@@ -25,7 +25,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from _timing import best_of
+from _timing import interleaved_best_of
 
 from repro.load.engine import LoadEngine
 from repro.load.plancache import PlanCache, using_plan_cache
@@ -46,6 +46,8 @@ BATCH = 64
 #: live pins (machine-independent ratios, not absolute timings).
 MIN_SPEEDUP = 5.0
 MIN_HIT_RATE = 0.90
+#: interleaved rounds timing both sides of the speedup (minimum kept).
+SPEEDUP_ROUNDS = 50
 
 
 def _placements(torus=None):
@@ -55,6 +57,20 @@ def _placements(torus=None):
         for coeffs in COEFFICIENT_SETS
         for offset in range(torus.k)
     ]
+
+
+def _time_both_sides(engine, placements, routing):
+    """Sequential and batched evaluation timed in the same interleaved
+    rounds, so a slow stretch of the machine cannot favour either side."""
+    return interleaved_best_of(
+        {
+            "sequential": lambda: [
+                engine.edge_loads(p, routing) for p in placements
+            ],
+            "batched": lambda: engine.edge_loads_many(placements, routing),
+        },
+        rounds=SPEEDUP_ROUNDS,
+    )
 
 
 def test_batch_bit_identical_to_sequential():
@@ -81,11 +97,11 @@ def test_batched_speedup_and_hit_rate(benchmark, capsys):
         # warm: builds the plan, class tables, and all 4 family spectra
         engine.edge_loads_many(placements, routing)
 
-        sequential_seconds, sequential = best_of(
-            lambda: [engine.edge_loads(p, routing) for p in placements]
-        )
-        batched = benchmark(engine.edge_loads_many, placements, routing)
-        batched_seconds = benchmark.stats.stats.min
+        timed = _time_both_sides(engine, placements, routing)
+        sequential_seconds, sequential = timed["sequential"]
+        batched_seconds, batched = timed["batched"]
+        # the pytest-benchmark record of the batched call
+        benchmark(engine.edge_loads_many, placements, routing)
         snapshot = tracer.metrics.snapshot()
 
     assert np.array_equal(batched, np.stack(sequential))
@@ -152,13 +168,9 @@ def write_baseline() -> dict:
     with using_tracer(tracer), using_plan_cache(PlanCache()):
         engine = LoadEngine("fft")
         engine.edge_loads_many(placements, routing)  # warm
-        sequential_seconds, _ = best_of(
-            lambda: [engine.edge_loads(p, routing) for p in placements]
-        )
-        batched_seconds, _ = best_of(
-            lambda: engine.edge_loads_many(placements, routing),
-            rounds=15,
-        )
+        timed = _time_both_sides(engine, placements, routing)
+        sequential_seconds, _ = timed["sequential"]
+        batched_seconds, _ = timed["batched"]
         snapshot = tracer.metrics.snapshot()
         emaxes = engine.emax_many(placements, routing)
     hits = snapshot["counters"]["plancache.hits"]

@@ -1,28 +1,33 @@
 """Micro-benchmarks of the FFT load backend vs the other engines.
 
-The acceptance criterion behind these numbers: on a ``T_32^2`` linear
+The acceptance criteria behind these numbers: on a ``T_32^2`` linear
 placement under ODR, a warm ``fft`` ``edge_loads`` call must be at least
-**10x** faster than a warm ``displacement`` call.  The committed
-machine-recorded throughputs live in ``benchmarks/BENCH_engines.json``;
-timings there are informational (machines differ), while the exactness
-pins (``emax`` per configuration) and the live speedup ratio asserted
-here must hold everywhere.
+**10x** faster than a warm ``displacement`` call; and on every cell of
+{T_32^2, T_12^3} x {ODR, UDR} x {linear, random}, a warm ``auto`` call
+must take at most **1.2x** the fastest of ``vectorized``, ``fft`` and
+``displacement``, i.e. ``auto``'s dispatch picks the best backend.  The
+committed machine-recorded throughputs live in
+``benchmarks/BENCH_engines.json``; timings there are informational
+(machines differ), while the exactness pins (``emax`` per configuration)
+and the live ratios asserted here must hold everywhere.
 
 Run with::
 
     pytest benchmarks/bench_fft.py --benchmark-only
 """
 
+import functools
 import json
 import pathlib
 
 import numpy as np
 import pytest
-from _timing import warm_seconds
+from _timing import best_of, interleaved_best_of, warm_seconds
 
 from repro.load.engine import LoadEngine
 from repro.load.odr_loads import odr_edge_loads
 from repro.placements.linear import linear_placement
+from repro.placements.random_placement import random_placement
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.routing.udr import UnorderedDimensionalRouting
 from repro.torus.topology import Torus
@@ -34,6 +39,15 @@ CONFIGS = [(16, 2), (32, 2)]
 
 #: backends compared in the committed pairs/sec table.
 BACKENDS = ("reference", "vectorized", "fft", "displacement")
+
+#: the dispatch gate: warm ``auto`` over the fastest candidate backend.
+AUTO_GATE = 1.2
+GATE_CANDIDATES = ("vectorized", "fft", "displacement")
+#: interleaved timing rounds per gate cell (per-backend minimum taken),
+#: and the wall time over which cheap cells keep adding rounds.
+GATE_ROUNDS = 15
+GATE_SECONDS = 3.0
+GATE_SEED = 20261017
 
 
 def _pairs(placement) -> int:
@@ -86,6 +100,55 @@ def test_fft_speedup_over_displacement(benchmark):
     assert displacement_seconds >= 10 * fft_seconds, (
         f"fft backend only {displacement_seconds / fft_seconds:.1f}x "
         "faster than the displacement cache on T_32^2 (need >= 10x)"
+    )
+
+
+@pytest.mark.parametrize("kind", ["linear", "random"])
+@pytest.mark.parametrize("routing_name", ["odr", "udr"])
+@pytest.mark.parametrize("k,d", [(32, 2), (12, 3)])
+def test_auto_within_gate_of_best_backend(k, d, routing_name, kind, capsys):
+    """Warm ``auto`` <= 1.2x the best backend, cosets and non-cosets alike.
+
+    Every round times each engine once on the same warm placement; each
+    engine keeps its minimum over at least 15 rounds and 3 s.  A
+    candidate over 3x slower warm than the cheapest one cannot be the
+    fastest and is left out of the rounds, which buys the others more
+    samples.
+    """
+    torus = Torus(k, d)
+    if kind == "linear":
+        placement = linear_placement(torus)
+    else:
+        placement = random_placement(torus, k ** (d - 1), seed=GATE_SEED)
+    if routing_name == "odr":
+        routing = OrderedDimensionalRouting(d)
+    else:
+        routing = UnorderedDimensionalRouting()
+    calls = {}
+    for name in ("auto",) + GATE_CANDIDATES:
+        engine = LoadEngine(name)
+        engine.edge_loads(placement, routing)  # build caches / plans
+        calls[name] = functools.partial(engine.edge_loads, placement, routing)
+    warm = {name: best_of(calls[name])[0] for name in GATE_CANDIDATES}
+    cheapest = min(warm.values())
+    contenders = [n for n in GATE_CANDIDATES if warm[n] <= 3 * cheapest]
+    timed = interleaved_best_of(
+        {name: calls[name] for name in ["auto"] + contenders},
+        rounds=GATE_ROUNDS,
+        min_seconds=GATE_SECONDS,
+    )
+    best = {name: seconds for name, (seconds, _) in timed.items()}
+    fastest = min(contenders, key=best.__getitem__)
+    ratio = best["auto"] / best[fastest]
+    with capsys.disabled():
+        print(
+            f"\nT_{k}^{d} {routing_name} {kind}: auto "
+            f"{best['auto'] * 1e3:.3f}ms, best {fastest} "
+            f"{best[fastest] * 1e3:.3f}ms, auto/best {ratio:.2f}"
+        )
+    assert ratio <= AUTO_GATE, (
+        f"auto takes {ratio:.2f}x the fastest backend ({fastest}) on "
+        f"T_{k}^{d} {routing_name} {kind} (gate {AUTO_GATE}x)"
     )
 
 

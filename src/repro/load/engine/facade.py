@@ -20,12 +20,12 @@ Backends by name:
     snap-back, all edges in one ``rfftn`` pass; spectral only for
     complete-exchange cosets, displacement-served otherwise.
 ``auto``
-    The first backend of vectorized → fft → displacement → reference
+    The first backend of fft → vectorized → displacement → reference
     that supports the call, which makes the choice structural:
-    dimension-order routings and unweighted UDR go to ``vectorized``,
-    cosets on other translation-invariant routings to ``fft``, every
-    other translation-invariant case to ``displacement``, and
-    fault-masked routings to ``reference``.
+    complete-exchange cosets on translation-invariant routings go to
+    ``fft``, other dimension-order and unweighted UDR calls to
+    ``vectorized``, every other translation-invariant case to
+    ``displacement``, and fault-masked routings to ``reference``.
 
 A process-wide *default engine* (``auto`` unless overridden) backs
 :func:`repro.core.analysis.compute_loads` and the experiment runner; the
@@ -60,8 +60,11 @@ __all__ = [
     "cross_check",
 ]
 
-#: the preference order the ``auto`` engine tries per call.
-_AUTO_ORDER = ("vectorized", "fft", "displacement", "reference")
+#: the preference order the ``auto`` engine tries per call: ``fft``
+#: accepts only complete-exchange cosets, where its warm spectral pass
+#: beats every other backend; ``vectorized`` serves the other
+#: dimension-order and unweighted UDR calls.
+_AUTO_ORDER = ("fft", "vectorized", "displacement", "reference")
 
 _BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")
 
@@ -199,7 +202,9 @@ class LoadEngine:
         quantize snap-back — the FFT backend resolves cosets of one
         subgroup with a single stacked ``rfftn``/inverse pair against
         the plan cache's usage spectrum, other backends fall back to the
-        sequential loop.  The batch is evaluated in blocks of
+        sequential loop.  ``auto`` picks one backend for the whole batch,
+        the one :meth:`backend_for` picks for ``placements[0]``.  The
+        batch is evaluated in blocks of
         ``batch_size`` placements (default: the ambient
         :func:`repro.load.plancache.default_batch_size`, the CLI's
         ``--batch-size``); realized block sizes land on the

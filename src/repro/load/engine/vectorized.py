@@ -1,27 +1,60 @@
 """The closed-form vectorized kernels behind one backend interface.
 
-Dimension-ordered routings (including the paper's ODR) dispatch to
-:func:`repro.load.odr_loads.dimension_order_edge_loads`; UDR dispatches to
-:func:`repro.load.udr_loads.udr_edge_loads` (complete exchange only — the
-permutation-counting identity it evaluates has no weighted form yet).
-Anything else is unsupported here; the ``auto`` engine falls through to
-the displacement or reference backends instead.
+:func:`pair_kernel` is the package's one routing → kernel mapping:
+dimension-ordered routings (including the paper's ODR) map to
+:func:`repro.load.odr_loads.accumulate_pair_loads` in their order, UDR to
+:func:`repro.load.udr_loads.accumulate_udr_pair_loads` (complete exchange
+only — the permutation-counting identity it evaluates has no weighted
+form yet).  :class:`VectorizedBackend` serves what it maps through
+:func:`repro.load.odr_loads.dimension_order_edge_loads` and
+:func:`repro.load.udr_loads.udr_edge_loads`, which run those kernels
+over every ordered pair of a placement; the FFT backend
+(:mod:`repro.load.engine.fft`) runs them over the pairs ``0 → δ`` of a
+coset's subgroup to build the coset's usage tensor.  Anything else is
+unsupported here; the ``auto`` engine falls through to the displacement
+or reference backends instead.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import EngineError
 from repro.load.engine.base import LoadBackend
-from repro.load.odr_loads import dimension_order_edge_loads
-from repro.load.udr_loads import udr_edge_loads
+from repro.load.odr_loads import (
+    accumulate_pair_loads,
+    dimension_order_edge_loads,
+)
+from repro.load.udr_loads import accumulate_udr_pair_loads, udr_edge_loads
 from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.udr import UnorderedDimensionalRouting
 
-__all__ = ["VectorizedBackend"]
+__all__ = ["VectorizedBackend", "pair_kernel"]
+
+
+def pair_kernel(
+    routing: RoutingAlgorithm, d: int, weighted: bool = False
+) -> Callable[..., None] | None:
+    """The vectorized pair-load kernel serving ``routing``, or ``None``.
+
+    The kernel is called as ``kernel(loads, k, d, p, q)`` — plus
+    ``weights=`` for weighted traffic — and adds the exact Definition-4
+    loads of the pairs ``p → q`` (``(n_pairs, d)`` coordinate arrays)
+    into the dense ``2d·k^d`` accumulator ``loads``.  ``None`` means no
+    kernel serves the configuration: routings other than UDR and the
+    dimension-order family with one entry per dimension, and UDR under
+    ``weighted`` traffic.
+    """
+    if isinstance(routing, DimensionOrderRouting) and len(routing.order) == d:
+        return functools.partial(accumulate_pair_loads, order=routing.order)
+    if isinstance(routing, UnorderedDimensionalRouting) and not weighted:
+        return accumulate_udr_pair_loads
+    return None
 
 
 class VectorizedBackend(LoadBackend):
@@ -35,11 +68,10 @@ class VectorizedBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> bool:
-        if isinstance(routing, DimensionOrderRouting):
-            return True
-        if isinstance(routing, UnorderedDimensionalRouting):
-            return pair_weights is None
-        return False
+        return (
+            pair_kernel(routing, placement.torus.d, pair_weights is not None)
+            is not None
+        )
 
     def compute(
         self,

@@ -120,10 +120,9 @@ class SpectralPlan:
 
     Holds the displacement path-template cache plus the memo the FFT
     backend fills lazily (values are opaque to this module):
-    ``spectra`` maps the sorted difference-set codes of a coset to its
-    forward usage-tensor spectra — every coset of one subgroup shares
-    an entry — and ``placement_spectra`` aliases them per placement
-    id-bytes so warm repeat calls skip the pair pass.
+    ``spectra`` maps the sorted nonzero codes of a verified subgroup to
+    its forward usage-tensor spectra — every coset of one subgroup
+    shares an entry.
     """
 
     def __init__(
@@ -137,7 +136,6 @@ class SpectralPlan:
         self.fingerprint = fingerprint
         self.path_cache = DisplacementPathCache(torus, routing)
         self.spectra: Dict[bytes, Any] = {}
-        self.placement_spectra: Dict[bytes, Any] = {}
 
     @property
     def key(self) -> str:
@@ -172,6 +170,12 @@ class PlanCacheStats:
 class PlanCache:
     """A bounded LRU of :class:`SpectralPlan` entries, content-addressed.
 
+    Beside the plans it keeps the FFT backend's per-placement coset
+    verdicts (:meth:`coset`, :meth:`remember_coset`; values are opaque
+    to this module).  Whether a placement is a coset does not depend on
+    the routing, so one verdict serves every plan, and a warm placement
+    is recognized without a plan lookup.
+
     Parameters
     ----------
     capacity:
@@ -184,6 +188,7 @@ class PlanCache:
             raise EngineError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._plans: "OrderedDict[str, SpectralPlan]" = OrderedDict()
+        self._cosets: Dict[Any, Any] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -212,6 +217,16 @@ class PlanCache:
         metrics.gauge("plancache.size").set(len(self._plans))
         return plan
 
+    def coset(self, placement_key: Any) -> Any:
+        """The verdict remembered for a placement, or ``None``."""
+        return self._cosets.get(placement_key)
+
+    def remember_coset(self, placement_key: Any, verdict: Any) -> None:
+        """Remember a placement's verdict (cleared wholesale when full)."""
+        if len(self._cosets) >= self.capacity * MAX_PLAN_ENTRIES:
+            self._cosets.clear()
+        self._cosets[placement_key] = verdict
+
     # ------------------------------------------------------------ queries
 
     @property
@@ -229,8 +244,10 @@ class PlanCache:
         return list(self._plans)
 
     def clear(self) -> None:
-        """Drop every resident plan (tallies are kept — they are history)."""
+        """Drop every resident plan and coset verdict (tallies are kept —
+        they are history)."""
         self._plans.clear()
+        self._cosets.clear()
 
     def __repr__(self) -> str:
         stats = self.stats
@@ -242,7 +259,8 @@ class PlanCache:
 
 
 class _NullPlanCache(PlanCache):
-    """A cache that never retains — every lookup builds a fresh plan.
+    """A cache that never retains — every lookup builds a fresh plan,
+    and no coset verdict is remembered.
 
     Installed by ``--no-plan-cache``; call sites stay oblivious.
     """
@@ -252,6 +270,9 @@ class _NullPlanCache(PlanCache):
 
     def get(self, torus: Torus, routing: RoutingAlgorithm) -> SpectralPlan:
         return SpectralPlan(torus, routing, plan_fingerprint(torus, routing))
+
+    def remember_coset(self, placement_key: Any, verdict: Any) -> None:
+        pass
 
 
 #: the shared do-nothing cache — plan reuse disabled, semantics unchanged.

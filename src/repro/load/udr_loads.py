@@ -15,8 +15,9 @@ where ``A = {i ∈ D∖j : v_i = q_i}`` must be the dimensions corrected
 (Non-differing dimensions must satisfy ``v_i = p_i = q_i``; ``v_j`` must
 lie on the minimal directed segment from ``p_j`` towards ``q_j``.)
 
-:func:`udr_edge_loads` evaluates this *exactly*, vectorized over all pairs:
-the outer loops run over edge-dimension ``j``, the subset-of-corrected-dims
+:func:`udr_edge_loads` evaluates this *exactly*, vectorized over all pairs
+(through the pair-level kernel :func:`accumulate_udr_pair_loads`): the outer
+loops run over edge-dimension ``j``, the subset-of-corrected-dims
 bitmask, and the segment position — :math:`O(d·2^{d-1}·\\lceil k/2\\rceil)`
 numpy passes — so no per-pair Python work.  For every pair the weights over
 all its edges sum to its Lee distance, giving the conservation law the
@@ -37,7 +38,11 @@ from repro.util.itertools_ext import ordered_pair_index_arrays
 from repro.util.modular import minimal_correction_array
 from repro.util.rng import resolve_rng
 
-__all__ = ["udr_edge_loads", "udr_sampled_edge_loads"]
+__all__ = [
+    "udr_edge_loads",
+    "accumulate_udr_pair_loads",
+    "udr_sampled_edge_loads",
+]
 
 
 def _pair_arrays(placement: Placement):
@@ -62,8 +67,30 @@ def udr_edge_loads(placement: Placement) -> np.ndarray:
         because pairs spread their unit of traffic over :math:`s!` paths.
     """
     torus = placement.torus
-    k, d = torus.k, torus.d
     p, q = _pair_arrays(placement)  # (n_pairs, d) each
+    loads = np.zeros(torus.num_edges, dtype=np.float64)
+    accumulate_udr_pair_loads(loads, torus.k, torus.d, p, q)
+    return loads
+
+
+def accumulate_udr_pair_loads(
+    loads: np.ndarray,
+    k: int,
+    d: int,
+    p: np.ndarray,
+    q: np.ndarray,
+) -> None:
+    """Add the exact UDR loads of explicit pairs into ``loads``.
+
+    The pair-level kernel behind :func:`udr_edge_loads`, the UDR
+    counterpart of :func:`repro.load.odr_loads.accumulate_pair_loads`:
+    ``p`` and ``q`` are ``(n_pairs, d)`` source/destination coordinates
+    and ``loads`` the dense ``2d·k^d`` accumulator, modified in place.
+    Every pair adds its Definition-4 fractions ``|A|!|B|!/s!``; pairs with
+    ``p == q`` add nothing.
+    """
+    p = np.atleast_2d(np.asarray(p, dtype=np.int64))
+    q = np.atleast_2d(np.asarray(q, dtype=np.int64))
     n_pairs = p.shape[0]
 
     delta = np.empty((n_pairs, d), dtype=np.int64)
@@ -76,7 +103,6 @@ def udr_edge_loads(placement: Placement) -> np.ndarray:
 
     strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     factorial = np.array([math.factorial(i) for i in range(d + 1)], dtype=np.float64)
-    loads = np.zeros(torus.num_edges, dtype=np.float64)
     two_d = 2 * d
 
     p_base = p @ strides  # node id of p
@@ -127,7 +153,6 @@ def udr_edge_loads(placement: Placement) -> np.ndarray:
                 edge_ids = node_ids * two_d + 2 * j + sign_bit_j[active]
                 np.add.at(loads, edge_ids, weight[active])
                 x = np.mod(x + sign[:, j], k)  # advance all; masked on use
-    return loads
 
 
 def udr_sampled_edge_loads(

@@ -25,6 +25,8 @@ from repro.load.traffic import hotspot_traffic_weights
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
+from repro.placements.multiple import multiple_linear_placement
+from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.faults import FaultMaskedRouting
 from repro.routing.minimal import AllMinimalPaths
 from repro.routing.odr import OrderedDimensionalRouting
@@ -69,10 +71,15 @@ class TestBackendAgreement:
 
 
 class TestAutoDispatch:
-    def test_auto_picks_vectorized_for_odr(self, linear_4_2):
+    def test_auto_picks_fft_for_odr_coset(self, linear_4_2):
         engine = LoadEngine("auto")
-        backend = engine.backend_for(linear_4_2, OrderedDimensionalRouting(2))
-        assert isinstance(backend, VectorizedBackend)
+        routing = OrderedDimensionalRouting(2)
+        backend = engine.backend_for(linear_4_2, routing)
+        assert isinstance(backend, FFTBackend)
+        assert np.array_equal(
+            engine.edge_loads(linear_4_2, routing),
+            LoadEngine("vectorized").edge_loads(linear_4_2, routing),
+        )
 
     def test_auto_picks_fft_for_unrestricted(self, linear_4_2):
         engine = LoadEngine("auto")
@@ -110,6 +117,31 @@ class TestAutoDispatch:
             ),
             ("random", UnorderedDimensionalRouting, False, VectorizedBackend),
             ("subtorus", AllMinimalPaths, False, FFTBackend),
+            (
+                "linear",
+                lambda: OrderedDimensionalRouting(2),
+                False,
+                FFTBackend,
+            ),
+            ("linear", UnorderedDimensionalRouting, False, FFTBackend),
+            (
+                "linear",
+                lambda: DimensionOrderRouting((1, 0)),
+                False,
+                FFTBackend,
+            ),
+            (
+                "two-class",
+                lambda: OrderedDimensionalRouting(2),
+                False,
+                VectorizedBackend,
+            ),
+            (
+                "two-class",
+                UnorderedDimensionalRouting,
+                False,
+                VectorizedBackend,
+            ),
             ("random", UnrestrictedODR, False, DisplacementBackend),
             ("linear", AllMinimalPaths, True, DisplacementBackend),
             (
@@ -123,6 +155,11 @@ class TestAutoDispatch:
             "dimension-order-vectorized",
             "unweighted-udr-vectorized",
             "coset-fft",
+            "odr-coset-fft",
+            "udr-coset-fft",
+            "permuted-dor-coset-fft",
+            "odr-non-coset-vectorized",
+            "udr-non-coset-vectorized",
             "non-coset-displacement",
             "weighted-displacement",
             "fault-masked-reference",
@@ -135,6 +172,8 @@ class TestAutoDispatch:
             "linear": linear_placement(torus_4_2),
             "subtorus": single_subtorus_placement(torus_4_2),
             "random": Placement(torus_4_2, [0, 1, 6, 11], name="non-coset"),
+            # classes 2 and 3 of x + y: a non-coset
+            "two-class": multiple_linear_placement(torus_4_2, 2, base_offset=2),
         }[placement_kind]
         routing = make_routing()
         w = None

@@ -22,6 +22,12 @@ from repro.load.engine import (
     displacement_edge_loads,
     fft_edge_loads,
 )
+from repro.load.engine.fft import (
+    _probe,
+    _template_spectra,
+    _usage_spectra,
+)
+from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import (
     LOAD_SNAP_TOLERANCE,
     routing_load_quantum,
@@ -31,7 +37,9 @@ from repro.load.traffic import hotspot_traffic_weights
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
+from repro.placements.multiple import multiple_linear_placement
 from repro.placements.random_placement import random_placement
+from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.faults import FaultMaskedRouting
 from repro.routing.minimal import AllMinimalPaths
 from repro.routing.odr import OrderedDimensionalRouting
@@ -172,6 +180,23 @@ class TestRegimes:
             )
             _assert_bit_identical(placement, routing)
 
+    def test_closure_check_rejects_what_the_probe_lets_through(self):
+        # two cosets of an order-4 subgroup of Z_4^3 whose last two nodes
+        # share the first node's coset: the probe passes, only the
+        # closure check rejects
+        torus = Torus(4, 3)
+        placement = Placement(
+            torus, [0, 2, 12, 14, 37, 39, 41, 43], name="two-cosets"
+        )
+        assert _probe(placement)
+        for routing in _routings(3):
+            cache = PlanCache()
+            with using_plan_cache(cache):
+                assert not FFTBackend().supports(placement, routing)
+            assert cache.coset((4, 3, placement.node_ids.tobytes())) is None
+            assert not cache.get(torus, routing).spectra
+            _assert_bit_identical(placement, routing)
+
     def test_explicit_fft_serves_weighted_traffic_exactly(self):
         torus = Torus(5, 2)
         placement = linear_placement(torus)
@@ -196,6 +221,84 @@ class TestRegimes:
         loads = fft_edge_loads(placement, OrderedDimensionalRouting(2))
         assert loads.shape == (torus.num_edges,)
         assert not loads.any()
+
+
+class TestColdPlans:
+    """Usage spectra from the vectorized pair kernels equal the template ones.
+
+    The cosets are linear classes whose subgroups hold a displacement
+    differing in every dimension, so the templates' LCM of path counts
+    is the kernels' quantum (``d!`` under UDR).
+    """
+
+    @pytest.mark.parametrize("k,d", [(4, 2), (5, 2), (4, 3), (6, 3)])
+    def test_kernel_spectra_equal_template_spectra(self, k, d):
+        torus = Torus(k, d)
+        routings = [
+            OrderedDimensionalRouting(d),
+            UnorderedDimensionalRouting(),
+            DimensionOrderRouting((1, 0) if d == 2 else (2, 0, 1)),
+        ]
+        ones = [1] * (d - 1)
+        cosets = [
+            linear_placement(torus),
+            linear_placement(torus, coefficients=ones + [k - 1]),
+            linear_placement(torus, coefficients=ones + [2], offset=1),
+        ]
+        for routing in routings:
+            plan = PlanCache().get(torus, routing)
+            for placement in cosets:
+                h = np.mod(placement.coords() - placement.coords()[0], k)
+                kernel = _usage_spectra(plan, h[1:])
+                template = _template_spectra(plan, h[1:])
+                assert len(kernel) == len(template) == 1
+                (q_kernel, s_kernel), (q_template, s_template) = (
+                    kernel[0], template[0]
+                )
+                assert q_kernel == q_template == routing_load_quantum(
+                    routing, d
+                )
+                assert np.array_equal(s_kernel, s_template), (
+                    routing.name, placement.name
+                )
+
+
+class TestCosetVerdicts:
+    """The plan cache remembers a coset's verdict for every routing."""
+
+    def test_warm_coset_needs_no_plan_lookup_under_any_routing(self):
+        torus = Torus(6, 2)
+        placement = linear_placement(torus)
+        cache = PlanCache()
+        with using_plan_cache(cache):
+            FFTBackend().compute(placement, OrderedDimensionalRouting(2))
+            lookups = cache.stats.lookups
+            for routing in _routings(2):
+                assert FFTBackend().supports(placement, routing)
+        assert cache.stats.lookups == lookups
+
+    def test_supports_remembers_the_verdict_and_builds_nothing(self):
+        torus = Torus(6, 2)
+        placement = linear_placement(torus)
+        routing = OrderedDimensionalRouting(2)
+        cache = PlanCache()
+        with using_plan_cache(cache):
+            assert FFTBackend().supports(placement, routing)
+        assert cache.coset((6, 2, placement.node_ids.tobytes())) is not None
+        assert not cache.get(torus, routing).spectra
+
+    def test_probe_rejects_non_cosets_before_any_plan_lookup(self):
+        torus = Torus(8, 2)
+        cache = PlanCache()
+        with using_plan_cache(cache):
+            for placement in (
+                random_placement(torus, size=8, seed=1),
+                multiple_linear_placement(torus, 2, base_offset=3),
+            ):
+                assert not FFTBackend().supports(
+                    placement, OrderedDimensionalRouting(2)
+                )
+        assert cache.stats.lookups == 0
 
 
 class TestFallbacks:
@@ -231,12 +334,22 @@ class TestFallbacks:
 
 
 class TestAutoOrder:
-    def test_vectorized_still_first_for_odr(self):
-        placement = linear_placement(Torus(4, 2))
-        backend = LoadEngine("auto").backend_for(
-            placement, OrderedDimensionalRouting(2)
+    def test_fft_first_for_odr_cosets(self):
+        torus = Torus(4, 2)
+        routing = OrderedDimensionalRouting(2)
+        engine = LoadEngine("auto")
+        coset = linear_placement(torus)
+        non_coset = Placement(torus, [0, 1, 6, 11], name="non-coset")
+        assert isinstance(engine.backend_for(coset, routing), FFTBackend)
+        assert isinstance(
+            engine.backend_for(non_coset, routing), VectorizedBackend
         )
-        assert isinstance(backend, VectorizedBackend)
+        for placement in (coset, non_coset):
+            _assert_bit_identical(placement, routing)
+            assert np.array_equal(
+                engine.edge_loads(placement, routing),
+                LoadEngine("vectorized").edge_loads(placement, routing),
+            )
 
     def test_fft_ahead_of_displacement_for_unrestricted(self):
         placement = linear_placement(Torus(4, 2))

@@ -16,6 +16,7 @@ from repro.errors import EngineError
 from repro.load.plancache import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_PLAN_CAPACITY,
+    MAX_PLAN_ENTRIES,
     NULL_PLAN_CACHE,
     PlanCache,
     SpectralPlan,
@@ -112,6 +113,17 @@ class TestLRU:
         assert len(cache) == 0
         assert cache.stats.misses == 1
 
+    def test_coset_verdicts_are_bounded_and_cleared(self):
+        cache = PlanCache(capacity=1)
+        for i in range(MAX_PLAN_ENTRIES):
+            cache.remember_coset(i, b"key")
+        assert cache.coset(0) == b"key"
+        cache.remember_coset("one more", b"key")  # full: starts over
+        assert cache.coset(0) is None
+        assert cache.coset("one more") == b"key"
+        cache.clear()
+        assert cache.coset("one more") is None
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(EngineError, match="capacity"):
             PlanCache(capacity=0)
@@ -141,6 +153,10 @@ class TestNullCache:
         second = NULL_PLAN_CACHE.get(torus, odr)
         assert first is not second
         assert first.key == second.key
+
+    def test_null_cache_remembers_no_coset(self):
+        NULL_PLAN_CACHE.remember_coset("placement", b"key")
+        assert NULL_PLAN_CACHE.coset("placement") is None
 
 
 class TestAmbientCache:
