@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from _timing import interleaved_best_of
 
-from repro.load.engine import LoadEngine
+from repro.load.engine import LoadEngine, facade
 from repro.load.plancache import PlanCache, using_plan_cache
 from repro.obs import Tracer, using_tracer
 from repro.placements.linear import linear_placement
@@ -129,15 +129,14 @@ def test_batched_speedup_and_hit_rate(benchmark, capsys):
     assert misses == 1
 
 
-def test_batch_size_chunking_is_observable():
+def test_batch_size_chunking_is_observable(monkeypatch):
     """Realized batch sizes land on the engine.batch_size histogram."""
     placements = _placements()
     routing = OrderedDimensionalRouting(D)
     tracer = Tracer(label="bench-batch-chunks")
+    monkeypatch.setattr(facade, "_BLOCK", 24)
     with using_tracer(tracer), using_plan_cache(PlanCache()):
-        LoadEngine("fft").edge_loads_many(
-            placements, routing, batch_size=24
-        )
+        LoadEngine("fft").edge_loads_many(placements, routing)
     hist = tracer.metrics.snapshot()["histograms"]["engine.batch_size"]
     # 64 placements in blocks of 24 -> 24 + 24 + 16
     assert hist["count"] == 3

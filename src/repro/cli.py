@@ -184,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit search heartbeat lines to stderr while certifying",
     )
-    _add_batch_args(p_certify)
     _add_exec_args(p_certify)
     _add_checkpoint_args(p_certify)
     _add_obs_args(p_certify)
@@ -318,24 +317,6 @@ def _add_torus_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="B",
-        help=(
-            "placements per spectral block in batched evaluation "
-            "(default 64)"
-        ),
-    )
-    parser.add_argument(
-        "--no-plan-cache",
-        action="store_true",
-        help="disable spectral plan reuse across engine calls",
-    )
-
-
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
@@ -343,40 +324,13 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="load-computation backend (default auto)",
     )
-    _add_batch_args(parser)
-
-
-def _batch_context(args: argparse.Namespace):
-    """Plan-cache/batch-size context for --batch-size / --no-plan-cache."""
-    from contextlib import ExitStack
-
-    from repro.load import plancache
-
-    stack = ExitStack()
-    if getattr(args, "no_plan_cache", False):
-        stack.enter_context(
-            plancache.using_plan_cache(plancache.NULL_PLAN_CACHE)
-        )
-    batch = getattr(args, "batch_size", None)
-    if batch is not None:
-        previous = plancache.default_batch_size()
-        plancache.set_default_batch_size(batch)
-        stack.callback(plancache.set_default_batch_size, previous)
-    return stack
 
 
 def _engine_context(args: argparse.Namespace):
     """The default-engine context for a subcommand's --engine flag."""
-    from contextlib import ExitStack
-
     from repro.load.engine import using_engine
 
-    name = getattr(args, "engine", "auto")
-    stack = ExitStack()
-    if name != "auto":
-        stack.enter_context(using_engine(name))
-    stack.enter_context(_batch_context(args))
-    return stack
+    return using_engine(args.engine)
 
 
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
@@ -504,7 +458,7 @@ def _obs_context(args: argparse.Namespace) -> Iterator[None]:
             else None
         )
         tracer = Tracer(sink=sink, label=label, keep_finished=False)
-        writer = None
+        writer = sampler = None
         if metrics_out is not None:
             from repro.obs import MetricsSnapshotWriter, ResourceSampler
             from repro.obs import export as obs_export
@@ -528,6 +482,8 @@ def _obs_context(args: argparse.Namespace) -> Iterator[None]:
                 from repro.obs import export as obs_export
 
                 obs_export.set_pump(None)
+                if sampler is not None:
+                    sampler.sample()
                 writer.close()
                 console.info(f"metrics snapshots written to {metrics_out}")
             tracer.finish()
@@ -767,11 +723,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     torus = Torus(args.k, args.d)
     size = args.size if args.size is not None else args.k ** (args.d - 1)
     upper = args.ub
-    with _obs_context(args), _exec_context(args), _batch_context(args):
+    with _obs_context(args), _exec_context(args):
         if upper is None and args.mode == "bound":
-            screened = screen_initial_upper_bound(
-                torus, size, batch_size=args.batch_size
-            )
+            screened = screen_initial_upper_bound(torus, size)
             if screened is not None:
                 upper, seed = screened
                 print(

@@ -34,9 +34,11 @@ def compute_loads(
 
     ``engine`` is a :class:`~repro.load.engine.LoadEngine`, a backend
     name, or ``None`` for the process-wide default (the ``auto`` engine:
-    vectorized kernels for dimension-order routings and UDR, the
-    displacement-class cache for other translation-invariant routings,
-    the path-enumerating reference otherwise).
+    the spectral ``fft`` backend for complete-exchange cosets on
+    translation-invariant routings, vectorized kernels for the other
+    dimension-order and unweighted UDR calls, the displacement-class
+    cache for other translation-invariant routings, the
+    path-enumerating reference otherwise).
     """
     return resolve_engine(engine).edge_loads(placement, routing)
 

@@ -27,12 +27,7 @@ journal format.
 from repro.exec.chaos import CHAOS_FAULTS, ChaosPolicy, unit_hash
 from repro.exec.executor import ExecTask, ExecutionOutcome, ResilientExecutor
 from repro.exec.journal import JOURNAL_VERSION, CheckpointJournal
-from repro.exec.policy import (
-    ExecPolicy,
-    current_exec_policy,
-    set_exec_policy,
-    using_exec_policy,
-)
+from repro.exec.policy import ExecPolicy, current_exec_policy, using_exec_policy
 from repro.exec.report import (
     ExecutionEvent,
     ExecutionReport,
@@ -52,7 +47,6 @@ __all__ = [
     "CheckpointJournal",
     "ExecPolicy",
     "current_exec_policy",
-    "set_exec_policy",
     "using_exec_policy",
     "ExecutionEvent",
     "ExecutionReport",

@@ -47,6 +47,7 @@ from repro.exec.chaos import ChaosPolicy, unit_hash
 from repro.exec.journal import CheckpointJournal
 from repro.exec.policy import ExecPolicy, current_exec_policy
 from repro.exec.report import ExecutionReport, record_report
+from repro.obs.export import pump
 from repro.obs.tracer import (
     NULL_TRACER,
     WorkerTraceConfig,
@@ -532,6 +533,7 @@ class ResilientExecutor:
         report.completed += 1
         if self.journal is not None:
             self.journal.record(task_id, value)
+        pump()
 
     def _run_inline(
         self,

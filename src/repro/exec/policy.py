@@ -20,7 +20,6 @@ from repro.exec.chaos import ChaosPolicy
 __all__ = [
     "ExecPolicy",
     "current_exec_policy",
-    "set_exec_policy",
     "using_exec_policy",
 ]
 
@@ -103,13 +102,6 @@ def current_exec_policy() -> ExecPolicy:
     if _default_policy is None:
         _default_policy = ExecPolicy()
     return _default_policy
-
-
-def set_exec_policy(policy: ExecPolicy | None) -> ExecPolicy:
-    """Replace the ambient policy (``None`` resets to the defaults)."""
-    global _default_policy
-    _default_policy = policy
-    return current_exec_policy()
 
 
 @contextlib.contextmanager

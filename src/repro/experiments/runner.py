@@ -2,9 +2,11 @@
 
 The suite's load computations all flow through
 :func:`repro.core.analysis.compute_loads` and therefore honour the
-process-wide default :class:`~repro.load.engine.LoadEngine`; passing
-``engine=`` here pins a specific backend (e.g. ``"reference"``) for the
-duration of the run.
+process-wide default :class:`~repro.load.engine.LoadEngine`; wrap a run
+in :func:`repro.load.engine.using_engine` (the CLI's ``--engine``) to
+pin a specific backend.  After each experiment the runner calls
+:func:`repro.obs.export.pump`, so ``--metrics-out`` snapshots land
+while the suite runs.
 
 The runner is partial-failure tolerant: an experiment that *raises* is
 recorded as a failed :class:`~repro.experiments.base.ExperimentResult`
@@ -28,7 +30,6 @@ from repro.experiments.base import (
     experiment_ids,
     get_experiment,
 )
-from repro.load.engine import using_engine
 from repro.obs.export import pump
 from repro.obs.tracer import current_tracer
 from repro.util.tables import Table
@@ -94,14 +95,10 @@ def _decode_result(data: dict[str, Any]) -> ExperimentResult:
 
 def run_all(
     quick: bool = False,
-    engine=None,
     checkpoint: str | None = None,
     resume: bool = False,
 ) -> dict[str, ExperimentResult]:
     """Execute every registered experiment; returns ``{id: result}``.
-
-    ``engine`` is a :class:`~repro.load.engine.LoadEngine`, a backend
-    name, or ``None`` to keep the current default engine.
 
     An experiment that raises is recorded as a failed result (exception
     plus traceback tail in its findings) and the sweep continues.
@@ -125,33 +122,32 @@ def run_all(
     results: dict[str, ExperimentResult] = {}
     tracer = current_tracer()
     try:
-        with using_engine(engine):
-            for exp_id in experiment_ids():
-                if journal is not None and exp_id in journal:
-                    results[exp_id] = journal.completed[exp_id]
-                    continue
-                exp = get_experiment(exp_id)
-                started = time.perf_counter()
-                crashed = False
-                with tracer.span(
-                    "experiment.run", experiment=exp_id, quick=quick
-                ) as span:
-                    try:
-                        result = exp.run(quick=quick)
-                    except Exception as err:
-                        result = _crashed_result(exp, err)
-                        crashed = True
-                        span.annotate(crashed=type(err).__name__)
-                result.elapsed_seconds = time.perf_counter() - started
-                results[exp_id] = result
-                if tracer.enabled:
-                    if crashed:
-                        tracer.metrics.counter("experiment.crashed").add(1)
-                    else:
-                        tracer.metrics.counter("experiment.completed").add(1)
-                pump()
-                if journal is not None:
-                    journal.record(exp_id, result)
+        for exp_id in experiment_ids():
+            if journal is not None and exp_id in journal:
+                results[exp_id] = journal.completed[exp_id]
+                continue
+            exp = get_experiment(exp_id)
+            started = time.perf_counter()
+            crashed = False
+            with tracer.span(
+                "experiment.run", experiment=exp_id, quick=quick
+            ) as span:
+                try:
+                    result = exp.run(quick=quick)
+                except Exception as err:
+                    result = _crashed_result(exp, err)
+                    crashed = True
+                    span.annotate(crashed=type(err).__name__)
+            result.elapsed_seconds = time.perf_counter() - started
+            results[exp_id] = result
+            if tracer.enabled:
+                if crashed:
+                    tracer.metrics.counter("experiment.crashed").add(1)
+                else:
+                    tracer.metrics.counter("experiment.completed").add(1)
+            pump()
+            if journal is not None:
+                journal.record(exp_id, result)
     finally:
         if journal is not None:
             journal.close()
@@ -196,6 +192,6 @@ def _timing_table(results: dict[str, ExperimentResult]) -> Table | None:
     return table
 
 
-def render_all(quick: bool = False, engine=None) -> str:
+def render_all(quick: bool = False) -> str:
     """Run everything and produce one markdown report."""
-    return render_results(run_all(quick=quick, engine=engine), quick=quick)
+    return render_results(run_all(quick=quick), quick=quick)

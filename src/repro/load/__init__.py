@@ -36,13 +36,7 @@ from repro.load import engine
 from repro.load.engine import LoadEngine
 from repro.load.report import LoadReport, load_report
 from repro.load import formulas, bounds, quantize, plancache
-from repro.load.plancache import (
-    NULL_PLAN_CACHE,
-    PlanCache,
-    current_plan_cache,
-    set_plan_cache,
-    using_plan_cache,
-)
+from repro.load.plancache import PlanCache, current_plan_cache, using_plan_cache
 from repro.load.traffic import (
     complete_exchange_weights,
     permutation_traffic_weights,
@@ -64,9 +58,7 @@ __all__ = [
     "quantize",
     "plancache",
     "PlanCache",
-    "NULL_PLAN_CACHE",
     "current_plan_cache",
-    "set_plan_cache",
     "using_plan_cache",
     "complete_exchange_weights",
     "permutation_traffic_weights",

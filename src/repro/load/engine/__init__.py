@@ -29,18 +29,13 @@ from repro.load.engine.displacement import (
     accumulate_displacement_loads,
     displacement_edge_loads,
 )
-from repro.load.engine.fft import (
-    FFTBackend,
-    fft_edge_loads,
-    fft_edge_loads_many,
-)
+from repro.load.engine.fft import FFTBackend, fft_edge_loads
 from repro.load.engine.facade import (
     LoadEngine,
     available_backends,
     cross_check,
     get_default_engine,
     resolve_engine,
-    set_default_engine,
     using_engine,
 )
 from repro.load.engine.reference import ReferenceBackend
@@ -57,13 +52,11 @@ __all__ = [
     "PathTemplate",
     "displacement_edge_loads",
     "fft_edge_loads",
-    "fft_edge_loads_many",
     "accumulate_displacement_loads",
     "validate_pair_weights",
     "available_backends",
     "cross_check",
     "get_default_engine",
-    "set_default_engine",
     "resolve_engine",
     "using_engine",
 ]

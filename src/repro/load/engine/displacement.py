@@ -243,15 +243,14 @@ def displacement_edge_loads(
 class DisplacementBackend(LoadBackend):
     """Serial backend built on :class:`DisplacementPathCache`.
 
-    Caches templates per ``(torus, routing)`` pair across calls, so
-    sweeps that re-analyze the same configuration pay the path
-    enumerations once.
+    Takes its templates from the ambient
+    :class:`~repro.load.plancache.PlanCache`, the same ones the FFT
+    backend uses, so sweeps that re-analyze the same configuration pay
+    the path enumerations once, however many routing instances they
+    build.
     """
 
     name = "displacement"
-
-    def __init__(self):
-        self._caches: dict[tuple[Torus, int], DisplacementPathCache] = {}
 
     def supports(
         self,
@@ -267,11 +266,13 @@ class DisplacementBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        key = (placement.torus, id(routing))
-        cache = self._caches.get(key)
-        if cache is None or cache.routing is not routing:
-            cache = DisplacementPathCache(placement.torus, routing)
-            self._caches[key] = cache
+        # imported here: the plan cache module imports this one
+        from repro.load.plancache import current_plan_cache
+
+        plan = current_plan_cache().get(placement.torus, routing)
         return displacement_edge_loads(
-            placement, routing, pair_weights=pair_weights, cache=cache
+            placement,
+            routing,
+            pair_weights=pair_weights,
+            cache=plan.path_cache,
         )

@@ -40,7 +40,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import EngineError
-from repro.load import plancache
 from repro.load.engine.base import LoadBackend
 from repro.obs.tracer import current_tracer
 from repro.load.engine.displacement import DisplacementBackend
@@ -54,7 +53,6 @@ __all__ = [
     "LoadEngine",
     "available_backends",
     "get_default_engine",
-    "set_default_engine",
     "resolve_engine",
     "using_engine",
     "cross_check",
@@ -67,6 +65,9 @@ __all__ = [
 _AUTO_ORDER = ("fft", "vectorized", "displacement", "reference")
 
 _BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")
+
+#: placements per block of :meth:`LoadEngine.edge_loads_many`.
+_BLOCK = 64
 
 
 def available_backends() -> tuple[str, ...]:
@@ -193,7 +194,6 @@ class LoadEngine:
         placements: "Iterable[Placement]",
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
-        batch_size: int | None = None,
     ) -> np.ndarray:
         """Per-edge loads of a placement batch; ``(B, num_edges)``.
 
@@ -204,11 +204,8 @@ class LoadEngine:
         the plan cache's usage spectrum, other backends fall back to the
         sequential loop.  ``auto`` picks one backend for the whole batch,
         the one :meth:`backend_for` picks for ``placements[0]``.  The
-        batch is evaluated in blocks of
-        ``batch_size`` placements (default: the ambient
-        :func:`repro.load.plancache.default_batch_size`, the CLI's
-        ``--batch-size``); realized block sizes land on the
-        ``engine.batch_size`` histogram.
+        batch is evaluated in blocks of 64 placements; realized block
+        sizes land on the ``engine.batch_size`` histogram.
         """
         placements = list(placements)
         if not placements:
@@ -221,18 +218,11 @@ class LoadEngine:
                     f"got {torus} and {placement.torus}"
                 )
         backend = self.backend_for(placements[0], routing, pair_weights)
-        block = (
-            int(batch_size)
-            if batch_size is not None
-            else plancache.default_batch_size()
-        )
-        if block < 1:
-            raise EngineError(f"batch_size must be >= 1, got {block}")
 
         def run() -> np.ndarray:
             blocks = []
-            for lo in range(0, len(placements), block):
-                chunk = placements[lo : lo + block]
+            for lo in range(0, len(placements), _BLOCK):
+                chunk = placements[lo : lo + _BLOCK]
                 metrics.histogram("engine.batch_size").observe(len(chunk))
                 blocks.append(
                     backend.compute_many(
@@ -271,12 +261,10 @@ class LoadEngine:
         placements: "Iterable[Placement]",
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
-        batch_size: int | None = None,
     ) -> np.ndarray:
         """:math:`E_{max}` per batch member; ``float64`` of length ``B``."""
         loads = self.edge_loads_many(
-            placements, routing, pair_weights=pair_weights,
-            batch_size=batch_size,
+            placements, routing, pair_weights=pair_weights
         )
         return loads.max(axis=1, initial=0.0)
 
@@ -297,17 +285,6 @@ def get_default_engine() -> LoadEngine:
     return _default_engine
 
 
-def set_default_engine(engine: "LoadEngine | str | None") -> LoadEngine:
-    """Replace the process-wide default engine.
-
-    Accepts an engine instance, a backend name, or ``None`` to reset to
-    ``auto``.  Returns the engine now in effect.
-    """
-    global _default_engine
-    _default_engine = None if engine is None else resolve_engine(engine)
-    return get_default_engine()
-
-
 def resolve_engine(engine: "LoadEngine | str | None") -> LoadEngine:
     """Coerce an engine spec (instance, backend name, or ``None``)."""
     if engine is None:
@@ -325,17 +302,19 @@ def resolve_engine(engine: "LoadEngine | str | None") -> LoadEngine:
 def using_engine(engine: "LoadEngine | str | None") -> Iterator[LoadEngine]:
     """Temporarily install ``engine`` as the process-wide default.
 
-    ``None`` is a no-op (the current default stays in effect), so callers
-    can thread an optional engine argument straight through.
+    Accepts an engine instance or a backend name.  ``None`` is a no-op
+    (the current default stays in effect), as for the other ambient
+    ``using_*`` installers.
     """
     global _default_engine
     if engine is None:
         yield get_default_engine()
         return
     previous = _default_engine
-    set_default_engine(engine)
+    installed = resolve_engine(engine)
+    _default_engine = installed
     try:
-        yield get_default_engine()
+        yield installed
     finally:
         _default_engine = previous
 

@@ -86,7 +86,7 @@ from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
 from repro.torus.coords import all_coords
 
-__all__ = ["FFTBackend", "fft_edge_loads", "fft_edge_loads_many"]
+__all__ = ["FFTBackend", "fft_edge_loads"]
 
 
 # ----------------------------------------------------------- coset test
@@ -410,21 +410,6 @@ def fft_edge_loads(
     return FFTBackend().compute(placement, routing, pair_weights=pair_weights)
 
 
-def fft_edge_loads_many(
-    placements: list[Placement],
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-edge loads of a placement batch, ``(B, num_edges)``.
-
-    Bit-identical to stacking :func:`fft_edge_loads` rows; see
-    :meth:`FFTBackend.compute_many` for the batching strategy.
-    """
-    return FFTBackend().compute_many(
-        placements, routing, pair_weights=pair_weights
-    )
-
-
 # --------------------------------------------------------------- backend
 
 
@@ -440,7 +425,7 @@ class FFTBackend(LoadBackend):
 
     All configuration-dependent state — the per-placement coset
     verdicts, path templates and forward usage spectra — lives in the
-    ambient content-addressed :class:`~repro.load.plancache.PlanCache` (see
+    ambient :class:`~repro.load.plancache.PlanCache` (see
     :func:`~repro.load.plancache.using_plan_cache`), so sweeps and
     search loops that re-evaluate the same configuration pay only one
     forward transform, one product, and one inverse transform per call,

@@ -1,4 +1,4 @@
-"""Content-addressed spectral plan cache — shared warm state for the engine.
+"""Spectral plan cache — shared warm state for the load engine.
 
 The FFT backend's per-call cost splits into two parts: work that depends
 only on the *configuration* ``(torus shape, routing)`` — displacement
@@ -7,19 +7,18 @@ path templates and forward usage spectra — and work that depends on the
 transform.  Caching the first part per backend instance would make every
 fresh :class:`~repro.load.engine.LoadEngine` re-derive it from scratch.
 
-This module hoists that state into a process-wide bounded LRU keyed by a
-**content address**: the same JSON-compatible fingerprint scheme
-:class:`repro.exec.journal.CheckpointJournal` uses for workload headers,
-here over ``(shape, routing, plan-scheme version)``.  Two routing
-*instances* with the same structural fingerprint share one plan —
-``id()`` never appears in a key, so a worker process addresses the exact
-same plans the parent does.
+This module hoists that state into a process-wide bounded LRU keyed by
+a structural fingerprint of the configuration: torus shape, routing
+class, routing name and (for the dimension-order family) the dimension
+order.  Two routing *instances* with the same structure share one plan,
+so fresh engines, fresh routing instances, and the FFT and displacement
+backends all reuse the same path templates.  Each process builds its
+own plans.
 
 The ambient-policy convention mirrors ``using_engine`` /
 ``using_exec_policy`` / ``using_tracer``: instrumented code asks
 :func:`current_plan_cache` for the cache the caller installed with
-:func:`using_plan_cache`; :data:`NULL_PLAN_CACHE` disables reuse without
-touching call sites (the CLI's ``--no-plan-cache``).
+:func:`using_plan_cache`.
 
 Observability: every lookup bumps ``plancache.hits`` / ``plancache.misses``
 (and ``plancache.evictions`` when the LRU rolls), and the current entry
@@ -30,10 +29,9 @@ count lands on the ``plancache.size`` gauge — all through
 from __future__ import annotations
 
 import contextlib
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator
+from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import EngineError
 from repro.load.engine.displacement import DisplacementPathCache
@@ -42,27 +40,13 @@ from repro.routing.base import RoutingAlgorithm
 from repro.torus.topology import Torus
 
 __all__ = [
-    "PLAN_SCHEME_VERSION",
     "DEFAULT_PLAN_CAPACITY",
-    "DEFAULT_BATCH_SIZE",
     "SpectralPlan",
     "PlanCache",
     "PlanCacheStats",
-    "NULL_PLAN_CACHE",
-    "plan_fingerprint",
-    "plan_key",
-    "routing_fingerprint",
-    "get_default_plan_cache",
-    "set_plan_cache",
     "current_plan_cache",
     "using_plan_cache",
-    "default_batch_size",
-    "set_default_batch_size",
 ]
-
-#: bump when the cached plan layout changes incompatibly — a different
-#: scheme version is a different content address, never a stale hit.
-PLAN_SCHEME_VERSION = 2
 
 #: plans kept by the default LRU before the least-recently-used rolls off.
 DEFAULT_PLAN_CAPACITY = 32
@@ -71,45 +55,23 @@ DEFAULT_PLAN_CAPACITY = 32
 #: full).
 MAX_PLAN_ENTRIES = 64
 
-#: placements evaluated per spectral block when the caller gives no
-#: explicit batch size (the CLI's ``--batch-size``).
-DEFAULT_BATCH_SIZE = 64
+#: the fingerprint: ``(shape, routing class, routing name, order)``.
+_PlanKey = tuple[tuple[int, ...], str, str, Optional[tuple[int, ...]]]
 
 
-# --------------------------------------------------------- content address
+def _plan_key(torus: Torus, routing: RoutingAlgorithm) -> _PlanKey:
+    """Structural (not ``id``-based) identity of one configuration.
 
-
-def routing_fingerprint(routing: RoutingAlgorithm) -> Dict[str, Any]:
-    """Structural (not ``id``-based) identity of a routing algorithm.
-
-    Class name, report name, and the dimension permutation for the
-    dimension-order family — everything that determines the path set of
-    a displacement class for the routings the engine accepts.
+    Everything that determines the path set of a displacement class for
+    the routings the engine accepts.
     """
     order = getattr(routing, "order", None)
-    return {
-        "class": type(routing).__name__,
-        "name": routing.name,
-        "order": None if order is None else [int(i) for i in order],
-    }
-
-
-def plan_fingerprint(torus: Torus, routing: RoutingAlgorithm) -> Dict[str, Any]:
-    """The JSON-compatible content address of one spectral plan.
-
-    The same shape a :class:`~repro.exec.journal.CheckpointJournal`
-    header carries: exact-match comparable, picklable, journal-able.
-    """
-    return {
-        "scheme": PLAN_SCHEME_VERSION,
-        "shape": [int(side) for side in torus.shape],
-        "routing": routing_fingerprint(routing),
-    }
-
-
-def plan_key(fingerprint: Dict[str, Any]) -> str:
-    """Canonical string form of a fingerprint (the LRU key)."""
-    return json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return (
+        torus.shape,
+        type(routing).__name__,
+        routing.name,
+        None if order is None else tuple(order),
+    )
 
 
 # ----------------------------------------------------------------- plans
@@ -125,21 +87,11 @@ class SpectralPlan:
     shares an entry.
     """
 
-    def __init__(
-        self,
-        torus: Torus,
-        routing: RoutingAlgorithm,
-        fingerprint: Dict[str, Any],
-    ) -> None:
+    def __init__(self, torus: Torus, routing: RoutingAlgorithm) -> None:
         self.torus = torus
         self.routing = routing
-        self.fingerprint = fingerprint
         self.path_cache = DisplacementPathCache(torus, routing)
         self.spectra: Dict[bytes, Any] = {}
-
-    @property
-    def key(self) -> str:
-        return plan_key(self.fingerprint)
 
     def __repr__(self) -> str:
         return (
@@ -168,7 +120,7 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """A bounded LRU of :class:`SpectralPlan` entries, content-addressed.
+    """A bounded LRU of :class:`SpectralPlan` entries, keyed by structure.
 
     Beside the plans it keeps the FFT backend's per-placement coset
     verdicts (:meth:`coset`, :meth:`remember_coset`; values are opaque
@@ -187,7 +139,7 @@ class PlanCache:
         if capacity < 1:
             raise EngineError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._plans: "OrderedDict[str, SpectralPlan]" = OrderedDict()
+        self._plans: "OrderedDict[_PlanKey, SpectralPlan]" = OrderedDict()
         self._cosets: Dict[Any, Any] = {}
         self._hits = 0
         self._misses = 0
@@ -197,8 +149,7 @@ class PlanCache:
 
     def get(self, torus: Torus, routing: RoutingAlgorithm) -> SpectralPlan:
         """The plan for this configuration, built on first request."""
-        fingerprint = plan_fingerprint(torus, routing)
-        key = plan_key(fingerprint)
+        key = _plan_key(torus, routing)
         metrics = current_tracer().metrics
         plan = self._plans.get(key)
         if plan is not None:
@@ -208,7 +159,7 @@ class PlanCache:
             return plan
         self._misses += 1
         metrics.counter("plancache.misses").add(1)
-        plan = SpectralPlan(torus, routing, fingerprint)
+        plan = SpectralPlan(torus, routing)
         self._plans[key] = plan
         if len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
@@ -236,13 +187,6 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._plans
-
-    def keys(self) -> list[str]:
-        """Resident content addresses, least recently used first."""
-        return list(self._plans)
-
     def clear(self) -> None:
         """Drop every resident plan and coset verdict (tallies are kept —
         they are history)."""
@@ -258,54 +202,14 @@ class PlanCache:
         )
 
 
-class _NullPlanCache(PlanCache):
-    """A cache that never retains — every lookup builds a fresh plan,
-    and no coset verdict is remembered.
-
-    Installed by ``--no-plan-cache``; call sites stay oblivious.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def get(self, torus: Torus, routing: RoutingAlgorithm) -> SpectralPlan:
-        return SpectralPlan(torus, routing, plan_fingerprint(torus, routing))
-
-    def remember_coset(self, placement_key: Any, verdict: Any) -> None:
-        pass
-
-
-#: the shared do-nothing cache — plan reuse disabled, semantics unchanged.
-NULL_PLAN_CACHE: PlanCache = _NullPlanCache()
-
-
 # ------------------------------------------------------------ ambient cache
 
-_default_plan_cache: PlanCache | None = None
-
-
-def get_default_plan_cache() -> PlanCache:
-    """The process-wide plan cache used when none was installed."""
-    global _default_plan_cache
-    if _default_plan_cache is None:
-        _default_plan_cache = PlanCache()
-    return _default_plan_cache
-
-
-def set_plan_cache(cache: PlanCache | None) -> PlanCache:
-    """Replace the process-wide plan cache.
-
-    ``None`` resets to a fresh default-capacity cache.  Returns the cache
-    now in effect.
-    """
-    global _default_plan_cache
-    _default_plan_cache = cache
-    return get_default_plan_cache()
+_plan_cache = PlanCache()
 
 
 def current_plan_cache() -> PlanCache:
     """The ambient plan cache instrumented code should consult."""
-    return get_default_plan_cache()
+    return _plan_cache
 
 
 @contextlib.contextmanager
@@ -313,38 +217,15 @@ def using_plan_cache(cache: PlanCache | None) -> Iterator[PlanCache]:
     """Temporarily install ``cache`` as the process-wide plan cache.
 
     ``None`` is a no-op (the current cache stays in effect), matching the
-    :func:`repro.load.engine.using_engine` convention so callers can
-    thread an optional cache argument straight through.
+    :func:`repro.load.engine.using_engine` convention.
     """
-    global _default_plan_cache
+    global _plan_cache
     if cache is None:
-        yield get_default_plan_cache()
+        yield _plan_cache
         return
-    previous = _default_plan_cache
-    _default_plan_cache = cache
+    previous = _plan_cache
+    _plan_cache = cache
     try:
         yield cache
     finally:
-        _default_plan_cache = previous
-
-
-# ------------------------------------------------------------- batch size
-
-_default_batch_size: int = DEFAULT_BATCH_SIZE
-
-
-def default_batch_size() -> int:
-    """Placements per spectral block when callers pass ``batch_size=None``."""
-    return _default_batch_size
-
-
-def set_default_batch_size(size: int | None) -> int:
-    """Set the ambient batch size (``None`` resets to the default)."""
-    global _default_batch_size
-    if size is None:
-        _default_batch_size = DEFAULT_BATCH_SIZE
-    else:
-        if size < 1:
-            raise EngineError(f"batch size must be >= 1, got {size}")
-        _default_batch_size = int(size)
-    return _default_batch_size
+        _plan_cache = previous

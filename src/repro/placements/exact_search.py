@@ -527,9 +527,7 @@ def _candidate_leaf_placements(torus: Torus, size: int) -> list[Placement]:
 
 
 def screen_initial_upper_bound(
-    torus: Torus,
-    size: int,
-    batch_size: int | None = None,
+    torus: Torus, size: int
 ) -> tuple[float, Placement] | None:
     """Batched incumbent seed for ``bound``-mode certification.
 
@@ -549,9 +547,7 @@ def screen_initial_upper_bound(
     from repro.routing.odr import OrderedDimensionalRouting
 
     emaxes = LoadEngine("fft").emax_many(
-        candidates,
-        OrderedDimensionalRouting(torus.d),
-        batch_size=batch_size,
+        candidates, OrderedDimensionalRouting(torus.d)
     )
     best = int(np.argmin(emaxes))
     return float(emaxes[best]), candidates[best]

@@ -5,14 +5,16 @@ placements mixed freely on tori up to :math:`T_5^3`, under ODR, UDR, and
 all-minimal routing — and checks that every row of
 ``LoadEngine.edge_loads_many`` is *bit*-identical (``np.array_equal``,
 not allclose) to the corresponding sequential ``edge_loads`` call, for
-any chunking ``batch_size``.
+any block size, including blocks smaller than the batch.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.load.engine import LoadEngine
+from repro.load.engine import LoadEngine, facade
 from repro.load.plancache import PlanCache, using_plan_cache
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
@@ -72,9 +74,11 @@ def batch_case(draw):
 @settings(max_examples=50, deadline=None)
 def test_batched_rows_bit_identical_to_sequential(case):
     placements, routing, block = case
-    with using_plan_cache(PlanCache()):
+    with using_plan_cache(PlanCache()), mock.patch.object(
+        facade, "_BLOCK", block
+    ):
         engine = LoadEngine("fft")
-        batched = engine.edge_loads_many(placements, routing, batch_size=block)
+        batched = engine.edge_loads_many(placements, routing)
         sequential = np.stack(
             [engine.edge_loads(p, routing) for p in placements]
         )
@@ -86,8 +90,10 @@ def test_batched_rows_bit_identical_to_sequential(case):
 @settings(max_examples=25, deadline=None)
 def test_emax_many_bit_identical_to_sequential_emax(case):
     placements, routing, block = case
-    with using_plan_cache(PlanCache()):
+    with using_plan_cache(PlanCache()), mock.patch.object(
+        facade, "_BLOCK", block
+    ):
         engine = LoadEngine("fft")
-        batched = engine.emax_many(placements, routing, batch_size=block)
+        batched = engine.emax_many(placements, routing)
         single = [engine.emax(p, routing) for p in placements]
     assert batched.tolist() == single

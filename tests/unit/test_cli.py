@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -80,13 +83,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "growth exponent" in out
 
-    def test_error_exit_code(self, capsys):
-        # k=1 is an invalid radix: the CLI reports and exits 2
-        _assert_named_error(capsys, ["design", "--k", "1", "--d", "2"])
-
-    def test_unknown_experiment_errors(self, capsys):
-        _assert_named_error(capsys, ["experiments", "--only", "EXP-99"])
-
 
 def _assert_named_error(capsys, argv):
     """``argv`` exits 2 with an ``error:`` line and no traceback."""
@@ -101,30 +97,43 @@ def _assert_named_error(capsys, argv):
     return captured
 
 
+#: the minimal valid invocation of each subcommand that took the
+#: deleted ``--batch-size``/``--no-plan-cache`` flags.
+_LOAD_COMMANDS = {
+    "analyze": ["analyze", "--k", "4", "--d", "2"],
+    "sweep": ["sweep", "--d", "2", "--ks", "4"],
+    "experiments": ["experiments", "--only", "EXP-2"],
+    "certify": ["certify", "--k", "3", "--d", "2"],
+}
+
+_BAD_INPUT = {
+    "resume-without-checkpoint": ["certify", "--k", "3", "--d", "2", "--resume"],
+    "radix-one": ["certify", "--k", "1", "--d", "2"],
+    "design-radix-one": ["design", "--k", "1", "--d", "2"],
+    "size-beyond-torus": ["certify", "--k", "3", "--d", "2", "--size", "100"],
+    "unachievable-ub": ["certify", "--k", "3", "--d", "2", "--ub", "0.25"],
+    "unknown-experiment": ["experiments", "--only", "EXP-99"],
+    "corrupt-trace": ["trace", "summarize", "{corrupt}"],
+    "missing-trace": ["trace", "summarize", "{missing}"],
+    "deleted-parallel-engine": [
+        "analyze", "--k", "4", "--d", "2", "--engine", "parallel"
+    ],
+    "jobs-on-analyze": ["analyze", "--k", "4", "--d", "2", "--jobs", "2"],
+}
+for _command, _argv in _LOAD_COMMANDS.items():
+    _BAD_INPUT[f"batch-size-on-{_command}"] = _argv + ["--batch-size", "8"]
+    _BAD_INPUT[f"no-plan-cache-on-{_command}"] = _argv + ["--no-plan-cache"]
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["certify", "--k", "3", "--d", "2", "--resume"],
-            ["certify", "--k", "1", "--d", "2"],
-            ["certify", "--k", "3", "--d", "2", "--size", "100"],
-            ["trace", "summarize", "{corrupt}"],
-            ["analyze", "--k", "4", "--d", "2", "--engine", "parallel"],
-            ["analyze", "--k", "4", "--d", "2", "--jobs", "2"],
-        ],
-        ids=[
-            "resume-without-checkpoint",
-            "radix-one",
-            "size-beyond-torus",
-            "corrupt-trace",
-            "deleted-parallel-engine",
-            "jobs-on-analyze",
-        ],
+        "argv", list(_BAD_INPUT.values()), ids=list(_BAD_INPUT)
     )
     def test_exits_2_with_named_error(self, capsys, tmp_path, argv):
         corrupt = tmp_path / "corrupt.jsonl"
         corrupt.write_text("not a trace\n")
-        argv = [str(corrupt) if arg == "{corrupt}" else arg for arg in argv]
+        paths = {"{corrupt}": corrupt, "{missing}": tmp_path / "nope.jsonl"}
+        argv = [str(paths.get(arg, arg)) for arg in argv]
         captured = _assert_named_error(capsys, argv)
         # the --resume check runs before the incumbent screen
         assert "incumbent seed" not in captured.out
@@ -151,11 +160,6 @@ class TestCertify:
         ) == 0
         out = capsys.readouterr().out
         assert "certified space : all C(9, 2) = 36 placements" in out
-
-    def test_unachievable_ub_exits_nonzero(self, capsys):
-        _assert_named_error(
-            capsys, ["certify", "--k", "3", "--d", "2", "--ub", "0.25"]
-        )
 
 
 class TestAnalyzeMarkdown:
@@ -192,10 +196,20 @@ class TestObservabilityFlags:
         assert out.startswith("# Trace summary — certify")
         assert "search.certify" in out
 
-    def test_trace_summarize_missing_file_errors(self, capsys, tmp_path):
-        _assert_named_error(
-            capsys, ["trace", "summarize", str(tmp_path / "nope.jsonl")]
-        )
+    @pytest.mark.skipif(
+        not Path("/proc/self/statm").exists(), reason="needs procfs"
+    )
+    def test_sample_resources_reaches_every_snapshot(self, capsys, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        assert main(
+            ["certify", "--k", "4", "--d", "2", "--jobs", "2",
+             "--metrics-out", str(path), "--metrics-interval", "0",
+             "--sample-resources"]
+        ) == 0
+        capsys.readouterr()
+        snapshots = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(snapshots) > 1  # the executor pumps once per task
+        assert "proc.rss_bytes" in snapshots[-1]["values"]["gauges"]
 
     def test_profile_flag_writes_dump(self, capsys, tmp_path):
         out = tmp_path / "analyze.prof"

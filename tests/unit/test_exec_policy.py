@@ -9,15 +9,8 @@ from repro.exec import (
     ChaosPolicy,
     ExecPolicy,
     current_exec_policy,
-    set_exec_policy,
     using_exec_policy,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_policy():
-    yield
-    set_exec_policy(None)
 
 
 class TestExecPolicy:
@@ -54,14 +47,7 @@ class TestExecPolicy:
 
 class TestAmbientPolicy:
     def test_default_is_lazily_built(self):
-        set_exec_policy(None)
         assert current_exec_policy() == ExecPolicy()
-
-    def test_set_and_reset(self):
-        custom = ExecPolicy(retries=7)
-        assert set_exec_policy(custom) is custom
-        assert current_exec_policy() is custom
-        assert set_exec_policy(None) == ExecPolicy()
 
     def test_using_installs_and_restores(self):
         before = current_exec_policy()
@@ -73,8 +59,7 @@ class TestAmbientPolicy:
 
     def test_using_none_is_a_noop(self):
         custom = ExecPolicy(retries=5)
-        set_exec_policy(custom)
-        with using_exec_policy(None) as installed:
+        with using_exec_policy(custom), using_exec_policy(None) as installed:
             assert installed is custom
             assert current_exec_policy() is custom
 

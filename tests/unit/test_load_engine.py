@@ -17,9 +17,9 @@ from repro.load.engine import (
     displacement_edge_loads,
     get_default_engine,
     resolve_engine,
-    set_default_engine,
     using_engine,
 )
+from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.load.traffic import hotspot_traffic_weights
 from repro.placements.base import Placement
@@ -225,6 +225,37 @@ class TestDisplacementCache:
         assert len(cache) == n_templates
         assert np.array_equal(first, second)
 
+    def test_backend_keeps_one_plan_for_fresh_routing_instances(
+        self, torus_5_2, monkeypatch
+    ):
+        # each call brings a new routing instance; the templates live in
+        # the plan cache, keyed by the routing's structure, not its id
+        placement = Placement(
+            torus_5_2, torus_5_2.node_ids([(0, 0), (1, 2), (3, 4), (4, 1)])
+        )
+        builds: dict = {}
+        build = DisplacementPathCache._build
+
+        def counting_build(cache, disp):
+            builds[disp] = builds.get(disp, 0) + 1
+            return build(cache, disp)
+
+        monkeypatch.setattr(DisplacementPathCache, "_build", counting_build)
+        plans = PlanCache()
+        engine = LoadEngine("displacement")
+        with using_plan_cache(plans):
+            rows = [
+                engine.edge_loads(placement, AllMinimalPaths())
+                for _ in range(20)
+            ]
+        assert len(plans) == 1
+        assert plans.stats.misses == 1
+        assert set(builds.values()) == {1}
+        plan = plans.get(torus_5_2, AllMinimalPaths())
+        assert len(plan.path_cache) == len(builds)
+        for row in rows[1:]:
+            assert np.array_equal(row, rows[0])
+
     def test_asymmetric_placement(self, torus_5_2):
         # not closed under translation: every displacement class is small
         placement = Placement(
@@ -276,11 +307,9 @@ class TestEngineErrors:
 
 class TestDefaultEngine:
     def test_default_is_auto(self):
-        set_default_engine(None)
         assert get_default_engine().backend_name == "auto"
 
     def test_using_engine_restores(self):
-        set_default_engine(None)
         before = get_default_engine()
         with using_engine("reference") as eng:
             assert eng.backend_name == "reference"
@@ -288,20 +317,13 @@ class TestDefaultEngine:
         assert get_default_engine() is before
 
     def test_using_engine_none_is_noop(self):
-        set_default_engine("vectorized")
-        try:
-            with using_engine(None) as eng:
-                assert eng.backend_name == "vectorized"
-        finally:
-            set_default_engine(None)
+        with using_engine("vectorized"), using_engine(None) as eng:
+            assert eng.backend_name == "vectorized"
 
     def test_set_by_name(self):
-        try:
-            eng = set_default_engine("displacement")
+        with using_engine("displacement") as eng:
             assert eng.backend_name == "displacement"
             assert get_default_engine() is eng
-        finally:
-            set_default_engine(None)
 
     def test_available_backends(self):
         names = available_backends()

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import EngineError
 from repro.exec import ExecPolicy, ExecTask, ResilientExecutor
-from repro.load.engine import LoadEngine
+from repro.load.engine import LoadEngine, facade
 from repro.load.plancache import PlanCache, using_plan_cache
 from repro.obs import Tracer, using_tracer
 from repro.placements.base import Placement
@@ -65,14 +65,15 @@ class TestEquivalence:
             rows = [engine.edge_loads(p, routing) for p in placements]
         assert np.array_equal(batched, np.stack(rows))
 
-    def test_chunking_does_not_change_the_result(self):
+    def test_chunking_does_not_change_the_result(self, monkeypatch):
         torus = Torus(K, D)
         placements = _mixed_batch(torus)
         routing = OrderedDimensionalRouting(D)
         with using_plan_cache(PlanCache()):
             engine = LoadEngine("fft")
             whole = engine.edge_loads_many(placements, routing)
-            chunked = engine.edge_loads_many(placements, routing, batch_size=2)
+            monkeypatch.setattr(facade, "_BLOCK", 2)
+            chunked = engine.edge_loads_many(placements, routing)
         assert np.array_equal(whole, chunked)
 
     def test_emax_many_matches_per_placement_emax(self):
@@ -110,22 +111,16 @@ class TestValidation:
                 placements, OrderedDimensionalRouting(2)
             )
 
-    def test_non_positive_batch_size_raises(self):
-        placements = [linear_placement(Torus(4, 2))]
-        with pytest.raises(EngineError, match="batch_size"):
-            LoadEngine("fft").edge_loads_many(
-                placements, OrderedDimensionalRouting(2), batch_size=0
-            )
-
 
 class TestObservability:
-    def test_batch_metrics_land_on_the_tracer(self):
+    def test_batch_metrics_land_on_the_tracer(self, monkeypatch):
         torus = Torus(K, D)
         placements = _mixed_batch(torus)
         tracer = Tracer(label="batch-test")
+        monkeypatch.setattr(facade, "_BLOCK", 4)
         with using_tracer(tracer), using_plan_cache(PlanCache()):
             LoadEngine("fft").edge_loads_many(
-                placements, OrderedDimensionalRouting(D), batch_size=4
+                placements, OrderedDimensionalRouting(D)
             )
         snapshot = tracer.metrics.snapshot()
         assert snapshot["counters"]["engine.batched_placements"] == 6
@@ -150,7 +145,7 @@ def _pool_edge_loads(node_ids):
 
 class TestCrossProcessDeterminism:
     def test_warmed_workers_reproduce_parent_loads_bitwise(self):
-        """Same content address, same bytes — in every worker process."""
+        """Each worker builds its own plans and returns the same bytes."""
         torus = Torus(_POOL_K, _POOL_D)
         routing = OrderedDimensionalRouting(_POOL_D)
         placements = [

@@ -1,32 +1,22 @@
-"""Tests for repro.load.plancache — the content-addressed spectral LRU.
+"""Tests for repro.load.plancache — the spectral plan LRU.
 
 The cache's contract has three independent pieces, each pinned here:
-content addressing (structural fingerprints, never ``id()``), bounded
+structural fingerprints (shape and routing structure, never ``id()``), bounded
 LRU residency (recency order, eviction at capacity), and the ambient
 install/restore convention shared with ``using_engine``/``using_tracer``.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import EngineError
 from repro.load.plancache import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_PLAN_CAPACITY,
     MAX_PLAN_ENTRIES,
-    NULL_PLAN_CACHE,
     PlanCache,
     SpectralPlan,
     current_plan_cache,
-    default_batch_size,
-    plan_fingerprint,
-    plan_key,
-    routing_fingerprint,
-    set_default_batch_size,
-    set_plan_cache,
     using_plan_cache,
 )
 from repro.obs import Tracer, using_tracer
@@ -37,31 +27,31 @@ from repro.torus.topology import Torus
 
 class TestFingerprints:
     def test_fingerprint_is_structural_not_identity(self):
-        torus = Torus(4, 2)
-        a = plan_fingerprint(torus, OrderedDimensionalRouting(2))
-        b = plan_fingerprint(Torus(4, 2), OrderedDimensionalRouting(2))
-        assert a == b
-        assert plan_key(a) == plan_key(b)
+        cache = PlanCache()
+        first = cache.get(Torus(4, 2), OrderedDimensionalRouting(2))
+        second = cache.get(Torus(4, 2), OrderedDimensionalRouting(2))
+        assert first is second
+        assert len(cache) == 1
 
     def test_fingerprint_separates_configurations(self):
+        cache = PlanCache()
         torus = Torus(4, 2)
-        odr = plan_fingerprint(torus, OrderedDimensionalRouting(2))
-        udr = plan_fingerprint(torus, UnorderedDimensionalRouting())
-        other_shape = plan_fingerprint(Torus(5, 2), OrderedDimensionalRouting(2))
-        keys = {plan_key(f) for f in (odr, udr, other_shape)}
-        assert len(keys) == 3
+        plans = {
+            id(cache.get(torus, OrderedDimensionalRouting(2))),
+            id(cache.get(torus, UnorderedDimensionalRouting())),
+            id(cache.get(Torus(5, 2), OrderedDimensionalRouting(2))),
+        }
+        assert len(plans) == 3
+        assert cache.stats.misses == 3
 
     def test_routing_order_lands_in_the_fingerprint(self):
         from repro.routing.dimension_order import DimensionOrderRouting
 
-        forward = routing_fingerprint(DimensionOrderRouting((0, 1, 2)))
-        reversed_ = routing_fingerprint(DimensionOrderRouting((2, 1, 0)))
-        assert forward["order"] != reversed_["order"]
-
-    def test_key_is_canonical_json(self):
-        fingerprint = plan_fingerprint(Torus(3, 2), OrderedDimensionalRouting(2))
-        decoded = json.loads(plan_key(fingerprint))
-        assert decoded == fingerprint
+        cache = PlanCache()
+        torus = Torus(3, 3)
+        forward = cache.get(torus, DimensionOrderRouting((0, 1, 2)))
+        reversed_ = cache.get(torus, DimensionOrderRouting((2, 1, 0)))
+        assert forward is not reversed_
 
 
 class TestLRU:
@@ -86,25 +76,11 @@ class TestLRU:
         cache.get(c, odr)  # evicts b
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert plan_a.key in cache
-        assert plan_key(plan_fingerprint(b, odr)) not in cache
         # b must be rebuilt (a fresh miss), a is still resident
         assert cache.get(a, odr) is plan_a
         misses_before = cache.stats.misses
         cache.get(b, odr)
         assert cache.stats.misses == misses_before + 1
-
-    def test_keys_in_recency_order(self):
-        cache = PlanCache(capacity=4)
-        odr = OrderedDimensionalRouting(2)
-        a, b = Torus(3, 2), Torus(4, 2)
-        cache.get(a, odr)
-        cache.get(b, odr)
-        cache.get(a, odr)
-        assert cache.keys() == [
-            plan_key(plan_fingerprint(b, odr)),
-            plan_key(plan_fingerprint(a, odr)),
-        ]
 
     def test_clear_keeps_the_tallies(self):
         cache = PlanCache()
@@ -146,19 +122,6 @@ class TestLRU:
         assert snapshot["gauges"]["plancache.size"] == 1
 
 
-class TestNullCache:
-    def test_null_cache_never_retains(self):
-        torus, odr = Torus(3, 2), OrderedDimensionalRouting(2)
-        first = NULL_PLAN_CACHE.get(torus, odr)
-        second = NULL_PLAN_CACHE.get(torus, odr)
-        assert first is not second
-        assert first.key == second.key
-
-    def test_null_cache_remembers_no_coset(self):
-        NULL_PLAN_CACHE.remember_coset("placement", b"key")
-        assert NULL_PLAN_CACHE.coset("placement") is None
-
-
 class TestAmbientCache:
     def test_using_plan_cache_installs_and_restores(self):
         outer = current_plan_cache()
@@ -180,27 +143,3 @@ class TestAmbientCache:
             with using_plan_cache(PlanCache()):
                 raise RuntimeError("boom")
         assert current_plan_cache() is outer
-
-    def test_set_plan_cache_none_resets_to_a_fresh_default(self):
-        previous = current_plan_cache()
-        try:
-            fresh = set_plan_cache(None)
-            assert fresh is current_plan_cache()
-            assert fresh is not previous
-        finally:
-            set_plan_cache(previous)
-
-
-class TestBatchSize:
-    def test_set_and_reset(self):
-        assert default_batch_size() == DEFAULT_BATCH_SIZE
-        try:
-            assert set_default_batch_size(8) == 8
-            assert default_batch_size() == 8
-        finally:
-            assert set_default_batch_size(None) == DEFAULT_BATCH_SIZE
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(EngineError, match="batch size"):
-            set_default_batch_size(0)
-        assert default_batch_size() == DEFAULT_BATCH_SIZE
