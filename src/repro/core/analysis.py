@@ -34,8 +34,10 @@ def compute_loads(
 
     ``engine`` is a :class:`~repro.load.engine.LoadEngine`, a backend
     name, or ``None`` for the process-wide default (the ``auto`` engine:
-    the spectral ``fft`` backend for complete-exchange cosets on
-    translation-invariant routings, vectorized kernels for the other
+    the spectral ``fft`` backend for complete-exchange cosets and
+    multiple linear placements — unions of cosets with fewer difference
+    classes than nodes — on translation-invariant routings, vectorized
+    kernels for the other
     dimension-order and unweighted UDR calls, the displacement-class
     cache for other translation-invariant routings, the
     path-enumerating reference otherwise).

@@ -108,8 +108,8 @@ def current_exec_policy() -> ExecPolicy:
 def using_exec_policy(policy: ExecPolicy | None) -> Iterator[ExecPolicy]:
     """Temporarily install ``policy`` as the ambient execution policy.
 
-    ``None`` is a no-op (the current policy stays in effect), matching the
-    ``using_engine(None)`` convention so optional arguments thread through.
+    ``None`` is a no-op (the current policy stays in effect), so the
+    CLI can pass an optional policy straight through.
     """
     global _default_policy
     if policy is None:

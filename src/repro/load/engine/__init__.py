@@ -15,10 +15,11 @@ vertex-transitive, so for translation-invariant routings the path set of
 a pair depends only on its displacement ``(q - p) mod k``, and one
 canonical template per displacement class replaces per-pair path
 enumeration.  The ``fft`` backend (:mod:`repro.load.engine.fft`) pushes
-that symmetry to its limit for coset placements: their loads are one
-correlation of the placement indicator with the aggregated path-usage
-templates, evaluated for every edge at once by ``numpy.fft.rfftn`` with
-an exact integer snap-back.
+that symmetry to its limit for unions of cosets of a placement's
+translation stabilizer: their loads are one correlation per difference
+class of a source field with the aggregated path-usage templates,
+evaluated for every edge at once by ``numpy.fft.rfftn`` with an exact
+integer snap-back.
 """
 
 from repro.load.engine.base import LoadBackend, validate_pair_weights

@@ -18,14 +18,18 @@ Backends by name:
 ``fft``
     Spectral circular correlation over :math:`Z_k^d` with integer
     snap-back, all edges in one ``rfftn`` pass; spectral only for
-    complete-exchange cosets, displacement-served otherwise.
+    complete exchange on placements whose pairs fall into fewer
+    difference classes modulo their translation stabilizer than they
+    have nodes (cosets, multiple linear placements),
+    displacement-served otherwise.
 ``auto``
     The first backend of fft → vectorized → displacement → reference
     that supports the call, which makes the choice structural:
-    complete-exchange cosets on translation-invariant routings go to
-    ``fft``, other dimension-order and unweighted UDR calls to
-    ``vectorized``, every other translation-invariant case to
-    ``displacement``, and fault-masked routings to ``reference``.
+    complete-exchange cosets and unions of cosets on
+    translation-invariant routings go to ``fft``, other dimension-order
+    and unweighted UDR calls to ``vectorized``, every other
+    translation-invariant case to ``displacement``, and fault-masked
+    routings to ``reference``.
 
 A process-wide *default engine* (``auto`` unless overridden) backs
 :func:`repro.core.analysis.compute_loads` and the experiment runner; the
@@ -59,9 +63,10 @@ __all__ = [
 ]
 
 #: the preference order the ``auto`` engine tries per call: ``fft``
-#: accepts only complete-exchange cosets, where its warm spectral pass
-#: beats every other backend; ``vectorized`` serves the other
-#: dimension-order and unweighted UDR calls.
+#: accepts only complete-exchange unions of cosets with fewer
+#: difference classes than nodes, where its warm spectral pass beats
+#: every other backend; ``vectorized`` serves the other dimension-order
+#: and unweighted UDR calls.
 _AUTO_ORDER = ("fft", "vectorized", "displacement", "reference")
 
 _BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")
@@ -144,7 +149,8 @@ class LoadEngine:
         the configuration; an explicitly named backend is returned
         unconditionally (its ``compute`` raises a descriptive
         :class:`~repro.errors.EngineError` for inputs it cannot serve;
-        ``fft`` serves non-cosets through the displacement evaluation).
+        ``fft`` serves what it rejects through the displacement
+        evaluation).
         """
         if self.backend_name != "auto":
             return self._backend(self.backend_name)
@@ -199,13 +205,14 @@ class LoadEngine:
 
         Every placement must live on the same torus.  Row ``b`` is
         bit-identical to ``edge_loads(placements[b], ...)`` after the
-        quantize snap-back — the FFT backend resolves cosets of one
-        subgroup with a single stacked ``rfftn``/inverse pair against
-        the plan cache's usage spectrum, other backends fall back to the
-        sequential loop.  ``auto`` picks one backend for the whole batch,
-        the one :meth:`backend_for` picks for ``placements[0]``.  The
-        batch is evaluated in blocks of 64 placements; realized block
-        sizes land on the ``engine.batch_size`` histogram.
+        quantize snap-back — the FFT backend resolves the placements it
+        covers by cosets of one subgroup with a single stacked
+        ``rfftn``/inverse pair against the plan cache's usage spectra,
+        other backends fall back to the sequential loop.  ``auto`` picks
+        one backend for the whole batch, the one :meth:`backend_for`
+        picks for ``placements[0]``.  The batch is evaluated in blocks
+        of 64 placements; realized block sizes land on the
+        ``engine.batch_size`` histogram.
         """
         placements = list(placements)
         if not placements:
@@ -299,17 +306,12 @@ def resolve_engine(engine: "LoadEngine | str | None") -> LoadEngine:
 
 
 @contextlib.contextmanager
-def using_engine(engine: "LoadEngine | str | None") -> Iterator[LoadEngine]:
+def using_engine(engine: "LoadEngine | str") -> Iterator[LoadEngine]:
     """Temporarily install ``engine`` as the process-wide default.
 
-    Accepts an engine instance or a backend name.  ``None`` is a no-op
-    (the current default stays in effect), as for the other ambient
-    ``using_*`` installers.
+    Accepts an engine instance or a backend name.
     """
     global _default_engine
-    if engine is None:
-        yield get_default_engine()
-        return
     previous = _default_engine
     installed = resolve_engine(engine)
     _default_engine = installed

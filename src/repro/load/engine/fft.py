@@ -1,4 +1,4 @@
-"""FFT circular-correlation load backend — coset placements in one pass.
+"""FFT circular-correlation load backend — unions of cosets in one pass.
 
 :math:`T_k^d` is the Cayley graph of the group :math:`Z_k^d`, and for a
 translation-invariant routing the Definition-4 contribution of an ordered
@@ -17,35 +17,49 @@ of per-displacement *source fields* :math:`S_δ` (which pairs of class
 ``δ`` start where) with per-displacement *path-usage templates*
 :math:`T_δ`.
 
-The backend evaluates that sum spectrally where it collapses: **coset**
-placements — linear, sublattice, multiple-linear with aligned offsets,
-fully populated — under complete exchange.  A placement with exactly
-``|P| - 1`` distinct nonzero pairwise displacements is a coset of a
-subgroup of :math:`Z_k^d` (``|P - P| = |P|`` forces ``P - P`` to be a
-group), so every source field is the placement's indicator function
-``f`` and the whole sum becomes **one** correlation of ``f`` with the
-aggregated usage tensor :math:`U = \\sum_δ T_δ`, evaluated for all
-:math:`2dk^d` edges by ``numpy.fft.rfftn`` in :math:`O(d\\,k^d \\log k)`,
-independent of the pair count.  Every other input — non-coset
-placements, weighted traffic — is served by the exact displacement-cache
-evaluation instead.  Complete-exchange cosets are therefore the first
-choice of the ``auto`` engine (fft → vectorized → displacement →
-reference).
+The backend evaluates that sum spectrally where it collapses: placements
+with a large translation stabilizer :math:`H = \\{h : P + h = P\\}` —
+linear, sublattice, fully populated, and the paper's multiple linear
+placements — under complete exchange.  Such a ``P`` is a union of
+``t = |P| / |H|`` cosets ``r_i + H``, and the pairs from coset ``i`` to
+coset ``j`` have differences filling the class ``C = (r_j - r_i) + H``.
+Grouping the pairs by the ``D`` difference classes of ``(P - P) / H``
+gives
 
-The coset test is cheap for most placements.  The plan cache remembers
-each coset's verdict — its subgroup ``H = P - p_0`` — for every
-routing, so a warm placement is recognized by one lookup.  Otherwise a
-constant-cost probe rejects almost every non-coset before any plan
-lookup, a subgroup the spectral plan has already verified is accepted
-without a pair pass, and only a new subgroup pays the
-:math:`O(|P|^2)` closure check.  ``supports`` builds nothing;
-``compute`` builds the spectra, once per subgroup.
+.. math::
 
-A cold plan needs ``U`` once per subgroup ``H``: it is the complete
-loads of the pairs ``0 → δ``, ``δ ∈ H∖{0}``.  Dimension-order routings
-and UDR compute it with their vectorized pair kernels
-(:func:`~repro.load.engine.vectorized.pair_kernel`); routings without one
-(all-minimal, unrestricted ODR) sum their per-class path templates.
+    \\mathcal{E} \\;=\\; \\sum_{C} S_C * U_C,
+
+where the source field :math:`S_C` is the indicator of
+``{p ∈ P : p + C ⊆ P}`` (a sum of coset indicators) and
+:math:`U_C = \\sum_{δ ∈ C∖\\{0\\}} T_δ` is the class's aggregated usage
+tensor.  One ``numpy.fft.rfftn`` of the ``D`` source fields, one product
+per class and edge channel, and one inverse transform give all
+:math:`2dk^d` edges in :math:`O(D\\,d\\,k^d \\log k)`, independent of the
+pair count.  A coset is the case ``t = 1``, one class ``H`` and
+``S_H = P``; a union of ``t`` parallel linear classes has
+``D = 2t - 1``.  :meth:`FFTBackend.supports` accepts a placement when
+``D < |P|``, which a trivial stabilizer never meets
+(``D = |P - P| >= |P|``); every other input — rejected placements,
+weighted traffic — is served by the exact displacement-cache evaluation
+instead.  Accepted placements are therefore the first choice of the
+``auto`` engine (fft → vectorized → displacement → reference).
+
+The classification is cheap.  A few rows of ``P`` screen the candidates
+``P - p_0`` and reject a sparse placement with a trivial stabilizer at
+a cost that grows with ``|P|``; otherwise the autocorrelation
+``|P ∩ (P - h)|`` of the indicator, one transform pair, gives ``H`` and
+``P - P`` exactly.  The plan cache remembers each accepted
+placement's cover for every routing, so a warm placement is recognized
+by one lookup.  ``supports`` builds nothing; ``compute`` builds the
+spectra, once per subgroup and class.
+
+A cold plan needs ``U_C`` once per subgroup ``H`` and class ``C``: it
+is the complete loads of the pairs ``0 → δ``, ``δ ∈ C∖{0}``.
+Dimension-order routings and UDR compute it with their vectorized pair
+kernels (:func:`~repro.load.engine.vectorized.pair_kernel`); routings
+without one (all-minimal, unrestricted ODR) sum their per-class path
+templates.
 
 Exactness is restored by the *snap-back* of :mod:`repro.load.quantize`:
 the usage tensor is scaled to integer numerators over a common
@@ -62,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,11 +104,7 @@ from repro.torus.coords import all_coords
 __all__ = ["FFTBackend", "fft_edge_loads"]
 
 
-# ----------------------------------------------------------- coset test
-
-#: cap on the ``rows × |P|`` translate sums one block of the closure
-#: check materializes.
-_CLOSURE_BLOCK = 1 << 16
+# ------------------------------------------------------ stabilizer test
 
 
 @functools.lru_cache(maxsize=DEFAULT_PLAN_CAPACITY)
@@ -101,8 +112,8 @@ def _grid(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(strides, coords)`` of :math:`T_k^d`.
 
     ``coords @ strides`` are the node ids and row ``i`` of ``coords`` is
-    node ``i``.  Cached so that the coset test indexes the table instead
-    of decoding node ids on every call.
+    node ``i``.  Cached so that the stabilizer test indexes the table
+    instead of decoding node ids on every call.
     """
     strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     coords = all_coords(k, d)
@@ -111,99 +122,111 @@ def _grid(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return strides, coords
 
 
-def _members(placement: Placement) -> np.ndarray:
-    """Boolean membership of ``P`` over all ``k^d`` node ids."""
-    mask = np.zeros(placement.torus.num_nodes, dtype=bool)
-    mask[placement.node_ids] = True
-    return mask
+class _Cover(NamedTuple):
+    """A placement as a union of cosets of its stabilizer ``H``.
+
+    ``subgroup`` holds the sorted nonzero node ids of ``H`` (the key of
+    ``plan.spectra``); ``classes`` the difference classes ``C = δ + H``
+    met by ``P - P``, each named by its smallest node id (``0`` for
+    ``H``); ``sources[i]`` the node ids of the source field of
+    ``classes[i]``, ``{p ∈ P : p + C ⊆ P}``.  No classes means rejected.
+    """
+
+    subgroup: bytes
+    classes: tuple[int, ...]
+    sources: tuple[np.ndarray, ...]
 
 
-def _probe(placement: Placement) -> bool:
-    """A constant-cost necessary condition for a coset of ``|P| >= 2``.
+_REJECTED = _Cover(b"", (), ())
 
-    A coset ``P = p_0 + H`` contains ``p + (q - p_0)`` for all
-    ``p, q ∈ P``.  The probe checks that for ``p, q`` among the last two
-    nodes in id order — four lookups whatever ``|P|``, run before any
-    plan lookup.  It rejects almost every non-coset: the last two nodes
-    usually share a line of the last dimension, which meets each class
-    of a linear form once, so a union of several classes fails.
+#: rows of ``P`` whose translates screen the stabilizer candidates
+#: before the autocorrelation: row 1, then rows 2-7.
+_SCREEN_BLOCKS = ((1, 2), (2, 8))
+
+
+def _screened_out(coords: np.ndarray, mask: np.ndarray, k: int) -> bool:
+    """Whether a few rows already leave the stabilizer trivial.
+
+    ``H`` lies in every ``P - p_i``, so the candidates ``P - p_0`` are
+    intersected with ``P - p_i`` for the next seven rows.  A sparse
+    placement with a trivial stabilizer is down to ``{0}`` after them,
+    at a cost that grows with ``|P|``, not with the torus.
+    """
+    strides = _grid(k, coords.shape[1])[0]
+    candidates = np.mod(coords - coords[0], k)
+    for lo, hi in _SCREEN_BLOCKS:
+        block = coords[lo:hi, None, :]
+        if not block.size:
+            return False
+        inside = mask[np.mod(block + candidates, k) @ strides].all(axis=0)
+        candidates = candidates[inside]
+        if candidates.shape[0] == 1:
+            return True
+    return False
+
+
+def _classify(placement: Placement) -> _Cover:
+    """Cover ``P`` by cosets of its stabilizer; reject unless ``D < |P|``.
+
+    The autocorrelation ``A(h) = |P ∩ (P - h)|`` of the indicator — one
+    ``rfftn``/inverse pair, exact after rounding — gives the stabilizer
+    ``H = {h : A(h) = |P|}`` and the difference set
+    ``P - P = {h : A(h) > 0}``, a union of ``D`` cosets of ``H``: the
+    difference classes.  A coset has ``D = 1``, a union of ``t``
+    parallel linear classes ``D = 2t - 1``, and a placement with a
+    trivial stabilizer ``D = |P - P| >= |P|``, so the spectral pass pays
+    off exactly when ``D < |P|``.  Each class ``C`` is named by its
+    smallest node id ``c``, and its source field is
+    ``{p ∈ P : p + c ∈ P}``.
     """
     ids = placement.node_ids
-    if ids.size < 2:
-        return False
+    m = ids.size
     torus = placement.torus
-    strides, coords = _grid(torus.k, torus.d)
-    last = coords[ids[-2:]]
-    moved = np.mod(last[:, None] + (last - coords[ids[0]]), torus.k)
-    return bool(_members(placement)[moved @ strides].all())
+    k = torus.k
+    strides, table = _grid(k, torus.d)
+    coords = table[ids]
+    mask = np.zeros(torus.num_nodes, dtype=bool)
+    mask[ids] = True
+    if m < 2 or _screened_out(coords, mask, k):
+        return _REJECTED
+    power = np.abs(_spectrum(mask, torus.shape)) ** 2
+    overlap = np.rint(_inverse(power, torus.shape))
+    subgroup = np.flatnonzero(overlap == m)
+    differences = overlap > 0
+    if np.count_nonzero(differences) >= m * subgroup.size:
+        return _REJECTED
+    key = subgroup[1:].tobytes()
+    if subgroup.size == m:
+        # a coset: one class, every node a source
+        return _Cover(key, (0,), (ids,))
+    offsets = table[subgroup]
+    classes = []
+    sources = []
+    while differences.any():
+        # the smallest remaining difference starts a class
+        c = int(np.argmax(differences))
+        differences[np.mod(table[c] + offsets, k) @ strides] = False
+        classes.append(c)
+        sources.append(ids[mask[np.mod(coords + table[c], k) @ strides]])
+    return _Cover(key, tuple(classes), tuple(sources))
 
 
-def _is_subgroup(placement: Placement, coords: np.ndarray) -> bool:
-    """The closure check ``P + (p_i - p_0) ⊆ P`` for all ``i``.
+def _cover(placement: Placement, cache: PlanCache) -> _Cover:
+    """:func:`_classify`, memoized by the plan ``cache``.
 
-    ``coords`` are the placement's coordinates.  The check is
-    ``h_i + H ⊆ H`` for ``H = P - p_0``, which contains 0, so closure
-    under addition makes ``H`` a subgroup of the finite group
-    :math:`Z_k^d` — equivalently ``|P - P| = |P|``.  Rows run in
-    doubling blocks, so a non-coset, whose rows mostly leave ``P``,
-    stops after a few rows.
-    """
-    k = placement.torus.k
-    strides = _grid(k, placement.torus.d)[0]
-    mask = _members(placement)
-    shifts = coords - coords[0]
-    m = shifts.shape[0]
-    cap = max(1, _CLOSURE_BLOCK // m)
-    lo, step = 1, 1
-    while lo < m:
-        block = shifts[lo : lo + step, None, :]
-        if not mask[np.mod(coords + block, k) @ strides].all():
-            return False
-        lo += step
-        step = min(2 * step, cap)
-    return True
-
-
-def _subgroup_key(plan: SpectralPlan, placement: Placement) -> bytes | None:
-    """The sorted nonzero codes of a subgroup ``H = P - p_0``, or ``None``.
-
-    The codes key ``plan.spectra``.  A key the plan already holds names
-    a verified subgroup; any other ``H`` pays the closure check and is
-    ``None`` when that fails.
-    """
-    torus = plan.torus
-    strides, table = _grid(torus.k, torus.d)
-    coords = table[placement.node_ids]
-    key = np.sort(np.mod(coords[1:] - coords[0], torus.k) @ strides).tobytes()
-    if key in plan.spectra or _is_subgroup(placement, coords):
-        return key
-    return None
-
-
-def _coset_key(
-    placement: Placement,
-    routing: RoutingAlgorithm,
-    cache: PlanCache,
-    plan: SpectralPlan | None = None,
-) -> bytes | None:
-    """The subgroup key of a coset placement, or ``None``.
-
-    The verdict is remembered by the plan ``cache`` for every routing,
-    so a warm placement costs one lookup.  Otherwise the probe rejects
-    most non-cosets before the plan (``plan``, or the cache's plan for
-    ``routing``) is looked up, and :func:`_subgroup_key` decides.
+    A verdict does not depend on the routing, so one serves every plan
+    and a warm placement costs one lookup.  Rejections are not
+    remembered: they cost one screen, or one autocorrelation, against
+    the pair pass of the backend that serves them.
     """
     torus = placement.torus
     placement_key = (torus.k, torus.d, placement.node_ids.tobytes())
-    key = cache.coset(placement_key)
-    if key is not None or not _probe(placement):
-        return key
-    if plan is None:
-        plan = cache.get(torus, routing)
-    key = _subgroup_key(plan, placement)
-    if key is not None:
-        cache.remember_coset(placement_key, key)
-    return key
+    cover = cache.verdict(placement_key)
+    if cover is None:
+        cover = _classify(placement)
+        if cover.classes:
+            cache.remember_verdict(placement_key, cover)
+    return cover
 
 
 def _denominator_groups(
@@ -247,9 +270,9 @@ def _inverse(acc: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _usage_spectra(
     plan: SpectralPlan, disp: np.ndarray
 ) -> list[tuple[int, np.ndarray]]:
-    """Forward spectra of a subgroup's aggregated usage tensor ``U``.
+    """Forward spectra of a difference class's usage tensor ``U_C``.
 
-    ``disp`` holds the subgroup's nonzero elements.  ``U[channel, node]``
+    ``disp`` holds the class's nonzero elements.  ``U[channel, node]``
     is the complete loads of the pairs ``0 → δ`` over them, as integer
     numerators over the load quantum ``Q`` of
     :func:`~repro.load.quantize.routing_load_quantum`, computed by the
@@ -304,47 +327,64 @@ def _template_spectra(
     return spectra
 
 
-def _coset_spectra(
-    placement: Placement, plan: SpectralPlan, cache: PlanCache
-) -> list[tuple[int, np.ndarray]] | None:
-    """The plan's usage spectra serving a coset placement, or ``None``.
+def _class_spectra(
+    plan: SpectralPlan, cover: _Cover
+) -> list[list[tuple[int, np.ndarray]]]:
+    """The usage spectra of each of a cover's difference classes.
 
-    Built once per subgroup (:func:`_usage_spectra`) and shared by every
-    coset of it.
+    ``U_C`` is the complete loads of the pairs ``0 → δ``,
+    ``δ ∈ C∖{0}`` (:func:`_usage_spectra`).  The plan keeps one entry
+    per subgroup, holding its classes, so every placement covered by
+    cosets of one subgroup shares them.
     """
-    key = _coset_key(placement, plan.routing, cache, plan)
-    if key is None:
-        return None
-    spectra = plan.spectra.get(key)
-    if spectra is None:
-        torus = plan.torus
-        disp = _grid(torus.k, torus.d)[1][np.frombuffer(key, dtype=np.int64)]
-        spectra = _usage_spectra(plan, disp)
+    entry = plan.spectra.get(cover.subgroup)
+    if entry is None:
         if len(plan.spectra) >= MAX_PLAN_ENTRIES:
             plan.spectra.clear()
-        plan.spectra[key] = spectra
+        entry = plan.spectra[cover.subgroup] = {}
+    spectra = []
+    for label in cover.classes:
+        usage = entry.get(label)
+        if usage is None:
+            torus = plan.torus
+            table = _grid(torus.k, torus.d)[1]
+            ids = np.frombuffer(cover.subgroup, dtype=np.int64)
+            if label:
+                # all of δ + H, with 0 ∈ H put back
+                ids = np.append(ids, 0)
+            disp = np.mod(table[label] + table[ids], torus.k)
+            usage = entry[label] = _usage_spectra(plan, disp)
+        spectra.append(usage)
     return spectra
 
 
 def _convolve(
-    indicator_hat: np.ndarray,
-    group_spectra: list[tuple[int, np.ndarray]],
+    fields_hat: np.ndarray,
+    class_spectra: list[list[tuple[int, np.ndarray]]],
     shape: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Correlate a stacked indicator spectrum against cached usage spectra.
+    """``Σ_C S_C * U_C`` from stacked source and usage spectra.
 
-    ``indicator_hat`` carries the batch on its leading axis; the product
-    broadcasts every placement against every edge channel, so the whole
-    batch pays **one** inverse transform per denominator group.  Returns
-    ``(loads (B, 2d, k^d), per-placement snap drift (B,))``.
+    ``fields_hat`` is ``(B, D, ...)``: the batch on its leading axis and
+    one source spectrum per class.  The products are summed per load
+    quantum in the frequency domain, so the whole batch pays **one**
+    inverse transform per quantum.  Returns ``(loads (B, 2d, k^d),
+    per-placement snap drift (B,))``.
     """
-    batch = indicator_hat.shape[0]
+    batch = fields_hat.shape[0]
+    totals: dict[int, np.ndarray] = {}
+    for c, spectra in enumerate(class_spectra):
+        source = fields_hat[:, c, None, ...]
+        for quantum, usage_hat in spectra:
+            term = source * usage_hat[None, ...]
+            if quantum in totals:
+                totals[quantum] += term
+            else:
+                totals[quantum] = term
     loads: np.ndarray | None = None
     drift = np.zeros(batch, dtype=np.float64)
-    for quantum, usage_hat in group_spectra:
-        conv = _inverse(
-            indicator_hat[:, None, ...] * usage_hat[None, ...], shape
-        )
+    for quantum, total in totals.items():
+        conv = _inverse(total, shape)
         snapped = np.rint(conv)
         np.maximum(
             drift,
@@ -357,34 +397,39 @@ def _convolve(
     return loads, drift
 
 
-def _coset_loads(
+def _cover_loads(
     placements: list[Placement], plan: SpectralPlan, cache: PlanCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral loads of a complete-exchange batch's coset rows.
+    """Spectral loads of a complete-exchange batch's covered rows.
 
-    Returns ``(loads (B, E), drifts (B,), spectral (B,))``; rows that are
-    not cosets stay zero with ``spectral`` false.  Placements sharing a
-    difference set — every coset of one subgroup, e.g. all offsets of a
-    linear family — are stacked on a leading batch axis and resolved by
-    a single ``rfftn``/inverse pair against the shared usage spectrum.
+    Returns ``(loads (B, E), drifts (B,), spectral (B,))``; rejected
+    rows stay zero with ``spectral`` false.  Rows whose covers share a
+    subgroup and classes — every coset of one subgroup, every offset of
+    a multiple linear family — are stacked on a leading batch axis and
+    resolved by a single ``rfftn``/inverse pair against the shared
+    usage spectra.
     """
     torus = plan.torus
     batch = len(placements)
     loads = np.zeros((batch, torus.num_edges), dtype=np.float64)
     drifts = np.zeros(batch, dtype=np.float64)
     spectral = np.zeros(batch, dtype=bool)
-    groups: dict[int, tuple[list, list[int]]] = {}
-    for b, placement in enumerate(placements):
-        spectra = _coset_spectra(placement, plan, cache)
-        if spectra is not None:
-            groups.setdefault(id(spectra), (spectra, []))[1].append(b)
+    covers = [_cover(placement, cache) for placement in placements]
+    groups: dict[tuple[bytes, tuple[int, ...]], list[int]] = {}
+    for b, cover in enumerate(covers):
+        if cover.classes:
+            groups.setdefault((cover.subgroup, cover.classes), []).append(b)
 
-    for spectra, rows in groups.values():
-        indicators = np.zeros((len(rows), torus.num_nodes), dtype=np.float64)
+    for rows in groups.values():
+        classes = len(covers[rows[0]].classes)
+        fields = np.zeros((len(rows), classes, torus.num_nodes))
         for i, b in enumerate(rows):
-            indicators[i, placements[b].node_ids] = 1.0
+            for c, source in enumerate(covers[b].sources):
+                fields[i, c, source] = 1.0
         block, block_drift = _convolve(
-            _spectrum(indicators, torus.shape), spectra, torus.shape
+            _spectrum(fields, torus.shape),
+            _class_spectra(plan, covers[rows[0]]),
+            torus.shape,
         )
         loads[rows] = np.swapaxes(block, 1, 2).reshape(len(rows), -1)
         drifts[rows] = block_drift
@@ -404,8 +449,9 @@ def fft_edge_loads(
 
     Drop-in equivalent of
     :func:`repro.load.edge_loads.edge_loads_reference` for any
-    translation-invariant routing: spectral for complete-exchange
-    cosets, the displacement evaluation otherwise.
+    translation-invariant routing: spectral for the complete-exchange
+    placements :meth:`FFTBackend.supports` accepts, the displacement
+    evaluation otherwise.
     """
     return FFTBackend().compute(placement, routing, pair_weights=pair_weights)
 
@@ -414,22 +460,25 @@ def fft_edge_loads(
 
 
 class FFTBackend(LoadBackend):
-    """Spectral backend for coset placements under complete exchange.
+    """Spectral backend for unions of cosets under complete exchange.
 
-    :meth:`supports` accepts exactly those inputs on translation-invariant
-    routings; ``auto`` asks it first, so every complete-exchange coset
-    it can serve comes here and nothing else does.  Named explicitly,
-    the backend serves every other translation-invariant input through
-    the displacement evaluation, with the path templates of the same
-    plan.
+    :meth:`supports` accepts a placement whose pairs fall into fewer
+    difference classes modulo its translation stabilizer than it has
+    nodes — every coset and multiple linear placement — on
+    translation-invariant routings; ``auto`` asks it first, so every
+    such complete-exchange call comes here and nothing else does.
+    Named explicitly, the backend serves every other
+    translation-invariant input through the displacement evaluation,
+    with the path templates of the same plan.
 
-    All configuration-dependent state — the per-placement coset
-    verdicts, path templates and forward usage spectra — lives in the
-    ambient :class:`~repro.load.plancache.PlanCache` (see
+    All configuration-dependent state — the per-placement verdicts,
+    path templates and forward usage spectra — lives in the ambient
+    :class:`~repro.load.plancache.PlanCache` (see
     :func:`~repro.load.plancache.using_plan_cache`), so sweeps and
     search loops that re-evaluate the same configuration pay only one
-    forward transform, one product, and one inverse transform per call,
-    across backend instances and engine facades.
+    forward transform of the source fields, one product per class, and
+    one inverse transform per call, across backend instances and engine
+    facades.
 
     Attributes
     ----------
@@ -451,18 +500,20 @@ class FFTBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> bool:
-        """Complete-exchange cosets on translation-invariant routings.
+        """Complete exchange on a translation-invariant routing, ``D < |P|``.
 
-        Builds nothing: an accepted placement's verdict is remembered in
-        the plan cache (:func:`_coset_key`), so the :meth:`compute` that
-        follows skips the coset test, but spectra are built by
-        ``compute`` alone.
+        ``D`` counts the classes of ``P - P`` modulo the stabilizer of
+        ``P``: 1 for a coset, ``2t - 1`` for ``t`` parallel linear
+        classes, at least ``|P|`` for a trivial stabilizer.  Builds
+        nothing: the verdict is remembered in the plan cache
+        (:func:`_cover`), so the :meth:`compute` that follows skips the
+        classification, but spectra are built by ``compute`` alone.
         """
         if pair_weights is not None or not getattr(
             routing, "translation_invariant", False
         ):
             return False
-        return _coset_key(placement, routing, current_plan_cache()) is not None
+        return bool(_cover(placement, current_plan_cache()).classes)
 
     def compute(
         self,
@@ -487,7 +538,7 @@ class FFTBackend(LoadBackend):
         cache = current_plan_cache()
         plan = cache.get(placements[0].torus, routing)
         if pair_weights is None:
-            loads, drifts, spectral = _coset_loads(placements, plan, cache)
+            loads, drifts, spectral = _cover_loads(placements, plan, cache)
         else:
             batch = len(placements)
             loads = np.zeros((batch, plan.torus.num_edges), dtype=np.float64)
@@ -496,8 +547,8 @@ class FFTBackend(LoadBackend):
         self.last_snap_drift = float(drifts.max(initial=0.0))
         drifted = spectral & (drifts >= LOAD_SNAP_TOLERANCE)
         for b in np.flatnonzero(~spectral | drifted):
-            # non-cosets, weighted traffic, and rows whose snap broke the
-            # contract pay the exact displacement evaluation.
+            # rejected placements, weighted traffic, and rows whose snap
+            # broke the contract pay the exact displacement evaluation.
             loads[b] = displacement_edge_loads(
                 placements[b],
                 routing,

@@ -10,7 +10,7 @@ form yet).  :class:`VectorizedBackend` serves what it maps through
 :func:`repro.load.udr_loads.udr_edge_loads`, which run those kernels
 over every ordered pair of a placement; the FFT backend
 (:mod:`repro.load.engine.fft`) runs them over the pairs ``0 → δ`` of a
-coset's subgroup to build the coset's usage tensor.  Anything else is
+difference class to build the class's usage tensor.  Anything else is
 unsupported here; the ``auto`` engine falls through to the displacement
 or reference backends instead.
 """

@@ -51,8 +51,8 @@ __all__ = [
 #: plans kept by the default LRU before the least-recently-used rolls off.
 DEFAULT_PLAN_CAPACITY = 32
 
-#: per-plan bound on memoized spectra entries (cleared wholesale when
-#: full).
+#: per-plan bound on memoized spectra entries, one per subgroup
+#: (cleared wholesale when full).
 MAX_PLAN_ENTRIES = 64
 
 #: the fingerprint: ``(shape, routing class, routing name, order)``.
@@ -82,9 +82,11 @@ class SpectralPlan:
 
     Holds the displacement path-template cache plus the memo the FFT
     backend fills lazily (values are opaque to this module):
-    ``spectra`` maps the sorted nonzero codes of a verified subgroup to
-    its forward usage-tensor spectra — every coset of one subgroup
-    shares an entry.
+    ``spectra`` maps the sorted nonzero codes of a placement's
+    translation stabilizer to the forward usage-tensor spectra of its
+    difference classes — every placement covered by cosets of one
+    subgroup shares an entry, and :data:`MAX_PLAN_ENTRIES` bounds the
+    subgroups.
     """
 
     def __init__(self, torus: Torus, routing: RoutingAlgorithm) -> None:
@@ -122,11 +124,11 @@ class PlanCacheStats:
 class PlanCache:
     """A bounded LRU of :class:`SpectralPlan` entries, keyed by structure.
 
-    Beside the plans it keeps the FFT backend's per-placement coset
-    verdicts (:meth:`coset`, :meth:`remember_coset`; values are opaque
-    to this module).  Whether a placement is a coset does not depend on
-    the routing, so one verdict serves every plan, and a warm placement
-    is recognized without a plan lookup.
+    Beside the plans it keeps the FFT backend's per-placement verdicts
+    (:meth:`verdict`, :meth:`remember_verdict`; values are opaque to
+    this module).  A placement's translation stabilizer does not depend
+    on the routing, so one verdict serves every plan, and a warm
+    placement is recognized without a plan lookup.
 
     Parameters
     ----------
@@ -140,7 +142,7 @@ class PlanCache:
             raise EngineError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._plans: "OrderedDict[_PlanKey, SpectralPlan]" = OrderedDict()
-        self._cosets: Dict[Any, Any] = {}
+        self._verdicts: Dict[Any, Any] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -168,15 +170,15 @@ class PlanCache:
         metrics.gauge("plancache.size").set(len(self._plans))
         return plan
 
-    def coset(self, placement_key: Any) -> Any:
+    def verdict(self, placement_key: Any) -> Any:
         """The verdict remembered for a placement, or ``None``."""
-        return self._cosets.get(placement_key)
+        return self._verdicts.get(placement_key)
 
-    def remember_coset(self, placement_key: Any, verdict: Any) -> None:
+    def remember_verdict(self, placement_key: Any, verdict: Any) -> None:
         """Remember a placement's verdict (cleared wholesale when full)."""
-        if len(self._cosets) >= self.capacity * MAX_PLAN_ENTRIES:
-            self._cosets.clear()
-        self._cosets[placement_key] = verdict
+        if len(self._verdicts) >= self.capacity * MAX_PLAN_ENTRIES:
+            self._verdicts.clear()
+        self._verdicts[placement_key] = verdict
 
     # ------------------------------------------------------------ queries
 
@@ -188,10 +190,10 @@ class PlanCache:
         return len(self._plans)
 
     def clear(self) -> None:
-        """Drop every resident plan and coset verdict (tallies are kept —
-        they are history)."""
+        """Drop every resident plan and verdict (tallies are kept — they
+        are history)."""
         self._plans.clear()
-        self._cosets.clear()
+        self._verdicts.clear()
 
     def __repr__(self) -> str:
         stats = self.stats
@@ -213,16 +215,9 @@ def current_plan_cache() -> PlanCache:
 
 
 @contextlib.contextmanager
-def using_plan_cache(cache: PlanCache | None) -> Iterator[PlanCache]:
-    """Temporarily install ``cache`` as the process-wide plan cache.
-
-    ``None`` is a no-op (the current cache stays in effect), matching the
-    :func:`repro.load.engine.using_engine` convention.
-    """
+def using_plan_cache(cache: PlanCache) -> Iterator[PlanCache]:
+    """Temporarily install ``cache`` as the process-wide plan cache."""
     global _plan_cache
-    if cache is None:
-        yield _plan_cache
-        return
     previous = _plan_cache
     _plan_cache = cache
     try:

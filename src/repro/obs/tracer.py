@@ -441,8 +441,8 @@ def using_tracer(
 ) -> Iterator["Tracer | NullTracer"]:
     """Temporarily install ``tracer`` as the ambient tracer.
 
-    ``None`` is a no-op (the current tracer stays in effect), matching
-    the ``using_engine(None)`` / ``using_exec_policy(None)`` convention.
+    ``None`` is a no-op (the current tracer stays in effect), as for
+    ``using_exec_policy(None)``.
     """
     global _current
     if tracer is None:

@@ -1,37 +1,50 @@
-"""Property: the FFT backend's coset test is ``|P - P| = |P|``.
+"""Property: the FFT backend's verdict is the stabilizer test ``D < |P|``.
 
-:meth:`FFTBackend.supports` classifies a complete-exchange placement
-with a remembered verdict, a constant-cost probe, a lookup of subgroups
-the spectral plan has already verified, and a closure check only for
-new ones.  Hypothesis drives random placements, linear cosets,
-principal subtori, unions of two classes of one linear form and unions
-of two cosets of a spanned subgroup on tori up to :math:`T_6^3`, and
-checks the verdict against the difference-set definition — on a fresh
-plan cache, on the same cache once ``compute`` has remembered the
-placement, and on a cache whose plan verified the subgroup through
-another coset.
+:meth:`FFTBackend.supports` covers a complete-exchange placement ``P``
+by the cosets of its translation stabilizer ``H = {h : P + h = P}`` and
+accepts it when its pairs fall into fewer difference classes than it
+has nodes: ``D = |P - P| / |H| < |P|``.  Hypothesis drives random
+placements, linear cosets, principal subtori, unions of two, of several
+and of two opposite classes of one linear form, and unions of two cosets
+of a spanned subgroup on tori up to :math:`T_6^3`.  The verdict is
+checked against a brute-force stabilizer over all :math:`k^d`
+translations — on a fresh plan cache, on the same cache once ``compute``
+has remembered the placement, and on a cache whose plan already holds
+the spectra of a translate of ``P``.  On the smaller tori the loads of
+every kind must equal the reference oracle's after ``snap_loads`` under
+ODR, UDR and all-minimal routing, whose class spectra are built from
+path templates.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.load.edge_loads import edge_loads_reference
 from repro.load.engine import FFTBackend
 from repro.load.plancache import PlanCache, using_plan_cache
+from repro.load.quantize import snap_loads
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
 from repro.placements.random_placement import random_placement
+from repro.routing.minimal import AllMinimalPaths
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.routing.udr import UnorderedDimensionalRouting
 from repro.torus.topology import Torus
 
+#: every torus up to T_6^3.
+ALL_TORI = [(k, d) for k in range(2, 7) for d in range(1, 4)]
+#: tori small enough for the reference oracle under all-minimal routing.
+ORACLE_TORI = [(k, d) for k, d in ALL_TORI if k**d <= 36]
+
 
 @st.composite
-def coset_case(draw):
-    """``(placement, routing)`` on tori up to T_6^3."""
-    k = draw(st.integers(min_value=2, max_value=6))
-    d = draw(st.integers(min_value=1, max_value=3))
+def placement_case(draw, tori):
+    """A placement of one of the kinds above on one of ``tori``."""
+    k, d = draw(st.sampled_from(tori))
     torus = Torus(k, d)
     # a linear form with a unit coefficient, so every class is nonempty
     coefficients = draw(
@@ -43,14 +56,21 @@ def coset_case(draw):
     ) + [1]
     c = draw(st.integers(min_value=0, max_value=k - 1))
 
-    def form_class(offset):
-        return linear_placement(
-            torus, coefficients=coefficients, offset=offset % k
-        ).node_ids
+    def form_classes(offsets):
+        return np.concatenate(
+            [
+                linear_placement(
+                    torus, coefficients=coefficients, offset=offset % k
+                ).node_ids
+                for offset in offsets
+            ]
+        )
 
     kinds = ["random", "linear", "adjacent-classes", "two-cosets"]
     if d >= 2:
         kinds.append("subtorus")
+    if k >= 3:
+        kinds.append("several-classes")
     if k % 2 == 0:
         kinds.append("opposite-classes")
     kind = draw(st.sampled_from(kinds))
@@ -59,7 +79,7 @@ def coset_case(draw):
         seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
         placement = random_placement(torus, size, seed=seed)
     elif kind == "linear":
-        placement = Placement(torus, form_class(c))
+        placement = Placement(torus, form_classes([c]))
     elif kind == "subtorus":
         placement = single_subtorus_placement(
             torus,
@@ -67,13 +87,14 @@ def coset_case(draw):
             value=c,
         )
     elif kind == "adjacent-classes":
-        # classes c and c+1: not a coset for k >= 3
-        placement = Placement(
-            torus, np.concatenate([form_class(c), form_class(c + 1)])
-        )
+        # classes c and c+1: D = 3 for k >= 3
+        placement = Placement(torus, form_classes([c, c + 1]))
+    elif kind == "several-classes":
+        # t >= 3 consecutive classes: D = 2t - 1 while that is below k
+        t = draw(st.integers(min_value=3, max_value=k))
+        placement = Placement(torus, form_classes(range(c, c + t)))
     elif kind == "two-cosets":
-        # r + (S ∪ (S + t)) for the subgroup S spanned by a and b: a
-        # coset exactly when 2t ∈ S
+        # r + (S ∪ (S + t)) for the subgroup S spanned by a and b
         a, b, t, r = (
             np.array(
                 draw(
@@ -94,39 +115,44 @@ def coset_case(draw):
         placement = Placement(torus, np.unique(torus.node_ids(points)))
     else:
         # classes c and c+k/2: a coset of an index-k/2 subgroup
-        placement = Placement(
-            torus, np.concatenate([form_class(c), form_class(c + k // 2)])
-        )
-    routing = draw(
-        st.sampled_from(
-            [OrderedDimensionalRouting(d), UnorderedDimensionalRouting()]
-        )
-    )
-    return placement, routing
+        placement = Placement(torus, form_classes([c, c + k // 2]))
+    return placement
 
 
-def _difference_set_size(placement) -> int:
+def _brute_force(placement) -> tuple[np.ndarray, int]:
+    """``(sorted ids of H, D)`` from all ``k^d`` translations."""
+    torus = placement.torus
+    k = torus.k
     coords = placement.coords()
-    k = placement.torus.k
-    strides = k ** np.arange(placement.torus.d - 1, -1, -1)
-    diffs = np.mod(coords[:, None, :] - coords[None, :, :], k) @ strides
-    return int(np.unique(diffs).size)
+    translations = torus.coords(np.arange(torus.num_nodes))
+    moved = np.mod(translations[:, None, :] + coords[None, :, :], k)
+    inside = placement.mask()[torus.node_ids(moved.reshape(-1, torus.d))]
+    stabilizer = np.flatnonzero(inside.reshape(torus.num_nodes, -1).all(1))
+    differences = np.mod(coords[:, None, :] - coords[None, :, :], k)
+    count = np.unique(torus.node_ids(differences.reshape(-1, torus.d))).size
+    return stabilizer, count // stabilizer.size
 
 
-@given(coset_case())
+_ROUTINGS = [
+    lambda d: OrderedDimensionalRouting(d),
+    lambda d: UnorderedDimensionalRouting(),
+]
+
+
+@given(placement_case(ALL_TORI), st.sampled_from(_ROUTINGS))
 @settings(max_examples=150, deadline=None)
-def test_verdict_is_the_difference_set_test(case):
-    placement, routing = case
-    # a lone processor has no pairs and never takes the spectral path
-    expected = len(placement) >= 2 and (
-        _difference_set_size(placement) == len(placement)
-    )
-    with using_plan_cache(PlanCache()):
+def test_verdict_is_the_difference_set_test(placement, make_routing):
+    routing = make_routing(placement.torus.d)
+    stabilizer, classes = _brute_force(placement)
+    expected = classes < len(placement)
+    key = (placement.torus.k, placement.torus.d, placement.node_ids.tobytes())
+    with using_plan_cache(PlanCache()) as cache:
         fresh = FFTBackend().supports(placement, routing)
-        # compute remembers a coset's verdict
+        cover = cache.verdict(key)
+        # compute remembers an accepted placement's verdict
         FFTBackend().compute(placement, routing)
         warm = FFTBackend().supports(placement, routing)
-    # a plan that verified the subgroup through a translate of P
+    # a plan that already holds the spectra of a translate of P
     torus = placement.torus
     shifted = Placement(
         torus,
@@ -136,3 +162,38 @@ def test_verdict_is_the_difference_set_test(case):
         FFTBackend().compute(shifted, routing)
         via_subgroup = FFTBackend().supports(placement, routing)
     assert fresh == warm == via_subgroup == expected
+    if expected:
+        assert np.array_equal(
+            np.frombuffer(cover.subgroup, dtype=np.int64), stabilizer[1:]
+        )
+        assert len(cover.classes) == classes
+        # every ordered pair lands in exactly one class's correlation
+        pairs = sum(
+            source.size * (stabilizer.size - (label == 0))
+            for label, source in zip(cover.classes, cover.sources)
+        )
+        assert pairs == len(placement) * (len(placement) - 1)
+
+
+@given(
+    placement_case(ORACLE_TORI),
+    st.sampled_from(_ROUTINGS + [lambda d: AllMinimalPaths()]),
+)
+@settings(max_examples=40, deadline=None)
+def test_fft_loads_equal_the_reference(placement, make_routing):
+    torus = placement.torus
+    routing = make_routing(torus.d)
+    with using_plan_cache(PlanCache()):
+        got = FFTBackend().compute(placement, routing)
+    oracle = edge_loads_reference(placement, routing)
+    # every load is a multiple of 1 / (the LCM of the path-set sizes)
+    origin = np.zeros(torus.d, dtype=np.int64)
+    quantum = math.lcm(
+        *(
+            routing.num_paths(torus, origin, delta)
+            for delta in torus.coords(np.arange(1, torus.num_nodes))
+        )
+    )
+    assert np.array_equal(
+        snap_loads(got, quantum), snap_loads(oracle, quantum)
+    )

@@ -134,14 +134,9 @@ class TestAutoDispatch:
                 "two-class",
                 lambda: OrderedDimensionalRouting(2),
                 False,
-                VectorizedBackend,
+                FFTBackend,
             ),
-            (
-                "two-class",
-                UnorderedDimensionalRouting,
-                False,
-                VectorizedBackend,
-            ),
+            ("two-class", UnorderedDimensionalRouting, False, FFTBackend),
             ("random", UnrestrictedODR, False, DisplacementBackend),
             ("linear", AllMinimalPaths, True, DisplacementBackend),
             (
@@ -158,8 +153,8 @@ class TestAutoDispatch:
             "odr-coset-fft",
             "udr-coset-fft",
             "permuted-dor-coset-fft",
-            "odr-non-coset-vectorized",
-            "udr-non-coset-vectorized",
+            "odr-two-class-fft",
+            "udr-two-class-fft",
             "non-coset-displacement",
             "weighted-displacement",
             "fault-masked-reference",
@@ -172,7 +167,7 @@ class TestAutoDispatch:
             "linear": linear_placement(torus_4_2),
             "subtorus": single_subtorus_placement(torus_4_2),
             "random": Placement(torus_4_2, [0, 1, 6, 11], name="non-coset"),
-            # classes 2 and 3 of x + y: a non-coset
+            # classes 2 and 3 of x + y: |H| = 4, D = 3 < |P| = 8
             "two-class": multiple_linear_placement(torus_4_2, 2, base_offset=2),
         }[placement_kind]
         routing = make_routing()
@@ -315,10 +310,6 @@ class TestDefaultEngine:
             assert eng.backend_name == "reference"
             assert get_default_engine() is eng
         assert get_default_engine() is before
-
-    def test_using_engine_none_is_noop(self):
-        with using_engine("vectorized"), using_engine(None) as eng:
-            assert eng.backend_name == "vectorized"
 
     def test_set_by_name(self):
         with using_engine("displacement") as eng:

@@ -4,8 +4,8 @@ The contract under test is *bit*-identity: after canonicalizing both
 sides with :func:`repro.load.quantize.snap_loads`, the FFT backend must
 equal the reference oracle exactly — not merely within a float
 tolerance — on every translation-invariant configuration, spectrally for
-complete-exchange cosets and through the displacement fallback for
-everything else.
+complete-exchange unions of cosets with fewer difference classes than
+nodes and through the displacement fallback for everything else.
 """
 
 import numpy as np
@@ -22,11 +22,8 @@ from repro.load.engine import (
     displacement_edge_loads,
     fft_edge_loads,
 )
-from repro.load.engine.fft import (
-    _probe,
-    _template_spectra,
-    _usage_spectra,
-)
+from repro.load.engine import fft as fft_module
+from repro.load.engine.fft import _template_spectra, _usage_spectra
 from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import (
     LOAD_SNAP_TOLERANCE,
@@ -168,8 +165,9 @@ class TestRegimes:
         assert np.abs(got - oracle).max(initial=0.0) <= 1e-9
 
     def test_non_coset_placement_uses_displacement_fallback(self):
-        # 3 collinear-free nodes: |P - P| > |P|, so the coset fast path
-        # must not trigger and the displacement fallback must be exact.
+        # 3 nodes with a trivial stabilizer: D = |P - P| > |P|, so the
+        # fast path must not trigger and the displacement fallback must
+        # be exact.
         torus = Torus(5, 2)
         placement = Placement(torus, [0, 1, 7], name="non-coset")
         for routing in _routings(2):
@@ -180,22 +178,47 @@ class TestRegimes:
             )
             _assert_bit_identical(placement, routing)
 
-    def test_closure_check_rejects_what_the_probe_lets_through(self):
-        # two cosets of an order-4 subgroup of Z_4^3 whose last two nodes
-        # share the first node's coset: the probe passes, only the
-        # closure check rejects
+    def test_two_coset_placement_takes_the_fast_path(self):
+        # two cosets of an order-4 subgroup of Z_4^3 that do not form a
+        # coset of anything larger: |H| = 4 and D = 3 < |P| = 8, so the
+        # pairs take three class correlations against one plan entry
         torus = Torus(4, 3)
         placement = Placement(
             torus, [0, 2, 12, 14, 37, 39, 41, 43], name="two-cosets"
         )
-        assert _probe(placement)
         for routing in _routings(3):
             cache = PlanCache()
             with using_plan_cache(cache):
-                assert not FFTBackend().supports(placement, routing)
-            assert cache.coset((4, 3, placement.node_ids.tobytes())) is None
-            assert not cache.get(torus, routing).spectra
-            _assert_bit_identical(placement, routing)
+                assert FFTBackend().supports(placement, routing)
+                cover = cache.verdict((4, 3, placement.node_ids.tobytes()))
+                assert len(cover.classes) == 3
+                assert len(np.frombuffer(cover.subgroup, dtype=np.int64)) == 3
+                _assert_bit_identical(placement, routing)
+            (entry,) = cache.get(torus, routing).spectra.values()
+            assert sorted(entry) == sorted(cover.classes)
+
+    def test_snap_drift_falls_back_to_displacement(self, monkeypatch):
+        # a spectral result whose snap would move a load by a quarter
+        # must not ship: the row is re-served by the displacement path
+        convolve = fft_module._convolve
+
+        def drifting(*args):
+            loads, drift = convolve(*args)
+            return loads + 0.25, drift + 0.25
+
+        monkeypatch.setattr(fft_module, "_convolve", drifting)
+        torus = Torus(6, 2)
+        routing = UnorderedDimensionalRouting()
+        for placement in (
+            linear_placement(torus),
+            multiple_linear_placement(torus, 2),
+        ):
+            backend = FFTBackend()
+            got = backend.compute(placement, routing)
+            assert backend.last_snap_drift >= LOAD_SNAP_TOLERANCE
+            assert np.array_equal(
+                got, displacement_edge_loads(placement, routing)
+            )
 
     def test_explicit_fft_serves_weighted_traffic_exactly(self):
         torus = Torus(5, 2)
@@ -284,21 +307,24 @@ class TestCosetVerdicts:
         cache = PlanCache()
         with using_plan_cache(cache):
             assert FFTBackend().supports(placement, routing)
-        assert cache.coset((6, 2, placement.node_ids.tobytes())) is not None
+        assert cache.verdict((6, 2, placement.node_ids.tobytes())) is not None
         assert not cache.get(torus, routing).spectra
 
     def test_probe_rejects_non_cosets_before_any_plan_lookup(self):
+        # the verdict needs no plan: a trivial stabilizer is rejected and
+        # a two-class multiple linear placement accepted without a lookup
         torus = Torus(8, 2)
+        routing = OrderedDimensionalRouting(2)
+        random = random_placement(torus, size=8, seed=1)
+        multilinear = multiple_linear_placement(torus, 2, base_offset=3)
         cache = PlanCache()
         with using_plan_cache(cache):
-            for placement in (
-                random_placement(torus, size=8, seed=1),
-                multiple_linear_placement(torus, 2, base_offset=3),
-            ):
-                assert not FFTBackend().supports(
-                    placement, OrderedDimensionalRouting(2)
-                )
+            assert not FFTBackend().supports(random, routing)
+            assert FFTBackend().supports(multilinear, routing)
         assert cache.stats.lookups == 0
+        assert cache.verdict((8, 2, random.node_ids.tobytes())) is None
+        cover = cache.verdict((8, 2, multilinear.node_ids.tobytes()))
+        assert len(cover.classes) == 3
 
 
 class TestFallbacks:
@@ -326,7 +352,7 @@ class TestFallbacks:
             placement,
             FaultMaskedRouting(OrderedDimensionalRouting(2), [0]),
         )
-        # complete-exchange cosets only
+        # complete exchange only
         weights = np.ones((len(placement), len(placement)))
         assert not backend.supports(
             placement, OrderedDimensionalRouting(2), weights

@@ -92,13 +92,13 @@ class TestLRU:
     def test_coset_verdicts_are_bounded_and_cleared(self):
         cache = PlanCache(capacity=1)
         for i in range(MAX_PLAN_ENTRIES):
-            cache.remember_coset(i, b"key")
-        assert cache.coset(0) == b"key"
-        cache.remember_coset("one more", b"key")  # full: starts over
-        assert cache.coset(0) is None
-        assert cache.coset("one more") == b"key"
+            cache.remember_verdict(i, b"key")
+        assert cache.verdict(0) == b"key"
+        cache.remember_verdict("one more", b"key")  # full: starts over
+        assert cache.verdict(0) is None
+        assert cache.verdict("one more") == b"key"
         cache.clear()
-        assert cache.coset("one more") is None
+        assert cache.verdict("one more") is None
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(EngineError, match="capacity"):
@@ -130,12 +130,6 @@ class TestAmbientCache:
             assert installed is mine
             assert current_plan_cache() is mine
         assert current_plan_cache() is outer
-
-    def test_using_none_is_a_no_op(self):
-        outer = current_plan_cache()
-        with using_plan_cache(None) as installed:
-            assert installed is outer
-            assert current_plan_cache() is outer
 
     def test_restores_on_exception(self):
         outer = current_plan_cache()
