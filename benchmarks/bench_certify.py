@@ -3,7 +3,7 @@
 Each case runs what ``repro certify --k K --d 2`` runs serially: the
 batched incumbent screen (``screen_initial_upper_bound``) and then the
 bound-mode exact search seeded with it.  The exact search grows every
-surviving ODR variant of a node in one path-template scatter, so its
+surviving ODR variant of a node in one path-table scatter, so its
 wall time is set by the number of expanded nodes, not by hop walks.
 
 Pinned in ``benchmarks/BENCH_certify.json``:

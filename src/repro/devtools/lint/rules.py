@@ -348,8 +348,8 @@ class RoutingMissingInvarianceFlag(Rule):
                 node,
                 f"routing class `{node.name}` subclasses RoutingAlgorithm "
                 "directly but does not declare `translation_invariant` — "
-                "state it explicitly (the displacement cache dispatches on "
-                "this flag)",
+                "state it explicitly (the path table and the load backends "
+                "dispatch on this flag)",
             )
 
     @staticmethod
@@ -1303,7 +1303,6 @@ class PerPlacementLoopEval(Rule):
         "udr_edge_loads",
         "edge_loads_reference",
         "fft_edge_loads",
-        "displacement_edge_loads",
     })
 
     def applies_to(self, ctx: FileContext) -> bool:

@@ -71,9 +71,9 @@ class LoadError(ReproError):
 class EngineError(LoadError):
     """A :mod:`repro.load.engine` backend was misused or misconfigured.
 
-    Examples: requesting an unknown backend name, asking a vectorized
-    kernel for a routing algorithm it has no closed form for, or applying
-    the displacement-class cache to a routing that is not
+    Examples: requesting an unknown backend name, asking the
+    ``vectorized`` backend for a routing without closed-form path rows,
+    or building a per-displacement path table for a routing that is not
     translation-invariant.
     """
 

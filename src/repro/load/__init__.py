@@ -9,19 +9,22 @@ Given a placement ``P`` and a routing algorithm ``A``, the load of a link
         \\frac{|C^A_{p→l→q}|}{|C^A_{p→q}|}
 
 and :math:`\\mathcal{E}_{max}` is its maximum over links.  This subpackage
-computes it three ways:
+computes it from two representations:
 
 * :mod:`repro.load.edge_loads` — a generic reference implementation that
   enumerates every path of any routing algorithm (slow; test oracle);
-* :mod:`repro.load.odr_loads` — vectorized exact loads for ODR and any
-  fixed dimension order;
-* :mod:`repro.load.udr_loads` — vectorized *exact* fractional loads for
-  UDR via the permutation-counting identity, plus a Monte-Carlo estimator;
-* :mod:`repro.load.engine` — the :class:`~repro.load.engine.LoadEngine`
-  facade unifying the above behind pluggable backends, adding a
-  displacement-class path cache, an FFT circular-correlation backend
-  (all edges in one spectral pass for cosets and multiple linear
-  placements, exact via the :mod:`repro.load.quantize` snap-back);
+* :mod:`repro.load.path_table` — one row of paths per displacement of a
+  translation-invariant routing, in closed form for ODR, any dimension
+  order and UDR (the permutation-counting identity), enumerated through
+  ``routing.paths`` otherwise; cached per configuration in the plans of
+  :mod:`repro.load.plancache`, and read by every fast consumer:
+  :mod:`repro.load.odr_loads` (exact ODR loads and the incremental
+  kernels of the searches), :mod:`repro.load.udr_loads` (exact UDR
+  loads, plus a Monte-Carlo estimator) and the backends of
+  :mod:`repro.load.engine` — the :class:`~repro.load.engine.LoadEngine`
+  facade, whose FFT circular-correlation backend gives all edges in one
+  spectral pass for cosets and multiple linear placements, exact via the
+  :mod:`repro.load.quantize` snap-back;
 
 and provides every closed form and lower bound the paper states
 (:mod:`repro.load.formulas`, :mod:`repro.load.bounds`), traffic patterns

@@ -9,27 +9,21 @@ This subpackage gives that primitive one facade
 backends (``reference``, ``vectorized``, ``fft``, ``displacement``), all
 verified to agree with the reference oracle to ``1e-9``.
 
-The core machinery is the displacement-class path cache
-(:mod:`repro.load.engine.displacement`): :math:`T_k^d` is
-vertex-transitive, so for translation-invariant routings the path set of
-a pair depends only on its displacement ``(q - p) mod k``, and one
-canonical template per displacement class replaces per-pair path
-enumeration.  The ``fft`` backend (:mod:`repro.load.engine.fft`) pushes
-that symmetry to its limit for unions of cosets of a placement's
-translation stabilizer: their loads are one correlation per difference
-class of a source field with the aggregated path-usage templates,
-evaluated for every edge at once by ``numpy.fft.rfftn`` with an exact
-integer snap-back.
+The core machinery is one :class:`~repro.load.path_table.PathTable` per
+configuration: :math:`T_k^d` is vertex-transitive, so for
+translation-invariant routings the path set of a pair depends only on
+its displacement ``(q - p) mod k``, and one row per displacement
+replaces per-pair path enumeration.  ``vectorized`` reads the table's
+closed-form rows, ``displacement`` rows enumerated by the routing.  The
+``fft`` backend (:mod:`repro.load.engine.fft`) pushes that symmetry to
+its limit for unions of cosets of a placement's translation stabilizer:
+their loads are one correlation per difference class of a source field
+with the class's aggregated rows, evaluated for every edge at once by
+``numpy.fft.rfftn`` with an exact integer snap-back.
 """
 
-from repro.load.engine.base import LoadBackend, validate_pair_weights
-from repro.load.engine.displacement import (
-    DisplacementBackend,
-    DisplacementPathCache,
-    PathTemplate,
-    accumulate_displacement_loads,
-    displacement_edge_loads,
-)
+from repro.load.engine.base import LoadBackend
+from repro.load.engine.displacement import DisplacementBackend
 from repro.load.engine.fft import FFTBackend, fft_edge_loads
 from repro.load.engine.facade import (
     LoadEngine,
@@ -49,12 +43,7 @@ __all__ = [
     "VectorizedBackend",
     "FFTBackend",
     "DisplacementBackend",
-    "DisplacementPathCache",
-    "PathTemplate",
-    "displacement_edge_loads",
     "fft_edge_loads",
-    "accumulate_displacement_loads",
-    "validate_pair_weights",
     "available_backends",
     "cross_check",
     "get_default_engine",

@@ -23,25 +23,7 @@ import numpy as np
 from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
 
-__all__ = ["LoadBackend", "validate_pair_weights"]
-
-
-def validate_pair_weights(
-    pair_weights: np.ndarray | None, m: int
-) -> np.ndarray | None:
-    """Coerce a traffic matrix to ``float64`` and check its shape.
-
-    Returns ``None`` untouched (the complete-exchange default); raises
-    ``ValueError`` on a shape mismatch, mirroring the reference oracle.
-    """
-    if pair_weights is None:
-        return None
-    pair_weights = np.asarray(pair_weights, dtype=np.float64)
-    if pair_weights.shape != (m, m):
-        raise ValueError(
-            f"pair_weights must have shape ({m}, {m}), got {pair_weights.shape}"
-        )
-    return pair_weights
+__all__ = ["LoadBackend"]
 
 
 class LoadBackend(abc.ABC):

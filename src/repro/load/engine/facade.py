@@ -11,23 +11,25 @@ Backends by name:
 ``reference``
     The per-pair path-enumerating oracle; exact for any routing.
 ``vectorized``
-    The closed-form numpy kernels (dimension-order routings, UDR).
+    The closed-form rows of the plan's
+    :class:`~repro.load.path_table.PathTable` (dimension-order routings,
+    UDR), any traffic.
 ``displacement``
-    The displacement-class template cache; any translation-invariant
-    routing, weighted traffic included.
+    Path-table rows enumerated through ``routing.paths``; any
+    translation-invariant routing, weighted traffic included.
 ``fft``
     Spectral circular correlation over :math:`Z_k^d` with integer
     snap-back, all edges in one ``rfftn`` pass; spectral only for
     complete exchange on placements whose pairs fall into fewer
     difference classes modulo their translation stabilizer than they
-    have nodes (cosets, multiple linear placements),
-    displacement-served otherwise.
+    have nodes (cosets, multiple linear placements), served by the
+    path-table apply otherwise.
 ``auto``
     The first backend of fft → vectorized → displacement → reference
     that supports the call, which makes the choice structural:
     complete-exchange cosets and unions of cosets on
     translation-invariant routings go to ``fft``, other dimension-order
-    and unweighted UDR calls to ``vectorized``, every other
+    and UDR calls (any traffic) to ``vectorized``, every other
     translation-invariant case to ``displacement``, and fault-masked
     routings to ``reference``.
 
@@ -66,7 +68,7 @@ __all__ = [
 #: accepts only complete-exchange unions of cosets with fewer
 #: difference classes than nodes, where its warm spectral pass beats
 #: every other backend; ``vectorized`` serves the other dimension-order
-#: and unweighted UDR calls.
+#: and UDR calls.
 _AUTO_ORDER = ("fft", "vectorized", "displacement", "reference")
 
 _BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")
@@ -149,8 +151,7 @@ class LoadEngine:
         the configuration; an explicitly named backend is returned
         unconditionally (its ``compute`` raises a descriptive
         :class:`~repro.errors.EngineError` for inputs it cannot serve;
-        ``fft`` serves what it rejects through the displacement
-        evaluation).
+        ``fft`` serves what it rejects through the path-table apply).
         """
         if self.backend_name != "auto":
             return self._backend(self.backend_name)

@@ -4,7 +4,7 @@
 translation-invariant routing the Definition-4 contribution of an ordered
 pair ``(p, q)`` to the edge at tail ``v`` depends only on the displacement
 ``δ = (q - p) mod k`` and the offset ``u = (v - p) mod k`` — exactly the
-:class:`~repro.load.engine.displacement.PathTemplate` decomposition.  The
+row decomposition of :class:`~repro.load.path_table.PathTable`.  The
 total load of every edge channel ``(dim, sign)`` is therefore the group
 convolution
 
@@ -14,8 +14,8 @@ convolution
             \\;=\\; \\sum_{δ} (S_δ * T_δ)(v)
 
 of per-displacement *source fields* :math:`S_δ` (which pairs of class
-``δ`` start where) with per-displacement *path-usage templates*
-:math:`T_δ`.
+``δ`` start where) with per-displacement *path-usage tensors*
+:math:`T_δ`, the table's row ``δ``.
 
 The backend evaluates that sum spectrally where it collapses: placements
 with a large translation stabilizer :math:`H = \\{h : P + h = P\\}` —
@@ -41,8 +41,8 @@ pair count.  A coset is the case ``t = 1``, one class ``H`` and
 ``D = 2t - 1``.  :meth:`FFTBackend.supports` accepts a placement when
 ``D < |P|``, which a trivial stabilizer never meets
 (``D = |P - P| >= |P|``); every other input — rejected placements,
-weighted traffic — is served by the exact displacement-cache evaluation
-instead.  Accepted placements are therefore the first choice of the
+weighted traffic — is served by the exact apply of the plan's path
+table instead.  Accepted placements are therefore the first choice of the
 ``auto`` engine (fft → vectorized → displacement → reference).
 
 The classification is cheap.  A few rows of ``P`` screen the candidates
@@ -55,21 +55,20 @@ by one lookup.  ``supports`` builds nothing; ``compute`` builds the
 spectra, once per subgroup and class.
 
 A cold plan needs ``U_C`` once per subgroup ``H`` and class ``C``: it
-is the complete loads of the pairs ``0 → δ``, ``δ ∈ C∖{0}``.
-Dimension-order routings and UDR compute it with their vectorized pair
-kernels (:func:`~repro.load.engine.vectorized.pair_kernel`); routings
-without one (all-minimal, unrestricted ODR) sum their per-class path
-templates.
+is the complete loads of the pairs ``0 → δ``, ``δ ∈ C∖{0}``, one
+``np.bincount`` of those rows of the plan's path table (closed-form
+rows for dimension-order routings and UDR, ``routing.paths`` rows for
+the others), built only for the class's codes.
 
 Exactness is restored by the *snap-back* of :mod:`repro.load.quantize`:
 the usage tensor is scaled to integer numerators over a common
-denominator ``Q`` (the load quantum: 1 for dimension-order routings,
-``d!`` for UDR, the LCM of the path-set sizes for template-built
-tensors), the convolution result is rounded to the nearest integer —
-which is the exact value whenever the accumulated FFT error is below one
-half — and divided back by ``Q``.  A snap that would move any value by
+denominator ``Q`` (the LCM of the rows' path counts: 1 for
+dimension-order routings, ``d!`` for UDR), the convolution result is
+rounded to the nearest integer — which is the exact value whenever the
+accumulated FFT error is below one half — and divided back by ``Q``.  A
+snap that would move any value by
 :data:`~repro.load.quantize.LOAD_SNAP_TOLERANCE` or more falls back to
-the displacement evaluation too, instead of shipping a wrong answer.
+the table's exact apply too, instead of shipping a wrong answer.
 """
 
 from __future__ import annotations
@@ -82,13 +81,8 @@ import numpy as np
 
 from repro.errors import EngineError
 from repro.load.engine.base import LoadBackend
-from repro.load.engine.displacement import displacement_edge_loads
-from repro.load.engine.vectorized import pair_kernel
-from repro.load.quantize import (
-    LOAD_SNAP_TOLERANCE,
-    QUANTUM_DENOMINATOR_CAP,
-    routing_load_quantum,
-)
+from repro.load.path_table import PathTable
+from repro.load.quantize import LOAD_SNAP_TOLERANCE, QUANTUM_DENOMINATOR_CAP
 from repro.load.plancache import (
     DEFAULT_PLAN_CAPACITY,
     MAX_PLAN_ENTRIES,
@@ -268,61 +262,29 @@ def _inverse(acc: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _usage_spectra(
-    plan: SpectralPlan, disp: np.ndarray
+    table: PathTable, codes: np.ndarray
 ) -> list[tuple[int, np.ndarray]]:
     """Forward spectra of a difference class's usage tensor ``U_C``.
 
-    ``disp`` holds the class's nonzero elements.  ``U[channel, node]``
-    is the complete loads of the pairs ``0 → δ`` over them, as integer
-    numerators over the load quantum ``Q`` of
-    :func:`~repro.load.quantize.routing_load_quantum`, computed by the
-    routing's vectorized pair kernel; routings without one sum their
-    per-class path templates instead (:func:`_template_spectra`).
+    ``codes`` holds the node ids of the class's nonzero elements.
+    ``U[channel, node]`` is the complete loads of the pairs ``0 → δ``
+    over them: one ``np.bincount`` of their table rows, scaled to
+    integer numerators over a load quantum ``Q``.  One ``(Q, spectrum)``
+    entry per denominator group (:func:`_denominator_groups`).
     """
-    torus = plan.torus
-    k, d = torus.k, torus.d
-    kernel = pair_kernel(plan.routing, d)
-    if kernel is None:
-        return _template_spectra(plan, disp)
-    quantum = routing_load_quantum(plan.routing, d)
-    assert quantum is not None  # every routing with a kernel has one
-    if quantum > QUANTUM_DENOMINATOR_CAP:
-        # rounding over one large Q is no longer exact (UDR, d >= 10):
-        # the templates split the classes by denominator instead
-        return _template_spectra(plan, disp)
-    loads = np.zeros(torus.num_edges, dtype=np.float64)
-    kernel(loads, k, d, np.zeros_like(disp), disp)
-    # channel-major copy: a transposed view would leave the spectrum
-    # strided, slowing every product and inverse transform against it
-    usage = np.rint(loads * quantum).reshape(torus.num_nodes, 2 * d).T.copy()
-    return [(quantum, _spectrum(usage, torus.shape))]
-
-
-def _template_spectra(
-    plan: SpectralPlan, disp: np.ndarray
-) -> list[tuple[int, np.ndarray]]:
-    """:func:`_usage_spectra` from the plan's displacement path templates.
-
-    One ``(Q, spectrum)`` entry per denominator group, with every class
-    template scaled to integer numerators over ``Q``.
-    """
-    torus = plan.torus
-    strides = _grid(torus.k, torus.d)[0]
-    templates = [plan.path_cache.template(delta) for delta in disp]
-    denominators = np.array(
-        [tpl.num_paths for tpl in templates], dtype=np.int64
-    )
+    torus = table.torus
+    edges, numerators, paths = table.origin_rows(codes)
     spectra = []
-    for quantum, rows in _denominator_groups(denominators):
-        usage = np.zeros((2 * torus.d, torus.num_nodes), dtype=np.float64)
-        for i in rows:
-            tpl = templates[i]
-            numerator = np.rint(tpl.weight * tpl.num_paths)
-            np.add.at(
-                usage,
-                (tpl.dim_sign, tpl.offsets @ strides),
-                numerator * (quantum // denominators[i]),
-            )
+    for quantum, rows in _denominator_groups(paths):
+        scaled = numerators[rows] * (quantum // paths[rows])[:, None]
+        usage = np.bincount(
+            edges[rows].ravel(),
+            weights=scaled.ravel(),
+            minlength=table.sink + 1,
+        )[: table.sink]
+        # channel-major copy: a transposed view would leave the spectrum
+        # strided, slowing every product and inverse transform against it
+        usage = usage.reshape(torus.num_nodes, 2 * torus.d).T.copy()
         spectra.append((quantum, _spectrum(usage, torus.shape)))
     return spectra
 
@@ -347,13 +309,13 @@ def _class_spectra(
         usage = entry.get(label)
         if usage is None:
             torus = plan.torus
-            table = _grid(torus.k, torus.d)[1]
+            strides, table = _grid(torus.k, torus.d)
             ids = np.frombuffer(cover.subgroup, dtype=np.int64)
             if label:
                 # all of δ + H, with 0 ∈ H put back
                 ids = np.append(ids, 0)
-            disp = np.mod(table[label] + table[ids], torus.k)
-            usage = entry[label] = _usage_spectra(plan, disp)
+            codes = np.mod(table[label] + table[ids], torus.k) @ strides
+            usage = entry[label] = _usage_spectra(plan.table, codes)
         spectra.append(usage)
     return spectra
 
@@ -450,8 +412,8 @@ def fft_edge_loads(
     Drop-in equivalent of
     :func:`repro.load.edge_loads.edge_loads_reference` for any
     translation-invariant routing: spectral for the complete-exchange
-    placements :meth:`FFTBackend.supports` accepts, the displacement
-    evaluation otherwise.
+    placements :meth:`FFTBackend.supports` accepts, the path-table
+    apply otherwise.
     """
     return FFTBackend().compute(placement, routing, pair_weights=pair_weights)
 
@@ -468,11 +430,11 @@ class FFTBackend(LoadBackend):
     translation-invariant routings; ``auto`` asks it first, so every
     such complete-exchange call comes here and nothing else does.
     Named explicitly, the backend serves every other
-    translation-invariant input through the displacement evaluation,
-    with the path templates of the same plan.
+    translation-invariant input through the exact apply of the same
+    plan's path table.
 
     All configuration-dependent state — the per-placement verdicts,
-    path templates and forward usage spectra — lives in the ambient
+    path table and forward usage spectra — lives in the ambient
     :class:`~repro.load.plancache.PlanCache` (see
     :func:`~repro.load.plancache.using_plan_cache`), so sweeps and
     search loops that re-evaluate the same configuration pay only one
@@ -548,13 +510,8 @@ class FFTBackend(LoadBackend):
         drifted = spectral & (drifts >= LOAD_SNAP_TOLERANCE)
         for b in np.flatnonzero(~spectral | drifted):
             # rejected placements, weighted traffic, and rows whose snap
-            # broke the contract pay the exact displacement evaluation.
-            loads[b] = displacement_edge_loads(
-                placements[b],
-                routing,
-                pair_weights=pair_weights,
-                cache=plan.path_cache,
-            )
+            # broke the contract pay the exact path-table apply.
+            loads[b] = plan.table.loads(placements[b], pair_weights)
         tracer = current_tracer()
         if tracer.enabled:
             metrics = tracer.metrics

@@ -1,0 +1,366 @@
+"""One table of every path of a translation-invariant routing.
+
+:math:`T_k^d` is the Cayley graph of :math:`Z_k^d`, so under a
+translation-invariant routing the path set :math:`C^A_{p→q}` is the path
+set :math:`C^A_{0→δ}`, ``δ = (q - p) mod k``, shifted by ``p``:
+Definition 4's contribution of a pair is a function of its displacement
+alone.  :class:`PathTable` stores each displacement's paths once, and
+every load consumer in the package reads them from it: the ``vectorized``
+and ``displacement`` backends, the FFT backend's usage tensors and
+fallbacks, the incremental ODR kernels of the exact and local searches,
+and the catalog's block scan.
+
+Layout
+------
+Row ``c`` holds the paths ``0 → δ`` of the displacement whose node id is
+``c``, as a padded list of hops plus, for multi-path routings, a weight
+per hop (the fraction of the row's paths through it).  Each hop is an
+*extended id* ``ext(tail)·(2d+1) + 2·dim + sign_bit``, where ``ext``
+numbers coordinates on the unwrapped ``(2k)^d`` grid; slot ``2d`` marks
+padding.  A source coordinate and a tail offset are each below ``k`` per
+dimension, so their sum never wraps on that grid: moving a row to its
+source ``p`` is one integer add of ``ext(p)·(2d+1)``, and one gather
+through the wrap table (``(2k)^d·(2d+1)`` entries) turns extended ids
+into torus edge ids, padding into the sink id ``num_edges``.  The code of
+``q - p`` is one gather through the same grid, at
+``ext(q) - ext(p) + ext(k, …, k)``.
+
+Rows
+----
+Rows are filled lazily, only for the codes a call needs, from one of two
+sources:
+
+* closed forms, vectorized over the requested displacements — the
+  dimension-order family (Sec. 6, any order) and UDR (Sec. 7, one slot
+  per edge dimension ``j``, set ``A`` of dimensions corrected before it,
+  and step, weighted :math:`|A|!\\,|B|!/s!`);
+* ``routing.paths`` from the origin, for every other translation-invariant
+  routing — and for any routing when the table is built with
+  ``enumerate_paths=True``, which keeps the ``displacement`` backend an
+  independent check on the closed forms.
+
+Tables live in the spectral plans of :mod:`repro.load.plancache`, keyed
+by torus shape and routing structure.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from repro.errors import EngineError, LoadError
+from repro.load.traffic import validate_pair_weights
+from repro.placements.base import Placement
+from repro.routing.base import RoutingAlgorithm
+from repro.routing.dimension_order import DimensionOrderRouting
+from repro.routing.udr import UnorderedDimensionalRouting
+from repro.torus.coords import all_coords
+from repro.torus.topology import Torus
+from repro.util.itertools_ext import ordered_pair_index_arrays
+from repro.util.modular import minimal_correction_array
+
+__all__ = ["PathTable", "has_closed_form"]
+
+#: hop slots gathered per chunk of :meth:`PathTable.loads`; bounds the
+#: apply's scratch arrays to about a megabyte whatever the pair count.
+_CHUNK_SLOTS = 1 << 16
+
+
+def has_closed_form(routing: RoutingAlgorithm, d: int) -> bool:
+    """Whether ``routing`` has closed-form rows on a ``d``-dimensional torus.
+
+    UDR has them, and so do dimension-order routings with one entry per
+    dimension; every other routing's rows come from ``routing.paths``.
+    """
+    if isinstance(routing, DimensionOrderRouting):
+        return len(routing.order) == d
+    return isinstance(routing, UnorderedDimensionalRouting)
+
+
+class PathTable:
+    """The paths of every displacement of one ``(torus, routing)``.
+
+    Parameters
+    ----------
+    torus:
+        The host torus.
+    routing:
+        A routing algorithm with ``translation_invariant = True``.
+    enumerate_paths:
+        Fill every row from ``routing.paths``, even where a closed form
+        exists.
+
+    Raises
+    ------
+    EngineError
+        If the routing does not declare translation invariance — rows
+        keyed by displacement would silently produce wrong loads (e.g. for
+        fault-masked routings, where failed links break the symmetry).
+
+    Attributes
+    ----------
+    hops:
+        ``(k^d, width)`` extended hop ids per row, padded with slot ``2d``.
+    weights:
+        ``(k^d, width)`` fraction of the row's paths through each hop, or
+        ``None`` for single-path (dimension-order) routings.
+    paths:
+        ``(k^d,)`` path count per row, the denominator of its weights.
+    filled:
+        ``(k^d,)`` which rows have been built.
+    """
+
+    def __init__(
+        self,
+        torus: Torus,
+        routing: RoutingAlgorithm,
+        enumerate_paths: bool = False,
+    ) -> None:
+        if not getattr(routing, "translation_invariant", False):
+            raise EngineError(
+                f"routing {routing.name!r} is not translation-invariant; "
+                "a path table keyed by displacement would be unsound for it"
+            )
+        k, d = torus.k, torus.d
+        self.torus = torus
+        self.routing = routing
+        self.enumerated = enumerate_paths or not has_closed_form(routing, d)
+        #: hop slots per tail: ``2*dim + sign_bit``, then the padding slot.
+        self.slots = 2 * d + 1
+        self.pad = 2 * d
+        #: padding edge id; :meth:`edge_counts` drops its column.
+        self.sink = torus.num_edges
+        self.ext_strides = np.array(
+            [(2 * k) ** (d - 1 - i) for i in range(d)], dtype=np.int64
+        )
+        strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
+        # node id of every point of the unwrapped grid
+        self._node = np.mod(all_coords(2 * k, d), k) @ strides
+        wrap = self._node[:, None] * (2 * d) + np.arange(self.slots)
+        wrap[:, self.pad] = self.sink
+        #: extended hop id -> torus edge id (padding -> :attr:`sink`).
+        self.wrap = wrap.ravel().astype(np.int32)
+        self._coords = all_coords(k, d)
+        #: extended id of every node.
+        self.node_ext = self._coords @ self.ext_strides
+        self._shift = k * int(self.ext_strides.sum())
+        if self.enumerated:
+            width = 0
+        elif isinstance(routing, UnorderedDimensionalRouting):
+            width = d * (1 << (d - 1)) * (k // 2)
+        else:
+            width = d * (k // 2)
+        n = torus.num_nodes
+        self.hops = np.full((n, width), self.pad, dtype=np.int32)
+        unit = isinstance(routing, DimensionOrderRouting)
+        self.weights = None if unit else np.zeros((n, width))
+        self.paths = np.ones(n, dtype=np.int64)
+        self.filled = np.zeros(n, dtype=bool)
+
+    @property
+    def width(self) -> int:
+        """Hop slots per row."""
+        return self.hops.shape[1]
+
+    def ext(self, coords) -> np.ndarray:
+        """Extended ids of ``(..., d)`` coordinates in ``[0, k)``."""
+        return np.asarray(coords, dtype=np.int64) @ self.ext_strides
+
+    # -------------------------------------------------------------- rows
+
+    def codes(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Row codes of the pairs ``src → dst`` (extended ids), rows filled."""
+        codes = self._node[dst - src + self._shift]
+        self._require(codes)
+        return codes
+
+    def _require(self, codes: np.ndarray) -> None:
+        missing = ~self.filled[codes]
+        if missing.any():
+            self._fill(np.unique(codes[missing]))
+
+    def _fill(self, codes: np.ndarray) -> None:
+        disp = self._coords[codes]
+        if self.enumerated:
+            hops, counts, paths = self._enumerated_rows(disp)
+        elif isinstance(self.routing, UnorderedDimensionalRouting):
+            hops, counts, paths = self._udr_rows(disp)
+        else:
+            hops, counts, paths = self._dimension_order_rows(disp)
+        width = hops.shape[1]
+        if width > self.width:
+            grow = ((0, 0), (0, width - self.width))
+            self.hops = np.pad(self.hops, grow, constant_values=self.pad)
+            if self.weights is not None:
+                self.weights = np.pad(self.weights, grow)
+        self.hops[codes, :width] = hops
+        if self.weights is not None:
+            self.weights[codes, :width] = counts / paths[:, None]
+            self.paths[codes] = paths
+        self.filled[codes] = True
+
+    def _dimension_order_rows(self, disp: np.ndarray):
+        """The unique path of each displacement, dimensions in order."""
+        k = self.torus.k
+        steps = np.arange(k // 2)
+        hops = []
+        corrected = np.zeros(disp.shape[0], dtype=np.int64)  # ext of q's prefix
+        for dim in self.routing.order:
+            delta, _tied = minimal_correction_array(0, disp[:, dim], k)
+            active = steps < np.abs(delta)[:, None]
+            tail = corrected[:, None] + (
+                np.mod(np.sign(delta)[:, None] * steps, k) * self.ext_strides[dim]
+            )
+            hop = tail * self.slots + (2 * dim + (delta < 0))[:, None]
+            hops.append(np.where(active, hop, self.pad))
+            corrected += disp[:, dim] * self.ext_strides[dim]
+        return np.concatenate(hops, axis=1), None, None
+
+    def _udr_rows(self, disp: np.ndarray):
+        """UDR's :math:`s!` paths of each displacement, aggregated per hop.
+
+        The edge of dimension ``j`` whose tail has the dimensions of ``A``
+        already at ``q`` and those of ``B`` still at ``p`` carries the
+        :math:`|A|!\\,|B|!` orders that correct ``A ≺ j ≺ B``.
+        """
+        k, d = self.torus.k, self.torus.d
+        steps = np.arange(k // 2)
+        delta = np.stack(
+            [minimal_correction_array(0, disp[:, i], k)[0] for i in range(d)],
+            axis=1,
+        )
+        differs = delta != 0
+        factorial = np.array([math.factorial(i) for i in range(d + 1)])
+        hops, counts = [], []
+        for j in range(d):
+            others = [i for i in range(d) if i != j]
+            active = differs[:, j, None] & (steps < np.abs(delta[:, j])[:, None])
+            segment = np.mod(np.sign(delta[:, j])[:, None] * steps, k)
+            dim_sign = (2 * j + (delta[:, j] < 0))[:, None]
+            for mask in range(1 << (d - 1)):
+                before = [i for b, i in enumerate(others) if mask >> b & 1]
+                after = [i for i in others if i not in before]
+                valid = active & differs[:, before].all(axis=1)[:, None]
+                base = disp[:, before] @ self.ext_strides[before]
+                tail = base[:, None] + segment * self.ext_strides[j]
+                hops.append(
+                    np.where(valid, tail * self.slots + dim_sign, self.pad)
+                )
+                count = factorial[len(before)] * factorial[
+                    differs[:, after].sum(axis=1)
+                ]
+                counts.append(np.where(valid, count[:, None], 0))
+        paths = factorial[differs.sum(axis=1)]
+        return np.concatenate(hops, axis=1), np.concatenate(counts, axis=1), paths
+
+    def _enumerated_rows(self, disp: np.ndarray):
+        """Each displacement's paths from ``routing.paths``, per hop."""
+        torus = self.torus
+        origin = (0,) * torus.d
+        rows = []
+        for delta in disp:
+            target = tuple(int(x) for x in delta)
+            paths = self.routing.paths(torus, origin, target)
+            if not paths:
+                raise LoadError(
+                    f"routing {self.routing.name!r} returned no path for the "
+                    f"canonical pair {origin} -> {target}; cannot build "
+                    "its path-table row"
+                )
+            eids = np.array(
+                [e for path in paths for e in path.edge_ids], dtype=np.int64
+            )
+            tails, dim_sign = np.divmod(eids, 2 * torus.d)
+            hop = self.node_ext[tails] * self.slots + dim_sign
+            rows.append(np.unique(hop, return_counts=True) + (len(paths),))
+        width = max(hop.size for hop, _, _ in rows)
+        hops = np.full((len(rows), width), self.pad, dtype=np.int64)
+        counts = np.zeros((len(rows), width), dtype=np.int64)
+        for i, (hop, count, _) in enumerate(rows):
+            hops[i, : hop.size] = hop
+            counts[i, : hop.size] = count
+        paths = np.array([n for _, _, n in rows], dtype=np.int64)
+        return hops, counts, paths
+
+    # -------------------------------------------------------- consumers
+
+    def edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Edge ids of the paths ``src → dst``.
+
+        ``src`` and ``dst`` are broadcastable arrays of extended node ids
+        (:meth:`ext`, :attr:`node_ext`); the result has one more axis of
+        :attr:`width` hop slots, padding (and every slot of a
+        ``src == dst`` pair) set to :attr:`sink`.
+        """
+        codes = self.codes(src, dst)
+        return self.wrap[self.hops[codes] + (src * self.slots)[..., None]]
+
+    def edge_counts(self, edges: np.ndarray) -> np.ndarray:
+        """Per-row edge traversal counts of ``(..., pairs, hops)`` edge ids.
+
+        One ``np.bincount`` over a flat ``(rows, num_edges + 1)`` index —
+        the extra column absorbs the padding — returns an int64 array of
+        shape ``(..., num_edges)``.
+        """
+        batch = edges.shape[:-2]
+        rows = int(np.prod(batch, dtype=np.int64))
+        width = self.sink + 1
+        flat = edges.reshape(rows, -1) + (np.arange(rows) * width)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=rows * width)
+        return counts.reshape(batch + (width,))[..., : self.sink]
+
+    def origin_rows(self, codes: np.ndarray):
+        """Edge ids, integer numerators and path counts of rows ``codes``.
+
+        The rows hold the paths ``0 → δ``, source at the origin; each hop
+        carries ``numerator / paths`` of its row's unit of traffic.
+        """
+        self._require(codes)
+        edges = self.wrap[self.hops[codes]]
+        paths = self.paths[codes]
+        if self.weights is None:
+            return edges, (edges != self.sink).astype(np.int64), paths
+        return edges, np.rint(self.weights[codes] * paths[:, None]), paths
+
+    def loads(
+        self, placement: Placement, pair_weights: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Exact Definition-4 loads of every ordered pair of ``placement``.
+
+        ``pair_weights`` is an optional ``(|P|, |P|)`` traffic matrix
+        (default: complete exchange); pairs of weight zero are skipped.
+        Pairs are applied in chunks of about ``2^16`` hop slots: a gather
+        of their rows, one add, one gather through the wrap table and
+        one ``np.bincount``.
+        """
+        m = len(placement)
+        pair_weights = validate_pair_weights(pair_weights, m)
+        pi, qi = ordered_pair_index_arrays(m)
+        scale = None
+        if pair_weights is not None:
+            scale = pair_weights[pi, qi]
+            keep = scale != 0.0
+            pi, qi, scale = pi[keep], qi[keep], scale[keep]
+        ext = self.node_ext[placement.node_ids]
+        src = ext[pi]
+        codes = self.codes(src, ext[qi])
+        total = np.zeros(self.sink + 1)
+        step = max(1, _CHUNK_SLOTS // max(1, self.width))
+        for lo in range(0, codes.size, step):
+            chunk = slice(lo, lo + step)
+            rows = codes[chunk]
+            edges = self.wrap[self.hops[rows] + (src[chunk] * self.slots)[:, None]]
+            weights = None
+            if self.weights is not None:
+                weights = self.weights[rows]
+                if scale is not None:
+                    weights *= scale[chunk, None]
+            elif scale is not None:
+                weights = np.repeat(scale[chunk], self.width)
+            total += np.bincount(
+                edges.ravel(),
+                weights=None if weights is None else weights.ravel(),
+                minlength=total.size,
+            )
+        return total[: self.sink]

@@ -1,19 +1,20 @@
 """Spectral plan cache — shared warm state for the load engine.
 
-The FFT backend's per-call cost splits into two parts: work that depends
-only on the *configuration* ``(torus shape, routing)`` — displacement
-path templates and forward usage spectra — and work that depends on the
-*placement* — one indicator transform, one product, one inverse
-transform.  Caching the first part per backend instance would make every
-fresh :class:`~repro.load.engine.LoadEngine` re-derive it from scratch.
+Every load consumer's per-call cost splits into two parts: work that
+depends only on the *configuration* ``(torus shape, routing)`` — the
+:class:`~repro.load.path_table.PathTable` rows and the FFT backend's
+forward usage spectra — and work that depends on the *placement*.
+Caching the first part per backend instance would make every fresh
+:class:`~repro.load.engine.LoadEngine` re-derive it from scratch.
 
 This module hoists that state into a process-wide bounded LRU keyed by
 a structural fingerprint of the configuration: torus shape, routing
 class, routing name and (for the dimension-order family) the dimension
 order.  Two routing *instances* with the same structure share one plan,
-so fresh engines, fresh routing instances, and the FFT and displacement
-backends all reuse the same path templates.  Each process builds its
-own plans.
+so fresh engines, fresh routing instances, every backend, the
+incremental ODR kernels and the catalog all reuse the same path table.
+It is the only place tables are cached.  Each process builds its own
+plans.
 
 The ambient-policy convention mirrors ``using_engine`` /
 ``using_exec_policy`` / ``using_tracer``: instrumented code asks
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import EngineError
-from repro.load.engine.displacement import DisplacementPathCache
+from repro.load.path_table import PathTable
 from repro.obs.tracer import current_tracer
 from repro.routing.base import RoutingAlgorithm
 from repro.torus.topology import Torus
@@ -78,22 +79,41 @@ def _plan_key(torus: Torus, routing: RoutingAlgorithm) -> _PlanKey:
 
 
 class SpectralPlan:
-    """The reusable spectral state of one ``(torus, routing)``.
+    """The reusable state of one ``(torus, routing)``.
 
-    Holds the displacement path-template cache plus the memo the FFT
+    Holds the configuration's :class:`~repro.load.path_table.PathTable`
+    (closed-form rows where the routing has them) plus the memo the FFT
     backend fills lazily (values are opaque to this module):
     ``spectra`` maps the sorted nonzero codes of a placement's
     translation stabilizer to the forward usage-tensor spectra of its
     difference classes — every placement covered by cosets of one
     subgroup shares an entry, and :data:`MAX_PLAN_ENTRIES` bounds the
     subgroups.
+
+    Raises :class:`~repro.errors.EngineError` for a routing that is not
+    translation-invariant.
     """
 
     def __init__(self, torus: Torus, routing: RoutingAlgorithm) -> None:
         self.torus = torus
         self.routing = routing
-        self.path_cache = DisplacementPathCache(torus, routing)
+        self.table = PathTable(torus, routing)
+        self._enumerated: Optional[PathTable] = None
         self.spectra: Dict[bytes, Any] = {}
+
+    def enumerated_table(self) -> PathTable:
+        """The table whose rows all come from ``routing.paths``.
+
+        Built on first request; it is :attr:`table` itself for routings
+        without closed-form rows.
+        """
+        if self._enumerated is None:
+            self._enumerated = (
+                self.table
+                if self.table.enumerated
+                else PathTable(self.torus, self.routing, enumerate_paths=True)
+            )
+        return self._enumerated
 
     def __repr__(self) -> str:
         return (

@@ -15,10 +15,30 @@ from repro.errors import InvalidParameterError
 from repro.util.rng import resolve_rng
 
 __all__ = [
+    "validate_pair_weights",
     "complete_exchange_weights",
     "permutation_traffic_weights",
     "hotspot_traffic_weights",
 ]
+
+
+def validate_pair_weights(
+    pair_weights: np.ndarray | None, m: int
+) -> np.ndarray | None:
+    """Coerce a traffic matrix to ``float64`` and check its shape.
+
+    Returns ``None`` untouched (the complete-exchange default); raises
+    :class:`~repro.errors.InvalidParameterError` (a ``ValueError``)
+    unless the matrix is ``(m, m)``.
+    """
+    if pair_weights is None:
+        return None
+    pair_weights = np.asarray(pair_weights, dtype=np.float64)
+    if pair_weights.shape != (m, m):
+        raise InvalidParameterError(
+            f"pair_weights must have shape ({m}, {m}), got {pair_weights.shape}"
+        )
+    return pair_weights
 
 
 def complete_exchange_weights(m: int) -> np.ndarray:

@@ -8,8 +8,8 @@ achievers.  On :math:`T_4^2` that is 1 820 placements, on :math:`T_6^2`
 with six processors all 1 947 792 — turning "no counterexample found"
 into "no counterexample exists".
 
-Placements are scored in blocks through the
-:class:`~repro.load.odr_loads.OdrPathTable` the exact search and the
+Placements are scored in blocks through the ODR
+:class:`~repro.load.path_table.PathTable` the exact search and the
 local search also use: every ODR path is one row of that table, so a
 block of placements costs one gather and one ``np.bincount``.
 """
@@ -25,9 +25,10 @@ import numpy as np
 
 from repro.errors import ExecutionError, InvalidParameterError, SearchError
 from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
-from repro.load.odr_loads import odr_edge_loads, odr_path_table
+from repro.load.odr_loads import odr_edge_loads
+from repro.load.plancache import current_plan_cache
 from repro.placements.base import Placement
-from repro.torus.coords import all_coords
+from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
 from repro.util.itertools_ext import combinations_from, ordered_pair_index_arrays
 
@@ -111,16 +112,16 @@ def _scan(
     """Table-scatter worker: same contract as :func:`_evaluate_chunk`.
 
     ``combos`` is a lexicographic stream of ``size``-subsets of node ids.
-    Each block of it is one coordinate gather, one
-    :meth:`~repro.load.odr_loads.OdrPathTable.path_edges` call over every
+    Each block of it is one gather of extended node ids, one
+    :meth:`~repro.load.path_table.PathTable.edges` call over every
     ordered pair of every placement, one
-    :meth:`~repro.load.odr_loads.OdrPathTable.edge_counts` scatter, and a
+    :meth:`~repro.load.path_table.PathTable.edge_counts` scatter, and a
     row-wise ``max`` — exact integer loads, bit-identical to the oracle.
     """
-    table = odr_path_table(torus)
-    coords = all_coords(torus.k, torus.d)
+    routing = OrderedDimensionalRouting(torus.d)
+    table = current_plan_cache().get(torus, routing).table
     pi, qi = ordered_pair_index_arrays(size)
-    block = max(1, _BLOCK_SLOTS // max(1, pi.size * table.dim_sign.shape[1]))
+    block = max(1, _BLOCK_SLOTS // max(1, pi.size * table.width))
     best: int | None = None
     best_ids: tuple[int, ...] | None = None
     num_optimal = 0
@@ -132,8 +133,8 @@ def _scan(
         ).reshape(-1, size)
         if ids.shape[0] == 0:
             break
-        placed = coords[ids]
-        edges = table.path_edges(placed[:, pi], placed[:, qi])
+        placed = table.node_ext[ids]
+        edges = table.edges(placed[:, pi], placed[:, qi])
         emax = table.edge_counts(edges).max(axis=1, initial=0)
         values, counts = np.unique(emax, return_counts=True)
         for value, count in zip(values.tolist(), counts.tolist()):

@@ -37,7 +37,7 @@ times in the orbit — an integer, because the fibers of
 **Branch and bound.**  The surviving variants' load vectors are kept as
 one ``(variants, edges)`` array and grown together along the prefix
 tree: :func:`repro.load.odr_loads.odr_edge_loads_add_delta` gathers the
-ODR path templates of every (variant, kept node) pair and scatters them
+ODR path-table rows of every (variant, kept node) pair and scatters them
 in one ``bincount`` per grown node — :math:`O(|P|)` pair work per node
 instead of :math:`O(|P|^2)` per leaf; the engine performs *zero*
 from-scratch placement evaluations.  Because loads only ever increase as
@@ -303,7 +303,7 @@ class _SearchContext:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Extend every surviving variant's loads by one grown node.
 
-        One template scatter covers all variants.  Returns the (possibly
+        One path-table scatter covers all variants.  Returns the (possibly
         reduced) alive variant rows and their new load vectors.
         """
         m = len(ids)

@@ -124,7 +124,7 @@ def local_search_placement(
 
     # maintain the full load vector so each candidate swap costs O(|P|)
     # pair work via the incremental engine instead of O(|P|^2); a move's
-    # sampled candidates are evaluated together in one template scatter
+    # sampled candidates are evaluated together in one path-table scatter
     current_loads = odr_edge_loads(current)
     coords = torus.all_node_coords()
     slots = np.arange(current_ids.size - 1)

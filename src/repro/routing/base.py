@@ -100,8 +100,8 @@ class RoutingAlgorithm(abc.ABC):
     #: All the paper's dimension-ordered routings have this property
     #: (their corrections are functions of the coordinate differences
     #: alone); fault-masked wrappers do *not*, because the failed links
-    #: break the torus's vertex transitivity.  The displacement-class
-    #: path cache in :mod:`repro.load.engine` relies on this flag.
+    #: break the torus's vertex transitivity.  The per-displacement path
+    #: table in :mod:`repro.load.path_table` relies on this flag.
     translation_invariant: bool = False
 
     @abc.abstractmethod

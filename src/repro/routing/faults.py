@@ -35,7 +35,7 @@ class FaultMaskedRouting(RoutingAlgorithm):
     """
 
     #: a concrete failure set breaks the torus's vertex transitivity, so
-    #: the displacement-class cache must never serve this routing.
+    #: a per-displacement path table must never serve this routing.
     translation_invariant = False
 
     def __init__(self, base: RoutingAlgorithm, failed_edge_ids, strict: bool = True):

@@ -13,7 +13,7 @@ has remembered the placement, and on a cache whose plan already holds
 the spectra of a translate of ``P``.  On the smaller tori the loads of
 every kind must equal the reference oracle's after ``snap_loads`` under
 ODR, UDR and all-minimal routing, whose class spectra are built from
-path templates.
+closed-form and from enumerated path-table rows.
 """
 
 import math

@@ -6,8 +6,9 @@ by strictly less than :data:`~repro.load.quantize.LOAD_SNAP_TOLERANCE`.
 Hypothesis drives random and coset placements, routings, and integer
 traffic through the backend and checks the observed drift never
 approaches the tolerance — and that the snapped result is the oracle's
-value exactly.  The same cases, plus fault-masked routings, check that
-every branch of ``auto`` dispatch matches the oracle.
+value exactly.  The same cases check that ``vectorized``,
+``displacement`` and ``fft``, and, with fault-masked routings added,
+every branch of ``auto`` dispatch, match the oracle.
 """
 
 import numpy as np
@@ -16,13 +17,14 @@ from hypothesis import strategies as st
 
 from repro.errors import LoadError
 from repro.load.edge_loads import edge_loads_reference
-from repro.load.engine import FFTBackend, LoadEngine
+from repro.load.engine import FFTBackend, LoadEngine, VectorizedBackend
 from repro.load.quantize import (
     LOAD_SNAP_TOLERANCE,
     routing_load_quantum,
     snap_loads,
 )
 from repro.placements.base import Placement
+from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.faults import FaultMaskedRouting
 from repro.routing.minimal import AllMinimalPaths
 from repro.routing.odr import OrderedDimensionalRouting
@@ -68,6 +70,7 @@ def fft_case(draw, faults=False):
         st.sampled_from(
             [
                 OrderedDimensionalRouting(d),
+                DimensionOrderRouting(tuple(reversed(range(d)))),
                 UnorderedDimensionalRouting(),
                 UnrestrictedODR(),
                 AllMinimalPaths(),
@@ -135,3 +138,18 @@ def test_auto_matches_reference_after_snap(case):
         raise AssertionError("auto served a disconnected pair")
     got = engine.edge_loads(placement, routing, pair_weights=weights)
     _assert_matches_oracle(got, oracle, routing, placement.torus.d)
+
+
+@given(fft_case())
+@settings(max_examples=60, deadline=None)
+def test_every_backend_matches_reference_after_snap(case):
+    placement, routing, weights, _coset = case
+    oracle = edge_loads_reference(placement, routing, weights)
+    names = ["displacement", "fft"]
+    if VectorizedBackend().supports(placement, routing, weights):
+        names.append("vectorized")
+    for name in names:
+        got = LoadEngine(name).edge_loads(
+            placement, routing, pair_weights=weights
+        )
+        _assert_matches_oracle(got, oracle, routing, placement.torus.d)

@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.errors import EngineError, LoadError
+from repro.errors import EngineError, InvalidParameterError, LoadError
 from repro.load.edge_loads import edge_loads_reference
 from repro.load.engine import (
     DisplacementBackend,
-    DisplacementPathCache,
     FFTBackend,
     LoadEngine,
     ReferenceBackend,
     VectorizedBackend,
     available_backends,
     cross_check,
-    displacement_edge_loads,
     get_default_engine,
     resolve_engine,
     using_engine,
 )
+from repro.load.odr_loads import odr_edge_loads
+from repro.load.path_table import PathTable
 from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.load.traffic import hotspot_traffic_weights
@@ -93,18 +93,13 @@ class TestAutoDispatch:
             engine.backend_for(linear_4_2, masked), ReferenceBackend
         )
 
-    def test_auto_udr_weighted_uses_displacement(self, linear_4_2):
+    def test_auto_udr_weighted_uses_vectorized(self, linear_4_2):
         engine = LoadEngine("auto")
         routing = UnorderedDimensionalRouting()
         w = np.ones((len(linear_4_2), len(linear_4_2)))
         assert isinstance(
-            engine.backend_for(linear_4_2, routing, w), DisplacementBackend
+            engine.backend_for(linear_4_2, routing, w), VectorizedBackend
         )
-        # and the numbers still match the oracle
-        np.fill_diagonal(w, 0.0)
-        loads = engine.edge_loads(linear_4_2, routing, pair_weights=w)
-        oracle = edge_loads_reference(linear_4_2, routing, w)
-        assert np.abs(loads - oracle).max() <= ATOL
 
     @pytest.mark.parametrize(
         "placement_kind,make_routing,weighted,expected",
@@ -189,53 +184,74 @@ class TestAutoDispatch:
             )
 
 
+def _enumerated_table(torus, routing):
+    return PlanCache().get(torus, routing).enumerated_table()
+
+
 class TestDisplacementCache:
-    def test_templates_are_memoized(self, linear_4_2):
-        cache = DisplacementPathCache(
-            linear_4_2.torus, OrderedDimensionalRouting(2)
-        )
-        t1 = cache.template((1, 2))
-        t2 = cache.template((1, 2))
-        assert t1 is t2
-        assert len(cache) == 1
+    """The displacement backend's path table: rows from ``routing.paths``."""
+
+    def test_templates_are_memoized(self, linear_4_2, monkeypatch):
+        routing = OrderedDimensionalRouting(2)
+        table = _enumerated_table(linear_4_2.torus, routing)
+        calls = []
+        paths = routing.paths
+
+        def counting_paths(*args):
+            calls.append(args[2])
+            return paths(*args)
+
+        monkeypatch.setattr(routing, "paths", counting_paths)
+        src = table.node_ext[[0, 0, 5]]
+        dst = table.node_ext[[6, 6, 11]]  # all three pairs differ by (1, 2)
+        first = table.codes(src, dst)
+        assert len(calls) == 1 and table.filled.sum() == 1
+        assert np.array_equal(table.codes(src, dst), first)
+        assert len(calls) == 1
 
     def test_template_weights_sum_to_lee_distance(self, torus_5_2):
         # each pair's fractional contributions sum to its Lee distance
-        cache = DisplacementPathCache(torus_5_2, AllMinimalPaths())
-        tpl = cache.template((2, 1))
-        assert tpl.weight.sum() == pytest.approx(3.0)
-        assert tpl.num_paths == 3
+        table = _enumerated_table(torus_5_2, AllMinimalPaths())
+        code = torus_5_2.node_id((2, 1))
+        edges, numerators, paths = table.origin_rows(np.array([code]))
+        assert paths[0] == 3
+        assert numerators.sum() / paths[0] == 3.0
+        assert np.count_nonzero(edges != table.sink) == np.count_nonzero(
+            numerators
+        )
 
     def test_cache_rejects_non_invariant_routing(self, torus_4_2):
         masked = FaultMaskedRouting(OrderedDimensionalRouting(2), [0])
         with pytest.raises(EngineError):
-            DisplacementPathCache(torus_4_2, masked)
+            PathTable(torus_4_2, masked)
+        with pytest.raises(EngineError):
+            PlanCache().get(torus_4_2, masked)
 
     def test_cache_reuse_across_calls(self, linear_4_2):
         routing = OrderedDimensionalRouting(2)
-        cache = DisplacementPathCache(linear_4_2.torus, routing)
-        first = displacement_edge_loads(linear_4_2, routing, cache=cache)
-        n_templates = len(cache)
-        second = displacement_edge_loads(linear_4_2, routing, cache=cache)
-        assert len(cache) == n_templates
+        table = _enumerated_table(linear_4_2.torus, routing)
+        first = table.loads(linear_4_2)
+        n_rows = int(table.filled.sum())
+        second = table.loads(linear_4_2)
+        assert int(table.filled.sum()) == n_rows
         assert np.array_equal(first, second)
 
     def test_backend_keeps_one_plan_for_fresh_routing_instances(
         self, torus_5_2, monkeypatch
     ):
-        # each call brings a new routing instance; the templates live in
-        # the plan cache, keyed by the routing's structure, not its id
+        # each call brings a new routing instance; the rows live in the
+        # plan cache, keyed by the routing's structure, not its id
         placement = Placement(
             torus_5_2, torus_5_2.node_ids([(0, 0), (1, 2), (3, 4), (4, 1)])
         )
         builds: dict = {}
-        build = DisplacementPathCache._build
+        paths = AllMinimalPaths.paths
 
-        def counting_build(cache, disp):
-            builds[disp] = builds.get(disp, 0) + 1
-            return build(cache, disp)
+        def counting_paths(routing, torus, p, q):
+            builds[q] = builds.get(q, 0) + 1
+            return paths(routing, torus, p, q)
 
-        monkeypatch.setattr(DisplacementPathCache, "_build", counting_build)
+        monkeypatch.setattr(AllMinimalPaths, "paths", counting_paths)
         plans = PlanCache()
         engine = LoadEngine("displacement")
         with using_plan_cache(plans):
@@ -247,7 +263,7 @@ class TestDisplacementCache:
         assert plans.stats.misses == 1
         assert set(builds.values()) == {1}
         plan = plans.get(torus_5_2, AllMinimalPaths())
-        assert len(plan.path_cache) == len(builds)
+        assert int(plan.enumerated_table().filled.sum()) == len(builds)
         for row in rows[1:]:
             assert np.array_equal(row, rows[0])
 
@@ -257,7 +273,7 @@ class TestDisplacementCache:
             torus_5_2, torus_5_2.node_ids([(0, 0), (1, 2), (3, 4), (4, 1)])
         )
         for routing in (OrderedDimensionalRouting(2), AllMinimalPaths()):
-            loads = displacement_edge_loads(placement, routing)
+            loads = LoadEngine("displacement").edge_loads(placement, routing)
             oracle = edge_loads_reference(placement, routing)
             assert np.abs(loads - oracle).max() <= ATOL
 
@@ -267,13 +283,29 @@ class TestEngineErrors:
         with pytest.raises(EngineError):
             LoadEngine("warp-drive")
 
-    def test_vectorized_rejects_weighted_udr(self, linear_4_2):
-        w = np.ones((len(linear_4_2), len(linear_4_2)))
-        engine = LoadEngine("vectorized")
-        with pytest.raises(EngineError):
-            engine.edge_loads(
-                linear_4_2, UnorderedDimensionalRouting(), pair_weights=w
-            )
+    def test_vectorized_serves_weighted_udr(self, linear_4_2):
+        m = len(linear_4_2)
+        w = np.arange(m * m, dtype=np.float64).reshape(m, m) % 4
+        np.fill_diagonal(w, 0.0)
+        routing = UnorderedDimensionalRouting()
+        loads = LoadEngine("vectorized").edge_loads(
+            linear_4_2, routing, pair_weights=w
+        )
+        oracle = edge_loads_reference(linear_4_2, routing, w)
+        assert np.array_equal(snap_loads(loads, 2), snap_loads(oracle, 2))
+
+    @pytest.mark.parametrize(
+        "backend", ["vectorized", "displacement", "fft", "odr_edge_loads"]
+    )
+    def test_malformed_traffic_matrix_is_named(self, linear_4_2, backend):
+        w = np.ones((len(linear_4_2), len(linear_4_2) + 1))
+        with pytest.raises(InvalidParameterError, match="pair_weights"):
+            if backend == "odr_edge_loads":
+                odr_edge_loads(linear_4_2, pair_weights=w)
+            else:
+                LoadEngine(backend).edge_loads(
+                    linear_4_2, OrderedDimensionalRouting(2), pair_weights=w
+                )
 
     def test_vectorized_rejects_unknown_routing(self, linear_4_2):
         with pytest.raises(EngineError):

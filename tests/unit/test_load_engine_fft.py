@@ -5,7 +5,7 @@ sides with :func:`repro.load.quantize.snap_loads`, the FFT backend must
 equal the reference oracle exactly — not merely within a float
 tolerance — on every translation-invariant configuration, spectrally for
 complete-exchange unions of cosets with fewer difference classes than
-nodes and through the displacement fallback for everything else.
+nodes and through the path-table fallback for everything else.
 """
 
 import numpy as np
@@ -19,12 +19,11 @@ from repro.load.engine import (
     ReferenceBackend,
     VectorizedBackend,
     cross_check,
-    displacement_edge_loads,
     fft_edge_loads,
 )
 from repro.load.engine import fft as fft_module
-from repro.load.engine.fft import _template_spectra, _usage_spectra
-from repro.load.plancache import PlanCache, using_plan_cache
+from repro.load.engine.fft import _usage_spectra
+from repro.load.plancache import PlanCache, current_plan_cache, using_plan_cache
 from repro.load.quantize import (
     LOAD_SNAP_TOLERANCE,
     routing_load_quantum,
@@ -56,6 +55,12 @@ def _routings(d):
         UnrestrictedODR(),
         AllMinimalPaths(),
     ]
+
+
+def _table_loads(placement, routing):
+    """What the backend's fallback serves: the plan's path-table apply."""
+    plan = current_plan_cache().get(placement.torus, routing)
+    return plan.table.loads(placement)
 
 
 def _assert_bit_identical(placement, routing, pair_weights=None):
@@ -149,7 +154,7 @@ class TestRegimes:
         second = backend.compute(placement, routing)  # served by plan
         assert np.array_equal(first, second)
         assert np.array_equal(
-            first, displacement_edge_loads(placement, routing)
+            first, LoadEngine("displacement").edge_loads(placement, routing)
         )
 
     def test_plan_cache_does_not_leak_into_weighted_calls(self):
@@ -174,7 +179,7 @@ class TestRegimes:
             assert not FFTBackend().supports(placement, routing)
             assert np.array_equal(
                 LoadEngine("fft").edge_loads(placement, routing),
-                displacement_edge_loads(placement, routing),
+                _table_loads(placement, routing),
             )
             _assert_bit_identical(placement, routing)
 
@@ -199,7 +204,7 @@ class TestRegimes:
 
     def test_snap_drift_falls_back_to_displacement(self, monkeypatch):
         # a spectral result whose snap would move a load by a quarter
-        # must not ship: the row is re-served by the displacement path
+        # must not ship: the row is re-served by the exact table apply
         convolve = fft_module._convolve
 
         def drifting(*args):
@@ -216,9 +221,7 @@ class TestRegimes:
             backend = FFTBackend()
             got = backend.compute(placement, routing)
             assert backend.last_snap_drift >= LOAD_SNAP_TOLERANCE
-            assert np.array_equal(
-                got, displacement_edge_loads(placement, routing)
-            )
+            assert np.array_equal(got, _table_loads(placement, routing))
 
     def test_explicit_fft_serves_weighted_traffic_exactly(self):
         torus = Torus(5, 2)
@@ -247,11 +250,11 @@ class TestRegimes:
 
 
 class TestColdPlans:
-    """Usage spectra from the vectorized pair kernels equal the template ones.
+    """Usage spectra from closed-form rows equal those from enumerated rows.
 
     The cosets are linear classes whose subgroups hold a displacement
-    differing in every dimension, so the templates' LCM of path counts
-    is the kernels' quantum (``d!`` under UDR).
+    differing in every dimension, so the LCM of the rows' path counts is
+    the routing's quantum (``d!`` under UDR).
     """
 
     @pytest.mark.parametrize("k,d", [(4, 2), (5, 2), (4, 3), (6, 3)])
@@ -272,16 +275,17 @@ class TestColdPlans:
             plan = PlanCache().get(torus, routing)
             for placement in cosets:
                 h = np.mod(placement.coords() - placement.coords()[0], k)
-                kernel = _usage_spectra(plan, h[1:])
-                template = _template_spectra(plan, h[1:])
-                assert len(kernel) == len(template) == 1
-                (q_kernel, s_kernel), (q_template, s_template) = (
-                    kernel[0], template[0]
+                codes = torus.node_ids(h[1:])
+                closed = _usage_spectra(plan.table, codes)
+                enumerated = _usage_spectra(plan.enumerated_table(), codes)
+                assert len(closed) == len(enumerated) == 1
+                (q_closed, s_closed), (q_enumerated, s_enumerated) = (
+                    closed[0], enumerated[0]
                 )
-                assert q_kernel == q_template == routing_load_quantum(
+                assert q_closed == q_enumerated == routing_load_quantum(
                     routing, d
                 )
-                assert np.array_equal(s_kernel, s_template), (
+                assert np.array_equal(s_closed, s_enumerated), (
                     routing.name, placement.name
                 )
 

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from repro.load.odr_loads import (
-    accumulate_pair_loads,
     odr_edge_loads,
     odr_edge_loads_add_delta,
     odr_edge_loads_swap_delta,
-    odr_path_table,
 )
+from repro.load.plancache import PlanCache, using_plan_cache
 from repro.placements.base import Placement
 from repro.placements.random_placement import random_placement
+from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
+
+
+def odr_table(torus, cache=None):
+    cache = cache if cache is not None else PlanCache()
+    return cache.get(torus, OrderedDimensionalRouting(torus.d)).table
 
 
 def _swap(torus, placement, out_pos, router_pick):
@@ -141,70 +146,35 @@ class TestAddDelta:
         assert np.allclose(grown, full)
 
 
-class TestAccumulatePairLoads:
-    def test_scale_minus_cancels(self):
-        torus = Torus(5, 2)
-        p = np.array([[0, 0], [1, 2]])
-        q = np.array([[2, 3], [4, 4]])
-        loads = np.zeros(torus.num_edges)
-        accumulate_pair_loads(loads, 5, 2, p, q, scale=+1.0)
-        accumulate_pair_loads(loads, 5, 2, p, q, scale=-1.0)
-        assert np.allclose(loads, 0.0)
-
-    def test_matches_engine_on_all_pairs(self):
-        torus = Torus(4, 2)
-        placement = random_placement(torus, 5, seed=2)
-        coords = placement.coords()
-        m = len(placement)
-        idx = np.arange(m)
-        pi, qi = np.meshgrid(idx, idx, indexing="ij")
-        keep = pi != qi
-        loads = np.zeros(torus.num_edges)
-        accumulate_pair_loads(loads, 4, 2, coords[pi[keep]], coords[qi[keep]])
-        assert np.allclose(loads, odr_edge_loads(placement))
-
-    def test_weights(self):
-        torus = Torus(4, 2)
-        p = np.array([[0, 0]])
-        q = np.array([[0, 1]])
-        loads = np.zeros(torus.num_edges)
-        accumulate_pair_loads(
-            loads, 4, 2, p, q, weights=np.array([2.5])
-        )
-        assert loads.sum() == pytest.approx(2.5)
-
-
 class TestOdrPathTable:
     @pytest.mark.parametrize(
         "k,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3)]
     )
     def test_every_pair_matches_hop_walker(self, k, d):
-        # each (source, destination) path, one at a time, against the walker
+        # each (source, destination) path, one at a time, against the
+        # hop-by-hop walk of the routing itself
         torus = Torus(k, d)
-        table = odr_path_table(torus)
+        routing = OrderedDimensionalRouting(d)
+        table = odr_table(torus)
+        ids = np.arange(torus.num_nodes)
+        pi, qi = np.meshgrid(ids, ids, indexing="ij")
+        p, q = pi.ravel(), qi.ravel()
+        edges = table.edges(table.node_ext[p], table.node_ext[q])
+        assert edges.shape == (p.size, d * (k // 2))
         coords = torus.all_node_coords()
-        pi, qi = np.meshgrid(
-            np.arange(torus.num_nodes), np.arange(torus.num_nodes), indexing="ij"
-        )
-        p, q = coords[pi.ravel()], coords[qi.ravel()]
-        edges = table.path_edges(p, q)
-        assert edges.shape == (p.shape[0], d * (k // 2))
-        for row in range(p.shape[0]):
-            expected = np.zeros(torus.num_edges)
-            accumulate_pair_loads(expected, k, d, p[row : row + 1], q[row : row + 1])
-            walked = np.sort(np.flatnonzero(expected))
+        for row in range(p.size):
+            walked = routing.path(torus, coords[p[row]], coords[q[row]])
             gathered = np.sort(edges[row][edges[row] != table.sink])
-            assert np.array_equal(walked, gathered)
+            assert np.array_equal(np.sort(walked.edge_ids), gathered)
 
     def test_self_pairs_are_all_padding(self):
         torus = Torus(5, 2)
-        table = odr_path_table(torus)
-        coords = torus.all_node_coords()
-        assert np.all(table.path_edges(coords, coords) == table.sink)
+        table = odr_table(torus)
+        assert np.all(table.edges(table.node_ext, table.node_ext) == table.sink)
 
     def test_edge_counts_keep_batch_shape(self):
         torus = Torus(4, 2)
-        table = odr_path_table(torus)
+        table = odr_table(torus)
         edges = np.full((2, 3, 5, 4), table.sink)
         edges[1, 2, 0, 0] = 7
         counts = table.edge_counts(edges)
@@ -212,7 +182,18 @@ class TestOdrPathTable:
         assert counts.sum() == 1 and counts[1, 2, 7] == 1
 
     def test_table_is_cached(self):
-        assert odr_path_table(Torus(4, 2)) is odr_path_table(Torus(4, 2))
+        # every ODR consumer reads one table, in the ambient plan cache
+        torus = Torus(4, 2)
+        placement = random_placement(torus, 5, seed=3)
+        router = np.setdiff1d(np.arange(torus.num_nodes), placement.node_ids)[0]
+        with using_plan_cache(PlanCache()) as cache:
+            loads = odr_edge_loads(placement)
+            odr_edge_loads_add_delta(
+                torus, loads, placement.coords(), torus.coord(int(router))
+            )
+            table = odr_table(torus, cache)
+        assert len(cache) == 1 and cache.stats.misses == 1
+        assert table.filled.any()
 
 
 class TestBatchedDeltas:

@@ -1,0 +1,85 @@
+"""Unit tests for repro.load.path_table — one row per displacement.
+
+The closed-form rows (dimension orders, UDR) must hold exactly the paths
+``routing.paths`` enumerates, hop for hop and weight for weight; rows are
+built only when a call needs them.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.load.path_table import PathTable, has_closed_form
+from repro.load.quantize import routing_load_quantum
+from repro.routing.dimension_order import DimensionOrderRouting
+from repro.routing.minimal import AllMinimalPaths
+from repro.routing.odr import OrderedDimensionalRouting
+from repro.routing.udr import UnorderedDimensionalRouting
+from repro.torus.topology import Torus
+
+TORI = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (5, 3), (3, 4)]
+
+
+def _closed_form_routings(d):
+    orders = [DimensionOrderRouting(o) for o in itertools.permutations(range(d))]
+    return orders + [UnorderedDimensionalRouting()]
+
+
+def _rows(table, quantum):
+    """Each row as a sorted list of ``(hop, numerator over quantum)``."""
+    table.origin_rows(np.arange(table.torus.num_nodes))  # fills every row
+    if table.weights is None:
+        numerators = np.ones(table.hops.shape, dtype=np.int64)
+    else:
+        numerators = np.rint(table.weights * quantum).astype(np.int64)
+    rows = []
+    for hops, nums in zip(table.hops, numerators):
+        real = hops % table.slots != table.pad
+        rows.append(sorted(zip(hops[real].tolist(), nums[real].tolist())))
+    return rows
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("k,d", TORI)
+    def test_closed_form_rows_equal_enumerated_rows(self, k, d):
+        torus = Torus(k, d)
+        for routing in _closed_form_routings(d):
+            quantum = routing_load_quantum(routing, d)
+            closed = PathTable(torus, routing)
+            enumerated = PathTable(torus, routing, enumerate_paths=True)
+            assert not closed.enumerated and enumerated.enumerated
+            assert _rows(closed, quantum) == _rows(enumerated, quantum), (
+                routing.name
+            )
+            assert np.array_equal(closed.paths, enumerated.paths)
+
+    def test_which_routings_have_closed_forms(self):
+        assert has_closed_form(OrderedDimensionalRouting(3), 3)
+        assert has_closed_form(UnorderedDimensionalRouting(), 2)
+        assert not has_closed_form(DimensionOrderRouting((1, 0)), 3)
+        assert not has_closed_form(AllMinimalPaths(), 2)
+        assert PathTable(Torus(3, 2), AllMinimalPaths()).enumerated
+
+
+class TestRows:
+    def test_rows_fill_lazily(self):
+        torus = Torus(6, 2)
+        table = PathTable(torus, UnorderedDimensionalRouting())
+        assert not table.filled.any()
+        src = table.node_ext[[0, 7]]
+        dst = table.node_ext[[14, 21]]  # (2, 2) twice
+        codes = table.codes(src, dst)
+        assert codes.tolist() == [14, 14]
+        assert np.flatnonzero(table.filled).tolist() == [14]
+
+    def test_enumerated_rows_widen_the_table(self):
+        torus = Torus(5, 2)
+        table = PathTable(torus, AllMinimalPaths())
+        assert table.width == 0
+        table.codes(table.node_ext[[0]], table.node_ext[[torus.node_id((1, 0))]])
+        narrow = table.width
+        table.codes(table.node_ext[[0]], table.node_ext[[torus.node_id((2, 2))]])
+        assert table.width > narrow
+        # the earlier row keeps its hops, padded out to the new width
+        assert np.count_nonzero(table.hops[torus.node_id((1, 0))] != table.pad) == 1

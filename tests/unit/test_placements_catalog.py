@@ -82,7 +82,7 @@ class TestParallel:
 
 
 class TestAgainstOracle:
-    """The table-scatter sweep against the per-placement hop walker."""
+    """The block scan against the per-placement oracle, ``odr_edge_loads``."""
 
     @pytest.mark.parametrize(
         "k,d,size,processes",
