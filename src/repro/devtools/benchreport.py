@@ -7,7 +7,8 @@ This module aggregates every committed baseline into one schema-versioned
 ``benchmarks/BENCH_trajectory.json``:
 
 * each baseline contributes named **metrics** (``batch.speedup``,
-  ``exp22.symmetry_bnb_T6.pair_updates``, ``certify.T6.seconds``, ...),
+  ``exp22.symmetry_bnb_T6.pair_updates``, ``certify.T6.seconds``,
+  ``sim.T16x2_odr.wormhole_cycles``, ...),
   classified by *direction* — ``higher``/``lower`` for thresholded measurements,
   ``exact`` for deterministic pins that must never drift;
 * each metric carries a **series** of ``{value, recorded_unix}`` points,
@@ -108,6 +109,15 @@ def _extract_exp22(data: dict[str, Any]) -> Iterator[Metric]:
             yield f"exp22.{case}.{field}", value, "exact", None
 
 
+def _extract_sim(data: dict[str, Any]) -> Iterator[Metric]:
+    limits = data.get("max_seconds", {})
+    for name, seconds in sorted(data.get("seconds", {}).items()):
+        yield f"sim.{name}.seconds", seconds, "lower", limits.get(name)
+    for case, counts in sorted(data.get("cases", {}).items()):
+        for field, value in sorted(counts.items()):
+            yield f"sim.{case}.{field}", value, "exact", None
+
+
 def _extract_lint(data: dict[str, Any]) -> Iterator[Metric]:
     yield "lint.rules", len(data.get("rules", [])), "exact", None
     corpus = data.get("corpus", {})
@@ -126,6 +136,7 @@ _EXTRACTORS: dict[str, Callable[[dict[str, Any]], Iterator[Metric]]] = {
     "BENCH_engines.json": _extract_engines,
     "BENCH_exp22.json": _extract_exp22,
     "BENCH_lint.json": _extract_lint,
+    "BENCH_sim.json": _extract_sim,
 }
 
 

@@ -87,15 +87,20 @@ class Histogram:
         #: dedicated ``"zero"`` bucket).
         self.buckets: Dict[str, int] = {}
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (one by default).
+
+        A hot loop can tally its values locally and fold each distinct
+        value in once; for integer values the result is identical to
+        ``count`` single observations.
+        """
         value = float(value)
-        self.count += 1
-        self.total += value
+        self.count += count
+        self.total += value * count
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
         key = "zero" if value <= 0.0 else str(math.ceil(math.log2(value)))
-        self.buckets[key] = self.buckets.get(key, 0) + 1
+        self.buckets[key] = self.buckets.get(key, 0) + count
 
     @property
     def mean(self) -> float | None:
@@ -212,7 +217,7 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
 

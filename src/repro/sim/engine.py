@@ -17,8 +17,9 @@ both).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -110,27 +111,40 @@ class CycleEngine:
     ) -> SimulationResult:
         traced = tracer.enabled
         contention = tracer.metrics.histogram("sim.contention")
+        paths = [p.edge_ids for p in packets]
+        hops = np.fromiter(
+            chain.from_iterable(paths),
+            dtype=np.int64,
+            count=sum(map(len, paths)),
+        )
+        if not net.alive[hops].all():
+            bad = next(p for p in packets if not net.check_path_alive(p.edge_ids))
+            raise SimulationError(
+                f"packet {bad.packet_id} routed over a failed link; "
+                "use FaultMaskedRouting when building the workload"
+            )
         for p in packets:
-            if not net.check_path_alive(p.edge_ids):
-                raise SimulationError(
-                    f"packet {p.packet_id} routed over a failed link; "
-                    "use FaultMaskedRouting when building the workload"
-                )
             p.hop = 0
             p.delivered_cycle = None
+        release = [p.release_cycle for p in packets]
+        lengths = [len(path) for path in paths]
 
-        # release schedule: cycle -> packets entering their first queue
-        pending: dict[int, list[Packet]] = {}
+        # release schedule: cycle -> packet indices entering their next queue
+        pending: dict[int, list[int]] = {}
+        delivered_at: list[int | None] = [None] * len(packets)
         zero_hop = 0
-        for p in packets:
-            if p.path_length == 0:
+        for i, length in enumerate(lengths):
+            if length == 0:
                 # src == dst message: delivered instantly, no link used
-                p.delivered_cycle = p.release_cycle
+                delivered_at[i] = packets[i].delivered_cycle = release[i]
                 zero_hop += 1
                 continue
-            pending.setdefault(p.release_cycle, []).append(p)
+            pending.setdefault(release[i], []).append(i)
 
-        queues: dict[int, deque[Packet]] = {}
+        hop = [0] * len(packets)
+        queues: dict[int, deque[int]] = {}
+        served_edges: list[int] = []
+        depths: list[int] = []
         max_queue = 0
         delivered = zero_hop
         total = len(packets)
@@ -153,38 +167,48 @@ class CycleEngine:
             if cycle_span is not None:
                 cycle_span.__enter__()
             # arrivals scheduled for this cycle
-            for p in pending.pop(cycle, ()):  # packets join queues
-                q = queues.setdefault(p.edge_ids[p.hop], deque())
-                q.append(p)
-                if len(q) > max_queue:
-                    max_queue = len(q)
+            for i in pending.pop(cycle, ()):  # packets join queues
+                edge = paths[i][hop[i]]
+                q = queues.get(edge)
+                if q is None:
+                    q = queues[edge] = deque()
+                q.append(i)
+                depth = len(q)
+                if depth > max_queue:
+                    max_queue = depth
                 if traced:
                     # queue depth at arrival = instantaneous contention
-                    contention.observe(len(q))
+                    depths.append(depth)
             # each live link serves one head-of-line packet
-            served = 0
-            for edge_id in list(queues):
-                q = queues[edge_id]
-                p = q.popleft()
+            served = len(queues)
+            arrivals = pending.setdefault(cycle + 1, [])
+            for edge, q in list(queues.items()):
+                i = q.popleft()
                 if not q:
-                    del queues[edge_id]
-                net.record_traversal(edge_id)
-                served += 1
-                p.hop += 1
-                if p.hop == p.path_length:
-                    p.delivered_cycle = cycle + 1
+                    del queues[edge]
+                served_edges.append(edge)
+                hop[i] += 1
+                if hop[i] == lengths[i]:
+                    delivered_at[i] = packets[i].delivered_cycle = cycle + 1
                     delivered += 1
                     last_delivery = cycle + 1
                 else:
-                    pending.setdefault(cycle + 1, []).append(p)
+                    arrivals.append(i)
             if cycle_span is not None:
                 cycle_span.annotate(served=served)
                 cycle_span.__exit__(None, None, None)
             cycle += 1
 
+        for depth, count in Counter(depths).items():
+            contention.observe(depth, count=count)
+        for p, h in zip(packets, hop):
+            p.hop = h
+        net.link_counts += np.bincount(
+            np.asarray(served_edges, dtype=np.int64), minlength=net.link_counts.size
+        )
         latencies = np.array(
-            [p.latency for p in packets], dtype=np.int64
-        ) if packets else np.empty(0, dtype=np.int64)
+            [at - r for at, r in zip(delivered_at, release)], dtype=np.int64
+        )
         return SimulationResult(
             cycles=last_delivery,
             link_counts=net.link_counts.copy(),

@@ -44,11 +44,3 @@ class SimNetwork:
     def check_path_alive(self, edge_ids) -> bool:
         """Whether every link of a path is up."""
         return bool(np.all(self.alive[np.asarray(edge_ids, dtype=np.int64)]))
-
-    def record_traversal(self, edge_id: int) -> None:
-        """Count one packet crossing ``edge_id``."""
-        if not self.alive[edge_id]:
-            raise SimulationError(
-                f"packet attempted to traverse failed link {edge_id}"
-            )
-        self.link_counts[edge_id] += 1

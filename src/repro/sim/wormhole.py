@@ -10,11 +10,15 @@ into dynamic latency under a realistic flow-control model:
 * each directed link carries **two virtual channels** (VC0/VC1) with
   private flit buffers; the physical link transfers at most one flit per
   cycle;
-* routes are the dimension-order (ODR/UDR-sampled) paths of
-  :mod:`repro.routing`; within each dimension a packet starts on VC0 and
-  switches to VC1 after crossing that ring's **dateline** (the wraparound
-  boundary) — the classical scheme that breaks the torus's cyclic channel
-  dependences, so dimension-order wormhole routing is deadlock-free;
+* routes are the paths of :mod:`repro.routing`; within each dimension a
+  packet starts on VC0 and switches to VC1 after crossing that ring's
+  **dateline** (the wraparound boundary) — the classical scheme that
+  breaks the torus's cyclic channel dependences, so routing every packet
+  in *one* dimension order (ODR, or any fixed order) is deadlock-free.
+  UDR samples several orders in one run, and the dependences between
+  them can close a cycle: such a run stops with a
+  :class:`~repro.errors.SimulationError` at the first cycle in which no
+  flit can move;
 * a channel is owned by one packet from the moment its head flit enters
   until its tail flit leaves (wormhole allocation).
 
@@ -23,16 +27,21 @@ counters (each packet contributes ``flits_per_packet`` per traversed link,
 so counters normalize to Definition 4 loads), per-packet latency
 (≈ hops + flits under no contention — the pipelining effect), and
 completion time.
+
+Each cycle does work in proportion to what moves: its candidate flit
+crossings come from the occupied channels and the injecting packets, not
+from a scan of every hop of every packet.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import InvalidParameterError, SimulationError
 from repro.obs.tracer import current_tracer
 from repro.sim.engine import MAX_CYCLE_SPANS
 from repro.sim.packet import Packet
@@ -79,35 +88,29 @@ def assign_virtual_channels(torus: Torus, edge_ids) -> list[int]:
     ``+``, or ``0 → k-1`` travelling ``−``) and every later hop *in that
     dimension* use VC1.  Entering a new dimension resets to VC0.
     """
-    ei = torus.edges
-    vcs: list[int] = []
-    current_dim = -1
-    crossed = False
-    for edge_id in edge_ids:
-        e = ei.decode(int(edge_id))
-        if e.dim != current_dim:
-            current_dim = e.dim
-            crossed = False
-        tail_coord = torus.coord(e.tail)[e.dim]
-        if e.sign > 0 and tail_coord == torus.k - 1:
-            crossed = True
-        elif e.sign < 0 and tail_coord == 0:
-            crossed = True
-        vcs.append(1 if crossed else 0)
-    return vcs
+    hops = np.asarray(edge_ids, dtype=np.int64).reshape(-1)
+    first = np.zeros(hops.size, dtype=bool)
+    first[:1] = True
+    return _dateline_vcs(torus, hops, first).tolist()
 
 
-@dataclass
-class _Channel:
-    """One virtual channel: a flit FIFO plus wormhole ownership."""
-
-    capacity: int
-    owner: int | None = None  # packet id holding the channel
-    buf: deque = field(default_factory=deque)  # of (packet_id, flit_idx)
-
-    @property
-    def has_space(self) -> bool:
-        return len(self.buf) < self.capacity
+def _dateline_vcs(torus: Torus, hops: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """VC of every hop of concatenated routes; ``first`` marks route starts."""
+    if hops.size and (hops.min() < 0 or hops.max() >= torus.num_edges):
+        bad = int(hops[(hops < 0) | (hops >= torus.num_edges)][0])
+        raise InvalidParameterError(
+            f"edge id {bad} outside [0, {torus.num_edges})"
+        )
+    tails, rem = np.divmod(hops, 2 * torus.d)
+    dims, minus = np.divmod(rem, 2)
+    coord = tails // torus.k ** (torus.d - 1 - dims) % torus.k
+    crosses = np.where(minus == 1, coord == 0, coord == torus.k - 1)
+    # a dimension segment starts at a route's first hop or a change of dim
+    starts = first.copy()
+    starts[1:] |= dims[1:] != dims[:-1]
+    crossed = np.cumsum(crosses)
+    before = (crossed - crosses)[np.flatnonzero(starts)]
+    return (crossed - before[np.cumsum(starts) - 1] > 0).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -138,21 +141,6 @@ class WormholeResult:
         return float(self.latencies.mean()) if self.latencies.size else 0.0
 
 
-class _PacketState:
-    """Simulator-internal per-packet bookkeeping."""
-
-    __slots__ = (
-        "packet", "vcs", "flits_injected", "flits_sunk", "head_hop",
-    )
-
-    def __init__(self, packet: Packet, vcs: list[int]):
-        self.packet = packet
-        self.vcs = vcs
-        self.flits_injected = 0
-        self.flits_sunk = 0
-        self.head_hop = -1  # furthest hop index any flit has reached
-
-
 class WormholeEngine:
     """Synchronous flit-level wormhole simulator.
 
@@ -163,8 +151,8 @@ class WormholeEngine:
     config:
         Flow-control parameters.
     max_cycles:
-        Safety bound; dimension-order + dateline routing cannot deadlock,
-        so hitting it indicates an engine bug or absurd contention.
+        Safety bound on the makespan.  A run in which nothing can move
+        any more stops earlier, at the first stalled cycle.
     """
 
     def __init__(
@@ -180,7 +168,15 @@ class WormholeEngine:
     # ------------------------------------------------------------------ run
 
     def run(self, packets: list[Packet]) -> WormholeResult:
-        """Simulate until every packet's tail flit is ejected."""
+        """Simulate until every packet's tail flit is ejected.
+
+        Raises
+        ------
+        SimulationError
+            If a route revisits a link, if the worms deadlock (no flit
+            can move and no packet awaits its release), or if
+            ``max_cycles`` is exceeded.
+        """
         tracer = current_tracer()
         with tracer.span(
             "sim.run",
@@ -196,57 +192,89 @@ class WormholeEngine:
             metrics.counter("sim.cycles").add(result.cycles)
         return result
 
-    def _run(self, packets: list[Packet], tracer) -> WormholeResult:
-        cfg = self.config
+    def _routes(self, packets: list[Packet]) -> list[list[int]]:
+        """Each packet's channel ids ``edge·NUM_VCS + vc``, checked edge-simple."""
         torus = self.torus
-        flits = cfg.flits_per_packet
+        lengths = np.array([len(p.edge_ids) for p in packets], dtype=np.int64)
+        hops = np.fromiter(
+            chain.from_iterable(p.edge_ids for p in packets),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        ends = np.cumsum(lengths)
+        first = np.zeros(hops.size, dtype=bool)
+        first[(ends - lengths)[lengths > 0]] = True
+        vcs = _dateline_vcs(torus, hops, first)
+        owner = np.repeat(np.arange(len(packets)), lengths)
+        order = np.lexsort((hops, owner))
+        owner, sorted_hops = owner[order], hops[order]
+        repeats = (owner[1:] == owner[:-1]) & (sorted_hops[1:] == sorted_hops[:-1])
+        if repeats.any():
+            p = packets[int(owner[1:][repeats].min())]
+            raise SimulationError(
+                f"packet {p.packet_id} revisits a link; wormhole routes "
+                "must be edge-simple"
+            )
+        channels = (hops * NUM_VCS + vcs).tolist()
+        return [channels[a:b] for a, b in zip((ends - lengths).tolist(), ends.tolist())]
+
+    def _run(self, packets: list[Packet], tracer) -> WormholeResult:
+        flits = self.config.flits_per_packet
+        capacity = self.config.buffer_flits
         traced = tracer.enabled
         contention = tracer.metrics.histogram("sim.contention")
         blocked_counter = tracer.metrics.counter("sim.flits_blocked")
-
-        states: dict[int, _PacketState] = {}
+        routes = self._routes(packets)
+        links = [p.edge_ids for p in packets]
+        last = [len(route) - 1 for route in routes]
+        release = [p.release_cycle for p in packets]
+        total = len(packets)
         for p in packets:
-            if len(set(p.edge_ids)) != len(p.edge_ids):
-                raise SimulationError(
-                    f"packet {p.packet_id} revisits a link; wormhole routes "
-                    "must be edge-simple"
-                )
-            states[p.packet_id] = _PacketState(
-                p, assign_virtual_channels(torus, p.edge_ids)
-            )
             p.delivered_cycle = None
 
-        channels: dict[tuple[int, int], _Channel] = {}
+        # channel state, by channel id; a buffer holds flits of its owner
+        # only (the tail leaves before the channel is released), so it is
+        # the run [head, head + size) of the owner's flit indices.
+        num_channels = self.torus.num_edges * NUM_VCS
+        owner = [-1] * num_channels  # packet index, -1 when free
+        at_hop = [0] * num_channels  # the channel's hop on its owner's route
+        head = [0] * num_channels
+        size = [0] * num_channels
+        occupied: set[int] = set()
 
-        def channel(edge_id: int, vc: int) -> _Channel:
-            key = (edge_id, vc)
-            if key not in channels:
-                channels[key] = _Channel(capacity=cfg.buffer_flits)
-            return channels[key]
-
-        link_counts = np.zeros(torus.num_edges, dtype=np.int64)
+        delivered_at: list[int | None] = [None] * total
+        injected = [0] * total
         delivered = 0
-        total = len(packets)
         # zero-hop packets deliver immediately (flits never enter the net)
-        for st in states.values():
-            if st.packet.path_length == 0:
-                st.packet.delivered_cycle = st.packet.release_cycle
+        for i, route in enumerate(routes):
+            if not route:
+                delivered_at[i] = packets[i].delivered_cycle = release[i]
                 delivered += 1
+        waiting = sorted(
+            (i for i in range(total) if routes[i]), key=release.__getitem__
+        )
+        waiting.reverse()  # pop() releases in (cycle, index) order
+        injecting: list[int] = []
 
+        served: list[int] = []  # the link of every flit crossing
+        candidates = 0
+        contended: list[int] = []  # candidates per link, where above one
+        # candidate key: link, packet index and destination hop as bit
+        # fields, so sorting the keys orders candidates by (link, packet)
+        hshift = max(last, default=0).bit_length()
+        hmask = (1 << hshift) - 1
+        pbits = max(total - 1, 0).bit_length()
+        pmask = (1 << pbits) - 1
+        lshift = hshift + pbits
         cycle = 0
         last_delivery = 0
         rr_offset = 0  # rotates candidate priority for fairness
 
         while delivered < total:
             if cycle > self.max_cycles:
-                stuck = [
-                    st.packet.packet_id
-                    for st in states.values()
-                    if st.packet.delivered_cycle is None
-                ]
                 raise SimulationError(
                     f"wormhole run exceeded {self.max_cycles} cycles with "
-                    f"packets {stuck[:8]} in flight"
+                    f"packets {self._stuck(packets, delivered_at)} in flight"
                 )
 
             # deliberate manual handle: the span is conditional (capped
@@ -259,142 +287,141 @@ class WormholeEngine:
             if cycle_span is not None:
                 cycle_span.__enter__()
 
-            # ---- phase 1: eject flits at destinations (no link bandwidth)
-            for st in states.values():
-                p = st.packet
-                if p.delivered_cycle is not None or p.path_length == 0:
-                    continue
-                last_hop = p.path_length - 1
-                ch = channel(p.edge_ids[last_hop], st.vcs[last_hop])
-                if ch.buf and ch.buf[0][0] == p.packet_id:
-                    pid, fidx = ch.buf.popleft()
-                    st.flits_sunk += 1
-                    if fidx == flits - 1:  # tail flit ejected
-                        ch.owner = None
-                        p.delivered_cycle = cycle
+            while waiting and release[waiting[-1]] <= cycle:
+                injecting.append(waiting.pop())
+
+            # ---- phase 1: eject flits at destinations (no link bandwidth);
+            # every other occupied channel offers its head flit a hop
+            moved = False
+            keys = []
+            for c in list(occupied):
+                p = owner[c]
+                hop = at_hop[c]
+                if hop == last[p]:
+                    f = head[c]
+                    head[c] = f + 1
+                    size[c] -= 1
+                    if not size[c]:
+                        occupied.discard(c)
+                    moved = True
+                    if f == flits - 1:  # tail flit ejected
+                        owner[c] = -1
+                        delivered_at[p] = packets[p].delivered_cycle = cycle
                         delivered += 1
                         last_delivery = cycle
+                else:
+                    keys.append(links[p][hop + 1] << lshift | p << hshift | hop + 1)
             if delivered >= total:
                 if cycle_span is not None:
                     cycle_span.__exit__(None, None, None)
                 break
 
-            # ---- phase 2: one flit crossing per physical link
-            candidates: dict[int, list[tuple]] = {}
-
-            def add_candidate(link: int, entry: tuple) -> None:
-                candidates.setdefault(link, []).append(entry)
-
-            for st in states.values():
-                p = st.packet
-                if p.delivered_cycle is not None or p.path_length == 0:
-                    continue
-                # injection of the next flit crosses route[0]
-                if (
-                    st.flits_injected < flits
-                    and cycle >= p.release_cycle
-                ):
-                    add_candidate(
-                        p.edge_ids[0], ("inject", st, st.flits_injected)
-                    )
-                # head-of-buffer flits advancing to the next channel
-                for hop in range(p.path_length - 1):
-                    ch = channel(p.edge_ids[hop], st.vcs[hop])
-                    if ch.buf and ch.buf[0][0] == p.packet_id:
-                        add_candidate(
-                            p.edge_ids[hop + 1], ("advance", st, hop)
-                        )
-
-            moved_any = False
-            moved_flits: set[tuple[int, int]] = set()  # one hop per flit per cycle
-            for link in sorted(candidates):
-                entries = candidates[link]
-                if traced:
-                    # candidates competing for one physical link this cycle
-                    contention.observe(len(entries))
-                # rotate priority for fairness across cycles
-                order = entries[rr_offset % len(entries):] + entries[: rr_offset % len(entries)]
-                moved_here = False
-                for kind, st, arg in order:
-                    if self._try_move(kind, st, arg, channel, link_counts, moved_flits):
-                        moved_any = True
-                        moved_here = True
-                        break
-                if traced:
-                    # every candidate beyond the winner stalled this cycle
-                    blocked_counter.add(len(entries) - (1 if moved_here else 0))
+            # ---- phase 2: one flit crossing per physical link, candidates
+            # in (link, packet index) order; a packet's route crosses a
+            # link at most once, so it offers at most one per link
+            for p in injecting:
+                keys.append(links[p][0] << lshift | p << hshift)
+            keys.sort()
+            injected_all = False
+            n = len(keys)
+            candidates += n
+            lo = 0
+            while lo < n:
+                link = keys[lo] >> lshift
+                hi = lo + 1
+                while hi < n and keys[hi] >> lshift == link:
+                    hi += 1
+                width = hi - lo
+                if width == 1:
+                    order = (keys[lo],)
+                else:
+                    contended.append(width)
+                    start = lo + rr_offset % width
+                    order = keys[start:hi] + keys[lo:start]
+                for key in order:
+                    hop = key & hmask
+                    p = key >> hshift & pmask
+                    route = routes[p]
+                    dst = route[hop]
+                    if hop == 0:  # injection of the next flit
+                        f = injected[p]
+                        if f == 0:
+                            # head flit allocates the first channel
+                            if owner[dst] != -1 or size[dst] >= capacity:
+                                continue
+                            owner[dst] = p
+                            at_hop[dst] = 0
+                        elif owner[dst] != p or size[dst] >= capacity:
+                            continue
+                        injected[p] = f + 1
+                        injected_all |= f + 1 == flits
+                    else:  # head-of-buffer flit advancing one hop
+                        src = route[hop - 1]
+                        f = head[src]
+                        if owner[dst] == -1:
+                            if f != 0 or size[dst] >= capacity:
+                                continue  # body flits may not allocate
+                            owner[dst] = p
+                            at_hop[dst] = hop
+                        elif owner[dst] != p or size[dst] >= capacity:
+                            continue
+                        head[src] = f + 1
+                        size[src] -= 1
+                        if not size[src]:
+                            occupied.discard(src)
+                        if f == flits - 1:
+                            owner[src] = -1  # tail left: release the channel
+                    if not size[dst]:
+                        head[dst] = f
+                        occupied.add(dst)
+                    size[dst] += 1
+                    served.append(link)
+                    moved = True
+                    break
+                lo = hi
+            if injected_all:
+                injecting = [p for p in injecting if injected[p] < flits]
             rr_offset += 1
-            if not moved_any and delivered < total:
-                # no ejection possible either (we broke out above only on
-                # completion) -> check next cycle; ejection phase always
-                # drains the final channels, so persistent stalls only
-                # happen before release cycles
-                pass
             if cycle_span is not None:
                 cycle_span.__exit__(None, None, None)
+            if not moved and not waiting:
+                # nothing moved and no release is due: the state is a
+                # fixed point, so every later cycle would stall too
+                raise SimulationError(
+                    f"wormhole run deadlocked at cycle {cycle}: no flit can "
+                    f"move, {total - delivered} packets undelivered "
+                    f"(first {self._stuck(packets, delivered_at)}); dateline "
+                    "VCs rule this out only when every route uses one "
+                    "dimension order"
+                )
             cycle += 1
 
+        if traced:
+            # candidates competing for one physical link in one cycle; a
+            # link moves at most one flit, every other candidate stalled
+            depths = Counter(contended)
+            depths[1] = candidates - sum(contended)
+            for width, count in depths.items():
+                if count:
+                    contention.observe(width, count=count)
+            blocked_counter.add(candidates - len(served))
         latencies = np.array(
-            [p.latency for p in packets], dtype=np.int64
-        ) if packets else np.empty(0, dtype=np.int64)
+            [at - r for at, r in zip(delivered_at, release)], dtype=np.int64
+        )
+        link_counts = np.bincount(
+            np.asarray(served, dtype=np.int64), minlength=self.torus.num_edges
+        )
         return WormholeResult(
             cycles=last_delivery,
-            link_flit_counts=link_counts,
+            link_flit_counts=link_counts.astype(np.int64, copy=False),
             latencies=latencies,
             delivered=delivered,
             flits_per_packet=flits,
         )
 
-    # ------------------------------------------------------------ internals
-
-    def _try_move(
-        self, kind, st: _PacketState, arg, channel, link_counts, moved_flits
-    ) -> bool:
-        """Attempt one flit crossing; returns True if it happened."""
-        p = st.packet
-        flits = self.config.flits_per_packet
-        if kind == "inject":
-            fidx = arg
-            if (p.packet_id, fidx) in moved_flits:
-                return False
-            target = channel(p.edge_ids[0], st.vcs[0])
-            if fidx == 0:
-                # head flit allocates the first channel
-                if target.owner is not None or not target.has_space:
-                    return False
-                target.owner = p.packet_id
-            else:
-                if target.owner != p.packet_id or not target.has_space:
-                    return False
-            target.buf.append((p.packet_id, fidx))
-            st.flits_injected += 1
-            link_counts[p.edge_ids[0]] += 1
-            moved_flits.add((p.packet_id, fidx))
-            return True
-
-        # kind == "advance": head-of-buffer flit at `hop` moves to hop+1
-        hop = arg
-        src = channel(p.edge_ids[hop], st.vcs[hop])
-        if not src.buf or src.buf[0][0] != p.packet_id:
-            return False
-        _pid, fidx = src.buf[0]
-        if (p.packet_id, fidx) in moved_flits:
-            return False  # one hop per flit per cycle
-        dst = channel(p.edge_ids[hop + 1], st.vcs[hop + 1])
-        if dst.owner is None:
-            if fidx != 0:
-                return False  # body flits may not allocate
-            if not dst.has_space:
-                return False
-            dst.owner = p.packet_id
-        else:
-            if dst.owner != p.packet_id or not dst.has_space:
-                return False
-        src.buf.popleft()
-        dst.buf.append((p.packet_id, fidx))
-        st.head_hop = max(st.head_hop, hop + 1)
-        if fidx == flits - 1:
-            src.owner = None  # tail left: release the channel
-        link_counts[p.edge_ids[hop + 1]] += 1
-        moved_flits.add((p.packet_id, fidx))
-        return True
+    @staticmethod
+    def _stuck(packets: list[Packet], delivered_at) -> list[int]:
+        """Ids of the first eight undelivered packets."""
+        return [
+            p.packet_id for p, at in zip(packets, delivered_at) if at is None
+        ][:8]

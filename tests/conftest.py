@@ -48,3 +48,59 @@ def linear_5_2(torus_5_2: Torus):
 def linear_4_3(torus_4_3: Torus):
     """Linear placement on T_4^3."""
     return linear_placement(torus_4_3)
+
+
+@pytest.fixture
+def sim_exchange():
+    """Build a seeded complete exchange for the simulator pins.
+
+    ``sim_exchange(kind, k, d, routing, seed, rounds, stagger, scrambled)``
+    returns ``(placement, packets)``.  ``kind`` is ``"linear"``,
+    ``"twoclass"`` (two linear classes) or ``"random"`` (``2k`` nodes);
+    ``routing`` is ``"odr"``, ``"udr"`` or ``"rev"`` (dimension order
+    reversed).  ``scrambled`` shuffles the packets, gives them sparse ids
+    ``7i + 3`` and release cycles in ``[0, 6)``, and inserts a zero-hop
+    packet with id 1.
+    """
+    import numpy as np
+
+    from repro.placements.multiple import multiple_linear_placement
+    from repro.placements.random_placement import random_placement
+    from repro.routing.dimension_order import DimensionOrderRouting
+    from repro.routing.odr import OrderedDimensionalRouting
+    from repro.routing.udr import UnorderedDimensionalRouting
+    from repro.sim.packet import Packet
+    from repro.sim.workloads import complete_exchange_packets
+
+    def build(kind, k, d, routing, seed, rounds, stagger, scrambled):
+        torus = Torus(k, d)
+        placement = {
+            "linear": lambda: linear_placement(torus),
+            "twoclass": lambda: multiple_linear_placement(torus, 2),
+            "random": lambda: random_placement(torus, 2 * k, seed=10 * k + d),
+        }[kind]()
+        routing = {
+            "odr": lambda: OrderedDimensionalRouting(d),
+            "udr": UnorderedDimensionalRouting,
+            "rev": lambda: DimensionOrderRouting(tuple(reversed(range(d)))),
+        }[routing]()
+        packets = complete_exchange_packets(
+            placement, routing, seed=seed, rounds=rounds, stagger=stagger
+        )
+        if scrambled:
+            rng = np.random.default_rng(seed)
+            packets = [
+                Packet(
+                    7 * int(i) + 3,
+                    packets[i].src,
+                    packets[i].dst,
+                    packets[i].edge_ids,
+                    release_cycle=int(rng.integers(6)),
+                )
+                for i in rng.permutation(len(packets))
+            ]
+            src = packets[0].src
+            packets.insert(len(packets) // 2, Packet(1, src, src, (), release_cycle=2))
+        return placement, packets
+
+    return build

@@ -66,6 +66,17 @@ class TestExtractMetrics:
         assert metrics["certify.T7.seconds"][3] is None  # the frontier: tracked only
         assert metrics["certify.T7.leaf_orbits"][1:3] == (167, "exact")
 
+    def test_sim_seconds_gated_and_counts_exact(self):
+        data = {
+            "max_seconds": {"T16x2_odr_wormhole": 0.25},
+            "seconds": {"T16x2_odr_wormhole": 0.07},
+            "cases": {"T16x2_odr": {"delivered": 960, "wormhole_cycles": 238}},
+        }
+        metrics = {m[0]: m for m in extract_metrics("BENCH_sim.json", data)}
+        assert metrics["sim.T16x2_odr_wormhole.seconds"][1:] == (0.07, "lower", 0.25)
+        assert metrics["sim.T16x2_odr.wormhole_cycles"][1:3] == (238, "exact")
+        assert metrics["sim.T16x2_odr.delivered"][1:3] == (960, "exact")
+
     def test_unknown_file_falls_back_to_numeric_leaves(self, bench_dir):
         data = json.loads(
             (bench_dir / "BENCH_custom.json").read_text(encoding="utf-8")

@@ -51,6 +51,14 @@ class TestHistogram:
     def test_empty_mean_is_none(self):
         assert Metrics().histogram("h").mean is None
 
+    def test_counted_observation_equals_repeated_ones(self):
+        one_by_one, folded = Metrics(), Metrics()
+        for value in (3, 1, 3, 8, 3, 1):
+            one_by_one.histogram("h").observe(value)
+        for value, count in ((8, 1), (1, 2), (3, 3)):
+            folded.histogram("h").observe(value, count=count)
+        assert folded.snapshot() == one_by_one.snapshot()
+
 
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):

@@ -99,3 +99,50 @@ class TestResultMetrics:
         result = CycleEngine(SimNetwork(torus_4_2)).run([Packet(0, 0, 2, a)])
         assert np.array_equal(result.latencies, [2])
         assert result.mean_latency == 2.0
+
+
+#: (placement, k, d, routing, seed, rounds, stagger, scrambled) of a
+#: ``sim_exchange`` run -> (cycles, sum of latencies, latencies weighted
+#: by packet position, link counts weighted by edge id, max queue,
+#: delivered).  Recorded from the per-hop implementation the current
+#: engine replaced; the run must reproduce it exactly.
+PINNED_RUNS = [
+    (("linear", 6, 2, "odr", 1, 2, 0, False), (11, 348, 11710, 15624, 6, 60)),
+    (("random", 5, 2, "udr", 2, 3, 2, False), (21, 1936, 283351, 33988, 10, 270)),
+    (("linear", 4, 3, "udr", 3, 1, 0, False), (10, 1182, 148352, 149748, 7, 240)),
+    (("twoclass", 8, 2, "rev", 4, 2, 5, True), (34, 6723, 1716870, 262912, 16, 481)),
+    (("linear", 3, 4, "udr", 5, 1, 0, False), (10, 3462, 1237108, 632420, 7, 702)),
+    (("random", 4, 3, "odr", 6, 2, 1, True), (15, 500, 29842, 51208, 8, 113)),
+    (("linear", 7, 2, "udr", 7, 2, 3, False), (11, 383, 16067, 32852, 3, 84)),
+    (("twoclass", 6, 2, "udr", 8, 1, 0, True), (13, 549, 36419, 32864, 4, 133)),
+]
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize(
+        "scenario,expected",
+        PINNED_RUNS,
+        ids=["-".join(map(str, scenario)) for scenario, _ in PINNED_RUNS],
+    )
+    def test_reproduces_recorded_run(self, sim_exchange, scenario, expected):
+        placement, packets = sim_exchange(*scenario)
+        result = CycleEngine(SimNetwork(placement.torus)).run(packets)
+        lat = result.latencies
+        counts = result.link_counts
+        assert (
+            result.cycles,
+            int(lat.sum()),
+            int(lat @ np.arange(1, lat.size + 1)),
+            int(counts @ np.arange(1, counts.size + 1)),
+            result.max_queue_length,
+            result.delivered,
+        ) == expected
+        assert [p.delivered_cycle - p.release_cycle for p in packets] == lat.tolist()
+        assert all(p.hop == p.path_length for p in packets)
+
+    def test_counts_accumulate_on_a_reused_network(self, sim_exchange):
+        placement, packets = sim_exchange("linear", 6, 2, "odr", 1, 1, 0, False)
+        net = SimNetwork(placement.torus)
+        once = CycleEngine(net).run(packets).link_counts
+        twice = CycleEngine(net).run(packets).link_counts
+        assert np.array_equal(twice, 2 * once)

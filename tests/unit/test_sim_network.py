@@ -25,14 +25,3 @@ class TestSimNetwork:
         net = SimNetwork(torus_4_2, failed_edge_ids=[3])
         assert net.check_path_alive([0, 1, 2])
         assert not net.check_path_alive([2, 3])
-
-    def test_record_traversal(self, torus_4_2):
-        net = SimNetwork(torus_4_2)
-        net.record_traversal(7)
-        net.record_traversal(7)
-        assert net.link_counts[7] == 2
-
-    def test_traversal_of_failed_link_rejected(self, torus_4_2):
-        net = SimNetwork(torus_4_2, failed_edge_ids=[7])
-        with pytest.raises(SimulationError):
-            net.record_traversal(7)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import InvalidParameterError
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.routing.udr import UnorderedDimensionalRouting
 from repro.sim.workloads import build_packets, complete_exchange_packets
@@ -62,3 +63,19 @@ class TestBuildPackets:
             linear_4_2, OrderedDimensionalRouting(2), [(0, 1)], start_id=100
         )
         assert pkts[0].packet_id == 100
+
+    @pytest.mark.parametrize("pair", [(0, -1), (0, 4), (4, 0), (-5, 1)])
+    def test_out_of_range_pair_is_named(self, linear_4_2, pair):
+        with pytest.raises(InvalidParameterError, match=rf"pair \({pair[0]}, {pair[1]}\)"):
+            build_packets(linear_4_2, OrderedDimensionalRouting(2), [(1, 2), pair])
+
+    def test_malformed_pairs_rejected(self, linear_4_2):
+        with pytest.raises(InvalidParameterError):
+            build_packets(linear_4_2, OrderedDimensionalRouting(2), [(0, 1, 2)])
+
+    def test_empty_pairs(self, linear_4_2):
+        assert build_packets(linear_4_2, UnorderedDimensionalRouting(), []) == []
+
+    def test_self_pair_is_a_zero_hop_packet(self, linear_4_2):
+        (pkt,) = build_packets(linear_4_2, UnorderedDimensionalRouting(), [(2, 2)])
+        assert pkt.edge_ids == () and pkt.src == pkt.dst
