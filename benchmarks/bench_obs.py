@@ -2,8 +2,12 @@
 
 The telemetry charter (`docs/OBSERVABILITY.md`) promises that tracing is
 free when nobody asked for it and cheap when they did.  This suite pins
-both halves on the ``repro certify --k 6 --d 2`` workload — a serial
-bound-mode certification of all ``C(36, 6)`` placements on ``T_6^2``:
+both halves on the ``repro certify --k 7 --d 2`` workload — a serial
+bound-mode certification of all ``C(49, 7)`` placements on ``T_7^2``
+(about 1.6 s).  The ladder certifies ``T_6^2`` in tens of milliseconds,
+where the null-path micro-benchmark below nears the 2% pin and the
+enabled pin's absolute noise floor exceeds the whole traced run, so the
+workload is the next torus up:
 
 * **disabled** — with no tracer installed every instrumentation site
   dispatches to ``NULL_TRACER``/``_NULL_SPAN``; a micro-benchmark of
@@ -26,7 +30,7 @@ from repro.obs import JsonlTraceSink, Tracer, current_tracer, using_tracer
 from repro.placements.exact_search import exact_global_minimum
 from repro.torus.topology import Torus
 
-K, D, SIZE = 6, 2, 6
+K, D, SIZE = 7, 2, 7
 
 #: enabled / disabled wall-clock ratio pin.
 MAX_ENABLED_RATIO = 1.10
@@ -55,7 +59,7 @@ def _result_key(result):
 @pytest.mark.benchmark(group="obs-overhead")
 def test_certify_untraced(benchmark):
     result = benchmark(_certify)
-    assert result.minimum_emax == 2.0
+    assert result.minimum_emax == 3.0
 
 
 @pytest.mark.benchmark(group="obs-overhead")
@@ -71,7 +75,7 @@ def test_certify_traced(benchmark, tmp_path):
         return result
 
     result = benchmark(_traced)
-    assert result.minimum_emax == 2.0
+    assert result.minimum_emax == 3.0
 
 
 def test_disabled_path_costs_under_two_percent(capsys):

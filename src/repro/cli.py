@@ -175,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="EMAX",
         help=(
-            "seed the incumbent with a known-achievable E_max (default: the "
-            "linear placement's, when --size is the linear size)"
+            "cap the bound-mode ladder at a known-achievable E_max (default: "
+            "the best screened structured placement's, when --size is the "
+            "linear size)"
         ),
     )
     p_certify.add_argument(
@@ -730,7 +731,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 upper, seed = screened
                 print(
                     f"incumbent seed  : {seed.name} E_max = {upper:g} "
-                    "(batched candidate screen)"
+                    "(batched candidate screen; the ladder's cap)"
                 )
         result = exact_global_minimum(
             torus, size, mode=args.mode, processes=args.jobs,
@@ -750,6 +751,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
           f"{result.num_variants} ODR variants/orbit)")
     if result.num_orbits is not None:
         print(f"orbits          : {result.num_orbits}")
+    if result.rungs:
+        steps = [
+            f"E_max <= {rung:g} refuted ({nodes} nodes)"
+            for rung, nodes in result.rungs[:-1]
+        ]
+        rung, nodes = result.rungs[-1]
+        steps.append(f"E_max <= {rung:g} certified ({nodes} nodes)")
+        print(f"ladder          : {', '.join(steps)}")
     print(f"work            : {counters.leaf_orbits} leaf orbits, "
           f"{counters.variant_evaluations} leaf variants, "
           f"{counters.pair_updates} pair updates, "

@@ -34,41 +34,50 @@ orbit member :math:`t\\cdot h\\cdot R` has
 times in the orbit — an integer, because the fibers of
 :math:`g \\mapsto g(R)` partition evenly.
 
-**Branch and bound.**  The surviving variants' load vectors are kept as
-one ``(variants, edges)`` array and grown together along the prefix
-tree: :func:`repro.load.odr_loads.odr_edge_loads_add_delta` gathers the
-ODR path-table rows of every (variant, kept node) pair and scatters them
-in one ``bincount`` per grown node — :math:`O(|P|)` pair work per node
-instead of :math:`O(|P|^2)` per leaf; the engine performs *zero*
+**Climbing from the paper's lower bound.**  The surviving variants' load
+vectors are kept as one ``(variants, edges)`` array and grown along the
+prefix tree: :func:`repro.load.odr_loads.odr_edge_loads_add_delta`
+gathers the ODR path-table rows of every (canonical child, variant, kept
+node) triple and scatters them in one ``bincount`` per expanded prefix —
+all of a prefix's children grow together, :math:`O(|P|)` pair work per
+child instead of :math:`O(|P|^2)` per leaf; the engine performs *zero*
 from-scratch placement evaluations.  Because loads only ever increase as
 processors are added, the partial :math:`E_{max}` of a prefix
-lower-bounds every completion.  In ``bound`` mode any subtree (or
-individual variant) whose bound strictly exceeds the incumbent is pruned
-— exact for the minimum and ``num_optimal`` (achievers are never
-pruned), while the full histogram is only produced in ``full`` mode,
-which disables pruning.  (A Lemma 1 separator bound
-:math:`2|S|(|P|-|S|)/|∂S|` on the prefix was tried as a second prune; it
-never cut a subtree on any certified torus, so the search does not pay
-for it.)
+lower-bounds every completion.  ``bound`` mode searches a ladder of fixed
+upper bounds.  Eq. 6 (Blaum et al.) gives every placement
+:math:`E_{max} \\ge \\lceil (n-1)/(2d) \\rceil`, so the first rung is
+that bound, the next one more, and so on.  A rung at ``UB`` retires every
+variant and subtree whose partial :math:`E_{max}` exceeds ``UB`` and never
+moves ``UB``.  It either reaches placements at :math:`E_{max} \\le UB`
+or reaches none, which proves that the minimum exceeds ``UB``.  Nothing
+lies below the Eq. 6 rung or below a refuted rung, and ODR loads are
+integers, so the first rung that reaches a placement certifies ``UB`` as
+the exact minimum, with its exact ``num_optimal`` and a witness.  The
+full histogram is only produced in ``full`` mode, which disables
+pruning.  (A Lemma 1 separator bound :math:`2|S|(|P|-|S|)/|∂S|` on the
+prefix was tried as a second prune; it never cut a subtree on any
+certified torus, so the search does not pay for it.)
 
-Subtree roots can be sharded over a process pool (per-worker group
-tables installed once by the pool initializer); per-worker
-incumbents keep the search exact without cross-process communication.
-The fan-out runs through :class:`repro.exec.ResilientExecutor`, so worker
-crashes and hangs are retried (and, past the retry budget, recomputed
-serially in-process), and a :class:`repro.exec.CheckpointJournal` of
-completed subtree roots makes multi-hour certifications restartable:
-``repro certify --checkpoint run.jsonl`` followed by ``--resume`` skips
-every journaled root and merges its stored partial accumulators instead
-of re-searching the subtree.
+Each rung's subtree roots can be sharded over a process pool (per-worker
+group tables installed once by the pool initializer).  The bound is fixed
+within a rung, so pruning does not depend on which worker finishes first
+and the work counters are identical at any process count.  The fan-out
+runs through :class:`repro.exec.ResilientExecutor`, so worker crashes and
+hangs are retried (and, past the retry budget, recomputed serially
+in-process), and a :class:`repro.exec.CheckpointJournal` of completed
+subtree roots makes multi-hour certifications restartable: ``repro
+certify --checkpoint run.jsonl`` followed by ``--resume`` skips every
+journaled root, refuted rungs' roots included, and merges its stored
+partial accumulators instead of re-searching the subtree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -76,6 +85,7 @@ import numpy as np
 from repro.bisection.separator import separator_size  # noqa: F401
 from repro.errors import ExecutionError, InvalidParameterError, SearchError
 from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
+from repro.load.formulas import blaum_lower_bound
 from repro.load.odr_loads import odr_edge_loads_add_delta
 from repro.obs.console import progress as _progress_line
 from repro.obs.tracer import current_tracer
@@ -91,8 +101,9 @@ __all__ = [
     "MAX_EXACT_SEARCH",
 ]
 
-#: refuse exact certification beyond this many candidate placements.
-MAX_EXACT_SEARCH = 1_000_000_000
+#: refuse exact certification beyond this many candidate placements:
+#: C(81, 9), the space of T_9^2 n=9, the largest instance certified.
+MAX_EXACT_SEARCH = math.comb(81, 9)
 
 #: split depth for process-pool sharding (subtree roots at this prefix size).
 _SPLIT_DEPTH = 3
@@ -100,8 +111,8 @@ _SPLIT_DEPTH = 3
 #: minimum seconds between progress heartbeats on stderr.
 _HEARTBEAT_SECONDS = 5.0
 
-#: extra linear-coefficient families screened per torus when seeding the
-#: bound-mode incumbent (beyond the paper's all-ones default).
+#: extra linear-coefficient families screened per torus when capping the
+#: bound-mode ladder (beyond the paper's all-ones default).
 _SCREEN_COEFFICIENT_VARIANTS = 4
 
 _TOL = 1e-12
@@ -130,10 +141,12 @@ class SearchCounters:
         the engine: always 0 — loads are only ever grown incrementally.
     subtrees_pruned_emax:
         Subtrees cut because every variant's monotone partial
-        :math:`E_{max}` exceeded the incumbent.
+        :math:`E_{max}` exceeded the rung's bound.
     variants_dropped:
         Individual variants retired early (their partial :math:`E_{max}`
-        alone exceeded the incumbent).
+        alone exceeded the rung's bound).
+
+    In ``bound`` mode every count is summed over the ladder's rungs.
     """
 
     canonicity_checks: int
@@ -180,6 +193,10 @@ class ExactSearchResult:
         evaluated.
     counters:
         Work accounting (see :class:`SearchCounters`).
+    rungs:
+        The ``bound``-mode ladder: ``(UB, nodes expanded)`` per rung
+        searched, from the Eq. 6 rung up to the certifying one (empty in
+        ``full`` mode).
     """
 
     minimum_emax: float
@@ -192,22 +209,21 @@ class ExactSearchResult:
     group_order: int
     num_variants: int
     counters: SearchCounters
+    rungs: tuple[tuple[float, int], ...]
 
 
 class _SearchContext:
-    """Per-process search state: group tables, incumbent, accumulators."""
+    """Per-process search state: group tables, rung bound, accumulators."""
 
     def __init__(
         self,
         torus: Torus,
         size: int,
-        mode: str,
         upper_bound: float,
         progress: bool = False,
     ):
         self.torus = torus
         self.size = size
-        self.mode = mode
         self.progress = progress
         self._last_heartbeat = time.monotonic()
         self.group = automorphism_group(torus)
@@ -230,9 +246,9 @@ class _SearchContext:
         #: (variants, k^d, d) — coordinates of every node's variant images.
         self.variant_coords = self.coords[self.variant_ids]
         self.num_variants = len(rows)
-        # pruning incumbent: certified upper bound on the global minimum,
-        # shared across all roots this context processes.
-        self.incumbent = upper_bound
+        # the rung's fixed bound: variants and subtrees above it are
+        # retired (inf in full mode, which prunes nothing).
+        self.upper_bound = upper_bound
         # lifetime tallies survive take_partial() so heartbeats stay
         # cumulative across the many roots one worker processes.
         self.lifetime = dict.fromkeys(SearchCounters.__dataclass_fields__, 0)
@@ -264,16 +280,19 @@ class _SearchContext:
     # ------------------------------------------------------------- search
 
     def run_root(self, root: tuple[int, ...]) -> dict:
-        """Search the subtree under one canonical prefix; return partials."""
+        """Search the subtree under one canonical prefix; return partials.
+
+        The prefix's loads are rebuilt (workers receive ids only) without
+        being counted: the frontier pass that reached the root counted its
+        growth already.
+        """
         alive = np.arange(self.num_variants)
         loads = np.zeros(
             (self.num_variants, self.torus.num_edges), dtype=np.float64
         )
-        # rebuild the prefix's incremental loads (workers receive ids only)
         for m, node in enumerate(root):
-            alive, loads = self._grow(root[:m], alive, loads, node)
-            if alive.size == 0:
-                return self.take_partial()
+            grown, keep = self._grow(root[:m], alive, loads, np.array([node]))
+            alive, loads = alive[keep[0]], grown[0, keep[0]]
         stab = self.group.order
         if root:
             canonical, stab = self.group.canonicity(root)
@@ -299,30 +318,22 @@ class _SearchContext:
         ids: tuple[int, ...],
         alive: np.ndarray,
         loads: np.ndarray,
-        node: int,
+        nodes: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Extend every surviving variant's loads by one grown node.
+        """Extend every surviving variant's loads by each of ``nodes``.
 
-        One path-table scatter covers all variants.  Returns the (possibly
-        reduced) alive variant rows and their new load vectors.
+        One path-table scatter covers all (child, variant) rows.  Returns
+        the ``(children, variants, edges)`` grown loads and the
+        ``(children, variants)`` mask of rows still within the rung.
         """
-        m = len(ids)
-        prefix = np.array(ids, dtype=np.int64)
-        new_loads = odr_edge_loads_add_delta(
+        images = self.variant_coords[alive]
+        grown = odr_edge_loads_add_delta(
             self.torus,
             loads,
-            self.variant_coords[alive[:, None], prefix],
-            self.variant_coords[alive, node],
+            images[:, np.array(ids, dtype=np.int64)],
+            images[:, nodes].swapaxes(0, 1),
         )
-        self.counters["pair_updates"] += 2 * m * int(alive.size)
-        if self.mode == "bound" and math.isfinite(self.incumbent):
-            keep = new_loads.max(axis=1) <= self.incumbent + _TOL
-            dropped = int(np.count_nonzero(~keep))
-            if dropped:
-                self.counters["variants_dropped"] += dropped
-                alive = alive[keep]
-                new_loads = new_loads[keep]
-        return alive, new_loads
+        return grown, grown.max(axis=-1) <= self.upper_bound + _TOL
 
     def _descend(
         self,
@@ -349,16 +360,28 @@ class _SearchContext:
         children[:, m] = nodes
         self.counters["canonicity_checks"] += int(nodes.size)
         canonical, stabs = self.group.canonicity(children)
-        for node, child_stab in zip(
-            nodes[canonical].tolist(), stabs[canonical].tolist()
+        kids = nodes[canonical]
+        if kids.size == 0:
+            return
+        # ... and every canonical child grows in one scatter
+        grown, keep = self._grow(ids, alive, loads, kids)
+        self.counters["canonical_nodes"] += int(kids.size)
+        self.counters["pair_updates"] += 2 * m * int(keep.size)
+        self.counters["variants_dropped"] += int(keep.size) - int(
+            np.count_nonzero(keep)
+        )
+        for node, child_stab, child_loads, child_keep in zip(
+            kids.tolist(), stabs[canonical].tolist(), grown, keep
         ):
-            self.counters["canonical_nodes"] += 1
-            child_alive, child_loads = self._grow(ids, alive, loads, node)
-            if child_alive.size == 0:
+            if not child_keep.any():
                 self.counters["subtrees_pruned_emax"] += 1
                 continue
             self._descend(
-                ids + (node,), child_alive, child_loads, child_stab, frontier
+                ids + (node,),
+                alive[child_keep],
+                child_loads[child_keep],
+                child_stab,
+                frontier,
             )
 
     def _leaf(
@@ -397,8 +420,6 @@ class _SearchContext:
             self.best_value = smallest
             winner = self.variant_ids[alive[int(np.argmin(emaxes))]]
             self.best_image_ids = np.sort(winner[np.array(ids)])
-        if smallest < self.incumbent - _TOL:
-            self.incumbent = smallest
 
     def _heartbeat(self) -> None:
         """Throttled progress line to stderr (cumulative tallies)."""
@@ -411,14 +432,16 @@ class _SearchContext:
             return self.lifetime[key] + self.counters[key]
 
         pruned = tally("subtrees_pruned_emax")
-        incumbent = (
-            "inf" if math.isinf(self.incumbent) else f"{self.incumbent:g}"
+        rung = (
+            "full mode"
+            if math.isinf(self.upper_bound)
+            else f"rung E_max <= {self.upper_bound:g}"
         )
         _progress_line(
             f"exact-search T_{self.torus.k}^{self.torus.d} n={self.size}: "
             f"{tally('leaf_orbits')} leaf orbits, "
             f"{tally('canonical_nodes')} nodes expanded, "
-            f"{pruned} subtrees pruned, incumbent E_max {incumbent}"
+            f"{pruned} subtrees pruned, {rung}"
         )
 
 
@@ -431,14 +454,11 @@ def _init_worker(
     k: int,
     d: int,
     size: int,
-    mode: str,
     upper_bound: float,
     progress: bool = False,
 ) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = _SearchContext(
-        Torus(k, d), size, mode, upper_bound, progress=progress
-    )
+    _WORKER_CTX = _SearchContext(Torus(k, d), size, upper_bound, progress)
 
 
 def _run_subtree(root: tuple[int, ...]) -> dict:
@@ -449,9 +469,9 @@ def _run_subtree(root: tuple[int, ...]) -> dict:
 # ------------------------------------------------------------ checkpointing
 
 
-def _root_task_id(root: tuple[int, ...]) -> str:
-    """Stable journal id of one canonical subtree root."""
-    return "root-" + ".".join(str(int(node)) for node in root)
+def _root_task_id(upper: float, root: tuple[int, ...]) -> str:
+    """Stable journal id of one canonical subtree root of one rung."""
+    return f"rung{upper:g}/root-" + ".".join(str(int(node)) for node in root)
 
 
 def _encode_partial(partial: dict) -> dict[str, Any]:
@@ -489,17 +509,17 @@ def _decode_partial(data: dict) -> dict:
     }
 
 
-# -------------------------------------------------- incumbent screening
+# -------------------------------------------------------- ladder capping
 
 
 def _candidate_leaf_placements(torus: Torus, size: int) -> list[Placement]:
-    """Structured size-``size`` placements worth screening as incumbents.
+    """Structured size-``size`` placements worth screening as ladder caps.
 
     Only shapes the paper gives closed forms for: the linear families of
     Definition 10 (all ``k`` offsets of all-ones coefficients plus a few
     coefficient variants) when ``size == k^{d-1}``, and the 2-D diagonal
     / antidiagonal shifts (the same size on ``T_k^2``).  Empty when no
-    structured family matches — the caller then searches unseeded.
+    structured family matches — the caller then climbs uncapped.
     """
     k, d = torus.k, torus.d
     if size != k ** (d - 1) or size < 2:
@@ -529,16 +549,16 @@ def _candidate_leaf_placements(torus: Torus, size: int) -> list[Placement]:
 def screen_initial_upper_bound(
     torus: Torus, size: int
 ) -> tuple[float, Placement] | None:
-    """Batched incumbent seed for ``bound``-mode certification.
+    """Batched ladder cap for ``bound``-mode certification.
 
     Evaluates every structured candidate from
     :func:`_candidate_leaf_placements` in one
     :meth:`~repro.load.engine.LoadEngine.emax_many` block (shared
     spectral plan, one stacked transform per coset family) and returns
     the best ``(E_max, placement)`` — achievable by construction, so
-    seeding :func:`exact_global_minimum` with it keeps the search exact
-    while pruning at least as hard as the classic linear seed.  Returns
-    ``None`` when no structured family matches ``size``.
+    passing it as :func:`exact_global_minimum`'s ``initial_upper_bound``
+    caps the ladder at a rung that is sure to certify.  Returns ``None``
+    when no structured family matches ``size``.
     """
     candidates = _candidate_leaf_placements(torus, size)
     if not candidates:
@@ -574,6 +594,50 @@ def _merge_partials(partials, histogram: dict[float, int], counters: dict):
     return best, best_ids, orbit_total
 
 
+def _search_rung(
+    context: _SearchContext,
+    upper: float,
+    processes: int | None,
+    journal: CheckpointJournal | None,
+    decompose: bool,
+) -> list[dict]:
+    """Partials of one search at the fixed bound ``upper``.
+
+    Undecomposed runs search the whole tree from the empty prefix.
+    Otherwise the frontier at the split depth is collected here and its
+    roots fan out through one :class:`ResilientExecutor` per rung.
+    """
+    context.upper_bound = upper
+    if not decompose:
+        return [context.run_root(())]
+    torus, size = context.torus, context.size
+    frontier, shallow = context.collect_frontier(min(_SPLIT_DEPTH, size - 1))
+    if not frontier:
+        return [shallow]
+    serial = processes is None or processes <= 1
+    workers = 1 if serial else min(processes, len(frontier))
+    tasks = [ExecTask(_root_task_id(upper, root), root) for root in frontier]
+    executor = ResilientExecutor(
+        _run_subtree,
+        jobs=workers,
+        initializer=_init_worker,
+        initargs=(torus.k, torus.d, size, upper, context.progress),
+        journal=journal,
+        label=(
+            f"exact-search[T_{torus.k}^{torus.d} n={size} E_max<={upper:g}]"
+        ),
+    )
+    try:
+        outcome = executor.run(tasks)
+    except ExecutionError as err:
+        raise SearchError(
+            f"exact search fan-out failed: {err} (backend "
+            f"'exact_search', {len(frontier)} subtree roots, "
+            f"{workers} workers)"
+        ) from err
+    return [shallow, *outcome.in_task_order(tasks)]
+
+
 def exact_global_minimum(
     torus: Torus,
     size: int,
@@ -591,40 +655,38 @@ def exact_global_minimum(
     torus, size:
         The certified space: all :math:`C(k^d, size)` placements.
     mode:
-        ``"bound"`` (default) enables branch-and-bound pruning — exact
-        minimum, ``num_optimal`` and witness, no histogram.  ``"full"``
-        disables pruning and additionally returns the exact
-        :math:`E_{max}` histogram over all placements and the orbit
-        count (cross-checkable against
+        ``"bound"`` (default) climbs the ladder of fixed bounds from
+        Eq. 6's :math:`\\lceil (n-1)/(2d) \\rceil` — exact minimum,
+        ``num_optimal`` and witness, no histogram.  ``"full"`` disables
+        pruning and additionally returns the exact :math:`E_{max}`
+        histogram over all placements and the orbit count
+        (cross-checkable against
         :func:`repro.placements.catalog.global_minimum_emax`).
     processes:
-        ``None`` (default) searches serially; an integer > 1 shards
-        canonical subtree roots over a process pool.
+        ``None`` (default) searches serially; an integer > 1 shards each
+        rung's canonical subtree roots over a process pool.
     initial_upper_bound:
-        Optional incumbent seed for ``bound`` mode — must be an
-        :math:`E_{max}` actually achieved by some size-``size`` placement
-        (e.g. the linear placement's).  A tighter seed prunes more;
-        an unachievable seed below the true minimum raises
-        :class:`~repro.errors.SearchError`.  When ``None`` the seed is
-        derived automatically via :func:`screen_initial_upper_bound`,
-        which batch-evaluates the structured candidate families (linear
-        cosets, 2-D diagonals) in one ``emax_many`` block — achievable
-        by construction, so the search stays exact.  Ignored in ``full``
-        mode.
+        The ladder's top rung in ``bound`` mode: the highest bound tried,
+        not a pruning seed (each rung prunes at its own bound).  A value
+        actually achieved by some size-``size`` placement, such as
+        :func:`screen_initial_upper_bound`'s, is sure to be reached;
+        when every rung up to it is refuted,
+        :class:`~repro.errors.SearchError` is raised.  ``None`` climbs
+        uncapped.  Ignored in ``full`` mode.
     checkpoint:
         Optional path to a :class:`repro.exec.CheckpointJournal` (JSONL).
-        Completed subtree roots and their partial accumulators are
-        persisted as they finish; giving a checkpoint forces the
-        subtree-root decomposition even for a serial search so the
-        journal has restartable units.
+        Completed subtree roots of every rung and their partial
+        accumulators are persisted as they finish; giving a checkpoint
+        forces the subtree-root decomposition even for a serial search so
+        the journal has restartable units.
     resume:
         Resume from an existing ``checkpoint`` journal: journaled roots
         are merged from their stored partials without re-searching their
-        subtrees.  The journal's fingerprint (torus, size, mode,
-        incumbent seed) must match this call.
+        subtrees.  The journal's fingerprint (torus, size, mode, ladder)
+        must match this call.
     progress:
         Emit throttled heartbeat lines to stderr while searching (leaf
-        orbits, nodes expanded, prunes, incumbent).  ``None`` (default)
+        orbits, nodes expanded, prunes, rung).  ``None`` (default)
         enables heartbeats exactly when the ambient tracer is enabled.
 
     Raises
@@ -634,8 +696,8 @@ def exact_global_minimum(
         :data:`MAX_EXACT_SEARCH`, or ``resume`` without ``checkpoint``.
     SearchError
         If the orbit accounting fails its :math:`C(k^d, n)` cross-check
-        (``full`` mode), no placement beats ``initial_upper_bound``, or
-        the resilient fan-out itself fails beyond recovery.
+        (``full`` mode), every rung up to ``initial_upper_bound`` is
+        refuted, or the resilient fan-out itself fails beyond recovery.
     """
     if mode not in ("full", "bound"):
         raise InvalidParameterError(
@@ -653,82 +715,83 @@ def exact_global_minimum(
         )
     if resume and checkpoint is None:
         raise InvalidParameterError("resume=True requires a checkpoint path")
-    if mode == "bound" and initial_upper_bound is None:
-        screened = screen_initial_upper_bound(torus, size)
-        upper = screened[0] if screened is not None else math.inf
-    elif mode == "bound":
-        upper = float(initial_upper_bound)
-    else:
-        upper = math.inf
+    # bound mode climbs from Eq. 6's bound, one step at a time, to the cap
+    first = math.ceil(blaum_lower_bound(size, torus.d))
+    cap = math.inf
+    if initial_upper_bound is not None:
+        cap = float(initial_upper_bound)
+    rungs: Iterable[float] = ()
+    ladder = None
+    if mode == "bound":
+        rungs = itertools.takewhile(
+            lambda upper: upper <= cap + _TOL, itertools.count(float(first))
+        )
+        ladder = [first, None if math.isinf(cap) else cap]
 
     tracer = current_tracer()
     if progress is None:
         progress = bool(tracer.enabled)
-    context = _SearchContext(torus, size, mode, upper, progress=progress)
+    context = _SearchContext(torus, size, math.inf, progress=progress)
     histogram: dict[float, int] = {}
     counters = dict.fromkeys(SearchCounters.__dataclass_fields__, 0)
+    searched: list[tuple[float, int]] = []
+    best, best_ids = math.inf, None
 
     serial = processes is None or processes <= 1
-    with tracer.span(
-        "search.certify",
-        k=torus.k,
-        d=torus.d,
-        size=size,
-        mode=mode,
-        space=space,
-    ):
-        if (serial and checkpoint is None) or size < 2:
-            partials = [context.run_root(())]
-        else:
-            depth = min(_SPLIT_DEPTH, size - 1)
-            frontier, shallow = context.collect_frontier(depth)
-            partials = [shallow]
-            if frontier:
-                workers = 1 if serial else min(processes, len(frontier))
-                journal = None
-                if checkpoint is not None:
-                    journal = CheckpointJournal(
-                        checkpoint,
-                        fingerprint={
-                            "workload": "exact-search",
-                            "k": torus.k,
-                            "d": torus.d,
-                            "size": size,
-                            "mode": mode,
-                            "upper": upper,
-                            "split_depth": depth,
-                        },
-                        resume=resume,
-                        encode=_encode_partial,
-                        decode=_decode_partial,
-                    )
-                tasks = [
-                    ExecTask(_root_task_id(root), root) for root in frontier
-                ]
-                executor = ResilientExecutor(
-                    _run_subtree,
-                    jobs=workers,
-                    initializer=_init_worker,
-                    initargs=(torus.k, torus.d, size, mode, upper, progress),
-                    journal=journal,
-                    label=f"exact-search[T_{torus.k}^{torus.d} n={size} {mode}]",
-                )
-                try:
-                    outcome = executor.run(tasks)
-                except ExecutionError as err:
-                    raise SearchError(
-                        f"exact search fan-out failed: {err} (backend "
-                        f"'exact_search', {len(frontier)} subtree roots, "
-                        f"{workers} workers)"
-                    ) from err
-                finally:
-                    if journal is not None:
-                        journal.close()
-                partials.extend(outcome.in_task_order(tasks))
-
-        best, best_ids, orbit_total = _merge_partials(
-            partials, histogram, counters
+    decompose = size >= 2 and not (serial and checkpoint is None)
+    journal = None
+    if decompose and checkpoint is not None:
+        journal = CheckpointJournal(
+            checkpoint,
+            fingerprint={
+                "workload": "exact-search",
+                "k": torus.k,
+                "d": torus.d,
+                "size": size,
+                "mode": mode,
+                "ladder": ladder,
+                "split_depth": min(_SPLIT_DEPTH, size - 1),
+            },
+            resume=resume,
+            encode=_encode_partial,
+            decode=_decode_partial,
         )
+    try:
+        with tracer.span(
+            "search.certify",
+            k=torus.k,
+            d=torus.d,
+            size=size,
+            mode=mode,
+            space=space,
+        ):
+            if mode == "full":
+                partials = _search_rung(
+                    context, math.inf, processes, journal, decompose
+                )
+                best, best_ids, _ = _merge_partials(
+                    partials, histogram, counters
+                )
+            for upper in rungs:
+                before = counters["canonical_nodes"]
+                with tracer.span("search.rung", ub=upper) as span:
+                    partials = _search_rung(
+                        context, upper, processes, journal, decompose
+                    )
+                    best, best_ids, _ = _merge_partials(
+                        partials, histogram, counters
+                    )
+                    nodes = counters["canonical_nodes"] - before
+                    span.annotate(
+                        outcome="refuted" if best_ids is None else "certified",
+                        canonical_nodes=nodes,
+                    )
+                searched.append((upper, nodes))
+                if best_ids is not None:
+                    break
+    finally:
+        if journal is not None:
+            journal.close()
 
     if tracer.enabled:
         # one literal call per counter (not a dynamic f-string name) so the
@@ -760,7 +823,8 @@ def exact_global_minimum(
 
     if best_ids is None:
         raise SearchError(
-            f"no placement achieved E_max <= {upper:g}; "
+            f"no placement achieved E_max <= {cap:g} (Eq. 6 bounds the "
+            f"minimum below by {first}; {len(searched)} rungs refuted); "
             "initial_upper_bound must be achievable (at or above the true "
             "minimum)"
         )
@@ -785,4 +849,5 @@ def exact_global_minimum(
         group_order=context.group.order,
         num_variants=context.num_variants,
         counters=SearchCounters(**counters),
+        rungs=tuple(searched),
     )

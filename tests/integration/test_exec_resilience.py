@@ -12,10 +12,12 @@ journal.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.errors import SearchError
+from repro.errors import ExecutionError, SearchError
 from repro.exec import (
     ChaosPolicy,
     ExecPolicy,
@@ -214,6 +216,69 @@ class TestCertifyKillResume:
         report = recent_reports()[-1]
         assert report.completed == 0  # everything came from the journal
         assert report.resumed == report.tasks
+
+
+#: the first two lines of a T_5^2 n=5 journal written before the ladder,
+#: when the fingerprint named the screen's pruning seed and task ids
+#: carried no rung.
+_PRE_LADDER_JOURNAL = (
+    '{"kind": "header", "version": 1, "fingerprint": {"workload": '
+    '"exact-search", "k": 5, "d": 2, "size": 5, "mode": "bound", '
+    '"upper": 2.0, "split_depth": 3}}\n'
+    '{"kind": "task", "id": "root-0.1.2", "result": {"best_value": '
+    'Infinity, "best_image_ids": null, "histogram": [], "orbit_total": 0, '
+    '"counters": {"canonicity_checks": 21, "canonical_nodes": 7, '
+    '"leaf_orbits": 0, "variant_evaluations": 0, "pair_updates": 96, '
+    '"full_evaluations": 0, "subtrees_pruned_emax": 7, '
+    '"variants_dropped": 14}}}\n'
+)
+
+
+class TestCertifyLadderResume:
+    def test_t5_2_resumes_inside_its_second_rung(self, tmp_path):
+        """Kill inside rung 2 of a two-rung ladder, resume, re-certify.
+
+        Eq. 6 puts T_5^2 n=5 at rung 1, which is refuted; the minimum is
+        2.  The resumed run must return the identical result and work
+        counters, skipping every journaled root of both rungs.
+        """
+        torus = Torus(5, 2)
+        path = tmp_path / "ladder.jsonl"
+        full = exact_global_minimum(
+            torus, 5, processes=2, checkpoint=str(path)
+        )
+        assert [upper for upper, _ in full.rungs] == [1.0, 2.0]
+        lines = path.read_text().splitlines()
+        ids = [json.loads(line)["id"] for line in lines[1:]]
+        first = sum(task.startswith("rung1/") for task in ids)
+        second = sum(task.startswith("rung2/") for task in ids)
+        assert first >= 1 and second > 2 and first + second == len(ids)
+        assert ids[:first] == [t for t in ids if t.startswith("rung1/")]
+        # drop half of rung 2's roots and leave a torn final line
+        keep = 1 + first + second // 2
+        path.write_text(
+            "\n".join(lines[:keep]) + '\n{"kind": "task", "id": "rung2/ro'
+        )
+        clear_reports()
+        resumed = exact_global_minimum(
+            torus, 5, processes=2, checkpoint=str(path), resume=True
+        )
+        assert _certify_key(resumed) == _certify_key(full)
+        assert resumed.counters == full.counters
+        assert resumed.rungs == full.rungs
+        refuted, certified = recent_reports()
+        # no journaled root is searched again
+        assert (refuted.resumed, refuted.completed) == (first, 0)
+        assert certified.resumed == second // 2
+        assert certified.completed == second - second // 2
+
+    def test_pre_ladder_journal_is_refused(self, tmp_path):
+        path = tmp_path / "pre-ladder.jsonl"
+        path.write_text(_PRE_LADDER_JOURNAL)
+        with pytest.raises(ExecutionError, match="fingerprint"):
+            exact_global_minimum(
+                Torus(5, 2), 5, processes=2, checkpoint=str(path), resume=True
+            )
 
 
 class TestWrappedErrors:

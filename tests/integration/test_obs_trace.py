@@ -64,6 +64,28 @@ class TestTracerIsAPureObserver:
         assert "search.certify" in names
 
 
+class TestLadderIsTraced:
+    def test_one_rung_span_per_rung(self, tmp_path):
+        # T_5^2 n=5 climbs from Eq. 6's rung 1 (refuted) to the minimum 2
+        path = tmp_path / "ladder.jsonl"
+        tracer = Tracer(
+            sink=JsonlTraceSink(path, label="ladder"), label="ladder"
+        )
+        with using_tracer(tracer):
+            result = exact_global_minimum(Torus(5, 2), 5, progress=False)
+        tracer.finish()
+
+        spans = [r for r in read_trace(path) if r.get("kind") == "span"]
+        certify = next(r for r in spans if r["name"] == "search.certify")
+        rungs = [r for r in spans if r["name"] == "search.rung"]
+        assert [r["parent"] for r in rungs] == [certify["id"]] * 2
+        attributes = [r["attributes"] for r in rungs]
+        assert [a["outcome"] for a in attributes] == ["refuted", "certified"]
+        assert [(a["ub"], a["canonical_nodes"]) for a in attributes] == list(
+            result.rungs
+        )
+
+
 #: exec counters that must repeat exactly (the task ledger); the
 #: incident counters (retries/timeouts/fallbacks) are wall-clock-coupled.
 _LEDGER = ("exec.tasks", "exec.completed", "exec.resumed")

@@ -148,6 +148,15 @@ class TestCertify:
         assert "optimal count   : 292" in out
         assert "0 full evaluations" in out
 
+    def test_prints_the_ladder(self, capsys):
+        # T_5^2 n=5: Eq. 6's rung 1 is refuted, the minimum 2 certified
+        assert main(["certify", "--k", "5", "--d", "2"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "ladder          : E_max <= 1 refuted (31 nodes), "
+            "E_max <= 2 certified (158 nodes)"
+        ) in out
+
     def test_full_mode_prints_histogram(self, capsys):
         assert main(["certify", "--k", "3", "--d", "2", "--mode", "full"]) == 0
         out = capsys.readouterr().out
@@ -246,3 +255,5 @@ class TestObservabilityFlags:
         err = capsys.readouterr().err
         assert "exact-search T_3^2" in err
         assert "nodes expanded" in err
+        # heartbeats name the ladder rung being searched
+        assert "rung E_max <= 1" in err

@@ -106,6 +106,46 @@ class TestBoundMode:
             )
 
 
+class TestLadder:
+    def test_climbs_from_eq6_and_stops_at_the_minimum(self):
+        # T_5^2 n=5: Eq. 6 gives ceil(4/4) = 1, refuted; the minimum is 2
+        result = exact_global_minimum(Torus(5, 2), 5)
+        assert [upper for upper, _ in result.rungs] == [1.0, 2.0]
+        assert result.minimum_emax == result.rungs[-1][0]
+        assert sum(nodes for _, nodes in result.rungs) == (
+            result.counters.canonical_nodes
+        )
+
+    def test_t6_certifies_on_its_first_rung(self):
+        # Eq. 6 gives ceil(5/4) = 2, already the minimum: nothing above
+        # it is searched, whatever the cap
+        for cap in (None, 3.0, 10.0):
+            result = exact_global_minimum(
+                Torus(6, 2), 6, initial_upper_bound=cap
+            )
+            assert result.rungs == ((2.0, 520),)
+            assert result.counters.canonical_nodes == 520
+            assert (result.minimum_emax, result.num_optimal) == (2.0, 24)
+
+    def test_cap_below_the_minimum_raises(self):
+        # rung 1 is searched and refuted; rung 2 lies above the cap
+        with pytest.raises(SearchError, match="1 rungs refuted"):
+            exact_global_minimum(Torus(5, 2), 5, initial_upper_bound=1.5)
+
+    def test_uncapped_ladder_does_not_screen(self, monkeypatch):
+        from repro.placements import exact_search
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the uncapped ladder must not screen")
+
+        monkeypatch.setattr(exact_search, "screen_initial_upper_bound", refuse)
+        result = exact_global_minimum(Torus(4, 2), 4)
+        assert (result.minimum_emax, result.num_optimal) == (2.0, 292)
+
+    def test_full_mode_has_no_rungs(self, full_4_2):
+        assert full_4_2.rungs == ()
+
+
 class TestWitness:
     def test_witness_reevaluates_to_minimum(self, full_4_2):
         # independent full evaluation certifies the reported witness
@@ -138,22 +178,52 @@ class TestCounters:
         assert counters.leaf_orbits < 33  # full mode visits all 33 orbits
 
     @pytest.mark.parametrize("mode", ["full", "bound"])
-    def test_one_kernel_call_per_grown_node(self, mode, monkeypatch):
-        # every surviving variant grows in the same scatter, so the add
-        # kernel runs once per expanded node, never once per variant
+    def test_one_kernel_call_per_expanded_prefix(self, mode, monkeypatch):
+        # all canonical children of a prefix grow in the same scatter, each
+        # with every surviving variant: the add kernel runs once per
+        # expanded prefix, never once per child or per variant, and its
+        # (children, variants) rows grow every canonical node exactly once
         from repro.placements import exact_search
 
-        calls = []
+        rows = []
         kernel = exact_search.odr_edge_loads_add_delta
 
         def counted(torus, loads, kept, added):
-            calls.append(loads.shape[0])
+            rows.append(added.shape[:-1])
             return kernel(torus, loads, kept, added)
 
         monkeypatch.setattr(exact_search, "odr_edge_loads_add_delta", counted)
         result = exact_global_minimum(Torus(4, 2), 4, mode=mode)
-        assert len(calls) == result.counters.canonical_nodes
-        assert max(calls) == result.num_variants
+        assert sum(children for children, _ in rows) == (
+            result.counters.canonical_nodes
+        )
+        assert max(variants for _, variants in rows) == result.num_variants
+        if mode == "full":
+            assert len(rows) == _prefixes_with_canonical_children(
+                Torus(4, 2), 4
+            )
+        else:
+            assert len(rows) < result.counters.canonical_nodes
+
+
+def _prefixes_with_canonical_children(torus, size):
+    """Canonical prefixes (the empty one too) that have a canonical child,
+    counted by brute force over all sorted node sets."""
+    import itertools
+
+    group = automorphism_group(torus)
+    count = 0
+    for m in range(size):
+        for ids in itertools.combinations(range(torus.num_nodes), m):
+            if m and not group.canonicity(ids)[0]:
+                continue
+            lower = ids[-1] + 1 if ids else 0
+            if any(
+                group.canonicity(ids + (node,))[0]
+                for node in range(lower, torus.num_nodes - (size - m) + 1)
+            ):
+                count += 1
+    return count
 
 
 class TestParallel:
@@ -162,6 +232,24 @@ class TestParallel:
         assert result.minimum_emax == full_4_2.minimum_emax
         assert result.num_optimal == full_4_2.num_optimal
         assert result.emax_histogram == full_4_2.emax_histogram
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_decomposed_runs_count_the_same_work(self, k, tmp_path):
+        # a rung's bound never moves, so pruning does not depend on which
+        # worker finishes first, and a subtree root's prefix replay is not
+        # counted again: every decomposition does the serial run's work
+        torus = Torus(k, 2)
+        serial = exact_global_minimum(torus, k)
+        runs = [
+            exact_global_minimum(torus, k, processes=2),
+            exact_global_minimum(torus, k, processes=2),
+            exact_global_minimum(
+                torus, k, checkpoint=str(tmp_path / "serial.jsonl")
+            ),
+        ]
+        for run in runs:
+            assert run.counters == serial.counters
+            assert run.rungs == serial.rungs
 
     def test_parallel_matches_serial_bound(self):
         torus = Torus(5, 2)
