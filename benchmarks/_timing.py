@@ -1,13 +1,13 @@
 """Shared wall-clock helpers for the benchmark suite.
 
 One copy of the warm-up/min-of-N timing conventions that
-``bench_fft.py``, ``bench_engines.py``, ``bench_exec.py``, and
-``bench_batch.py`` all rely on.  Timing on shared CI hardware is noisy
-in one direction only (preemption makes runs *slower*), so every helper
-reports the **minimum** over repeats — the best observation is the
-closest to the true cost of the code path.  Ratios between code paths
-time every side in the same interleaved rounds
-(:func:`interleaved_best_of`).
+``bench_certify.py``, ``bench_engines.py``, ``bench_exec.py``,
+``bench_fft.py``, ``bench_obs.py`` and ``bench_sim.py`` all rely on.
+Timing on shared CI hardware is noisy in one direction only
+(preemption makes runs *slower*), so every helper reports the
+**minimum** over repeats — the best observation is the closest to the
+true cost of the code path.  Ratios between code paths time every side
+in the same interleaved rounds (:func:`interleaved_best_of`).
 """
 
 import random

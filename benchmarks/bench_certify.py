@@ -1,12 +1,12 @@
 """Benchmark `repro certify` end to end: wall time of bound-mode certification.
 
 Each case runs what ``repro certify --k K --d 2`` runs serially: the
-batched candidate screen (``screen_initial_upper_bound``) and then the
-bound-mode exact search capped by it.  The search climbs a ladder of
-fixed bounds from the paper's Eq. 6 lower bound, ``ceil((k - 1)/4)``,
-and stops at the first rung that reaches a placement; each expanded
-prefix grows all its canonical children, with every surviving ODR
-variant, in one path-table scatter.
+candidate screen (``screen_initial_upper_bound``, one block score on the
+ODR path table) and then the bound-mode exact search capped by it.  The
+search climbs a ladder of fixed bounds from the paper's Eq. 6 lower
+bound, ``ceil((k - 1)/4)``, and stops at the first rung that reaches a
+placement; each expanded prefix grows all its canonical children, with
+every surviving ODR variant, in one path-table scatter.
 
 Pinned in ``benchmarks/BENCH_certify.json``:
 
@@ -94,7 +94,7 @@ def test_t5_t6_counts_match_baseline():
 
 def test_t6_within_budget(capsys):
     limit = MAX_SECONDS["T6_ladder"]
-    certify(6)  # warm: group tables, path table, screening plans
+    certify(6)  # warm: group tables, path table
     seconds, result = best_of(lambda: certify(6), rounds=CASES["T6_ladder"][1])
     with capsys.disabled():
         print(f"\ncertify T_6^2: {seconds:.3f}s (pin <= {limit}s)")
@@ -147,7 +147,7 @@ def write_baseline() -> dict:
     baseline = {
         "description": (
             "Serial bound-mode certification as `repro certify --k K --d 2` "
-            "runs it (batched candidate screen, then the exact search's "
+            "runs it (candidate screen, then the exact search's "
             "ladder from Eq. 6 capped by it), best wall time of warm runs. "
             "Counts are exact pins; T6_ladder and T8_ladder seconds are "
             "gated by max_seconds; T7_ladder and T9_ladder seconds are "

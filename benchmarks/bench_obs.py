@@ -15,7 +15,8 @@ workload is the next torus up:
   under 2% of its wall-clock;
 * **enabled** — a real ``Tracer`` writing JSONL must stay within 10%
   of the disabled run (plus an absolute floor so single-core CI
-  scheduler jitter cannot flake the suite).
+  scheduler jitter cannot flake the suite); both sides are timed in the
+  same interleaved rounds, so a drift in host speed hits them alike.
 
 Both traced and untraced runs must certify bit-identical results — the
 tracer is an observer, never a participant.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import pytest
 from _timing import best_of as _best_of
+from _timing import interleaved_best_of
 
 from repro.obs import JsonlTraceSink, Tracer, current_tracer, using_tracer
 from repro.placements.exact_search import exact_global_minimum
@@ -111,8 +113,7 @@ def test_disabled_path_costs_under_two_percent(capsys):
 
 
 def test_enabled_overhead_pinned(tmp_path, capsys):
-    """Traced certify within 10% of untraced (min of 3 runs each)."""
-    untraced_time, untraced = _best_of(_certify)
+    """Traced certify within 10% of untraced (min of 5 interleaved rounds)."""
 
     def _traced():
         tracer = Tracer(
@@ -124,7 +125,12 @@ def test_enabled_overhead_pinned(tmp_path, capsys):
         tracer.finish()
         return result
 
-    traced_time, traced = _best_of(_traced)
+    # each round runs both sides twice: one settling call, one timed
+    timings = interleaved_best_of(
+        {"untraced": _certify, "traced": _traced}, rounds=5
+    )
+    untraced_time, untraced = timings["untraced"]
+    traced_time, traced = timings["traced"]
     assert _result_key(traced) == _result_key(untraced)
     ratio = traced_time / untraced_time
     with capsys.disabled():

@@ -21,7 +21,6 @@ Usage (after ``pip install -e .``)::
     python -m repro trace critical-path out.jsonl
     python -m repro trace waterfall out.jsonl
     python -m repro trace diff before.jsonl after.jsonl
-    python -m repro trace export out.jsonl             # Prometheus text
     python -m repro bench report                       # BENCH_trajectory.json
     python -m repro certify --k 5 --d 2 --metrics-out metrics.jsonl --sample-resources
     python -m repro experiments --quick --profile pstats
@@ -227,16 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.10,
         help="relative per-name duration change to ignore (default 0.10)",
-    )
-    p_trace_export = trace_sub.add_parser(
-        "export",
-        help="render the trace's final metrics snapshot as Prometheus text",
-    )
-    p_trace_export.add_argument("path", help="trace file, directory, or glob")
-    p_trace_export.add_argument(
-        "--prefix",
-        default="repro",
-        help="metric-family namespace prefix (default repro)",
     )
 
     p_bench = sub.add_parser(
@@ -807,14 +796,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         print("\n".join(render_diff(rows)))
         return 1 if rows else 0
-    if args.trace_command == "export":
-        from repro.obs import load_stitched, prometheus_text
-
-        records = load_stitched(args.path)
-        snapshots = [r for r in records if r.get("kind") == "metrics"]
-        values = snapshots[-1]["values"] if snapshots else {}
-        print(prometheus_text(values, prefix=args.prefix), end="")
-        return 0
     return 2
 
 

@@ -6,19 +6,19 @@ time it was regenerated, but nothing relates successive regenerations.
 This module aggregates every committed baseline into one schema-versioned
 ``benchmarks/BENCH_trajectory.json``:
 
-* each baseline contributes named **metrics** (``batch.speedup``,
-  ``exp22.symmetry_bnb_T6.pair_updates``, ``certify.T6.seconds``,
-  ``sim.T16x2_odr.wormhole_cycles``, ...),
-  classified by *direction* — ``higher``/``lower`` for thresholded measurements,
-  ``exact`` for deterministic pins that must never drift;
+* each baseline contributes named **metrics**
+  (``certify.T6_ladder.seconds``, ``exp22.ladder_T6.pair_updates``,
+  ``sim.T16x2_odr.wormhole_cycles``, ...), classified by *direction* —
+  ``higher``/``lower`` for thresholded measurements, ``exact`` for
+  deterministic pins that must never drift;
 * each metric carries a **series** of ``{value, recorded_unix}`` points,
   appended on regeneration only when the value actually changed, so the
   committed file stays byte-stable across no-op report runs;
-* thresholds come from the baselines' own ``min_*`` pins where they
-  exist (``batch.speedup`` fails below ``min_speedup``), ``exact``
-  metrics pin to their first recorded value, and everything else is
-  informational (machine-dependent throughputs are tracked, never
-  gated).
+* thresholds come from the baselines' own ``max_seconds`` pins where
+  they exist (``certify.T6_ladder.seconds`` fails above its entry),
+  ``exact`` metrics pin to their first recorded value, and everything
+  else is informational (machine-dependent throughputs are tracked,
+  never gated).
 
 ``repro bench report`` regenerates the trajectory; ``repro bench report
 --check`` recomputes current values and exits non-zero if any gated
@@ -61,19 +61,6 @@ def _numeric_leaves(data: Any, prefix: str) -> Iterator[tuple[str, float]]:
         return
     elif isinstance(data, (int, float)):
         yield prefix, float(data)
-
-
-def _extract_batch(data: dict[str, Any]) -> Iterator[Metric]:
-    measured = data.get("measured", {})
-    yield "batch.speedup", measured.get("speedup"), "higher", data.get(
-        "min_speedup"
-    )
-    yield "batch.hit_rate", measured.get("hit_rate"), "higher", data.get(
-        "min_hit_rate"
-    )
-    yield "batch.sequential_ms", measured.get("sequential_ms"), "lower", None
-    yield "batch.batched_ms", measured.get("batched_ms"), "lower", None
-    yield "batch.emax_values", data.get("emax_values"), "exact", None
 
 
 def _extract_certify(data: dict[str, Any]) -> Iterator[Metric]:
@@ -131,7 +118,6 @@ def _extract_lint(data: dict[str, Any]) -> Iterator[Metric]:
 
 
 _EXTRACTORS: dict[str, Callable[[dict[str, Any]], Iterator[Metric]]] = {
-    "BENCH_batch.json": _extract_batch,
     "BENCH_certify.json": _extract_certify,
     "BENCH_engines.json": _extract_engines,
     "BENCH_exp22.json": _extract_exp22,

@@ -1274,121 +1274,12 @@ class SpanOutsideWith(Rule):
 
 
 @register
-class PerPlacementLoopEval(Rule):
-    """RL016 — per-placement load evaluation loop that should batch.
-
-    A loop in :mod:`repro.placements` or :mod:`repro.experiments` that
-    calls a full load evaluator (``edge_loads`` / ``emax`` / the
-    module-level ``*_edge_loads`` functions) once per placement pays the
-    spectral-plan setup once per call; the batched facade
-    (:meth:`repro.load.engine.LoadEngine.edge_loads_many` /
-    ``emax_many``) amortizes one stacked transform over the whole block
-    and is bit-identical after the integer snap-back.  Loops that build
-    a :class:`~repro.torus.topology.Torus` in their body are per-torus
-    sweeps — a batch cannot span tori, so they are exempt.  Reference
-    oracles certify themselves with ``# repro: noqa(RL016)``.
-    """
-
-    code = "RL016"
-    summary = "per-placement load-evaluation loop in placements/experiments"
-
-    _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
-              ast.DictComp, ast.GeneratorExp)
-
-    #: leaf callable names that evaluate one placement from scratch.
-    _EVAL_LEAVES = frozenset({
-        "edge_loads",
-        "emax",
-        "odr_edge_loads",
-        "udr_edge_loads",
-        "edge_loads_reference",
-        "fft_edge_loads",
-    })
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.is_test_file:
-            return False
-        return ctx.in_package("placements") or ctx.in_package("experiments")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # a loop nest that constructs a Torus is a per-torus sweep: no
-        # single batch can span its iterations, so the whole nest —
-        # inner per-placement loops included — is exempt.
-        exempt: set[int] = set()
-        for loop in ast.walk(ctx.tree):
-            if isinstance(loop, self._LOOPS) and self._builds_torus(loop):
-                for sub in ast.walk(loop):
-                    if isinstance(sub, self._LOOPS):
-                        exempt.add(id(sub))
-        reported: set[tuple[int, int]] = set()
-        for loop in ast.walk(ctx.tree):
-            if not isinstance(loop, self._LOOPS) or id(loop) in exempt:
-                continue
-            for node in self._per_iteration_nodes(loop):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else (
-                    func.attr if isinstance(func, ast.Attribute) else None
-                )
-                if name not in self._EVAL_LEAVES:
-                    continue
-                key = (node.lineno, node.col_offset)
-                if key in reported:  # nested loops see the same call twice
-                    continue
-                reported.add(key)
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"per-placement `{name}` call inside a loop — batch "
-                    "the placements and route through "
-                    "`LoadEngine.edge_loads_many`/`emax_many` (one stacked "
-                    "spectral transform per block, bit-identical after "
-                    "snap-back), or suppress with `# repro: noqa(RL016)` "
-                    "if this site is deliberately per-placement",
-                )
-
-    @staticmethod
-    def _per_iteration_nodes(loop: ast.AST) -> Iterator[ast.AST]:
-        """Nodes evaluated once per loop iteration.
-
-        A ``for`` loop's iterable and a comprehension's outermost source
-        expression run exactly once — calls there are not per-placement
-        work and are excluded."""
-        if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
-            if isinstance(loop, ast.While):
-                yield from ast.walk(loop.test)
-            for stmt in [*loop.body, *loop.orelse]:
-                yield from ast.walk(stmt)
-            return
-        once = {id(n) for n in ast.walk(loop.generators[0].iter)}
-        for node in ast.walk(loop):
-            if id(node) not in once and node is not loop:
-                yield node
-
-    @staticmethod
-    def _builds_torus(loop: ast.AST) -> bool:
-        """Whether the loop constructs a ``Torus`` — a per-torus sweep,
-        which batched evaluation cannot serve."""
-        for node in ast.walk(loop):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name == "Torus":
-                return True
-        return False
-
-
-@register
 class DynamicTelemetryName(Rule):
     """RL017 — dynamic span/metric name fed into the telemetry registry.
 
     Trace tooling — ``repro trace diff``, the stitcher's canonical form,
-    the bench observatory's pinned metric names, Prometheus exposition —
-    keys everything on span and metric *names*.  A name built at runtime
+    the bench observatory's pinned metric names — keys everything on
+    span and metric *names*.  A name built at runtime
     (f-string, ``+``, ``.format``, a variable) fragments those keys into
     unbounded families that no dashboard, diff, or grep can enumerate,
     and silently bloats the metrics registry.  Names passed to
@@ -1451,8 +1342,8 @@ class DynamicTelemetryName(Rule):
                 name_arg,
                 f"`{ctx.segment(node.func)}({rendered}, ...)` — span/metric "
                 "names must be dotted lowercase string literals (e.g. "
-                '`"engine.fft.fast_path"`) so trace diffs, bench pins, and '
-                "Prometheus exposition see a closed name set; dispatch "
+                '`"engine.fft.fast_path"`) so trace diffs and bench pins '
+                "see a closed name set; dispatch "
                 "closed families through literal if/elif, or certify with "
                 "`# repro: noqa(RL017)`",
             )

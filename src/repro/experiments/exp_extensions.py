@@ -76,11 +76,11 @@ def run_symmetry(quick: bool = False) -> ExperimentResult:
         title=f"EXP-14: linear placement variants on T_{k}^{d} under ODR",
     )
     table.add_row(["offset 0, coeffs 1..1", k ** (d - 1), base, True])
-    # all k-1 remaining offsets in one batched engine call: the cosets
-    # share one difference set, so the whole sweep is a single stacked
-    # transform against the plan-cached spectrum — and because the batch
-    # is snapped to the same integers as the oracle, equality with the
-    # odr_edge_loads base doubles as a bit-identity cross-check.
+    # the k-1 remaining offsets through the fft engine: the cosets share
+    # one subgroup, so every call reuses the plan-cached spectrum — and
+    # because each call is snapped to the same integers as the oracle,
+    # equality with the odr_edge_loads base doubles as a bit-identity
+    # cross-check.
     engine = LoadEngine("fft")
     routing = OrderedDimensionalRouting(d)
     offset_placements = [linear_placement(torus, offset=c) for c in range(1, k)]
@@ -339,7 +339,7 @@ def run_wormhole(quick: bool = False) -> ExperimentResult:
         "linear": linear_placement(torus),
         "fully populated": fully_populated_placement(torus),
     }
-    # both analytic load vectors in one batched engine call; the wormhole
+    # both analytic load vectors from the fft engine; the wormhole
     # simulation below is cross-checked against these rows.
     analytic = dict(
         zip(

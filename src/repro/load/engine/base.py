@@ -29,9 +29,10 @@ __all__ = ["LoadBackend"]
 class LoadBackend(abc.ABC):
     """One strategy for computing exact per-edge loads.
 
-    Subclasses implement :meth:`compute` and — when they only handle a
-    subset of routings or traffic patterns — override :meth:`supports`
-    so the ``auto`` engine can skip them cleanly.
+    Subclasses implement :meth:`compute`, which evaluates one placement
+    per call, and — when they only handle a subset of routings or
+    traffic patterns — override :meth:`supports` so the ``auto`` engine
+    can skip them cleanly.
     """
 
     #: registry / CLI name of the backend.
@@ -54,27 +55,6 @@ class LoadBackend(abc.ABC):
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-edge loads; ``float64`` of length ``torus.num_edges``."""
-
-    def compute_many(
-        self,
-        placements: list[Placement],
-        routing: RoutingAlgorithm,
-        pair_weights: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-edge loads of a placement batch; ``(B, num_edges)``.
-
-        The default is the sequential loop — row ``b`` is exactly
-        ``compute(placements[b], ...)``.  Backends with a genuinely
-        batched evaluation (the FFT backend's stacked indicator
-        transform) override this; the override must stay bit-identical
-        to the sequential rows after the quantize snap-back.
-        """
-        return np.stack(
-            [
-                self.compute(placement, routing, pair_weights=pair_weights)
-                for placement in placements
-            ]
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"{type(self).__name__}(name={self.name!r})"

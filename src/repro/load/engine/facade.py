@@ -73,9 +73,6 @@ _AUTO_ORDER = ("fft", "vectorized", "displacement", "reference")
 
 _BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")
 
-#: placements per block of :meth:`LoadEngine.edge_loads_many`.
-_BLOCK = 64
-
 
 def available_backends() -> tuple[str, ...]:
     """Registered backend names, plus the ``auto`` selector."""
@@ -85,10 +82,10 @@ def available_backends() -> tuple[str, ...]:
 def _count_backend_call(metrics, backend_name: str) -> None:
     """Bump the per-backend call counter with a literal metric name.
 
-    The backend set is closed (:data:`_BACKEND_NAMES`), so the exported
-    counter namespace is spelled out literally here rather than built
-    from an f-string — RL017 keeps every metric name statically
-    enumerable for the Prometheus export layer.
+    The backend set is closed (:data:`_BACKEND_NAMES`), so the counter
+    namespace is spelled out literally here rather than built from an
+    f-string — RL017 keeps every metric name statically enumerable for
+    trace diffs and bench pins.
     """
     if backend_name == "reference":
         metrics.counter("engine.calls.reference").add(1)
@@ -202,18 +199,10 @@ class LoadEngine:
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-edge loads of a placement batch; ``(B, num_edges)``.
+        """Per-edge loads of placements on one torus; ``(B, num_edges)``.
 
-        Every placement must live on the same torus.  Row ``b`` is
-        bit-identical to ``edge_loads(placements[b], ...)`` after the
-        quantize snap-back — the FFT backend resolves the placements it
-        covers by cosets of one subgroup with a single stacked
-        ``rfftn``/inverse pair against the plan cache's usage spectra,
-        other backends fall back to the sequential loop.  ``auto`` picks
-        one backend for the whole batch, the one :meth:`backend_for`
-        picks for ``placements[0]``.  The batch is evaluated in blocks
-        of 64 placements; realized block sizes land on the
-        ``engine.batch_size`` histogram.
+        Row ``b`` is ``edge_loads(placements[b], ...)``: every placement
+        is dispatched on its own, exactly as a single call would be.
         """
         placements = list(placements)
         if not placements:
@@ -225,34 +214,12 @@ class LoadEngine:
                     "edge_loads_many requires all placements on one torus; "
                     f"got {torus} and {placement.torus}"
                 )
-        backend = self.backend_for(placements[0], routing, pair_weights)
-
-        def run() -> np.ndarray:
-            blocks = []
-            for lo in range(0, len(placements), _BLOCK):
-                chunk = placements[lo : lo + _BLOCK]
-                metrics.histogram("engine.batch_size").observe(len(chunk))
-                blocks.append(
-                    backend.compute_many(
-                        chunk, routing, pair_weights=pair_weights
-                    )
-                )
-            return np.concatenate(blocks, axis=0)
-
-        tracer = current_tracer()
-        metrics = tracer.metrics
-        if not tracer.enabled:
-            return run()
-        with tracer.span(
-            "engine.edge_loads_many",
-            backend=backend.name,
-            routing=routing.name,
-            batch=len(placements),
-        ):
-            loads = run()
-        _count_backend_call(metrics, backend.name)
-        metrics.counter("engine.batched_placements").add(len(placements))
-        return loads
+        return np.stack(
+            [
+                self.edge_loads(placement, routing, pair_weights=pair_weights)
+                for placement in placements
+            ]
+        )
 
     def emax(
         self,
@@ -270,7 +237,7 @@ class LoadEngine:
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        """:math:`E_{max}` per batch member; ``float64`` of length ``B``."""
+        """:math:`E_{max}` per placement; ``float64`` of length ``B``."""
         loads = self.edge_loads_many(
             placements, routing, pair_weights=pair_weights
         )

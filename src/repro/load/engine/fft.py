@@ -249,7 +249,7 @@ def _denominator_groups(
 
 
 def _spectrum(fields: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Batched ``rfftn`` over the trailing torus axes."""
+    """``rfftn`` of each field over the trailing torus axes."""
     d = len(shape)
     grid = fields.reshape(fields.shape[:-1] + shape)
     return np.fft.rfftn(grid, axes=tuple(range(-d, 0)))
@@ -324,79 +324,51 @@ def _convolve(
     fields_hat: np.ndarray,
     class_spectra: list[list[tuple[int, np.ndarray]]],
     shape: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``Σ_C S_C * U_C`` from stacked source and usage spectra.
+) -> tuple[np.ndarray, float]:
+    """``Σ_C S_C * U_C`` from the source and usage spectra.
 
-    ``fields_hat`` is ``(B, D, ...)``: the batch on its leading axis and
-    one source spectrum per class.  The products are summed per load
-    quantum in the frequency domain, so the whole batch pays **one**
-    inverse transform per quantum.  Returns ``(loads (B, 2d, k^d),
-    per-placement snap drift (B,))``.
+    ``fields_hat`` is ``(D, ...)``: one source spectrum per class.  The
+    products are summed per load quantum in the frequency domain, so a
+    placement pays **one** inverse transform per quantum.  Returns
+    ``(loads (2d, k^d), snap drift)``.
     """
-    batch = fields_hat.shape[0]
     totals: dict[int, np.ndarray] = {}
-    for c, spectra in enumerate(class_spectra):
-        source = fields_hat[:, c, None, ...]
+    for source, spectra in zip(fields_hat, class_spectra):
         for quantum, usage_hat in spectra:
-            term = source * usage_hat[None, ...]
+            term = source * usage_hat
             if quantum in totals:
                 totals[quantum] += term
             else:
                 totals[quantum] = term
     loads: np.ndarray | None = None
-    drift = np.zeros(batch, dtype=np.float64)
+    drift = 0.0
     for quantum, total in totals.items():
         conv = _inverse(total, shape)
         snapped = np.rint(conv)
-        np.maximum(
-            drift,
-            np.abs(conv - snapped).reshape(batch, -1).max(axis=1),
-            out=drift,
-        )
+        drift = max(drift, float(np.abs(conv - snapped).max()))
         part = snapped / quantum if quantum != 1 else snapped
         loads = part if loads is None else loads + part
     assert loads is not None
     return loads, drift
 
 
-def _cover_loads(
-    placements: list[Placement], plan: SpectralPlan, cache: PlanCache
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral loads of a complete-exchange batch's covered rows.
+def _cover_loads(cover: _Cover, plan: SpectralPlan) -> tuple[np.ndarray, float]:
+    """Spectral loads of a covered placement, and their snap drift.
 
-    Returns ``(loads (B, E), drifts (B,), spectral (B,))``; rejected
-    rows stay zero with ``spectral`` false.  Rows whose covers share a
-    subgroup and classes — every coset of one subgroup, every offset of
-    a multiple linear family — are stacked on a leading batch axis and
-    resolved by a single ``rfftn``/inverse pair against the shared
-    usage spectra.
+    One ``rfftn`` of the cover's source fields, one product per class
+    against the plan's usage spectra, one inverse transform per load
+    quantum.
     """
     torus = plan.torus
-    batch = len(placements)
-    loads = np.zeros((batch, torus.num_edges), dtype=np.float64)
-    drifts = np.zeros(batch, dtype=np.float64)
-    spectral = np.zeros(batch, dtype=bool)
-    covers = [_cover(placement, cache) for placement in placements]
-    groups: dict[tuple[bytes, tuple[int, ...]], list[int]] = {}
-    for b, cover in enumerate(covers):
-        if cover.classes:
-            groups.setdefault((cover.subgroup, cover.classes), []).append(b)
-
-    for rows in groups.values():
-        classes = len(covers[rows[0]].classes)
-        fields = np.zeros((len(rows), classes, torus.num_nodes))
-        for i, b in enumerate(rows):
-            for c, source in enumerate(covers[b].sources):
-                fields[i, c, source] = 1.0
-        block, block_drift = _convolve(
-            _spectrum(fields, torus.shape),
-            _class_spectra(plan, covers[rows[0]]),
-            torus.shape,
-        )
-        loads[rows] = np.swapaxes(block, 1, 2).reshape(len(rows), -1)
-        drifts[rows] = block_drift
-        spectral[rows] = True
-    return loads, drifts, spectral
+    fields = np.zeros((len(cover.classes), torus.num_nodes))
+    for c, source in enumerate(cover.sources):
+        fields[c, source] = 1.0
+    loads, drift = _convolve(
+        _spectrum(fields, torus.shape),
+        _class_spectra(plan, cover),
+        torus.shape,
+    )
+    return loads.T.reshape(-1), drift
 
 
 # ------------------------------------------------------------ entry point
@@ -446,9 +418,9 @@ class FFTBackend(LoadBackend):
     ----------
     last_snap_drift:
         Largest absolute correction the integer snap-back applied on the
-        most recent :meth:`compute` / :meth:`compute_many` call — the
-        quantity the :data:`~repro.load.quantize.LOAD_SNAP_TOLERANCE`
-        contract bounds (0 when no row was spectral).
+        most recent :meth:`compute` call — the quantity the
+        :data:`~repro.load.quantize.LOAD_SNAP_TOLERANCE` contract bounds
+        (0 when the placement was not evaluated spectrally).
     """
 
     name = "fft"
@@ -483,14 +455,13 @@ class FFTBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        return self.compute_many([placement], routing, pair_weights)[0]
+        """Loads of one placement: classify, convolve, snap.
 
-    def compute_many(
-        self,
-        placements: list[Placement],
-        routing: RoutingAlgorithm,
-        pair_weights: np.ndarray | None = None,
-    ) -> np.ndarray:
+        An accepted complete-exchange placement takes one spectral pass
+        against the plan's class spectra; everything else, and a snap
+        past :data:`~repro.load.quantize.LOAD_SNAP_TOLERANCE`, takes the
+        exact apply of the plan's path table.
+        """
         if not getattr(routing, "translation_invariant", False):
             raise EngineError(
                 f"routing {routing.name!r} is not translation-invariant; "
@@ -498,29 +469,26 @@ class FFTBackend(LoadBackend):
                 "use the 'reference' backend (the 'auto' engine does so)"
             )
         cache = current_plan_cache()
-        plan = cache.get(placements[0].torus, routing)
+        plan = cache.get(placement.torus, routing)
+        loads: np.ndarray | None = None
+        drift = 0.0
         if pair_weights is None:
-            loads, drifts, spectral = _cover_loads(placements, plan, cache)
-        else:
-            batch = len(placements)
-            loads = np.zeros((batch, plan.torus.num_edges), dtype=np.float64)
-            drifts = np.zeros(batch, dtype=np.float64)
-            spectral = np.zeros(batch, dtype=bool)
-        self.last_snap_drift = float(drifts.max(initial=0.0))
-        drifted = spectral & (drifts >= LOAD_SNAP_TOLERANCE)
-        for b in np.flatnonzero(~spectral | drifted):
-            # rejected placements, weighted traffic, and rows whose snap
+            cover = _cover(placement, cache)
+            if cover.classes:
+                loads, drift = _cover_loads(cover, plan)
+        self.last_snap_drift = drift
+        spectral = loads is not None
+        drifted = drift >= LOAD_SNAP_TOLERANCE
+        if loads is None or drifted:
+            # rejected placements, weighted traffic, and a snap that
             # broke the contract pay the exact path-table apply.
-            loads[b] = plan.table.loads(placements[b], pair_weights)
+            loads = plan.table.loads(placement, pair_weights)
         tracer = current_tracer()
         if tracer.enabled:
             metrics = tracer.metrics
-            n_fast = int((spectral & ~drifted).sum())
-            if n_fast:
-                metrics.counter("engine.fft.fast_path").add(n_fast)
-            if drifted.any():
-                metrics.counter("engine.fft.snap_fallbacks").add(
-                    int(drifted.sum())
-                )
-            metrics.gauge("engine.fft.snap_drift").set(self.last_snap_drift)
+            if drifted:
+                metrics.counter("engine.fft.snap_fallbacks").add(1)
+            elif spectral:
+                metrics.counter("engine.fft.fast_path").add(1)
+            metrics.gauge("engine.fft.snap_drift").set(drift)
         return loads

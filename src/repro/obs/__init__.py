@@ -26,9 +26,8 @@ The moving parts:
 * :func:`critical_path` / :func:`utilization` / :func:`diff_traces` —
   the trace analytics behind ``repro trace critical-path | waterfall |
   diff`` (:mod:`repro.obs.analyze`);
-* :func:`prometheus_text` / :class:`MetricsSnapshotWriter` /
-  :class:`ResourceSampler` — metrics export for mid-flight inspection
-  (:mod:`repro.obs.export`);
+* :class:`MetricsSnapshotWriter` / :class:`ResourceSampler` — metrics
+  export for mid-flight inspection (:mod:`repro.obs.export`);
 * :func:`profiling` — cProfile-backed ``--profile pstats|flamegraph``
   hooks (:mod:`repro.obs.profiling`);
 * :mod:`repro.obs.console` — the single sanctioned stderr/wall-clock
@@ -45,11 +44,7 @@ from repro.obs.analyze import (
     rollup,
     utilization,
 )
-from repro.obs.export import (
-    MetricsSnapshotWriter,
-    ResourceSampler,
-    prometheus_text,
-)
+from repro.obs.export import MetricsSnapshotWriter, ResourceSampler
 from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
@@ -118,7 +113,6 @@ __all__ = [
     "split_segments",
     "load_stitched",
     "canonical_form",
-    "prometheus_text",
     "MetricsSnapshotWriter",
     "ResourceSampler",
     "PROFILE_MODES",

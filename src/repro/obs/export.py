@@ -1,14 +1,9 @@
-"""Metrics export: Prometheus text exposition, snapshot journal, sampler.
+"""Metrics export: snapshot journal and resource sampler.
 
 Long certify/sweep/experiment runs accumulate their registry inside the
 process; this module gets those numbers *out* while the run is still
 going:
 
-* :func:`prometheus_text` renders a :meth:`Metrics.snapshot
-  <repro.obs.metrics.Metrics.snapshot>` in the Prometheus text
-  exposition format (version 0.0.4) — counters as ``_total``, gauges
-  verbatim, base-2 histograms expanded into cumulative ``le`` buckets —
-  so a scrape-file exporter or pushgateway can ingest it unchanged.
 * :class:`MetricsSnapshotWriter` appends timestamped snapshots to a
   JSONL journal with the same crash semantics as the trace sink (a kill
   costs at most the final torn line), rate-limited by a minimum
@@ -23,87 +18,16 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any
 
 from repro.obs.console import wall_clock
 from repro.obs.metrics import Metrics
 
 __all__ = [
-    "prometheus_text",
     "MetricsSnapshotWriter",
     "ResourceSampler",
     "set_pump",
     "pump",
 ]
-
-
-def _sanitize(name: str) -> str:
-    """Map a dotted instrument name onto the Prometheus grammar.
-
-    Dots become underscores (``exec.task_seconds`` →
-    ``exec_task_seconds``); any other character outside
-    ``[a-zA-Z0-9_:]`` is folded to ``_`` too.  RL017 keeps instrument
-    names dotted-lowercase at the call sites, so this mapping is
-    collision-free in practice.
-    """
-    sanitized = "".join(
-        ch if ch.isalnum() or ch in "_:" else "_" for ch in name
-    )
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized or "_"
-
-
-def _fmt(value: float) -> str:
-    """Prometheus float formatting (integers without the trailing .0)."""
-    as_float = float(value)
-    if as_float == int(as_float) and abs(as_float) < 1e15:
-        return str(int(as_float))
-    return repr(as_float)
-
-
-def prometheus_text(snapshot: dict[str, Any], prefix: str = "repro") -> str:
-    """Render one metrics snapshot in Prometheus text exposition format.
-
-    ``prefix`` namespaces every family (``repro_exec_tasks_total``).
-    Counters gain the ``_total`` suffix; histograms expand their base-2
-    buckets into cumulative ``le`` series plus ``_sum``/``_count``, with
-    upper bounds ``2**e`` (the ``"zero"`` bucket becomes ``le="0"``) and
-    the mandatory ``le="+Inf"`` terminator.  Output ends with a newline,
-    as scrapers expect.
-    """
-    lines: list[str] = []
-    base = _sanitize(prefix) + "_" if prefix else ""
-
-    for name, value in snapshot.get("counters", {}).items():
-        family = f"{base}{_sanitize(name)}_total"
-        lines.append(f"# TYPE {family} counter")
-        lines.append(f"{family} {_fmt(value)}")
-
-    for name, value in snapshot.get("gauges", {}).items():
-        family = f"{base}{_sanitize(name)}"
-        lines.append(f"# TYPE {family} gauge")
-        lines.append(f"{family} {_fmt(value)}")
-
-    for name, data in snapshot.get("histograms", {}).items():
-        family = f"{base}{_sanitize(name)}"
-        lines.append(f"# TYPE {family} histogram")
-        bounds: list[tuple[float, int]] = []
-        for key, count in data.get("buckets", {}).items():
-            bound = 0.0 if key == "zero" else float(2.0 ** int(key))
-            bounds.append((bound, int(count)))
-        bounds.sort()
-        cumulative = 0
-        for bound, count in bounds:
-            cumulative += count
-            lines.append(
-                f'{family}_bucket{{le="{_fmt(bound)}"}} {cumulative}'
-            )
-        lines.append(f'{family}_bucket{{le="+Inf"}} {int(data["count"])}')
-        lines.append(f"{family}_sum {_fmt(data['total'])}")
-        lines.append(f"{family}_count {int(data['count'])}")
-
-    return "\n".join(lines) + "\n"
 
 
 class MetricsSnapshotWriter:

@@ -11,7 +11,8 @@ into "no counterexample exists".
 Placements are scored in blocks through the ODR
 :class:`~repro.load.path_table.PathTable` the exact search and the
 local search also use: every ODR path is one row of that table, so a
-block of placements costs one gather and one ``np.bincount``.
+block of placements costs one gather and one ``np.bincount``
+(:func:`block_emax`, which also scores the exact search's screen).
 """
 
 from __future__ import annotations
@@ -26,13 +27,19 @@ import numpy as np
 from repro.errors import ExecutionError, InvalidParameterError, SearchError
 from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
 from repro.load.odr_loads import odr_edge_loads
+from repro.load.path_table import PathTable
 from repro.load.plancache import current_plan_cache
 from repro.placements.base import Placement
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
 from repro.util.itertools_ext import combinations_from, ordered_pair_index_arrays
 
-__all__ = ["CatalogResult", "enumerate_placements", "global_minimum_emax"]
+__all__ = [
+    "CatalogResult",
+    "block_emax",
+    "enumerate_placements",
+    "global_minimum_emax",
+]
 
 #: refuse exhaustive enumeration beyond this many candidate placements.
 MAX_CATALOG = 2_000_000
@@ -92,7 +99,7 @@ def _evaluate_chunk(args) -> tuple[float, tuple[int, ...], int, dict[float, int]
     histogram: dict[float, int] = {}
     for ids in chunk:
         emax = float(
-            odr_edge_loads(  # repro: noqa(RL008,RL016) - this IS the brute-force oracle
+            odr_edge_loads(  # repro: noqa(RL008) - this IS the brute-force oracle
                 Placement(torus, list(ids))
             ).max()
         )
@@ -106,22 +113,34 @@ def _evaluate_chunk(args) -> tuple[float, tuple[int, ...], int, dict[float, int]
     return best, best_ids, num_optimal, histogram
 
 
-def _scan(
-    torus: Torus, size: int, combos: Iterator[tuple[int, ...]]
-) -> tuple[float | None, tuple[int, ...] | None, int, dict[float, int]]:
-    """Table-scatter worker: same contract as :func:`_evaluate_chunk`.
+def block_emax(table: PathTable, ids: np.ndarray) -> np.ndarray:
+    """Exact ODR :math:`E_{max}` of each row of a ``(placements, size)`` block.
 
-    ``combos`` is a lexicographic stream of ``size``-subsets of node ids.
-    Each block of it is one gather of extended node ids, one
+    ``table`` is the ODR path table of the placements' torus and ``ids``
+    holds one placement's node ids per row.  The block costs one gather
+    of extended node ids, one
     :meth:`~repro.load.path_table.PathTable.edges` call over every
     ordered pair of every placement, one
     :meth:`~repro.load.path_table.PathTable.edge_counts` scatter, and a
     row-wise ``max`` — exact integer loads, bit-identical to the oracle.
     """
+    pi, qi = ordered_pair_index_arrays(ids.shape[1])
+    placed = table.node_ext[ids]
+    edges = table.edges(placed[:, pi], placed[:, qi])
+    return table.edge_counts(edges).max(axis=1, initial=0)
+
+
+def _scan(
+    torus: Torus, size: int, combos: Iterator[tuple[int, ...]]
+) -> tuple[float | None, tuple[int, ...] | None, int, dict[float, int]]:
+    """Table-scatter worker: same contract as :func:`_evaluate_chunk`.
+
+    ``combos`` is a lexicographic stream of ``size``-subsets of node ids,
+    scored one block at a time by :func:`block_emax`.
+    """
     routing = OrderedDimensionalRouting(torus.d)
     table = current_plan_cache().get(torus, routing).table
-    pi, qi = ordered_pair_index_arrays(size)
-    block = max(1, _BLOCK_SLOTS // max(1, pi.size * table.width))
+    block = max(1, _BLOCK_SLOTS // max(1, size * (size - 1) * table.width))
     best: int | None = None
     best_ids: tuple[int, ...] | None = None
     num_optimal = 0
@@ -133,9 +152,7 @@ def _scan(
         ).reshape(-1, size)
         if ids.shape[0] == 0:
             break
-        placed = table.node_ext[ids]
-        edges = table.edges(placed[:, pi], placed[:, qi])
-        emax = table.edge_counts(edges).max(axis=1, initial=0)
+        emax = block_emax(table, ids)
         values, counts = np.unique(emax, return_counts=True)
         for value, count in zip(values.tolist(), counts.tolist()):
             histogram[float(value)] = histogram.get(float(value), 0) + count

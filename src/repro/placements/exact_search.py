@@ -87,10 +87,13 @@ from repro.errors import ExecutionError, InvalidParameterError, SearchError
 from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
 from repro.load.formulas import blaum_lower_bound
 from repro.load.odr_loads import odr_edge_loads_add_delta
+from repro.load.plancache import current_plan_cache
 from repro.obs.console import progress as _progress_line
 from repro.obs.tracer import current_tracer
 from repro.placements.base import Placement
+from repro.placements.catalog import block_emax
 from repro.placements.symmetry import automorphism_group
+from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
 
 __all__ = [
@@ -260,7 +263,6 @@ class _SearchContext:
         self.histogram: dict[float, int] = {}
         self.best_value = math.inf
         self.best_image_ids: np.ndarray | None = None
-        self.orbit_total = 0
         self.counters = dict.fromkeys(SearchCounters.__dataclass_fields__, 0)
 
     def take_partial(self) -> dict:
@@ -269,7 +271,6 @@ class _SearchContext:
             "best_value": self.best_value,
             "best_image_ids": self.best_image_ids,
             "histogram": self.histogram,
-            "orbit_total": self.orbit_total,
             "counters": self.counters,
         }
         for key, value in self.counters.items():
@@ -395,7 +396,6 @@ class _SearchContext:
         self.counters["variant_evaluations"] += int(alive.size)
         if self.progress:
             self._heartbeat()
-        self.orbit_total += self.group.order // stab
         emaxes = loads.max(axis=1)
         # exact per-placement weights: value v occurs
         # k^d · #{variants at v} · variant_weight / |Stab| times in the orbit
@@ -484,7 +484,6 @@ def _encode_partial(partial: dict) -> dict[str, Any]:
             [float(value), int(count)]
             for value, count in sorted(partial["histogram"].items())
         ],
-        "orbit_total": int(partial["orbit_total"]),
         "counters": {key: int(val) for key, val in partial["counters"].items()},
     }
 
@@ -498,9 +497,9 @@ def _decode_partial(data: dict) -> dict:
         "histogram": {
             float(value): int(count) for value, count in data["histogram"]
         },
-        "orbit_total": int(data["orbit_total"]),
         # journals from older versions may carry retired counters (the
-        # separator prune's), which merge as nothing
+        # separator prune's), which merge as nothing, and an orbit total
+        # beside them, which is not read
         "counters": {
             str(key): int(val)
             for key, val in data["counters"].items()
@@ -549,26 +548,24 @@ def _candidate_leaf_placements(torus: Torus, size: int) -> list[Placement]:
 def screen_initial_upper_bound(
     torus: Torus, size: int
 ) -> tuple[float, Placement] | None:
-    """Batched ladder cap for ``bound``-mode certification.
+    """Ladder cap for ``bound``-mode certification.
 
-    Evaluates every structured candidate from
+    Scores every structured candidate from
     :func:`_candidate_leaf_placements` in one
-    :meth:`~repro.load.engine.LoadEngine.emax_many` block (shared
-    spectral plan, one stacked transform per coset family) and returns
-    the best ``(E_max, placement)`` — achievable by construction, so
-    passing it as :func:`exact_global_minimum`'s ``initial_upper_bound``
-    caps the ladder at a rung that is sure to certify.  Returns ``None``
-    when no structured family matches ``size``.
+    :func:`~repro.placements.catalog.block_emax` block on the ODR path
+    table (one gather, one scatter, a row max) and returns the best
+    ``(E_max, placement)``, the first candidate among equals —
+    achievable by construction, so passing it as
+    :func:`exact_global_minimum`'s ``initial_upper_bound`` caps the
+    ladder at a rung that is sure to certify.  Returns ``None`` when no
+    structured family matches ``size``.
     """
     candidates = _candidate_leaf_placements(torus, size)
     if not candidates:
         return None
-    from repro.load.engine import LoadEngine
-    from repro.routing.odr import OrderedDimensionalRouting
-
-    emaxes = LoadEngine("fft").emax_many(
-        candidates, OrderedDimensionalRouting(torus.d)
-    )
+    routing = OrderedDimensionalRouting(torus.d)
+    table = current_plan_cache().get(torus, routing).table
+    emaxes = block_emax(table, np.stack([c.node_ids for c in candidates]))
     best = int(np.argmin(emaxes))
     return float(emaxes[best]), candidates[best]
 
@@ -579,19 +576,17 @@ def screen_initial_upper_bound(
 def _merge_partials(partials, histogram: dict[float, int], counters: dict):
     best = math.inf
     best_ids: np.ndarray | None = None
-    orbit_total = 0
     for partial in partials:
         for value, count in partial["histogram"].items():
             histogram[value] = histogram.get(value, 0) + count
         for key, count in partial["counters"].items():
             counters[key] += count
-        orbit_total += partial["orbit_total"]
         if partial["best_image_ids"] is not None and (
             best_ids is None or partial["best_value"] < best - _TOL
         ):
             best = partial["best_value"]
             best_ids = partial["best_image_ids"]
-    return best, best_ids, orbit_total
+    return best, best_ids
 
 
 def _search_rung(
@@ -769,7 +764,7 @@ def exact_global_minimum(
                 partials = _search_rung(
                     context, math.inf, processes, journal, decompose
                 )
-                best, best_ids, _ = _merge_partials(
+                best, best_ids = _merge_partials(
                     partials, histogram, counters
                 )
             for upper in rungs:
@@ -778,7 +773,7 @@ def exact_global_minimum(
                     partials = _search_rung(
                         context, upper, processes, journal, decompose
                     )
-                    best, best_ids, _ = _merge_partials(
+                    best, best_ids = _merge_partials(
                         partials, histogram, counters
                     )
                     nodes = counters["canonical_nodes"] - before

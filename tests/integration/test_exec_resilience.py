@@ -71,6 +71,16 @@ def _certify_key(result):
     )
 
 
+def _assert_chaos_struck(reports):
+    """The drill's runs retried a crashed task and rebuilt a broken pool.
+
+    Without this a change of task ids or split depth that moves the
+    chaos seed off every task would pass as a fault-free run.
+    """
+    assert sum(report.retries for report in reports) >= 1
+    assert sum(report.broken_pools for report in reports) >= 1
+
+
 def _catalog_key(result):
     """Everything that must be bit-identical across catalog sweeps."""
     return (
@@ -93,22 +103,27 @@ class TestCertifyUnderChaos:
         report = recent_reports()[-1]
         assert report.label.startswith("exact-search")
         assert report.completed == report.tasks
+        _assert_chaos_struck(recent_reports())
 
     def test_full_mode_histogram_survives_chaos_on_t4_2(self):
         torus = Torus(4, 2)
         serial = exact_global_minimum(torus, 4, mode="full")
+        clear_reports()
         with using_exec_policy(CRASHY):
             chaotic = exact_global_minimum(torus, 4, mode="full", processes=2)
         assert _certify_key(chaotic) == _certify_key(serial)
         assert chaotic.emax_histogram == serial.emax_histogram
+        _assert_chaos_struck(recent_reports())
 
 
 class TestCatalogUnderChaos:
     def test_catalog_sweep_is_bit_identical_on_t4_2(self):
         torus = Torus(4, 2)
         serial = global_minimum_emax(torus, 4)
+        clear_reports()
         with using_exec_policy(CRASHY):
             chaotic = global_minimum_emax(torus, 4, processes=2)
+        _assert_chaos_struck(recent_reports())
         assert chaotic.minimum_emax == serial.minimum_emax
         assert chaotic.num_optimal == serial.num_optimal
         assert chaotic.emax_histogram == serial.emax_histogram

@@ -22,16 +22,11 @@ def _write(path, data):
 @pytest.fixture()
 def bench_dir(tmp_path):
     _write(
-        tmp_path / "BENCH_batch.json",
+        tmp_path / "BENCH_certify.json",
         {
-            "min_speedup": 2.0,
-            "min_hit_rate": 0.5,
-            "emax_values": [8.0],
-            "measured": {
-                "speedup": 5.0,
-                "hit_rate": 0.9,
-                "sequential_ms": 100.0,
-                "batched_ms": 20.0,
+            "max_seconds": {"T6": 1.0},
+            "cases": {
+                "T6": {"seconds": 0.5, "counts": {"leaf_orbits": 93}},
             },
         },
     )
@@ -45,13 +40,13 @@ def bench_dir(tmp_path):
 class TestExtractMetrics:
     def test_curated_extractor_produces_gated_metrics(self, bench_dir):
         data = json.loads(
-            (bench_dir / "BENCH_batch.json").read_text(encoding="utf-8")
+            (bench_dir / "BENCH_certify.json").read_text(encoding="utf-8")
         )
-        metrics = {m[0]: m for m in extract_metrics("BENCH_batch.json", data)}
-        name, value, direction, threshold = metrics["batch.speedup"]
-        assert value == 5.0
-        assert direction == "higher"
-        assert threshold == 2.0
+        metrics = {m[0]: m for m in extract_metrics("BENCH_certify.json", data)}
+        name, value, direction, threshold = metrics["certify.T6.seconds"]
+        assert value == 0.5
+        assert direction == "lower"
+        assert threshold == 1.0
 
     def test_certify_seconds_gated_and_counts_exact(self):
         data = {
@@ -94,10 +89,10 @@ class TestBuildTrajectory:
         trajectory = build_trajectory(bench_dir, now=100.0)
         assert trajectory["schema_version"] == TRAJECTORY_SCHEMA_VERSION
         assert trajectory["sources"] == [
-            "BENCH_batch.json",
+            "BENCH_certify.json",
             "BENCH_custom.json",
         ]
-        assert "batch.speedup" in trajectory["metrics"]
+        assert "certify.T6.seconds" in trajectory["metrics"]
 
     def test_unchanged_values_append_no_points(self, bench_dir):
         first = build_trajectory(bench_dir, now=100.0)
@@ -132,20 +127,20 @@ class TestCheckTrajectory:
     def test_threshold_violation(self, bench_dir):
         trajectory = build_trajectory(bench_dir, now=100.0)
         data = json.loads(
-            (bench_dir / "BENCH_batch.json").read_text(encoding="utf-8")
+            (bench_dir / "BENCH_certify.json").read_text(encoding="utf-8")
         )
-        data["measured"]["speedup"] = 1.5  # below the 2.0 pin
-        _write(bench_dir / "BENCH_batch.json", data)
+        data["cases"]["T6"]["seconds"] = 1.5  # above the 1.0 pin
+        _write(bench_dir / "BENCH_certify.json", data)
         violations = check_trajectory(trajectory, bench_dir)
-        assert any("batch.speedup" in v for v in violations)
+        assert any("certify.T6.seconds" in v for v in violations)
 
     def test_exact_pin_drift(self, bench_dir):
         trajectory = build_trajectory(bench_dir, now=100.0)
         data = json.loads(
-            (bench_dir / "BENCH_batch.json").read_text(encoding="utf-8")
+            (bench_dir / "BENCH_certify.json").read_text(encoding="utf-8")
         )
-        data["emax_values"] = [9.0]
-        _write(bench_dir / "BENCH_batch.json", data)
+        data["cases"]["T6"]["counts"]["leaf_orbits"] = 94
+        _write(bench_dir / "BENCH_certify.json", data)
         violations = check_trajectory(trajectory, bench_dir)
         assert any("exact pin drifted" in v for v in violations)
 
@@ -181,10 +176,10 @@ class TestRunReport:
         assert run_report(bench_dir, check=True) == 0
         assert "bench trajectory OK" in capsys.readouterr().out
         data = json.loads(
-            (bench_dir / "BENCH_batch.json").read_text(encoding="utf-8")
+            (bench_dir / "BENCH_certify.json").read_text(encoding="utf-8")
         )
-        data["measured"]["hit_rate"] = 0.1
-        _write(bench_dir / "BENCH_batch.json", data)
+        data["cases"]["T6"]["seconds"] = 2.0
+        _write(bench_dir / "BENCH_certify.json", data)
         assert run_report(bench_dir, check=True) == 1
         assert "regression" in capsys.readouterr().out
 

@@ -1,9 +1,10 @@
-"""Tests for batched multi-placement evaluation — ``edge_loads_many``.
+"""Tests for multi-placement evaluation — ``edge_loads_many``.
 
-The facade contract: row ``b`` of the batch is *bit*-identical to a
-sequential ``edge_loads(placements[b], ...)`` call, for every backend,
-whatever mix of coset and non-coset placements the batch holds, and
-across process boundaries, where each worker builds its own plans.
+The facade contract: row ``b`` is *bit*-identical to a sequential
+``edge_loads(placements[b], ...)`` call, for every backend, whatever mix
+of coset and non-coset placements the call holds; and a placement's
+loads are the same bytes across process boundaries, where each worker
+builds its own plans.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import pytest
 
 from repro.errors import EngineError
 from repro.exec import ExecPolicy, ExecTask, ResilientExecutor
-from repro.load.engine import LoadEngine, facade
+from repro.load.engine import LoadEngine
 from repro.load.plancache import PlanCache, using_plan_cache
-from repro.obs import Tracer, using_tracer
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
@@ -40,7 +40,9 @@ def _mixed_batch(torus):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("backend", ["fft", "displacement", "reference"])
+    @pytest.mark.parametrize(
+        "backend", ["auto", "fft", "displacement", "reference"]
+    )
     def test_batched_rows_match_sequential(self, backend):
         torus = Torus(K, D)
         placements = _mixed_batch(torus)
@@ -64,17 +66,6 @@ class TestEquivalence:
             batched = engine.edge_loads_many(placements, routing)
             rows = [engine.edge_loads(p, routing) for p in placements]
         assert np.array_equal(batched, np.stack(rows))
-
-    def test_chunking_does_not_change_the_result(self, monkeypatch):
-        torus = Torus(K, D)
-        placements = _mixed_batch(torus)
-        routing = OrderedDimensionalRouting(D)
-        with using_plan_cache(PlanCache()):
-            engine = LoadEngine("fft")
-            whole = engine.edge_loads_many(placements, routing)
-            monkeypatch.setattr(facade, "_BLOCK", 2)
-            chunked = engine.edge_loads_many(placements, routing)
-        assert np.array_equal(whole, chunked)
 
     def test_emax_many_matches_per_placement_emax(self):
         torus = Torus(K, D)
@@ -112,24 +103,6 @@ class TestValidation:
             )
 
 
-class TestObservability:
-    def test_batch_metrics_land_on_the_tracer(self, monkeypatch):
-        torus = Torus(K, D)
-        placements = _mixed_batch(torus)
-        tracer = Tracer(label="batch-test")
-        monkeypatch.setattr(facade, "_BLOCK", 4)
-        with using_tracer(tracer), using_plan_cache(PlanCache()):
-            LoadEngine("fft").edge_loads_many(
-                placements, OrderedDimensionalRouting(D)
-            )
-        snapshot = tracer.metrics.snapshot()
-        assert snapshot["counters"]["engine.batched_placements"] == 6
-        hist = snapshot["histograms"]["engine.batch_size"]
-        assert hist["count"] == 2  # blocks of 4 + 2
-        assert hist["total"] == 6
-        assert snapshot["counters"]["plancache.misses"] == 1
-
-
 # ------------------------------------------------- cross-process determinism
 
 _POOL_K, _POOL_D = 4, 2
@@ -155,7 +128,8 @@ class TestCrossProcessDeterminism:
             single_subtorus_placement(torus),
         ]
         with using_plan_cache(PlanCache()):
-            parent = LoadEngine("fft").edge_loads_many(placements, routing)
+            engine = LoadEngine("fft")
+            parent = [engine.edge_loads(p, routing) for p in placements]
         executor = ResilientExecutor(
             _pool_edge_loads,
             jobs=2,

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.export — Prometheus text, snapshot journal, sampler."""
+"""Tests for repro.obs.export — snapshot journal and sampler."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs import MetricsSnapshotWriter, ResourceSampler, prometheus_text
+from repro.obs import MetricsSnapshotWriter, ResourceSampler
 from repro.obs.export import pump, set_pump
 from repro.obs.metrics import Metrics
 
@@ -21,36 +21,6 @@ def _registry() -> Metrics:
     hist.observe(0.7)
     hist.observe(3.0)
     return metrics
-
-
-class TestPrometheusText:
-    def test_counter_family(self):
-        text = prometheus_text(_registry().snapshot())
-        assert "# TYPE repro_exec_tasks_total counter" in text
-        assert "repro_exec_tasks_total 16" in text
-
-    def test_gauge_family(self):
-        text = prometheus_text(_registry().snapshot())
-        assert "# TYPE repro_engine_fft_snap_drift gauge" in text
-        assert "repro_engine_fft_snap_drift 1.5e-11" in text
-
-    def test_histogram_cumulative_buckets(self):
-        text = prometheus_text(_registry().snapshot())
-        # zero bucket, then powers of two, cumulative, then +Inf
-        assert 'repro_exec_task_seconds_bucket{le="0"} 1' in text
-        assert 'repro_exec_task_seconds_bucket{le="1"} 3' in text
-        assert 'repro_exec_task_seconds_bucket{le="4"} 4' in text
-        assert 'repro_exec_task_seconds_bucket{le="+Inf"} 4' in text
-        assert "repro_exec_task_seconds_sum 4" in text
-        assert "repro_exec_task_seconds_count 4" in text
-
-    def test_custom_prefix_and_trailing_newline(self):
-        text = prometheus_text(_registry().snapshot(), prefix="torus")
-        assert "torus_exec_tasks_total 16" in text
-        assert text.endswith("\n")
-
-    def test_empty_snapshot(self):
-        assert prometheus_text(Metrics().snapshot()) == "\n"
 
 
 class TestMetricsSnapshotWriter:

@@ -284,7 +284,9 @@ class TestValidation:
 class TestJournalRecords:
     def test_retired_counter_in_old_journal_is_ignored(self):
         # journals written before the separator prune was removed carry
-        # its (always zero) counter; resuming from them must still merge
+        # its (always zero) counter, and journals written before the orbit
+        # total was removed carry it beside the counters; resuming from
+        # them must still merge
         from repro.placements.exact_search import (
             SearchCounters,
             _decode_partial,
@@ -297,9 +299,11 @@ class TestJournalRecords:
                 "best_value": 2.0,
                 "best_image_ids": None,
                 "histogram": {2.0: 3},
-                "orbit_total": 3,
                 "counters": counters,
             }
         )
+        current = _decode_partial(record)
         record["counters"]["subtrees_pruned_separator"] = 0
-        assert _decode_partial(record)["counters"] == counters
+        record["orbit_total"] = 3
+        assert _decode_partial(record) == current
+        assert current["counters"] == counters
