@@ -10,8 +10,8 @@ Two kinds of checks, mirroring ``bench_engines.py``'s split:
   the rule catalogue, the self-lint cleanliness of ``src``, and the
   exact per-code finding counts on a deterministic synthetic corpus.
   The corpus exercises the resolver (aliased imports), the taint pass
-  (RL012/RL013 flows), and the scope analysis (RL014), so a regression
-  in any semantic layer shifts a pinned count.
+  (RL012 flows), and the scope analysis (RL014), so a regression in any
+  semantic layer shifts a pinned count.
 
 CI runs this file as part of the bench-smoke job with one quick round:
 the pins always execute, the timing stats are not interpreted.
@@ -25,7 +25,6 @@ import pathlib
 import pytest
 
 from repro.devtools.lint import all_rules, lint_paths
-from repro.devtools.lint.autofix import fix_paths
 
 BASELINE = pathlib.Path(__file__).with_name("BENCH_lint.json")
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -85,7 +84,6 @@ def _expected_per_file() -> dict[str, int]:
         "RL011": 1,  # default_rng (rng.shuffle's receiver is a call
         #              result, deliberately beyond the resolver)
         "RL012": 1,  # set(os.listdir) -> journal.record
-        "RL013": 1,  # unsnapped 1.0/len reaching the return
         "RL015": 1,  # span stored, never entered
         "RL017": 1,  # f-string-derived span name "work_{index}"
     }
@@ -144,23 +142,6 @@ def test_corpus_matches_inline_expectation(baseline):
         for code, count in _expected_per_file().items()
     }
     assert baseline["corpus"]["files"] == CORPUS_FILES
-
-
-def test_autofix_pinned(baseline, tmp_path):
-    root = _write_corpus(tmp_path / "fix_corpus")
-    result = fix_paths([root], write=True)
-    per_file = baseline["corpus"]["per_file"]
-    assert result.total_fixes == (
-        (per_file["RL006"] + per_file["RL007"]) * CORPUS_FILES
-    )
-    # idempotence: a second pass finds nothing left to fix
-    again = fix_paths([root], write=True)
-    assert again.total_fixes == 0
-    # and the fixable codes are gone while semantic findings remain
-    report = lint_paths([root])
-    assert "RL006" not in report.counts
-    assert "RL007" not in report.counts
-    assert report.counts["RL013"] == CORPUS_FILES
 
 
 # ---------------------------------------------------------- throughput

@@ -254,44 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of appending a new trajectory point",
     )
 
-    p_lint = sub.add_parser(
+    # `repro lint` declares no options of its own: main() forwards every
+    # argument after the command to the lint runner, which parses them.
+    sub.add_parser(
         "lint",
-        help="run the repo's semantic static-analysis rules (RL001-RL017)",
-    )
-    p_lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
-    )
-    p_lint.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        help="report format (default text)",
-    )
-    p_lint.add_argument(
-        "--select", metavar="CODES", help="comma-separated rule codes to run"
-    )
-    p_lint.add_argument(
-        "--ignore", metavar="CODES", help="comma-separated rule codes to skip"
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    p_lint.add_argument(
-        "--fix", action="store_true",
-        help="rewrite fixable findings (RL006, RL007) in place",
-    )
-    p_lint.add_argument(
-        "--diff", action="store_true",
-        help="preview --fix as a unified diff without writing",
-    )
-    p_lint.add_argument(
-        "--baseline", metavar="FILE",
-        help="subtract a committed findings baseline before failing",
-    )
-    p_lint.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="record current findings as the new baseline",
+        add_help=False,
+        help="run the repo's semantic static-analysis rules (RL001-RL017); "
+        "see `repro lint --help`",
     )
     return parser
 
@@ -720,7 +689,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 upper, seed = screened
                 print(
                     f"incumbent seed  : {seed.name} E_max = {upper:g} "
-                    "(batched candidate screen; the ladder's cap)"
+                    "(path-table candidate screen; the ladder's cap)"
                 )
         result = exact_global_minimum(
             torus, size, mode=args.mode, processes=args.jobs,
@@ -814,23 +783,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.devtools.lint.__main__ import run
 
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if args.list_rules:
-        argv += ["--list-rules"]
-    if args.fix:
-        argv += ["--fix"]
-    if args.diff:
-        argv += ["--diff"]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline", args.write_baseline]
-    return run(argv)
+    return run(args.lint_argv)
 
 
 _COMMANDS = {
@@ -851,7 +804,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     from repro.obs import console
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        args.lint_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     previous_quiet = console.set_quiet(bool(getattr(args, "quiet", False)))
     try:
         return _COMMANDS[args.command](args)

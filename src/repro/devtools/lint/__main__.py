@@ -1,28 +1,17 @@
 """``python -m repro.devtools.lint`` — the lint runner CLI.
 
-Exit codes: 0 clean, 1 findings, 2 usage or internal error.
-
-Beyond plain linting: ``--fix`` rewrites RL006/RL007 findings in place
-(``--diff`` previews the rewrite without touching disk), ``--baseline``
-subtracts a committed findings-baseline before deciding the exit code,
-and ``--write-baseline`` records the current findings as the new
-baseline.
+Exit codes: 0 clean, 1 findings, 2 usage or internal error.  This
+module declares every lint option once; ``repro lint`` forwards its
+arguments here unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from repro.devtools.lint import all_rules, lint_paths
-from repro.devtools.lint.autofix import FIXABLE_CODES, fix_paths
-from repro.devtools.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.devtools.lint.reporters import render_json, render_text
 from repro.obs import console
 
@@ -30,6 +19,7 @@ __all__ = ["build_parser", "run", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The runner's argument parser: paths, format, code filters, catalogue."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
         description=(
@@ -64,26 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help=f"rewrite fixable findings in place ({', '.join(FIXABLE_CODES)})",
-    )
-    parser.add_argument(
-        "--diff",
-        action="store_true",
-        help="preview --fix as a unified diff without writing",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="subtract the committed findings baseline before failing",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings as the new baseline and exit 0",
-    )
     return parser
 
 
@@ -93,23 +63,6 @@ def _split_codes(raw: str | None) -> list[str] | None:
     return [code.strip() for code in raw.split(",") if code.strip()]
 
 
-def _run_fix(args: argparse.Namespace) -> int:
-    codes = _split_codes(args.select) or list(FIXABLE_CODES)
-    result = fix_paths(args.paths, write=args.fix, codes=codes)
-    if args.diff and not args.fix:
-        for fix in result.changed_files:
-            print(fix.diff(), end="")
-    for fix in result.changed_files:
-        for description in fix.descriptions:
-            console.info(f"{fix.path.as_posix()}: {description}")
-    verb = "fixed" if args.fix else "fixable"
-    console.info(
-        f"{result.total_fixes} finding(s) {verb} in "
-        f"{len(result.changed_files)} file(s)"
-    )
-    return 0
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv``, run the lint, print the report; return exit code."""
     args = build_parser().parse_args(argv)
@@ -117,12 +70,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         for rule in all_rules():
             print(f"{rule.code}  {rule.summary}")
         return 0
-    if args.fix or args.diff:
-        try:
-            return _run_fix(args)
-        except (KeyError, OSError) as err:
-            console.error(f"lint fix error: {err}")
-            return 2
     try:
         report = lint_paths(
             args.paths,
@@ -132,39 +79,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (KeyError, OSError) as err:
         console.error(f"lint error: {err}")
         return 2
-    if args.write_baseline:
-        allow = write_baseline(Path(args.write_baseline), report)
-        total = sum(sum(codes.values()) for codes in allow.values())
-        console.info(
-            f"baseline written to {args.write_baseline}: {total} "
-            f"allowance(s) across {len(allow)} file(s)"
-        )
-        return 0
-    failing = report.findings
-    if args.baseline:
-        try:
-            allow = load_baseline(Path(args.baseline))
-        except (ValueError, OSError) as err:
-            console.error(f"lint error: {err}")
-            return 2
-        result = apply_baseline(report.findings, allow)
-        for stale in result.stale:
-            console.warn(
-                f"stale baseline allowance {stale} — no matching finding; "
-                "tighten the baseline"
-            )
-        if result.suppressed:
-            console.info(
-                f"baseline absorbed {len(result.suppressed)} known finding(s)"
-            )
-        failing = result.new_findings
-        report.findings = failing
     renderer = render_json if args.format == "json" else render_text
     print(renderer(report))
-    return 1 if failing else 0
+    return 1 if report.findings else 0
 
 
 def main() -> None:  # pragma: no cover - thin shell
+    """Run the lint on ``sys.argv`` and exit with its code."""
     sys.exit(run())
 
 

@@ -6,13 +6,13 @@ first five rules grew out of).  Rules are heuristics, not proofs — the
 ``# repro: noqa(CODE)`` escape hatch exists precisely for the sites where
 a human can certify the invariant holds.
 
-RL001–RL010 are (mostly) single-file pattern matchers; RL011–RL015 are
-built on :mod:`repro.devtools.lint.semantics` — they resolve names
-through the file's imports (``ctx.resolve``), follow re-export chains
-through the project, and run CFG-based taint analyses.  RL004, RL009,
-and RL010 were retrofitted onto the same resolver, so renamed imports
-(``from repro.load.edge_loads import edge_loads_reference as oracle``)
-no longer slip past them.
+RL001–RL010 are (mostly) single-file pattern matchers; RL011, RL012 and
+RL014 are built on :mod:`repro.devtools.lint.semantics` — they resolve
+names through the file's imports (``ctx.resolve``) and follow re-export
+chains through the project; RL012 also runs the CFG-based taint pass and
+RL014 the scope analysis.  RL004, RL009, and RL010 were retrofitted onto
+the same resolver, so renamed imports (``from repro.load.edge_loads
+import edge_loads_reference as oracle``) no longer slip past them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.devtools.lint import FileContext, Finding, Rule, register
 from repro.devtools.lint.semantics import (
     FunctionScopes,
     GlobalUsage,
-    TaintAnalysis,
     run_taint,
 )
 
@@ -42,10 +41,8 @@ __all__ = [
     "WallClockOrPrintInLibrary",
     "AmbientRNG",
     "NondetIterationIntoSink",
-    "ExactnessTaint",
     "ExecutorWorkerPurity",
     "SpanOutsideWith",
-    "PerPlacementLoopEval",
     "DynamicTelemetryName",
 ]
 
@@ -1005,104 +1002,6 @@ class NondetIterationIntoSink(Rule):
                     "is nondeterministic; wrap the iteration in "
                     "`sorted(...)`, or certify with `# repro: noqa(RL012)`",
                 )
-
-
-@register
-class ExactnessTaint(Rule):
-    """RL013 — float-introducing ops reaching an ``edge_loads`` return.
-
-    Paper loads are rationals with denominator ``routing_load_quantum``;
-    the engine contract (PR 6) is that every backend snaps its float
-    accumulation back to that lattice with
-    :func:`repro.load.quantize.snap_loads` before returning.  This pass
-    taints float-introducing expressions (true division, ``float()``,
-    ``np.fft``/``mean`` results) inside any ``repro.load`` function
-    whose name contains ``edge_loads`` and reports returns the taint can
-    reach without passing through ``snap_loads`` (or an integral
-    rounding).  The reference oracle, whose raw float accumulation *is*
-    the definition under test, certifies itself with a noqa.
-    """
-
-    code = "RL013"
-    summary = "unsnapped float arithmetic reaches an edge_loads return"
-
-    _SANITIZER_QNAMES = frozenset(
-        {"repro.load.quantize.snap_loads", "numpy.rint"}
-    )
-    _SANITIZER_LEAVES = frozenset({"snap_loads", "rint", "round", "int"})
-    _FLOAT_QNAMES = frozenset(
-        {"numpy.true_divide", "numpy.divide", "numpy.mean", "numpy.average"}
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.is_test_file:
-            return False
-        return ctx.in_package("load")
-
-    # ------------------------------------------------------ TaintSpec
-
-    def source(self, node: ast.expr, resolve) -> bool:
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            return True
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "float":
-            return True
-        qname = resolve(func)
-        if qname is not None:
-            return qname in self._FLOAT_QNAMES or qname.startswith(
-                "numpy.fft."
-            )
-        return isinstance(func, ast.Attribute) and func.attr == "mean"
-
-    def sanitizer(self, call: ast.Call, resolve) -> bool:
-        func = call.func
-        qname = resolve(func)
-        if qname in self._SANITIZER_QNAMES:
-            return True
-        leaf = None
-        if isinstance(func, ast.Attribute):
-            leaf = func.attr
-        elif isinstance(func, ast.Name):
-            leaf = func.id
-        return leaf in self._SANITIZER_LEAVES
-
-    def sink(self, call: ast.Call, resolve) -> str | None:
-        return None  # the sink is the return statement, handled below
-
-    # ----------------------------------------------------------- check
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if "edge_loads" in func.name:
-                yield from self._check_function(ctx, func)
-
-    def _check_function(
-        self,
-        ctx: FileContext,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> Iterator[Finding]:
-        analysis = TaintAnalysis(func, self, ctx.resolve)
-        for _block, unit in analysis.iter_units():
-            if not isinstance(unit, ast.Return) or unit.value is None:
-                continue
-            sources = analysis.taint_of(unit, unit.value)
-            if not sources:
-                continue
-            src = sources[0]
-            src_text = ctx.segment(src) or type(src).__name__
-            yield self.finding(
-                ctx,
-                unit,
-                f"`{func.name}` returns loads that float-introducing "
-                f"`{src_text}` (line {src.lineno}) can reach without "
-                "`repro.load.quantize.snap_loads` — snap to the routing "
-                "quantum before returning, or certify with "
-                "`# repro: noqa(RL013)`",
-            )
 
 
 @register

@@ -1,7 +1,7 @@
 """Whole-program semantic analysis for the repro lint framework.
 
 The original lint rules were single-file AST pattern matchers; this
-package grows them three capabilities they could not express:
+package grows them four capabilities they could not express:
 
 * **project-wide symbol resolution and an import graph**
   (:mod:`~repro.devtools.lint.semantics.resolver`) — every local name is
@@ -21,7 +21,14 @@ package grows them three capabilities they could not express:
   (:mod:`~repro.devtools.lint.semantics.dataflow`) — rules declare
   sources, sanitizers, and sinks as predicates over resolved names and
   AST shapes; the engine propagates taint over the CFG to a fixpoint and
-  reports every sink reached by unsanitized taint.
+  reports every sink reached by unsanitized taint.  RL012 (unordered
+  iteration reaching a journal, fingerprint or trace sink) is the rule
+  that runs on the CFG and taint layers;
+
+* **scope and global-mutation analysis**
+  (:mod:`~repro.devtools.lint.semantics.scopes`) — module-level
+  functions versus closures, and the globals each function reads,
+  writes or mutates (RL014's evidence).
 
 Rules access all of this through :class:`FileContext.resolver` (always
 available, built from the file's own imports) and ``FileContext.project``
@@ -40,7 +47,6 @@ from repro.devtools.lint.semantics.cfg import (
     ReachingDefinitions,
 )
 from repro.devtools.lint.semantics.dataflow import (
-    TaintAnalysis,
     TaintHit,
     TaintSpec,
     run_taint,
@@ -60,7 +66,6 @@ __all__ = [
     "BasicBlock",
     "ControlFlowGraph",
     "ReachingDefinitions",
-    "TaintAnalysis",
     "TaintHit",
     "TaintSpec",
     "run_taint",

@@ -5,9 +5,9 @@ over AST nodes (each handed a ``resolve`` callable mapping
 ``Name``/``Attribute`` chains to canonical qualified names):
 
 * ``source(node, resolve)`` — expressions that *introduce* the property
-  being tracked (a ``set(...)`` call, a float division, …);
+  being tracked (a ``set(...)`` call, an ``os.listdir(...)`` result, …);
 * ``sanitizer(call, resolve)`` — calls that launder it away
-  (``sorted(...)``, ``snap_loads(...)``);
+  (``sorted(...)``, ``len(...)``);
 * ``sink(call, resolve)`` — calls that must never receive it; returns a
   short label used in the finding message, or ``None``.
 
@@ -35,7 +35,7 @@ from repro.devtools.lint.semantics.cfg import (
     unit_definitions,
 )
 
-__all__ = ["TaintSpec", "TaintHit", "TaintAnalysis", "run_taint"]
+__all__ = ["TaintSpec", "TaintHit", "run_taint"]
 
 Resolver = Callable[[ast.AST], "str | None"]
 
@@ -94,12 +94,12 @@ class _Engine:
 
     def expr_taint(
         self,
-        expr: ast.expr | None,
+        expr: ast.expr,
         before: dict[str, set[ast.AST]],
         env: dict[str, set[ast.expr]] | None = None,
     ) -> set[ast.expr]:
         """Sources whose taint reaches the value of ``expr``."""
-        if expr is None or isinstance(expr, _OPAQUE):
+        if isinstance(expr, _OPAQUE):
             return set()
         if isinstance(expr, ast.Call):
             if self.spec.sanitizer(expr, self.resolve):
@@ -291,52 +291,6 @@ def _comp_target_names(target: ast.expr) -> Iterator[str]:
             yield from _comp_target_names(elt)
 
 
-class TaintAnalysis:
-    """Solved taint state for one function, queryable by rules.
-
-    Beyond the call-sink :meth:`hits` scan, rules can ask for the taint
-    reaching *any* expression at *any* unit — which is how return-value
-    sinks (RL013's ``edge_loads`` exactness pass) are modelled without
-    teaching the engine about non-call sinks.
-    """
-
-    def __init__(
-        self,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        spec: TaintSpec,
-        resolve: Resolver,
-    ):
-        self.func = func
-        self.cfg = ControlFlowGraph.for_function(func)
-        self._engine = _Engine(self.cfg, spec, resolve)
-        self._engine.solve()
-
-    def hits(self) -> list[TaintHit]:
-        """Every unsanitized source→sink flow, ordered by sink position."""
-        hits = self._engine.hits()
-        hits.sort(key=lambda h: (h.sink.lineno, h.sink.col_offset))
-        return hits
-
-    def taint_of(self, unit: ast.AST, expr: ast.expr | None) -> tuple[ast.expr, ...]:
-        """Sources whose taint reaches ``expr`` evaluated at ``unit``."""
-        before = self._engine.reaching.before(unit)
-        env = self._engine._comprehension_env(unit, before)
-        taint = self._engine.expr_taint(expr, before, env)
-        return tuple(
-            sorted(
-                taint,
-                key=lambda s: (
-                    getattr(s, "lineno", 0),
-                    getattr(s, "col_offset", 0),
-                ),
-            )
-        )
-
-    def iter_units(self) -> Iterator[tuple[object, ast.AST]]:
-        """Delegate to the CFG's ``(block, unit)`` iteration."""
-        return self.cfg.iter_units()
-
-
 def run_taint(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
     spec: TaintSpec,
@@ -348,4 +302,8 @@ def run_taint(
     ``for``-header unit; comprehension variables are handled at sink
     scan time.  The returned hits are ordered by sink position.
     """
-    return TaintAnalysis(func, spec, resolve).hits()
+    engine = _Engine(ControlFlowGraph.for_function(func), spec, resolve)
+    engine.solve()
+    hits = engine.hits()
+    hits.sort(key=lambda h: (h.sink.lineno, h.sink.col_offset))
+    return hits

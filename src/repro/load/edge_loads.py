@@ -81,7 +81,8 @@ def edge_loads_reference(
             for path in paths:
                 for eid in path.edge_ids:
                     loads[eid] += frac
-    # The oracle's raw float accumulation *is* the Definition-4 quantity
-    # the snapped backends are cross-checked against — snapping here
-    # would make that contract circular.
-    return loads  # repro: noqa(RL013)
+    # The oracle returns its raw float accumulation of the Definition-4
+    # fractions.  The contract every backend keeps is agreement with this
+    # oracle after `snap_loads` on both sides: UDR splits a pair over s!
+    # paths, so float sums on either side can drift off the 1/d! lattice.
+    return loads

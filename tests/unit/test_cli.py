@@ -257,3 +257,39 @@ class TestObservabilityFlags:
         assert "nodes expanded" in err
         # heartbeats name the ladder rung being searched
         assert "rung E_max <= 1" in err
+
+
+#: ``repro lint`` argv → (exit code, a line its stdout must carry);
+#: ``{dirty}`` is a file with exactly one RL007 finding.
+_LINT_CASES = {
+    "list-rules": (["--list-rules"], 0, "RL012  unordered iteration"),
+    "one-finding": (["{dirty}"], 1, "1 finding(s) in 1 file(s) [RL007×1]"),
+    "unknown-code": (["--select", "RL999", "{dirty}"], 2, ""),
+}
+
+
+class TestLint:
+    """``repro lint`` forwards its arguments to the lint runner unchanged."""
+
+    @pytest.mark.parametrize(
+        "argv, code, expected", list(_LINT_CASES.values()), ids=list(_LINT_CASES)
+    )
+    def test_matches_the_runner(self, capsys, tmp_path, argv, code, expected):
+        from repro.devtools.lint.__main__ import run
+
+        dirty = tmp_path / "mod.py"
+        dirty.write_text("def f(acc=[]):\n    return acc\n")
+        argv = [str(dirty) if arg == "{dirty}" else arg for arg in argv]
+        assert main(["lint", *argv]) == code
+        via_cli = capsys.readouterr().out
+        assert expected in via_cli
+        assert run(argv) == code
+        assert capsys.readouterr().out == via_cli
+
+    def test_help_prints_the_runners_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for option in ("--format", "--select", "--ignore", "--list-rules"):
+            assert option in out

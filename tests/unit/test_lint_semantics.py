@@ -2,10 +2,9 @@
 
 Covers the semantics package itself (resolver, project canonicalization,
 CFG/reaching definitions, taint engine, scope analysis), true-positive
-and false-positive fixtures for each new rule family, the resolver
-retrofits of RL004/RL009/RL010, the RL006/RL007 autofixer (idempotence
-included), the findings-baseline ratchet, multiline noqa spans, and the
-JSON reporter round-trip.
+and false-positive fixtures for each semantic rule, the resolver
+retrofits of RL004/RL009/RL010, multiline noqa spans, and the JSON
+reporter round-trip.
 """
 
 from __future__ import annotations
@@ -14,20 +13,11 @@ import ast
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.devtools.lint import (
     Finding,
     LintReport,
     lint_file,
     lint_paths,
-)
-from repro.devtools.lint.autofix import fix_paths
-from repro.devtools.lint.baseline import (
-    apply_baseline,
-    baseline_from_findings,
-    load_baseline,
-    write_baseline,
 )
 from repro.devtools.lint.reporters import parse_json, render_json
 from repro.devtools.lint.semantics import (
@@ -37,7 +27,6 @@ from repro.devtools.lint.semantics import (
     ImportResolver,
     Project,
     ReachingDefinitions,
-    TaintAnalysis,
     module_name_for_path,
     run_taint,
 )
@@ -241,33 +230,6 @@ class TestTaintEngine:
         ).body[0]
         assert len(run_taint(func, _SetSpec(), lambda n: None)) == 1
 
-    def test_taint_of_return_expression(self):
-        class DivSpec:
-            def source(self, node, resolve):
-                return isinstance(node, ast.BinOp) and isinstance(
-                    node.op, ast.Div
-                )
-
-            def sanitizer(self, call, resolve):
-                return (
-                    isinstance(call.func, ast.Name)
-                    and call.func.id == "snap"
-                )
-
-            def sink(self, call, resolve):
-                return None
-
-        func = ast.parse(
-            "def f(w, n):\n"
-            "    x = w / n\n"
-            "    return x\n"
-        ).body[0]
-        analysis = TaintAnalysis(func, DivSpec(), lambda n: None)
-        ret = next(
-            u for _, u in analysis.iter_units() if isinstance(u, ast.Return)
-        )
-        assert analysis.taint_of(ret, ret.value)
-
 
 class TestScopeAnalysis:
     SOURCE = (
@@ -423,55 +385,6 @@ class TestRL012NondetIteration:
             "    journal.record(task_id, acc)\n",
         )
         assert "RL012" not in _codes(findings)
-
-
-# --------------------------------------------------------------- RL013
-
-
-class TestRL013ExactnessTaint:
-    def test_flags_unsnapped_division_reaching_return(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/load/mod.py",
-            "def my_edge_loads(pairs, paths):\n"
-            "    loads = {}\n"
-            "    for e in pairs:\n"
-            "        loads[e] = 1.0 / len(paths)\n"
-            "    return loads\n",
-        )
-        assert "RL013" in _codes(findings)
-
-    def test_snap_loads_sanitizes(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/load/mod.py",
-            "from repro.load.quantize import snap_loads\n\n"
-            "def my_edge_loads(pairs, paths, q):\n"
-            "    loads = {}\n"
-            "    for e in pairs:\n"
-            "        loads[e] = 1.0 / len(paths)\n"
-            "    loads = snap_loads(loads, q)\n"
-            "    return loads\n",
-        )
-        assert "RL013" not in _codes(findings)
-
-    def test_only_edge_loads_functions_are_checked(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/load/mod.py",
-            "def helper(w, n):\n"
-            "    return w / n\n",
-        )
-        assert "RL013" not in _codes(findings)
-
-    def test_outside_load_package_exempt(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/viz/mod.py",
-            "def plot_edge_loads(w, n):\n"
-            "    return w / n\n",
-        )
-        assert "RL013" not in _codes(findings)
 
 
 # --------------------------------------------------------------- RL014
@@ -765,160 +678,6 @@ class TestMultilineNoqa:
         )
         # the nested def's own mutable default is NOT under the header span
         assert "RL007" in _codes(findings)
-
-
-# ------------------------------------------------------------- autofix
-
-
-class TestAutofix:
-    FIXTURE = (
-        '"""Demo."""\n\n'
-        "import os\n"
-        "import sys\n"
-        "from collections import (\n"
-        "    OrderedDict,\n"
-        "    deque,\n"
-        ")\n\n\n"
-        "def f(items=[], *, extra=deque()):\n"
-        '    """Doc."""\n'
-        "    items.append(os.sep)\n"
-        "    return items, extra\n"
-    )
-
-    def _write(self, tmp_path: Path) -> Path:
-        target = tmp_path / "pkg" / "mod.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(self.FIXTURE, encoding="utf-8")
-        return target
-
-    def test_fix_removes_unused_and_rewrites_defaults(self, tmp_path):
-        target = self._write(tmp_path)
-        result = fix_paths([target], write=True)
-        fixed = target.read_text(encoding="utf-8")
-        assert "import sys" not in fixed
-        assert "OrderedDict" not in fixed
-        assert "from collections import deque" in fixed
-        assert "def f(items=None, *, extra=None):" in fixed
-        assert "    if items is None:\n        items = []\n" in fixed
-        assert "    if extra is None:\n        extra = deque()\n" in fixed
-        # guard lands after the docstring
-        doc_at = fixed.index('"""Doc."""')
-        assert fixed.index("if items is None") > doc_at
-        assert result.total_fixes == 4
-        ast.parse(fixed)  # still valid python
-
-    def test_fixed_file_lints_clean(self, tmp_path):
-        target = self._write(tmp_path)
-        fix_paths([target], write=True)
-        findings = lint_file(target)
-        assert "RL006" not in _codes(findings)
-        assert "RL007" not in _codes(findings)
-
-    def test_fix_is_idempotent(self, tmp_path):
-        target = self._write(tmp_path)
-        fix_paths([target], write=True)
-        once = target.read_text(encoding="utf-8")
-        second = fix_paths([target], write=True)
-        assert target.read_text(encoding="utf-8") == once
-        assert second.total_fixes == 0
-
-    def test_dry_run_diff_leaves_file_untouched(self, tmp_path):
-        target = self._write(tmp_path)
-        result = fix_paths([target], write=False)
-        assert target.read_text(encoding="utf-8") == self.FIXTURE
-        (fix,) = result.changed_files
-        diff = fix.diff()
-        assert diff.startswith("--- a/")
-        assert "+def f(items=None, *, extra=None):" in diff
-
-    def test_noqa_suppressed_findings_not_fixed(self, tmp_path):
-        target = tmp_path / "pkg" / "mod.py"
-        target.parent.mkdir(parents=True)
-        source = "import sys  # repro: noqa(RL006)\n"
-        target.write_text(source, encoding="utf-8")
-        fix_paths([target], write=True)
-        assert target.read_text(encoding="utf-8") == source
-
-    def test_runner_diff_and_fix_flags(self, tmp_path, capsys):
-        from repro.devtools.lint.__main__ import run
-
-        target = self._write(tmp_path)
-        assert run([str(target), "--diff"]) == 0
-        out = capsys.readouterr().out
-        assert "+def f(items=None, *, extra=None):" in out
-        assert target.read_text(encoding="utf-8") == self.FIXTURE
-        assert run([str(target), "--fix"]) == 0
-        assert "def f(items=None, *, extra=None):" in target.read_text(
-            encoding="utf-8"
-        )
-
-
-# ------------------------------------------------------------ baseline
-
-
-class TestBaseline:
-    def _report(self, tmp_path: Path) -> LintReport:
-        target = tmp_path / "pkg" / "legacy.py"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("import sys\n\n\ndef f(x=[]):\n    return x\n")
-        return lint_paths([target])
-
-    def test_write_then_apply_absorbs_all(self, tmp_path):
-        report = self._report(tmp_path)
-        assert report.findings
-        path = tmp_path / "baseline.json"
-        write_baseline(path, report)
-        allow = load_baseline(path)
-        result = apply_baseline(report.findings, allow)
-        assert result.new_findings == []
-        assert len(result.suppressed) == len(report.findings)
-        assert result.stale == []
-
-    def test_new_finding_escapes_baseline(self, tmp_path):
-        report = self._report(tmp_path)
-        allow = baseline_from_findings(report.findings)
-        extra = Finding(
-            path=report.findings[0].path,
-            line=99,
-            col=0,
-            code="RL007",
-            message="another one",
-        )
-        result = apply_baseline(report.findings + [extra], allow)
-        assert len(result.new_findings) == 1
-
-    def test_stale_allowances_reported(self, tmp_path):
-        report = self._report(tmp_path)
-        allow = baseline_from_findings(report.findings)
-        allow["pkg/gone.py"] = {"RL001": 2}
-        result = apply_baseline(report.findings, allow)
-        assert result.stale == ["pkg/gone.py:RL001", "pkg/gone.py:RL001"] or (
-            result.stale == ["pkg/gone.py:RL001"]
-        )
-
-    def test_rejects_bad_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "allow": {}}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
-
-    def test_runner_baseline_flags(self, tmp_path, capsys):
-        from repro.devtools.lint.__main__ import run
-
-        target = tmp_path / "pkg" / "legacy.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("def f(x=[]):\n    return x\n")
-        baseline = tmp_path / "baseline.json"
-        assert run([str(target), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert run([str(target), "--baseline", str(baseline)]) == 0
-        target.write_text(
-            "def f(x=[]):\n    return x\n\n\ndef g(y={}):\n    return y\n"
-        )
-        capsys.readouterr()
-        assert run([str(target), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "1 finding(s)" in out
 
 
 # ------------------------------------------------------ JSON round-trip

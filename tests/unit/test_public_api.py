@@ -29,6 +29,10 @@ PACKAGES = [
     "repro.experiments",
     "repro.viz",
     "repro.mixedradix",
+    "repro.obs",
+    "repro.devtools",
+    "repro.devtools.lint",
+    "repro.devtools.lint.semantics",
 ]
 
 
