@@ -9,9 +9,8 @@ Two kinds of checks, mirroring ``bench_engines.py``'s split:
 * **exactness pins** (asserted live against the committed baseline) —
   the rule catalogue, the self-lint cleanliness of ``src``, and the
   exact per-code finding counts on a deterministic synthetic corpus.
-  The corpus exercises the resolver (aliased imports), the taint pass
-  (RL012 flows), and the scope analysis (RL014), so a regression in any
-  semantic layer shifts a pinned count.
+  The corpus exercises the resolver (aliased imports, RL011), so a
+  regression in it shifts a pinned count.
 
 CI runs this file as part of the bench-smoke job with one quick round:
 the pins always execute, the timing stats are not interpreted.
@@ -83,7 +82,6 @@ def _expected_per_file() -> dict[str, int]:
         "RL007": 1,  # deque() default
         "RL011": 1,  # default_rng (rng.shuffle's receiver is a call
         #              result, deliberately beyond the resolver)
-        "RL012": 1,  # set(os.listdir) -> journal.record
         "RL015": 1,  # span stored, never entered
         "RL017": 1,  # f-string-derived span name "work_{index}"
     }

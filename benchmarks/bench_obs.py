@@ -17,6 +17,11 @@ workload is the next torus up:
   of the disabled run (plus an absolute floor so single-core CI
   scheduler jitter cannot flake the suite); both sides are timed in the
   same interleaved rounds, so a drift in host speed hits them alike.
+  On a shared host that ratio moves by more than 10% from run to run,
+  so the traced run's work is also pinned exactly: the records it
+  writes and the search counters it flushes.  A span, event or counter
+  added in the search's hot loop changes those counts, however noisy
+  the clock.
 
 Both traced and untraced runs must certify bit-identical results — the
 tracer is an observer, never a participant.
@@ -24,11 +29,20 @@ tracer is an observer, never a participant.
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import pytest
 from _timing import best_of as _best_of
 from _timing import interleaved_best_of
 
-from repro.obs import JsonlTraceSink, Tracer, current_tracer, using_tracer
+from repro.obs import (
+    JsonlTraceSink,
+    Tracer,
+    current_tracer,
+    read_trace,
+    using_tracer,
+)
 from repro.placements.exact_search import exact_global_minimum
 from repro.torus.topology import Torus
 
@@ -43,10 +57,29 @@ NOISE_FLOOR = 0.25
 #: null-path micro-benchmark iterations — a serial certify performs a
 #: couple of dozen tracer touches, so 1000 bounds it from far above.
 NULL_OPS = 1_000
+#: ``(kind, name)`` of every record the traced certify writes: one span
+#: for the search, one per ladder rung (E_max <= 2 refuted, <= 3
+#: certified), no events, and the final metrics snapshot.
+TRACE_RECORDS = {
+    ("header", None): 1,
+    ("span", "search.certify"): 1,
+    ("span", "search.rung"): 2,
+    ("metrics", None): 1,
+}
 
 
 def _certify():
     return exact_global_minimum(Torus(K, D), SIZE, progress=False)
+
+
+def _traced_certify(trace_path):
+    tracer = Tracer(
+        sink=JsonlTraceSink(trace_path, label="bench"), label="bench"
+    )
+    with using_tracer(tracer):
+        result = _certify()
+    tracer.finish()
+    return result
 
 
 def _result_key(result):
@@ -66,18 +99,33 @@ def test_certify_untraced(benchmark):
 
 @pytest.mark.benchmark(group="obs-overhead")
 def test_certify_traced(benchmark, tmp_path):
-    def _traced():
-        tracer = Tracer(
-            sink=JsonlTraceSink(tmp_path / "bench.jsonl", label="bench"),
-            label="bench",
-        )
-        with using_tracer(tracer):
-            result = _certify()
-        tracer.finish()
-        return result
-
-    result = benchmark(_traced)
+    result = benchmark(_traced_certify, tmp_path / "bench.jsonl")
     assert result.minimum_emax == 3.0
+
+
+def test_traced_work_pinned(tmp_path):
+    """The traced certify writes exactly ``TRACE_RECORDS``.
+
+    Its ``search.*`` counters are the result's own work counters, plus
+    the canonicity rejections, and no others.
+    """
+    trace = tmp_path / "work.jsonl"
+    work = _traced_certify(trace).counters
+    records = read_trace(trace)
+    assert Counter((r["kind"], r.get("name")) for r in records) == TRACE_RECORDS
+    expected = {
+        f"search.{field.name}": getattr(work, field.name)
+        for field in dataclasses.fields(work)
+    }
+    expected["search.canonical_rejections"] = (
+        work.canonicity_checks - work.canonical_nodes
+    )
+    counters = records[-1]["values"]["counters"]
+    assert {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("search.")
+    } == expected
 
 
 def test_disabled_path_costs_under_two_percent(capsys):
@@ -116,14 +164,7 @@ def test_enabled_overhead_pinned(tmp_path, capsys):
     """Traced certify within 10% of untraced (min of 5 interleaved rounds)."""
 
     def _traced():
-        tracer = Tracer(
-            sink=JsonlTraceSink(tmp_path / "pin.jsonl", label="bench"),
-            label="bench",
-        )
-        with using_tracer(tracer):
-            result = _certify()
-        tracer.finish()
-        return result
+        return _traced_certify(tmp_path / "pin.jsonl")
 
     # each round runs both sides twice: one settling call, one timed
     timings = interleaved_best_of(

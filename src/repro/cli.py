@@ -564,28 +564,36 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.errors import InvalidParameterError
     from repro.experiments import get_experiment, run_all
     from repro.experiments.runner import render_results
 
     if args.only:
+        if args.checkpoint is not None or args.resume:
+            raise InvalidParameterError(
+                "--checkpoint and --resume journal the whole suite; "
+                "--only runs one experiment, with no journal"
+            )
         with _obs_context(args), _engine_context(args):
             result = get_experiment(args.only).run(quick=args.quick)
-        print(result.render())
-        return 0 if result.passed else 1
-    with _obs_context(args), _engine_context(args):
-        results = run_all(
-            quick=args.quick,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
-    text = render_results(results, quick=args.quick)
+        text = result.render()
+        passed = result.passed
+    else:
+        with _obs_context(args), _engine_context(args):
+            results = run_all(
+                quick=args.quick,
+                checkpoint=args.checkpoint,
+                resume=args.resume,
+            )
+        text = render_results(results, quick=args.quick)
+        passed = all(r.passed for r in results.values())
     print(text)
     if args.write:
         from pathlib import Path
 
         Path(args.write).write_text(text, encoding="utf-8")
         print(f"report written to {args.write}")
-    return 0 if all(r.passed for r in results.values()) else 1
+    return 0 if passed else 1
 
 
 def _cmd_figure1(_args: argparse.Namespace) -> int:

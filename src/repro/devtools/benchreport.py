@@ -160,7 +160,8 @@ def build_trajectory(
     current value differs from its latest recorded one, so regenerating
     against unchanged baselines is a no-op on the series.  Metrics whose
     source baseline disappeared are retired (dropped with a note in
-    ``retired``); ``exact`` metrics keep their first value as the pin.
+    ``retired``, which keeps every earlier retirement until the metric
+    comes back); ``exact`` metrics keep their first value as the pin.
     """
     directory = Path(benchmarks_dir)
     sources = sorted(
@@ -169,8 +170,10 @@ def build_trajectory(
     )
     stamp = wall_clock() if now is None else now
     old_metrics: dict[str, Any] = {}
+    old_retired: set[str] = set()
     if previous and previous.get("schema_version") == TRAJECTORY_SCHEMA_VERSION:
         old_metrics = dict(previous.get("metrics", {}))
+        old_retired = set(previous.get("retired", []))
 
     metrics: dict[str, Any] = {}
     for source in sources:
@@ -186,7 +189,7 @@ def build_trajectory(
                 "threshold": threshold,
                 "series": series,
             }
-    retired = sorted(set(old_metrics) - set(metrics))
+    retired = sorted((old_retired | set(old_metrics)) - set(metrics))
     trajectory: dict[str, Any] = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
         "description": (

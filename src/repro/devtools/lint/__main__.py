@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.devtools.lint",
         description=(
             "repro's semantic lint: paper-invariant rules RL001-RL017 "
-            "(whole-program resolver, CFG, and taint passes included)"
+            "(whole-program resolver and scope passes included)"
         ),
     )
     parser.add_argument(

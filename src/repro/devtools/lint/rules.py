@@ -6,13 +6,13 @@ first five rules grew out of).  Rules are heuristics, not proofs — the
 ``# repro: noqa(CODE)`` escape hatch exists precisely for the sites where
 a human can certify the invariant holds.
 
-RL001–RL010 are (mostly) single-file pattern matchers; RL011, RL012 and
-RL014 are built on :mod:`repro.devtools.lint.semantics` — they resolve
-names through the file's imports (``ctx.resolve``) and follow re-export
-chains through the project; RL012 also runs the CFG-based taint pass and
-RL014 the scope analysis.  RL004, RL009, and RL010 were retrofitted onto
-the same resolver, so renamed imports (``from repro.load.edge_loads
-import edge_loads_reference as oracle``) no longer slip past them.
+RL001–RL010 are (mostly) single-file pattern matchers; RL011 and RL014
+are built on :mod:`repro.devtools.lint.semantics` — they resolve names
+through the file's imports (``ctx.resolve``) and follow re-export chains
+through the project; RL014 also runs the scope analysis.  RL004, RL009,
+and RL010 were retrofitted onto the same resolver, so renamed imports
+(``from repro.load.edge_loads import edge_loads_reference as oracle``)
+no longer slip past them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.devtools.lint import FileContext, Finding, Rule, register
 from repro.devtools.lint.semantics import (
     FunctionScopes,
     GlobalUsage,
-    run_taint,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "DirectPoolConstruction",
     "WallClockOrPrintInLibrary",
     "AmbientRNG",
-    "NondetIterationIntoSink",
     "ExecutorWorkerPurity",
     "SpanOutsideWith",
     "DynamicTelemetryName",
@@ -906,102 +904,6 @@ class AmbientRNG(Rule):
                 node,
                 detail + ", or certify with `# repro: noqa(RL011)`",
             )
-
-
-@register
-class NondetIterationIntoSink(Rule):
-    """RL012 — unordered iteration flowing into a deterministic sink.
-
-    ``set`` iteration order is salted per process; ``os.listdir`` /
-    ``glob`` / ``Path.iterdir`` order is filesystem-dependent.  Content
-    built from them is fine to *aggregate* (sums, counts) but must not
-    reach order-sensitive sinks — checkpoint-journal writes, fingerprint
-    computations, ``Metrics`` merges, trace emission — without an
-    intervening ``sorted(...)``: two runs of the same experiment would
-    journal different byte streams and resume would refuse the mismatch.
-    Dataflow-based: the taint engine follows the unordered value through
-    assignments, loop variables, comprehensions, and container mutation
-    to the sink argument.  Plain ``dict`` iteration is deliberately not
-    a source — insertion order is deterministic since Python 3.7.
-    """
-
-    code = "RL012"
-    summary = "unordered iteration reaches a deterministic sink unsorted"
-
-    _FS_QNAMES = frozenset(
-        {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
-    )
-    _PATH_METHODS = frozenset({"iterdir", "glob", "rglob"})
-    _SINK_METHODS = {
-        "record": "a checkpoint-journal/metrics write",
-        "merge": "a metrics merge",
-        "emit": "a trace sink",
-        "event": "a trace sink",
-    }
-    _ORDER_INSENSITIVE = frozenset(
-        {"sorted", "len", "sum", "min", "max", "any", "all"}
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not ctx.is_test_file and ctx.in_package()
-
-    # ------------------------------------------------------ TaintSpec
-
-    def source(self, node: ast.expr, resolve) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return True
-        qname = resolve(func)
-        if qname in self._FS_QNAMES:
-            return True
-        return (
-            qname is None
-            and isinstance(func, ast.Attribute)
-            and func.attr in self._PATH_METHODS
-        )
-
-    def sanitizer(self, call: ast.Call, resolve) -> bool:
-        return (
-            isinstance(call.func, ast.Name)
-            and call.func.id in self._ORDER_INSENSITIVE
-        )
-
-    def sink(self, call: ast.Call, resolve) -> str | None:
-        func = call.func
-        leaf = None
-        if isinstance(func, ast.Attribute):
-            leaf = func.attr
-        elif isinstance(func, ast.Name):
-            leaf = func.id
-        if leaf is not None and "fingerprint" in leaf.lower():
-            return "a fingerprint computation"
-        if isinstance(func, ast.Attribute) and func.attr in self._SINK_METHODS:
-            return self._SINK_METHODS[func.attr]
-        if any(kw.arg == "fingerprint" for kw in call.keywords):
-            return "a fingerprint argument"
-        return None
-
-    # ----------------------------------------------------------- check
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for hit in run_taint(func, self, ctx.resolve):
-                src = hit.sources[0]
-                src_text = ctx.segment(src) or type(src).__name__
-                yield self.finding(
-                    ctx,
-                    hit.sink,
-                    f"value derived from unordered `{src_text}` (line "
-                    f"{src.lineno}) reaches {hit.label} — iteration order "
-                    "is nondeterministic; wrap the iteration in "
-                    "`sorted(...)`, or certify with `# repro: noqa(RL012)`",
-                )
 
 
 @register

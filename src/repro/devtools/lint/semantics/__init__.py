@@ -1,7 +1,7 @@
 """Whole-program semantic analysis for the repro lint framework.
 
 The original lint rules were single-file AST pattern matchers; this
-package grows them four capabilities they could not express:
+package gives them two capabilities they could not express:
 
 * **project-wide symbol resolution and an import graph**
   (:mod:`~repro.devtools.lint.semantics.resolver`) — every local name is
@@ -12,18 +12,6 @@ package grows them four capabilities they could not express:
   linted files chases re-export chains (``repro.load.engine.LoadEngine``
   canonicalizes to ``repro.load.engine.facade.LoadEngine``) and exposes
   the module-level import graph;
-
-* **per-function control-flow graphs with reaching definitions**
-  (:mod:`~repro.devtools.lint.semantics.cfg`) — basic blocks, branch and
-  loop edges, and a standard worklist reaching-definitions solve;
-
-* **a small taint/dataflow framework**
-  (:mod:`~repro.devtools.lint.semantics.dataflow`) — rules declare
-  sources, sanitizers, and sinks as predicates over resolved names and
-  AST shapes; the engine propagates taint over the CFG to a fixpoint and
-  reports every sink reached by unsanitized taint.  RL012 (unordered
-  iteration reaching a journal, fingerprint or trace sink) is the rule
-  that runs on the CFG and taint layers;
 
 * **scope and global-mutation analysis**
   (:mod:`~repro.devtools.lint.semantics.scopes`) — module-level
@@ -41,16 +29,6 @@ so linting cannot execute repository code.
 
 from __future__ import annotations
 
-from repro.devtools.lint.semantics.cfg import (
-    BasicBlock,
-    ControlFlowGraph,
-    ReachingDefinitions,
-)
-from repro.devtools.lint.semantics.dataflow import (
-    TaintHit,
-    TaintSpec,
-    run_taint,
-)
 from repro.devtools.lint.semantics.resolver import (
     ImportResolver,
     ModuleInfo,
@@ -63,12 +41,6 @@ from repro.devtools.lint.semantics.scopes import (
 )
 
 __all__ = [
-    "BasicBlock",
-    "ControlFlowGraph",
-    "ReachingDefinitions",
-    "TaintHit",
-    "TaintSpec",
-    "run_taint",
     "ImportResolver",
     "ModuleInfo",
     "Project",

@@ -83,9 +83,9 @@ def run_symmetry(quick: bool = False) -> ExperimentResult:
     # cross-check.
     engine = LoadEngine("fft")
     routing = OrderedDimensionalRouting(d)
-    offset_placements = [linear_placement(torus, offset=c) for c in range(1, k)]
     offset_emaxes = [
-        float(v) for v in engine.emax_many(offset_placements, routing)
+        engine.emax(linear_placement(torus, offset=c), routing)
+        for c in range(1, k)
     ]
     offsets_equal = all(emax == base for emax in offset_emaxes)
     for c, emax in zip(range(1, k), offset_emaxes):
@@ -101,9 +101,7 @@ def run_symmetry(quick: bool = False) -> ExperimentResult:
     coeff_placements = [
         linear_placement(torus, coefficients=coeffs) for coeffs in coeff_sets
     ]
-    coeff_emaxes = [
-        float(v) for v in engine.emax_many(coeff_placements, routing)
-    ]
+    coeff_emaxes = [engine.emax(p, routing) for p in coeff_placements]
     coeffs_equal = all(emax == base for emax in coeff_emaxes)
     for coeffs, placement, emax in zip(
         coeff_sets, coeff_placements, coeff_emaxes
@@ -340,13 +338,12 @@ def run_wormhole(quick: bool = False) -> ExperimentResult:
         "fully populated": fully_populated_placement(torus),
     }
     # both analytic load vectors from the fft engine; the wormhole
-    # simulation below is cross-checked against these rows.
-    analytic = dict(
-        zip(
-            placements,
-            LoadEngine("fft").edge_loads_many(list(placements.values()), odr),
-        )
-    )
+    # simulation below is cross-checked against them.
+    engine = LoadEngine("fft")
+    analytic = {
+        name: engine.edge_loads(placement, odr)
+        for name, placement in placements.items()
+    }
     for name, placement in placements.items():
         packets = complete_exchange_packets(placement, odr, seed=0)
         res = WormholeEngine(torus, cfg).run(packets)

@@ -231,18 +231,6 @@ class LoadEngine:
         loads = self.edge_loads(placement, routing, pair_weights=pair_weights)
         return float(loads.max(initial=0.0))
 
-    def emax_many(
-        self,
-        placements: "Iterable[Placement]",
-        routing: RoutingAlgorithm,
-        pair_weights: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """:math:`E_{max}` per placement; ``float64`` of length ``B``."""
-        loads = self.edge_loads_many(
-            placements, routing, pair_weights=pair_weights
-        )
-        return loads.max(axis=1, initial=0.0)
-
     def __repr__(self) -> str:
         return f"LoadEngine(backend={self.backend_name!r})"
 

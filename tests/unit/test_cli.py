@@ -65,6 +65,15 @@ class TestCommands:
         assert main(["experiments", "--quick", "--only", "EXP-2"]) == 0
         assert "Verdict: PASS" in capsys.readouterr().out
 
+    def test_experiments_single_writes_report(self, capsys, tmp_path):
+        target = tmp_path / "exp2.md"
+        argv = ["experiments", "--quick", "--only", "EXP-2"]
+        assert main([*argv, "--write", str(target)]) == 0
+        report = target.read_text(encoding="utf-8")
+        assert "Verdict: PASS" in report
+        out = capsys.readouterr().out
+        assert out == f"{report}\nreport written to {target}\n"
+
     def test_simulate(self, capsys):
         assert main(["simulate", "--k", "4", "--d", "2", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -113,6 +122,11 @@ _BAD_INPUT = {
     "size-beyond-torus": ["certify", "--k", "3", "--d", "2", "--size", "100"],
     "unachievable-ub": ["certify", "--k", "3", "--d", "2", "--ub", "0.25"],
     "unknown-experiment": ["experiments", "--only", "EXP-99"],
+    # one experiment has no journal to write or resume
+    "checkpoint-with-only": [
+        "experiments", "--only", "EXP-2", "--checkpoint", "{missing}"
+    ],
+    "resume-with-only": ["experiments", "--only", "EXP-2", "--resume"],
     "corrupt-trace": ["trace", "summarize", "{corrupt}"],
     "missing-trace": ["trace", "summarize", "{missing}"],
     "deleted-parallel-engine": [
@@ -137,6 +151,7 @@ class TestBadInput:
         captured = _assert_named_error(capsys, argv)
         # the --resume check runs before the incumbent screen
         assert "incumbent seed" not in captured.out
+        assert not paths["{missing}"].exists()
 
 
 class TestCertify:
@@ -262,7 +277,7 @@ class TestObservabilityFlags:
 #: ``repro lint`` argv → (exit code, a line its stdout must carry);
 #: ``{dirty}`` is a file with exactly one RL007 finding.
 _LINT_CASES = {
-    "list-rules": (["--list-rules"], 0, "RL012  unordered iteration"),
+    "list-rules": (["--list-rules"], 0, "RL011  ambient/unseeded RNG"),
     "one-finding": (["{dirty}"], 1, "1 finding(s) in 1 file(s) [RL007×1]"),
     "unknown-code": (["--select", "RL999", "{dirty}"], 2, ""),
 }

@@ -113,10 +113,28 @@ class TestBuildTrajectory:
 
     def test_vanished_source_retires_its_metrics(self, bench_dir):
         first = build_trajectory(bench_dir, now=100.0)
+        custom = (bench_dir / "BENCH_custom.json").read_text(encoding="utf-8")
         (bench_dir / "BENCH_custom.json").unlink()
         second = build_trajectory(bench_dir, previous=first, now=200.0)
         assert "custom.latency_ms" not in second["metrics"]
         assert "custom.latency_ms" in second["retired"]
+        # a later retirement keeps the earlier ones
+        (bench_dir / "BENCH_certify.json").unlink()
+        third = build_trajectory(bench_dir, previous=second, now=300.0)
+        assert third["retired"] == [
+            "certify.T6.leaf_orbits",
+            "certify.T6.seconds",
+            "custom.latency_ms",
+            "custom.nested.rate",
+        ]
+        # a metric that comes back leaves the list
+        (bench_dir / "BENCH_custom.json").write_text(custom, encoding="utf-8")
+        fourth = build_trajectory(bench_dir, previous=third, now=400.0)
+        assert "custom.latency_ms" in fourth["metrics"]
+        assert fourth["retired"] == [
+            "certify.T6.leaf_orbits",
+            "certify.T6.seconds",
+        ]
 
 
 class TestCheckTrajectory:

@@ -1,10 +1,9 @@
 """Tests for the whole-program semantic analyzer and rules RL011-RL015.
 
 Covers the semantics package itself (resolver, project canonicalization,
-CFG/reaching definitions, taint engine, scope analysis), true-positive
-and false-positive fixtures for each semantic rule, the resolver
-retrofits of RL004/RL009/RL010, multiline noqa spans, and the JSON
-reporter round-trip.
+scope analysis), true-positive and false-positive fixtures for each
+semantic rule, the resolver retrofits of RL004/RL009/RL010, multiline
+noqa spans, and the JSON reporter round-trip.
 """
 
 from __future__ import annotations
@@ -21,14 +20,11 @@ from repro.devtools.lint import (
 )
 from repro.devtools.lint.reporters import parse_json, render_json
 from repro.devtools.lint.semantics import (
-    ControlFlowGraph,
     FunctionScopes,
     GlobalUsage,
     ImportResolver,
     Project,
-    ReachingDefinitions,
     module_name_for_path,
-    run_taint,
 )
 
 
@@ -135,100 +131,7 @@ class TestProject:
         )
 
 
-# ------------------------------------------------------ CFG / dataflow
-
-
-class TestControlFlow:
-    def test_reaching_definitions_through_branches(self):
-        func = ast.parse(
-            "def f(n):\n"
-            "    x = 1\n"
-            "    if n:\n"
-            "        x = 2\n"
-            "    else:\n"
-            "        x = 3\n"
-            "    return x\n"
-        ).body[0]
-        cfg = ControlFlowGraph.for_function(func)
-        reaching = ReachingDefinitions(cfg)
-        ret = next(u for _, u in cfg.iter_units() if isinstance(u, ast.Return))
-        # both branch assignments reach; the initial x = 1 is killed
-        assert len(reaching.before(ret)["x"]) == 2
-
-    def test_loop_body_definition_reaches_header(self):
-        func = ast.parse(
-            "def f(items):\n"
-            "    acc = 0\n"
-            "    for item in items:\n"
-            "        acc = acc + item\n"
-            "    return acc\n"
-        ).body[0]
-        cfg = ControlFlowGraph.for_function(func)
-        reaching = ReachingDefinitions(cfg)
-        ret = next(u for _, u in cfg.iter_units() if isinstance(u, ast.Return))
-        assert len(reaching.before(ret)["acc"]) == 2
-
-
-class _SetSpec:
-    """set() is tainted; sorted() launders; journal.record is the sink."""
-
-    def source(self, node, resolve):
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "set"
-        )
-
-    def sanitizer(self, call, resolve):
-        return isinstance(call.func, ast.Name) and call.func.id == "sorted"
-
-    def sink(self, call, resolve):
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr == "record"
-        ):
-            return "journal"
-        return None
-
-
-class TestTaintEngine:
-    def test_flow_through_loop_and_container_mutation(self):
-        func = ast.parse(
-            "def f(journal, xs):\n"
-            "    names = set(xs)\n"
-            "    acc = []\n"
-            "    for name in names:\n"
-            "        acc.append(name)\n"
-            "    journal.record(acc)\n"
-        ).body[0]
-        hits = run_taint(func, _SetSpec(), lambda n: None)
-        assert len(hits) == 1
-        assert hits[0].label == "journal"
-
-    def test_sanitizer_cuts_the_chain(self):
-        func = ast.parse(
-            "def f(journal, xs):\n"
-            "    names = sorted(set(xs))\n"
-            "    journal.record(names)\n"
-        ).body[0]
-        assert run_taint(func, _SetSpec(), lambda n: None) == []
-
-    def test_reassignment_strong_update_clears_taint(self):
-        func = ast.parse(
-            "def f(journal, xs):\n"
-            "    names = set(xs)\n"
-            "    names = sorted(names)\n"
-            "    journal.record(names)\n"
-        ).body[0]
-        assert run_taint(func, _SetSpec(), lambda n: None) == []
-
-    def test_comprehension_iteration_carries_taint(self):
-        func = ast.parse(
-            "def f(journal, xs):\n"
-            "    names = set(xs)\n"
-            "    journal.record([n for n in names])\n"
-        ).body[0]
-        assert len(run_taint(func, _SetSpec(), lambda n: None)) == 1
+# ------------------------------------------------------ scope analysis
 
 
 class TestScopeAnalysis:
@@ -325,66 +228,6 @@ class TestRL011AmbientRNG:
             "    assert random.random() >= 0\n",
         )
         assert "RL011" not in _codes(findings)
-
-
-# --------------------------------------------------------------- RL012
-
-
-class TestRL012NondetIteration:
-    def test_flags_set_iteration_into_journal_record(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "def f(journal, task_id, xs):\n"
-            "    names = set(xs)\n"
-            "    acc = []\n"
-            "    for name in names:\n"
-            "        acc.append(name)\n"
-            "    journal.record(task_id, acc)\n",
-        )
-        assert "RL012" in _codes(findings)
-
-    def test_flags_listdir_into_fingerprint(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "import os\n\n"
-            "def f(root):\n"
-            "    entries = os.listdir(root)\n"
-            "    return compute_fingerprint(entries)\n",
-        )
-        assert "RL012" in _codes(findings)
-
-    def test_sorted_launders(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "import os\n\n"
-            "def f(journal, task_id, root):\n"
-            "    names = sorted(set(os.listdir(root)))\n"
-            "    journal.record(task_id, names)\n",
-        )
-        assert "RL012" not in _codes(findings)
-
-    def test_order_insensitive_aggregate_clean(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "def f(metrics, xs):\n"
-            "    names = set(xs)\n"
-            "    metrics.record(len(names))\n",
-        )
-        assert "RL012" not in _codes(findings)
-
-    def test_plain_dict_iteration_not_a_source(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "def f(journal, task_id, table):\n"
-            "    acc = [k for k in table]\n"
-            "    journal.record(task_id, acc)\n",
-        )
-        assert "RL012" not in _codes(findings)
 
 
 # --------------------------------------------------------------- RL014

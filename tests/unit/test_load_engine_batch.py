@@ -67,17 +67,6 @@ class TestEquivalence:
             rows = [engine.edge_loads(p, routing) for p in placements]
         assert np.array_equal(batched, np.stack(rows))
 
-    def test_emax_many_matches_per_placement_emax(self):
-        torus = Torus(K, D)
-        placements = _mixed_batch(torus)
-        routing = OrderedDimensionalRouting(D)
-        with using_plan_cache(PlanCache()):
-            engine = LoadEngine("fft")
-            batched = engine.emax_many(placements, routing)
-            single = [engine.emax(p, routing) for p in placements]
-        assert batched.dtype == np.float64
-        assert batched.tolist() == single
-
     def test_single_placement_batch(self):
         torus = Torus(K, D)
         placement = linear_placement(torus)
