@@ -2,10 +2,11 @@
 
 The resilience layer wraps every pool fan-out in the repo
 (`docs/ROBUSTNESS.md`), so its bookkeeping — task states, heartbeat
-waits, report events — must be cheap.  This suite runs the EXP-22-style
-catalog workload (all ``C(16, 4)`` placements on ``T_4^2``, sharded into
-combination spans exactly as ``repro.placements.catalog`` shards them)
-three ways:
+waits, report events — must be cheap.  This suite runs an EXP-22-style
+catalog workload (all ``C(16, 4)`` placements on ``T_4^2``, split into
+16 explicit blocks of node-id tuples, each scored one placement at a
+time by the catalog's per-placement oracle ``_evaluate_chunk``) three
+ways:
 
 * serially, as the ground truth the other two must match bit-for-bit;
 * through a bare ``ProcessPoolExecutor.map`` (the pre-resilience code
@@ -27,12 +28,12 @@ import pytest
 from _timing import best_of
 
 from repro.exec import ExecPolicy, ExecTask, ResilientExecutor
-from repro.placements.catalog import _evaluate_chunk, _evaluate_span
+from repro.placements.catalog import _evaluate_chunk
 from repro.torus.topology import Torus
 
 K, D, SIZE = 4, 2, 4
 JOBS = 2
-N_SPANS = 16
+N_BLOCKS = 16
 
 #: wall-clock ratio pin: resilient / bare must stay under this.
 MAX_OVERHEAD_RATIO = 1.05
@@ -40,23 +41,24 @@ MAX_OVERHEAD_RATIO = 1.05
 NOISE_FLOOR = 0.25
 
 
-def _spans():
+def _blocks():
+    """``(k, d, ids)`` payloads; ``ids`` is a list of tuples, which pickles."""
     stream = itertools.combinations(range(K**D), SIZE)
     total = 1820  # C(16, 4)
-    chunk = -(-total // N_SPANS)
-    spans = []
+    chunk = -(-total // N_BLOCKS)
+    blocks = []
     while True:
         block = list(itertools.islice(stream, chunk))
         if not block:
-            return spans
-        spans.append((K, D, block[0], len(block)))
+            return blocks
+        blocks.append((K, D, block))
 
 
-SPANS = _spans()
+BLOCKS = _blocks()
 
 
 def _merge(partials):
-    """Histogram + minimum merged exactly as the catalog merges them."""
+    """Histogram + minimum merged over the blocks' partial results."""
     histogram: dict[float, int] = {}
     best = None
     for p_best, _ids, _count, p_hist in partials:
@@ -69,16 +71,16 @@ def _merge(partials):
 
 def _run_bare_pool():
     with ProcessPoolExecutor(max_workers=JOBS) as pool:
-        return list(pool.map(_evaluate_span, SPANS))
+        return list(pool.map(_evaluate_chunk, BLOCKS))
 
 
 def _run_resilient():
     tasks = [
-        ExecTask(f"span-{index:05d}", span)
-        for index, span in enumerate(SPANS)
+        ExecTask(f"block-{index:05d}", block)
+        for index, block in enumerate(BLOCKS)
     ]
     executor = ResilientExecutor(
-        _evaluate_span,
+        _evaluate_chunk,
         jobs=JOBS,
         policy=ExecPolicy(),
         label="bench-exec",
@@ -93,13 +95,13 @@ def _serial_reference():
 
 
 @pytest.mark.benchmark(group="exec-overhead")
-def test_bare_pool_catalog_spans(benchmark):
+def test_bare_pool_catalog_blocks(benchmark):
     partials = benchmark(_run_bare_pool)
     assert _merge(partials) == _serial_reference()
 
 
 @pytest.mark.benchmark(group="exec-overhead")
-def test_resilient_executor_catalog_spans(benchmark):
+def test_resilient_executor_catalog_blocks(benchmark):
     partials = benchmark(_run_resilient)
     assert _merge(partials) == _serial_reference()
 

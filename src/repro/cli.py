@@ -4,7 +4,6 @@ Usage (after ``pip install -e .``)::
 
     python -m repro design    --k 8 --d 3 --t 1 --routing odr
     python -m repro analyze   --k 8 --d 3 --t 2 --routing udr
-    python -m repro analyze   --k 16 --d 2 --engine fft
     python -m repro experiments --quick            # run the full suite
     python -m repro experiments --only EXP-7
     python -m repro figure1
@@ -14,7 +13,6 @@ Usage (after ``pip install -e .``)::
     python -m repro certify   --k 4 --d 2 --mode full --jobs 4
     python -m repro certify   --k 6 --d 2 --jobs 4 --checkpoint run.jsonl
     python -m repro certify   --k 6 --d 2 --jobs 4 --checkpoint run.jsonl --resume
-    python -m repro experiments --checkpoint suite.jsonl --resume
     python -m repro certify   --k 6 --d 2 --jobs 4 --retries 3 --task-timeout 300
     python -m repro certify   --k 5 --d 2 --trace out.jsonl --progress
     python -m repro trace summarize out.jsonl
@@ -22,7 +20,6 @@ Usage (after ``pip install -e .``)::
     python -m repro trace waterfall out.jsonl
     python -m repro trace diff before.jsonl after.jsonl
     python -m repro bench report                       # BENCH_trajectory.json
-    python -m repro certify --k 5 --d 2 --metrics-out metrics.jsonl --sample-resources
     python -m repro experiments --quick --profile pstats
     python -m repro --quiet analyze --k 8 --d 2
 
@@ -30,13 +27,13 @@ Every subcommand prints plain text (markdown-compatible tables) to stdout
 and exits non-zero if a reproduction check fails.  ``certify``, the one
 subcommand that fans work out over processes (``--jobs``), accepts
 resilience flags (``--retries``, ``--task-timeout``) and deterministic
-fault injection (``--chaos-seed``) wired through :mod:`repro.exec`;
-``certify`` and ``experiments`` journal completed work
-(``--checkpoint``/``--resume``).  Long-running subcommands take
-observability flags (``--trace``, ``--profile``/``--profile-out``) wired
-through :mod:`repro.obs`.  Diagnostics go to stderr via
-:mod:`repro.obs.console`; the top-level ``--quiet`` silences everything
-but errors, keeping machine-parsed stdout clean.
+fault injection (``--chaos-seed``) wired through :mod:`repro.exec`, and
+journals completed work (``--checkpoint``/``--resume``).  Long-running
+subcommands take observability flags (``--trace``,
+``--profile``/``--profile-out``) wired through :mod:`repro.obs`.
+Diagnostics go to stderr via :mod:`repro.obs.console`; the top-level
+``--quiet`` silences everything but errors, keeping machine-parsed
+stdout clean.
 """
 
 from __future__ import annotations
@@ -77,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="measure loads, bounds, and bisections"
     )
     _add_torus_args(p_analyze)
-    _add_engine_args(p_analyze)
     _add_obs_args(p_analyze)
     p_analyze.add_argument(
         "--markdown",
@@ -86,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_exp = sub.add_parser("experiments", help="run the reproduction suite")
-    _add_engine_args(p_exp)
-    _add_checkpoint_args(p_exp)
     _add_obs_args(p_exp)
     p_exp.add_argument(
         "--quick", action="store_true", help="use the reduced sweeps"
@@ -134,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="linear",
     )
     p_sweep.add_argument("--routing", choices=["odr", "udr"], default="odr")
-    _add_engine_args(p_sweep)
     _add_obs_args(p_sweep)
 
     p_certify = sub.add_parser(
@@ -276,22 +269,6 @@ def _add_torus_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=["auto", "reference", "vectorized", "fft", "displacement"],
-        default="auto",
-        help="load-computation backend (default auto)",
-    )
-
-
-def _engine_context(args: argparse.Namespace):
-    """The default-engine context for a subcommand's --engine flag."""
-    from repro.load.engine import using_engine
-
-    return using_engine(args.engine)
-
-
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("resilience")
     group.add_argument(
@@ -364,90 +341,34 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="profile output path (default: <command>.prof / <command>.folded)",
     )
-    group.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "append periodic metrics snapshots (JSONL) to this file while "
-            "the command runs — inspectable mid-flight"
-        ),
-    )
-    group.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="minimum seconds between --metrics-out snapshots (default 10)",
-    )
-    group.add_argument(
-        "--sample-resources",
-        action="store_true",
-        help=(
-            "feed /proc-based RSS/CPU/thread gauges into the metrics "
-            "registry before each --metrics-out snapshot"
-        ),
-    )
 
 
 @contextlib.contextmanager
 def _obs_context(args: argparse.Namespace) -> Iterator[None]:
-    """Install the tracer/profiler/exporter requested by the obs flags.
-
-    ``--metrics-out`` works with or without ``--trace``: without it, an
-    enabled but sinkless tracer is installed purely so instrumented code
-    has a real metrics registry to feed the snapshot pump.
-    """
+    """Install the profiler and, for ``--trace``, a JSONL tracer."""
     from repro.obs import JsonlTraceSink, Tracer, console, profiling, using_tracer
 
     trace_path = getattr(args, "trace", None)
-    metrics_out = getattr(args, "metrics_out", None)
     with profiling(
         getattr(args, "profile", None),
         out=getattr(args, "profile_out", None),
         label=str(getattr(args, "command", "repro")),
     ):
-        if trace_path is None and metrics_out is None:
+        if trace_path is None:
             yield
             return
         label = str(args.command)
-        sink = (
-            JsonlTraceSink(trace_path, label=label)
-            if trace_path is not None
-            else None
+        tracer = Tracer(
+            sink=JsonlTraceSink(trace_path, label=label),
+            label=label,
+            keep_finished=False,
         )
-        tracer = Tracer(sink=sink, label=label, keep_finished=False)
-        writer = sampler = None
-        if metrics_out is not None:
-            from repro.obs import MetricsSnapshotWriter, ResourceSampler
-            from repro.obs import export as obs_export
-
-            writer = MetricsSnapshotWriter(
-                metrics_out,
-                tracer.metrics,
-                interval_seconds=getattr(args, "metrics_interval", 10.0),
-            )
-            sampler = (
-                ResourceSampler(tracer.metrics)
-                if getattr(args, "sample_resources", False)
-                else None
-            )
-            obs_export.set_pump(writer, sampler)
         try:
             with using_tracer(tracer):
                 yield
         finally:
-            if writer is not None:
-                from repro.obs import export as obs_export
-
-                obs_export.set_pump(None)
-                if sampler is not None:
-                    sampler.sample()
-                writer.close()
-                console.info(f"metrics snapshots written to {metrics_out}")
             tracer.finish()
-            if trace_path is not None:
-                console.info(f"trace written to {trace_path}")
+            console.info(f"trace written to {trace_path}")
 
 
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -537,7 +458,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.designer import design_placement
 
     design = design_placement(args.k, args.d, t=args.t, routing=args.routing)
-    with _obs_context(args), _engine_context(args):
+    with _obs_context(args):
         report = analyze(design.placement, design.routing)
     if getattr(args, "markdown", False):
         from repro.core.report_md import analysis_report_md
@@ -564,34 +485,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.errors import InvalidParameterError
     from repro.experiments import get_experiment, run_all
     from repro.experiments.runner import render_results
 
     if args.only:
-        if args.checkpoint is not None or args.resume:
-            raise InvalidParameterError(
-                "--checkpoint and --resume journal the whole suite; "
-                "--only runs one experiment, with no journal"
-            )
-        with _obs_context(args), _engine_context(args):
+        with _obs_context(args):
             result = get_experiment(args.only).run(quick=args.quick)
         text = result.render()
         passed = result.passed
     else:
-        with _obs_context(args), _engine_context(args):
-            results = run_all(
-                quick=args.quick,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-            )
+        with _obs_context(args):
+            results = run_all(quick=args.quick)
         text = render_results(results, quick=args.quick)
         passed = all(r.passed for r in results.values())
     print(text)
     if args.write:
         from pathlib import Path
 
-        Path(args.write).write_text(text, encoding="utf-8")
+        target = Path(args.write)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
         print(f"report written to {args.write}")
     return 0 if passed else 1
 
@@ -663,7 +576,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.routing == "odr"
         else lambda d: UnorderedDimensionalRouting()
     )
-    with _obs_context(args), _engine_context(args):
+    with _obs_context(args):
         rows = scaling_rows(family, routing_factory, args.d, ks)
     table = Table(["k", "|P|", "E_max", "E_max/|P|"],
                   title=f"{args.family} + {args.routing.upper()} on d={args.d}")

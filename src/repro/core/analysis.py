@@ -16,7 +16,7 @@ import numpy as np
 from repro.bisection.dimension_cut import best_dimension_cut
 from repro.bisection.hyperplane import hyperplane_bisection
 from repro.load.bounds import BoundReport, best_known_lower_bound
-from repro.load.engine import resolve_engine
+from repro.load.engine import LoadEngine
 from repro.load.report import LoadReport, load_report
 from repro.placements.analysis import is_uniform
 from repro.placements.base import Placement
@@ -24,25 +24,26 @@ from repro.routing.base import RoutingAlgorithm
 
 __all__ = ["PlacementAnalysis", "analyze", "compute_loads"]
 
+_ENGINE = LoadEngine("auto")
+
 
 def compute_loads(
     placement: Placement,
     routing: RoutingAlgorithm,
-    engine=None,
 ) -> np.ndarray:
-    """Per-edge loads through the :mod:`repro.load.engine` subsystem.
+    """Per-edge loads through the ``auto`` load engine.
 
-    ``engine`` is a :class:`~repro.load.engine.LoadEngine`, a backend
-    name, or ``None`` for the process-wide default (the ``auto`` engine:
-    the spectral ``fft`` backend for complete-exchange cosets and
-    multiple linear placements — unions of cosets with fewer difference
-    classes than nodes — on translation-invariant routings, vectorized
-    kernels for the other
-    dimension-order and unweighted UDR calls, the displacement-class
-    cache for other translation-invariant routings, the
-    path-enumerating reference otherwise).
+    ``auto`` (see :class:`~repro.load.engine.LoadEngine`) sends
+    complete-exchange cosets and multiple linear placements (unions of
+    cosets with fewer difference classes than nodes) on
+    translation-invariant routings to the spectral ``fft`` backend, the
+    other dimension-order and unweighted UDR calls to ``vectorized``,
+    other translation-invariant routings to ``displacement``, and
+    everything else to the path-enumerating ``reference``.  Every
+    backend returns the same loads after
+    :func:`~repro.load.quantize.snap_loads`.
     """
-    return resolve_engine(engine).edge_loads(placement, routing)
+    return _ENGINE.edge_loads(placement, routing)
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,9 @@ class PlacementAnalysis:
 def analyze(
     placement: Placement,
     routing: RoutingAlgorithm,
-    engine=None,
 ) -> PlacementAnalysis:
-    """Measure loads, bounds, and bisections for one configuration.
-
-    ``engine`` selects the load backend (see :func:`compute_loads`).
-    """
-    loads = compute_loads(placement, routing, engine=engine)
+    """Measure loads, bounds, and bisections for one configuration."""
+    loads = compute_loads(placement, routing)
     report = load_report(placement, loads)
 
     dim_cut = best_dimension_cut(placement)

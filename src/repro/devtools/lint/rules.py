@@ -382,8 +382,8 @@ class LoadFacadeBypass(Rule):
 
     ``edge_loads_reference`` and the backend classes are implementation
     details of the :class:`repro.load.engine.LoadEngine` facade; code
-    that imports them directly bypasses backend selection, the default
-    engine, and future sharding/caching policy.  Tests are exempt — the
+    that imports them directly bypasses ``auto``'s backend selection and
+    the facade's span and call counters.  Tests are exempt — the
     cross-check suites *must* reach the oracle directly.
 
     Resolver-backed: a renamed import (``from repro.load.edge_loads

@@ -1,9 +1,8 @@
 """Resilient execution layer: retries, deadlines, checkpoint/resume.
 
-Every process-pool fan-out in the package (the brute-force placement
-catalog and the exact-search subtree shards) goes through this subsystem
-instead of constructing pools directly (lint rule RL009 enforces the
-facade).  The layer turns a fragile
+The package's one process-pool fan-out, the exact search's subtree
+shards behind ``repro certify``, goes through this subsystem instead of
+constructing a pool directly (lint rule RL009 enforces the facade).  The layer turns a fragile
 ``ProcessPoolExecutor`` into a production-shaped executor:
 
 * :class:`ResilientExecutor` — bounded retries with deterministic
@@ -13,8 +12,8 @@ facade).  The layer turns a fragile
 * :class:`ExecPolicy` / :func:`using_exec_policy` — ambient configuration
   (the CLI's ``--retries``/``--task-timeout``/``--chaos-seed`` flags);
 * :class:`CheckpointJournal` — an append-only JSONL journal of completed
-  task ids and partial accumulators, so ``repro certify --resume`` and
-  ``repro experiments --resume`` restart long runs after a crash;
+  task ids and partial accumulators, so ``repro certify --resume``
+  restarts a long search after a crash;
 * :class:`ChaosPolicy` — seeded fault injection (crash/hang/slow) used by
   the chaos test suites to prove the above paths actually work;
 * :class:`ExecutionReport` — structured accounting of every retry,

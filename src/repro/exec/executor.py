@@ -47,7 +47,6 @@ from repro.exec.chaos import ChaosPolicy, unit_hash
 from repro.exec.journal import CheckpointJournal
 from repro.exec.policy import ExecPolicy, current_exec_policy
 from repro.exec.report import ExecutionReport, record_report
-from repro.obs.export import pump
 from repro.obs.tracer import (
     NULL_TRACER,
     WorkerTraceConfig,
@@ -533,7 +532,6 @@ class ResilientExecutor:
         report.completed += 1
         if self.journal is not None:
             self.journal.record(task_id, value)
-        pump()
 
     def _run_inline(
         self,

@@ -1,7 +1,7 @@
 """Process-wide execution policy for the resilience layer.
 
-Mirrors the :func:`repro.load.engine.using_engine` pattern: call sites
-construct a :class:`~repro.exec.executor.ResilientExecutor` without
+Mirrors the :func:`repro.load.plancache.using_plan_cache` pattern: call
+sites construct a :class:`~repro.exec.executor.ResilientExecutor` without
 threading retry/timeout/chaos options through every signature — the
 executor reads the ambient :class:`ExecPolicy` installed by
 :func:`using_exec_policy` (the CLI's ``--retries``/``--task-timeout``/

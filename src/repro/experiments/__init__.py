@@ -37,7 +37,7 @@ from repro.experiments import (  # noqa: F401  (import for side effects)
     exp_ablations,
     exp_mixedradix,
 )
-from repro.experiments.runner import run_all, render_all
+from repro.experiments.runner import run_all
 
 __all__ = [
     "Experiment",
@@ -46,5 +46,4 @@ __all__ = [
     "experiment_ids",
     "register",
     "run_all",
-    "render_all",
 ]

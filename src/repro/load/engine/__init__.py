@@ -29,9 +29,6 @@ from repro.load.engine.facade import (
     LoadEngine,
     available_backends,
     cross_check,
-    get_default_engine,
-    resolve_engine,
-    using_engine,
 )
 from repro.load.engine.reference import ReferenceBackend
 from repro.load.engine.vectorized import VectorizedBackend
@@ -46,7 +43,4 @@ __all__ = [
     "fft_edge_loads",
     "available_backends",
     "cross_check",
-    "get_default_engine",
-    "resolve_engine",
-    "using_engine",
 ]

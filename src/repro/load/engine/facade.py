@@ -33,15 +33,15 @@ Backends by name:
     translation-invariant case to ``displacement``, and fault-masked
     routings to ``reference``.
 
-A process-wide *default engine* (``auto`` unless overridden) backs
-:func:`repro.core.analysis.compute_loads` and the experiment runner; the
-CLI's ``--engine`` flag swaps it via :func:`using_engine`.
+Every backend returns the same loads after
+:func:`~repro.load.quantize.snap_loads`, so the package's own callers
+(:func:`repro.core.analysis.compute_loads` among them) use ``auto``;
+naming a backend is for tests and benchmarks.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -58,9 +58,6 @@ from repro.routing.base import RoutingAlgorithm
 __all__ = [
     "LoadEngine",
     "available_backends",
-    "get_default_engine",
-    "resolve_engine",
-    "using_engine",
     "cross_check",
 ]
 
@@ -233,48 +230,6 @@ class LoadEngine:
 
     def __repr__(self) -> str:
         return f"LoadEngine(backend={self.backend_name!r})"
-
-
-# --------------------------------------------------------- default engine
-
-_default_engine: LoadEngine | None = None
-
-
-def get_default_engine() -> LoadEngine:
-    """The process-wide engine used when callers pass ``engine=None``."""
-    global _default_engine
-    if _default_engine is None:
-        _default_engine = LoadEngine("auto")
-    return _default_engine
-
-
-def resolve_engine(engine: "LoadEngine | str | None") -> LoadEngine:
-    """Coerce an engine spec (instance, backend name, or ``None``)."""
-    if engine is None:
-        return get_default_engine()
-    if isinstance(engine, LoadEngine):
-        return engine
-    if isinstance(engine, str):
-        return LoadEngine(engine)
-    raise EngineError(
-        f"cannot interpret {engine!r} as a LoadEngine, backend name, or None"
-    )
-
-
-@contextlib.contextmanager
-def using_engine(engine: "LoadEngine | str") -> Iterator[LoadEngine]:
-    """Temporarily install ``engine`` as the process-wide default.
-
-    Accepts an engine instance or a backend name.
-    """
-    global _default_engine
-    previous = _default_engine
-    installed = resolve_engine(engine)
-    _default_engine = installed
-    try:
-        yield installed
-    finally:
-        _default_engine = previous
 
 
 # ------------------------------------------------------------ cross-check

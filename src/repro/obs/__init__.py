@@ -1,7 +1,7 @@
 """Zero-dependency observability: tracing spans, metrics, and profiling.
 
 ``repro.obs`` is the package's telemetry layer.  It follows the same
-ambient-policy convention as the load engine and the resilient
+ambient-policy convention as the plan cache and the resilient
 executor: instrumented code calls :func:`current_tracer` and opens
 spans on whatever tracer the caller installed with
 :func:`using_tracer`; the default is the :data:`NULL_TRACER`, whose
@@ -26,8 +26,6 @@ The moving parts:
 * :func:`critical_path` / :func:`utilization` / :func:`diff_traces` —
   the trace analytics behind ``repro trace critical-path | waterfall |
   diff`` (:mod:`repro.obs.analyze`);
-* :class:`MetricsSnapshotWriter` / :class:`ResourceSampler` — metrics
-  export for mid-flight inspection (:mod:`repro.obs.export`);
 * :func:`profiling` — cProfile-backed ``--profile pstats|flamegraph``
   hooks (:mod:`repro.obs.profiling`);
 * :mod:`repro.obs.console` — the single sanctioned stderr/wall-clock
@@ -44,7 +42,6 @@ from repro.obs.analyze import (
     rollup,
     utilization,
 )
-from repro.obs.export import MetricsSnapshotWriter, ResourceSampler
 from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
@@ -113,8 +110,6 @@ __all__ = [
     "split_segments",
     "load_stitched",
     "canonical_form",
-    "MetricsSnapshotWriter",
-    "ResourceSampler",
     "PROFILE_MODES",
     "profiling",
     "write_collapsed_stacks",

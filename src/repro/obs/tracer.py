@@ -1,7 +1,7 @@
 """Nested tracing spans with an ambient, swappable tracer.
 
 The design mirrors the package's other ambient policies
-(:func:`repro.load.engine.using_engine`,
+(:func:`repro.load.plancache.using_plan_cache`,
 :func:`repro.exec.using_exec_policy`): instrumented code asks for the
 process-wide tracer via :func:`current_tracer` and opens spans on it —
 no tracer argument threads through any signature.  The default tracer

@@ -20,19 +20,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from repro.errors import ExecutionError, InvalidParameterError, SearchError
-from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
+from repro.errors import InvalidParameterError
 from repro.load.odr_loads import odr_edge_loads
 from repro.load.path_table import PathTable
 from repro.load.plancache import current_plan_cache
 from repro.placements.base import Placement
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
-from repro.util.itertools_ext import combinations_from, ordered_pair_index_arrays
+from repro.util.itertools_ext import ordered_pair_index_arrays
 
 __all__ = [
     "CatalogResult",
@@ -133,7 +132,7 @@ def block_emax(table: PathTable, ids: np.ndarray) -> np.ndarray:
 def _scan(
     torus: Torus, size: int, combos: Iterator[tuple[int, ...]]
 ) -> tuple[float | None, tuple[int, ...] | None, int, dict[float, int]]:
-    """Table-scatter worker: same contract as :func:`_evaluate_chunk`.
+    """Block scorer with the same contract as :func:`_evaluate_chunk`.
 
     ``combos`` is a lexicographic stream of ``size``-subsets of node ids,
     scored one block at a time by :func:`block_emax`.
@@ -172,76 +171,18 @@ def _scan(
     )
 
 
-# ----------------------------------------------------- restartable sharding
-#
-# Workers receive (k, d, start_combination, count) spans, not the
-# combinations themselves: `combinations_from` regenerates the slice
-# in-place, so a span is a few bytes over the pipe, idempotent to re-run
-# after a worker crash, and small enough to journal for checkpoint/resume.
-
-
-def _evaluate_span(payload) -> tuple:
-    k, d, start, span_count = payload
-    combos = itertools.islice(combinations_from(k**d, tuple(start)), span_count)
-    return _scan(Torus(k, d), len(start), combos)
-
-
-def _encode_catalog_partial(partial: tuple) -> dict[str, Any]:
-    best, best_ids, num_optimal, histogram = partial
-    return {
-        "best": best,
-        "best_ids": None if best_ids is None else [int(x) for x in best_ids],
-        "num_optimal": int(num_optimal),
-        "histogram": [
-            [float(value), int(count)]
-            for value, count in sorted(histogram.items())
-        ],
-    }
-
-
-def _decode_catalog_partial(data: dict) -> tuple:
-    best_ids = data["best_ids"]
-    return (
-        data["best"],
-        None if best_ids is None else tuple(int(x) for x in best_ids),
-        int(data["num_optimal"]),
-        {float(value): int(count) for value, count in data["histogram"]},
-    )
-
-
-def global_minimum_emax(
-    torus: Torus,
-    size: int,
-    processes: int | None = None,
-    checkpoint: str | None = None,
-    resume: bool = False,
-) -> CatalogResult:
+def global_minimum_emax(torus: Torus, size: int) -> CatalogResult:
     """Exhaustively find the minimum ODR :math:`E_{max}` over all placements.
 
-    Parameters
-    ----------
-    torus, size:
-        The search space: all ``C(k^d, size)`` placements.
-    processes:
-        ``None`` (default) evaluates serially; an integer > 1 fans
-        contiguous spans of the combination stream out over a process
-        pool via :class:`repro.exec.ResilientExecutor` (crashed or hung
-        spans are retried, then degraded to in-process evaluation).
-    checkpoint:
-        Optional :class:`repro.exec.CheckpointJournal` path; completed
-        spans are persisted as they finish (forces span decomposition
-        even for a serial sweep).
-    resume:
-        Resume from an existing ``checkpoint``: journaled spans are
-        merged from their stored partials without re-evaluating.
+    Every ``C(k^d, size)`` placement is scored serially by :func:`_scan`
+    over the lazy lexicographic combination stream, so the witness is
+    the lex-smallest optimal placement.
 
     Raises
     ------
     InvalidParameterError
-        If the candidate count exceeds :data:`MAX_CATALOG`, or ``resume``
-        is requested without a ``checkpoint``.
-    SearchError
-        If the resilient fan-out itself fails beyond recovery.
+        If the candidate count exceeds :data:`MAX_CATALOG` or ``size`` is
+        outside ``[1, k^d]``.
     """
     count = math.comb(torus.num_nodes, size)
     if count > MAX_CATALOG:
@@ -249,83 +190,13 @@ def global_minimum_emax(
             f"C({torus.num_nodes}, {size}) = {count} placements exceeds the "
             f"exhaustive limit {MAX_CATALOG}"
         )
-    if resume and checkpoint is None:
-        raise InvalidParameterError("resume=True requires a checkpoint path")
     if not 1 <= size <= torus.num_nodes:
         raise InvalidParameterError(
             f"size must satisfy 1 <= size <= {torus.num_nodes}, got {size}"
         )
-
-    serial = processes is None or processes <= 1
-    if serial and checkpoint is None:
-        # the combination stream is consumed lazily — never materialized
-        all_ids = itertools.combinations(range(torus.num_nodes), size)
-        partials = [_scan(torus, size, all_ids)]
-    else:
-        workers = 1 if serial else int(processes)  # type: ignore[arg-type]
-        chunk_size = max(1, count // max(16, workers * 4))
-        spans: list[tuple[tuple[int, ...], int]] = []
-        stream = itertools.combinations(range(torus.num_nodes), size)
-        while True:
-            # only one block is ever resident; spans keep just (start, len)
-            block = list(itertools.islice(stream, chunk_size))
-            if not block:
-                break
-            spans.append((block[0], len(block)))
-        tasks = [
-            ExecTask(f"span-{index:05d}", (torus.k, torus.d, start, length))
-            for index, (start, length) in enumerate(spans)
-        ]
-        journal = None
-        if checkpoint is not None:
-            journal = CheckpointJournal(
-                checkpoint,
-                fingerprint={
-                    "workload": "catalog",
-                    "k": torus.k,
-                    "d": torus.d,
-                    "size": size,
-                    "chunk_size": chunk_size,
-                },
-                resume=resume,
-                encode=_encode_catalog_partial,
-                decode=_decode_catalog_partial,
-            )
-        executor = ResilientExecutor(
-            _evaluate_span,
-            jobs=workers,
-            journal=journal,
-            label=f"catalog[T_{torus.k}^{torus.d} n={size}]",
-        )
-        try:
-            outcome = executor.run(tasks)
-        except ExecutionError as err:
-            raise SearchError(
-                f"catalog sweep fan-out failed: {err} (backend 'catalog', "
-                f"{len(spans)} spans, {workers} workers)"
-            ) from err
-        finally:
-            if journal is not None:
-                journal.close()
-        partials = outcome.in_task_order(tasks)
-
-    best: float | None = None
-    best_ids: tuple[int, ...] | None = None
-    num_optimal = 0
-    histogram: dict[float, int] = {}
-    for p_best, p_ids, p_count, p_hist in partials:
-        for value, n in p_hist.items():
-            histogram[value] = histogram.get(value, 0) + n
-        if p_best is None:
-            continue
-        if best is None or p_best < best - 1e-12:
-            best, best_ids, num_optimal = p_best, p_ids, p_count
-        elif abs(p_best - best) <= 1e-12:
-            num_optimal += p_count
-            # deterministic witness: lex-smallest among equal minima, so
-            # the unordered parallel merge matches the serial sweep exactly
-            if p_ids < best_ids:  # type: ignore[operator]
-                best_ids = p_ids
+    best, best_ids, num_optimal, histogram = _scan(
+        torus, size, itertools.combinations(range(torus.num_nodes), size)
+    )
     return CatalogResult(
         minimum_emax=float(best),
         num_placements=count,

@@ -11,7 +11,6 @@ T = TypeVar("T")
 
 __all__ = [
     "chunked",
-    "combinations_from",
     "ordered_pair_index_arrays",
     "pairs_ordered",
     "pairs_unordered",
@@ -46,43 +45,6 @@ def chunked(seq: Sequence[T], size: int) -> Iterator[Sequence[T]]:
         raise ValueError(f"chunk size must be >= 1, got {size}")
     for start in range(0, len(seq), size):
         yield seq[start : start + size]
-
-
-def combinations_from(
-    n: int, start: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Lexicographic ``r``-combinations of ``range(n)`` from ``start`` on.
-
-    Equivalent to fast-forwarding ``itertools.combinations(range(n), r)``
-    to ``start`` (inclusive) — but in :math:`O(1)` instead of iterating
-    the prefix.  This is what lets a restartable worker re-generate its
-    slice of a combination stream from a ``(start, count)`` payload
-    instead of shipping (or re-enumerating) the combinations themselves.
-    """
-    r = len(start)
-    current = [int(x) for x in start]
-    if r == 0:
-        yield ()
-        return
-    if not all(
-        0 <= current[i] < n and (i == 0 or current[i] > current[i - 1])
-        for i in range(r)
-    ):
-        raise ValueError(
-            f"start {tuple(start)} is not a strictly increasing "
-            f"combination of range({n})"
-        )
-    while True:
-        yield tuple(current)
-        # odometer step: bump the rightmost index that can still move.
-        i = r - 1
-        while i >= 0 and current[i] == n - r + i:
-            i -= 1
-        if i < 0:
-            return
-        current[i] += 1
-        for j in range(i + 1, r):
-            current[j] = current[j - 1] + 1
 
 
 def pairs_ordered(items: Iterable[T]) -> Iterator[tuple[T, T]]:

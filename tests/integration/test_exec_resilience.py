@@ -5,16 +5,17 @@ The contract under test is the contrapositive documented in
 workers, retries re-roll the schedule, and the serial fallback is always
 fault-free — so a run surviving injected crashes and hangs must produce
 *exactly* the fault-free answer, not an approximation of it.  These
-drills exercise every wired call site: the exact-search certifier and
-the catalog sweep, plus mid-run kill + resume through the checkpoint
-journal.
+drills exercise the one wired call site, the exact-search certifier:
+crashed and hung workers, mid-run kill + resume through the checkpoint
+journal, and a fan-out that fails beyond recovery.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import ExecutionError, SearchError
@@ -26,7 +27,6 @@ from repro.exec import (
     using_exec_policy,
 )
 from repro.load.odr_loads import odr_edge_loads
-from repro.placements.catalog import global_minimum_emax
 from repro.placements.exact_search import exact_global_minimum
 from repro.placements.linear import linear_placement
 from repro.torus.topology import Torus
@@ -40,7 +40,8 @@ CRASHY = ExecPolicy(
     chaos=ChaosPolicy(seed=7, crash_fraction=0.2),
 )
 
-#: hang drill: stuck workers reaped by the deadline watchdog.
+#: hang drill: stuck workers reaped by the deadline watchdog; the drill
+#: re-seeds it with :func:`_hang_policy` so that some task does hang.
 HANGY = ExecPolicy(
     retries=2,
     task_timeout=0.5,
@@ -81,14 +82,24 @@ def _assert_chaos_struck(reports):
     assert sum(report.broken_pools for report in reports) >= 1
 
 
-def _catalog_key(result):
-    """Everything that must be bit-identical across catalog sweeps."""
-    return (
-        result.minimum_emax,
-        result.num_optimal,
-        result.emax_histogram,
-        result.example_optimal.node_ids.tolist(),
-    )
+def _root_task_ids(torus, size, tmp_path):
+    """Task ids of a full-mode search's subtree roots, read from its journal."""
+    path = tmp_path / "roots.jsonl"
+    exact_global_minimum(torus, size, mode="full", checkpoint=str(path))
+    lines = path.read_text().splitlines()[1:]
+    return [json.loads(line)["id"] for line in lines]
+
+
+def _hang_policy(task_ids):
+    """:data:`HANGY` with the first seed from its own that hangs a task.
+
+    Picking the seed from the predicted schedule keeps the drill on its
+    fault when task ids or the split depth change.
+    """
+    for seed in itertools.count(HANGY.chaos.seed):
+        chaos = dataclasses.replace(HANGY.chaos, seed=seed)
+        if "hang" in chaos.expected_faults(task_ids).values():
+            return dataclasses.replace(HANGY, chaos=chaos)
 
 
 class TestCertifyUnderChaos:
@@ -115,55 +126,18 @@ class TestCertifyUnderChaos:
         assert chaotic.emax_histogram == serial.emax_histogram
         _assert_chaos_struck(recent_reports())
 
-
-class TestCatalogUnderChaos:
-    def test_catalog_sweep_is_bit_identical_on_t4_2(self):
+    def test_hang_chaos_is_bit_identical_on_t4_2(self, tmp_path):
         torus = Torus(4, 2)
-        serial = global_minimum_emax(torus, 4)
+        serial = exact_global_minimum(torus, 4, mode="full")
+        policy = _hang_policy(_root_task_ids(torus, 4, tmp_path))
         clear_reports()
-        with using_exec_policy(CRASHY):
-            chaotic = global_minimum_emax(torus, 4, processes=2)
-        _assert_chaos_struck(recent_reports())
-        assert chaotic.minimum_emax == serial.minimum_emax
-        assert chaotic.num_optimal == serial.num_optimal
+        with using_exec_policy(policy):
+            chaotic = exact_global_minimum(torus, 4, mode="full", processes=2)
+        assert _certify_key(chaotic) == _certify_key(serial)
         assert chaotic.emax_histogram == serial.emax_histogram
-        assert np.array_equal(
-            chaotic.example_optimal.coords(), serial.example_optimal.coords()
-        )
-
-    def test_hang_chaos_is_bit_identical_on_t4_2(self):
-        torus = Torus(4, 2)
-        serial = global_minimum_emax(torus, 4)
-        clear_reports()
-        with using_exec_policy(HANGY):
-            chaotic = global_minimum_emax(torus, 4, processes=2)
-        assert _catalog_key(chaotic) == _catalog_key(serial)
         report = recent_reports()[-1]
-        assert report.label.startswith("catalog[")
-        assert report.timeouts > 0  # the watchdog reaped hung spans
-
-    def test_catalog_checkpoint_resume_matches(self, tmp_path):
-        torus = Torus(4, 2)
-        serial = global_minimum_emax(torus, 4)
-        path = tmp_path / "catalog.jsonl"
-        full = global_minimum_emax(torus, 4, processes=2, checkpoint=str(path))
-        assert full.emax_histogram == serial.emax_histogram
-        # truncate the journal to simulate a mid-run kill (torn last line)
-        lines = path.read_text().splitlines()
-        keep = 1 + max(1, (len(lines) - 1) // 2)
-        path.write_text(
-            "\n".join(lines[:keep]) + '\n{"kind": "task", "id": "span-tor'
-        )
-        clear_reports()
-        resumed = global_minimum_emax(
-            torus, 4, processes=2, checkpoint=str(path), resume=True
-        )
-        assert resumed.minimum_emax == serial.minimum_emax
-        assert resumed.num_optimal == serial.num_optimal
-        assert resumed.emax_histogram == serial.emax_histogram
-        report = recent_reports()[-1]
-        assert report.resumed == keep - 1
-        assert report.resumed + report.completed == report.tasks
+        assert report.label.startswith("exact-search")
+        assert report.timeouts > 0  # the watchdog reaped hung roots
 
 
 class TestCertifyKillResume:
@@ -297,11 +271,6 @@ class TestCertifyLadderResume:
 
 
 class TestWrappedErrors:
-    def test_catalog_failure_names_spans_and_workers(self):
-        with using_exec_policy(EXHAUSTED):
-            with pytest.raises(SearchError, match=r"spans.*workers"):
-                global_minimum_emax(Torus(4, 2), 4, processes=2)
-
     def test_certify_failure_names_roots_and_workers(self):
         with using_exec_policy(EXHAUSTED):
             with pytest.raises(SearchError, match=r"roots.*workers"):

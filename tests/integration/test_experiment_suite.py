@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import experiment_ids, get_experiment, render_all, run_all
+from repro.experiments import experiment_ids, get_experiment, run_all
+from repro.experiments.runner import render_results
 
 
 class TestSuite:
@@ -21,7 +22,7 @@ class TestSuite:
         assert all(r.passed for r in results.values())
 
     def test_render_all_is_markdown(self):
-        text = render_all(quick=True)
+        text = render_results(run_all(quick=True))
         assert text.startswith("# Reproduction experiment report")
         assert "23/23 experiments passed" in text
         assert "EXP-7" in text

@@ -1,7 +1,7 @@
-"""Tests for repro.experiments.runner — partial failure and checkpointing.
+"""Tests for repro.experiments.runner — partial failure and timing.
 
 The suite swaps a tiny synthetic registry in for the real one so the
-runner's failure tolerance and journal round-trip can be exercised in
+runner's failure tolerance and timing table can be exercised in
 milliseconds.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import InvalidParameterError
 from repro.experiments import base
 from repro.experiments.runner import render_results, run_all
 from repro.util.tables import Table
@@ -57,41 +56,6 @@ class TestPartialFailure:
         assert "Verdict: FAIL" in text and "Verdict: PASS" in text
 
 
-class TestCheckpointResume:
-    def test_resume_requires_checkpoint(self):
-        with pytest.raises(InvalidParameterError):
-            run_all(resume=True)
-
-    def test_resume_restores_without_rerunning(
-        self, synthetic_registry, tmp_path
-    ):
-        path = tmp_path / "suite.jsonl"
-        first = run_all(checkpoint=str(path))
-        # sabotage EXP-2: if resume re-ran it, it would now crash
-        synthetic_registry["EXP-2"] = base.Experiment(
-            "EXP-2", "passes", "none", _raising
-        )
-        second = run_all(checkpoint=str(path), resume=True)
-        assert second["EXP-2"].passed
-        assert second["EXP-2"].findings == first["EXP-2"].findings
-
-    def test_tables_survive_the_round_trip(self, synthetic_registry, tmp_path):
-        path = tmp_path / "suite.jsonl"
-        first = run_all(checkpoint=str(path))
-        second = run_all(checkpoint=str(path), resume=True)
-        assert render_results(second) == render_results(first)
-
-    def test_quick_flag_fingerprints_the_journal(
-        self, synthetic_registry, tmp_path
-    ):
-        from repro.errors import ExecutionError
-
-        path = tmp_path / "suite.jsonl"
-        run_all(quick=True, checkpoint=str(path))
-        with pytest.raises(ExecutionError, match="fingerprint"):
-            run_all(quick=False, checkpoint=str(path), resume=True)
-
-
 class TestSuiteTiming:
     def test_run_all_stamps_elapsed_seconds(self, synthetic_registry):
         results = run_all()
@@ -108,15 +72,6 @@ class TestSuiteTiming:
         result = base.ExperimentResult("EXP-2", "handmade", passed=True)
         text = render_results({"EXP-2": result})
         assert "Suite timing" not in text
-
-    def test_elapsed_survives_the_checkpoint_round_trip(
-        self, synthetic_registry, tmp_path
-    ):
-        path = tmp_path / "suite.jsonl"
-        first = run_all(checkpoint=str(path))
-        second = run_all(checkpoint=str(path), resume=True)
-        for exp_id, result in first.items():
-            assert second[exp_id].elapsed_seconds == result.elapsed_seconds
 
     def test_traced_suite_emits_experiment_spans(self, synthetic_registry):
         from repro.obs import Tracer, using_tracer

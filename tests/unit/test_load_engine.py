@@ -13,9 +13,6 @@ from repro.load.engine import (
     VectorizedBackend,
     available_backends,
     cross_check,
-    get_default_engine,
-    resolve_engine,
-    using_engine,
 )
 from repro.load.odr_loads import odr_edge_loads
 from repro.load.path_table import PathTable
@@ -327,28 +324,10 @@ class TestEngineErrors:
         with pytest.raises(LoadError):
             LoadEngine("reference").edge_loads(placement, masked)
 
-    def test_resolve_engine_rejects_garbage(self):
-        with pytest.raises(EngineError):
-            resolve_engine(42)
-
 
 class TestDefaultEngine:
-    def test_default_is_auto(self):
-        assert get_default_engine().backend_name == "auto"
-
-    def test_using_engine_restores(self):
-        before = get_default_engine()
-        with using_engine("reference") as eng:
-            assert eng.backend_name == "reference"
-            assert get_default_engine() is eng
-        assert get_default_engine() is before
-
-    def test_set_by_name(self):
-        with using_engine("displacement") as eng:
-            assert eng.backend_name == "displacement"
-            assert get_default_engine() is eng
-
     def test_available_backends(self):
+        assert LoadEngine().backend_name == "auto"
         names = available_backends()
         assert set(names) == {
             "auto",

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-from repro.obs import JsonlTraceSink, Tracer, summarize_path, summarize_trace
+from repro.cli import main
+from repro.obs import (
+    JsonlTraceSink,
+    Tracer,
+    load_stitched,
+    read_trace,
+    summarize_path,
+    summarize_trace,
+)
 
 
 def _records():
@@ -151,3 +159,28 @@ class TestSummarizePath:
         assert "# Trace summary — e2e" in text
         assert "outer" in text and "inner" in text and "tick" in text
         assert "ticks" in text
+
+    def test_parallel_run_summarizes_the_stitched_trace(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        argv = ["certify", "--k", "4", "--d", "2", "--jobs", "2"]
+        assert main([*argv, "--trace", str(path)]) == 0
+        capsys.readouterr()
+        stitched = _final_counters(load_stitched(path))
+        # the workers' counters reach the summary, not only the parent's
+        assert stitched != _final_counters(read_trace(path))
+        assert _counter_rows(summarize_path(path)) == {
+            name: f"{float(value):g}" for name, value in stitched.items()
+        }
+
+
+def _final_counters(records):
+    metrics = [r for r in records if r.get("kind") == "metrics"]
+    return metrics[-1]["values"]["counters"]
+
+
+def _counter_rows(text):
+    """``{name: value}`` from the summary's Counters table."""
+    section = text.split("### Counters", 1)[1].split("###", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    rows = [line.split("|")[1:3] for line in lines[2:]]  # past the header
+    return {name.strip(): value.strip() for name, value in rows}

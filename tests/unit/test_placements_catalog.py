@@ -65,35 +65,18 @@ class TestGlobalMinimum:
             global_minimum_emax(torus, 18)
 
 
-class TestParallel:
-    def test_parallel_matches_serial(self):
-        torus = Torus(3, 2)
-        serial = global_minimum_emax(torus, 3)
-        parallel = global_minimum_emax(torus, 3, processes=2)
-        assert serial.minimum_emax == parallel.minimum_emax
-        assert serial.num_optimal == parallel.num_optimal
-        assert serial.emax_histogram == parallel.emax_histogram
-
-    def test_processes_one_is_serial(self):
-        torus = Torus(3, 2)
-        a = global_minimum_emax(torus, 3, processes=1)
-        b = global_minimum_emax(torus, 3)
-        assert a.minimum_emax == b.minimum_emax
-
-
 class TestAgainstOracle:
     """The block scan against the per-placement oracle, ``odr_edge_loads``."""
 
     @pytest.mark.parametrize(
-        "k,d,size,processes",
-        [(4, 2, n, None) for n in (1, 2, 3, 5)]
-        + [(4, 2, 4, 2), (5, 2, 3, None), (3, 3, 3, None)],
+        "k,d,size",
+        [(4, 2, n) for n in (1, 2, 3, 4, 5)] + [(5, 2, 3), (3, 3, 3)],
     )
-    def test_matches_hop_walker_oracle(self, k, d, size, processes):
+    def test_matches_hop_walker_oracle(self, k, d, size):
         torus = Torus(k, d)
         combos = itertools.combinations(range(torus.num_nodes), size)
         best, best_ids, num_optimal, histogram = _evaluate_chunk((k, d, combos))
-        res = global_minimum_emax(torus, size, processes=processes)
+        res = global_minimum_emax(torus, size)
         assert res.minimum_emax == best
         assert res.num_optimal == num_optimal
         assert res.emax_histogram == histogram

@@ -1,21 +1,6 @@
-"""Unit tests for repro.experiments.reportgen and the CLI --write flag."""
-
-from pathlib import Path
+"""Unit tests for writing the experiment report with ``--write``."""
 
 from repro.cli import main
-from repro.experiments.reportgen import write_report
-
-
-class TestWriteReport:
-    def test_writes_markdown(self, tmp_path):
-        out = write_report(tmp_path / "report.md", quick=True)
-        text = Path(out).read_text()
-        assert text.startswith("# Reproduction experiment report")
-        assert "23/23 experiments passed" in text
-
-    def test_creates_parent_dirs(self, tmp_path):
-        out = write_report(tmp_path / "nested" / "dir" / "r.md", quick=True)
-        assert Path(out).exists()
 
 
 class TestCliWrite:
@@ -23,5 +8,14 @@ class TestCliWrite:
         target = tmp_path / "cli_report.md"
         code = main(["experiments", "--quick", "--write", str(target)])
         assert code == 0
-        assert target.exists()
+        text = target.read_text(encoding="utf-8")
+        assert text.startswith("# Reproduction experiment report")
+        assert "23/23 experiments passed" in text
         assert "report written to" in capsys.readouterr().out
+
+    def test_creates_parent_dirs(self, tmp_path, capsys):
+        target = tmp_path / "nested" / "dir" / "r.md"
+        code = main(["experiments", "--quick", "--write", str(target)])
+        assert code == 0
+        assert target.exists()
+        assert f"report written to {target}" in capsys.readouterr().out
