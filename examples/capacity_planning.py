@@ -11,7 +11,6 @@ Run:  python examples/capacity_planning.py
 """
 
 from repro.core.scaling import fit_power_law, scaling_rows
-from repro.core.verify import verify_linear_load
 from repro.load import formulas
 from repro.placements.fully import FullyPopulatedFamily
 from repro.placements.linear import LinearPlacementFamily
@@ -47,13 +46,6 @@ def main() -> None:
     print(f"  linear placement : alpha = {fit_lin.exponent:.3f}  (paper: 1)")
     print(f"  fully populated  : alpha = {fit_full.exponent:.3f}  "
           f"(paper: 1 + 1/d = {1 + 1 / D:.3f} asymptotically)")
-    print()
-
-    cert = verify_linear_load(
-        LinearPlacementFamily(), OrderedDimensionalRouting, D, KS_LINEAR
-    )
-    print(f"linear-load certificate: is_linear={cert.is_linear}, "
-          f"slope={cert.slope:.3f}, R^2={cert.r_squared:.5f}")
     print()
 
     print("Eq. 9 capacity ceiling (|P| <= 12*d*c1*k^(d-1), with the measured "

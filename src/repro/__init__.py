@@ -25,7 +25,6 @@ from repro._version import __version__
 from repro.core.analysis import PlacementAnalysis, analyze, compute_loads
 from repro.core.designer import Design, design_placement
 from repro.core.scaling import fit_power_law, scaling_rows
-from repro.core.verify import verify_linear_load
 from repro.placements.base import Placement, PlacementFamily
 from repro.placements.linear import linear_placement
 from repro.placements.multiple import multiple_linear_placement
@@ -47,7 +46,6 @@ __all__ = [
     "PlacementAnalysis",
     "analyze",
     "compute_loads",
-    "verify_linear_load",
     "fit_power_law",
     "scaling_rows",
 ]

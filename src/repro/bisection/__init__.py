@@ -11,15 +11,11 @@ half (within one) of ``P``'s processors.  The paper gives:
   hyperplane crosses at most :math:`2dk^{d-1}` undirected array edges,
   giving :math:`|∂_b P| \\le 6dk^{d-1}` directed torus edges
   (:mod:`repro.bisection.hyperplane`);
-* exact brute force and spectral heuristics for cross-validation
-  (:mod:`repro.bisection.exact`, :mod:`repro.bisection.heuristics`).
+* exact brute force for cross-validation on tiny tori
+  (:mod:`repro.bisection.exact`).
 """
 
-from repro.bisection.separator import (
-    separator_edges,
-    separator_size,
-    crossing_edges_between,
-)
+from repro.bisection.separator import separator_edges, separator_size
 from repro.bisection.dimension_cut import (
     DimensionCutBisection,
     dimension_cut_bisection,
@@ -30,23 +26,14 @@ from repro.bisection.hyperplane import (
     hyperplane_bisection,
 )
 from repro.bisection.exact import exact_bisection_width
-from repro.bisection.heuristics import spectral_bisection
-from repro.bisection.lower_bound import (
-    bisection_width_lower_bound_from_load,
-    bisection_width_bracket,
-)
 
 __all__ = [
-    "bisection_width_lower_bound_from_load",
-    "bisection_width_bracket",
     "separator_edges",
     "separator_size",
-    "crossing_edges_between",
     "DimensionCutBisection",
     "dimension_cut_bisection",
     "best_dimension_cut",
     "HyperplaneBisection",
     "hyperplane_bisection",
     "exact_bisection_width",
-    "spectral_bisection",
 ]

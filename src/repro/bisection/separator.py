@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.torus.topology import Torus
 
-__all__ = ["separator_edges", "separator_size", "crossing_edges_between"]
+__all__ = ["separator_edges", "separator_size"]
 
 
 def _membership_mask(torus: Torus, node_ids) -> np.ndarray:
@@ -47,31 +47,3 @@ def separator_edges(torus: Torus, node_ids) -> np.ndarray:
 def separator_size(torus: Torus, node_ids) -> int:
     """:math:`|∂S|` — the number of directed boundary edges of ``node_ids``."""
     return int(separator_edges(torus, node_ids).size)
-
-
-def crossing_edges_between(torus: Torus, side_a_node_ids, side_b_node_ids) -> np.ndarray:
-    """Directed edges with one endpoint in each given (disjoint) node set.
-
-    Unlike :func:`separator_edges`, edges touching nodes in *neither* set
-    are ignored — used when a bisection partitions only part of ``V``.
-    """
-    a = _membership_mask(torus, side_a_node_ids)
-    b = _membership_mask(torus, side_b_node_ids)
-    if np.any(a & b):
-        raise ValueError("side_a and side_b must be disjoint")
-    ei = torus.edges
-    chunks = []
-    all_nodes = np.arange(torus.num_nodes, dtype=np.int64)
-    for dim in range(torus.d):
-        for sign in (+1, -1):
-            heads = ei.neighbors_array(all_nodes, dim, sign)
-            crossing = (a & b[heads]) | (b & a[heads])
-            tails = all_nodes[crossing]
-            chunks.append(
-                ei.edge_ids_array(
-                    tails,
-                    np.full(tails.shape, dim, dtype=np.int64),
-                    np.full(tails.shape, sign, dtype=np.int64),
-                )
-            )
-    return np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)

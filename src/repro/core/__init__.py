@@ -7,16 +7,13 @@
 * :func:`~repro.core.analysis.analyze` — measure everything about any
   placement/routing pair: exact loads, every lower bound, constructive
   bisections, optimality ratios.
-* :func:`~repro.core.verify.verify_linear_load` — sweep ``k`` through a
-  placement family and certify that :math:`E_{max}` grows linearly in
-  :math:`|P|`.
-* :mod:`repro.core.scaling` — power-law fits for the linear-vs-superlinear
-  headline comparison.
+* :mod:`repro.core.scaling` — ``k``-sweeps of a placement family and the
+  power-law fits of :math:`E_{max}` against :math:`|P|` behind the
+  linear-vs-superlinear headline comparison.
 """
 
 from repro.core.designer import Design, design_placement
 from repro.core.analysis import PlacementAnalysis, analyze, compute_loads
-from repro.core.verify import LinearLoadCertificate, verify_linear_load
 from repro.core.report_md import analysis_report_md
 from repro.core.scaling import PowerLawFit, fit_power_law, scaling_rows
 
@@ -26,8 +23,6 @@ __all__ = [
     "PlacementAnalysis",
     "analyze",
     "compute_loads",
-    "LinearLoadCertificate",
-    "verify_linear_load",
     "analysis_report_md",
     "PowerLawFit",
     "fit_power_law",

@@ -19,10 +19,9 @@ EXP-8 (Theorem 3): multiple linear placements + ODR stay within
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.base import ExperimentResult, register
 from repro.load import formulas
+from repro.load.distribution import per_dimension_max
 from repro.load.odr_loads import odr_edge_loads
 from repro.placements.linear import linear_placement
 from repro.placements.multiple import multiple_linear_placement
@@ -30,13 +29,6 @@ from repro.torus.topology import Torus
 from repro.util.tables import Table
 
 __all__ = ["run_odr_linear", "run_odr_multiple"]
-
-
-def _per_dimension_max(torus, loads: np.ndarray) -> list[float]:
-    _tails, dims, _signs = torus.edges.decode_arrays(
-        np.arange(torus.num_edges, dtype=np.int64)
-    )
-    return [float(loads[dims == s].max()) for s in range(torus.d)]
 
 
 @register(
@@ -71,7 +63,7 @@ def run_odr_linear(quick: bool = False) -> ExperimentResult:
             torus = Torus(k, d)
             placement = linear_placement(torus)
             loads = odr_edge_loads(placement)
-            per_dim = _per_dimension_max(torus, loads)
+            per_dim = per_dimension_max(torus, loads).tolist()
             global_max = max(per_dim)
             interior = max(per_dim[1 : d - 1])
             paper = formulas.odr_linear_emax_exact(k, d)
@@ -142,7 +134,7 @@ def run_odr_multiple(quick: bool = False) -> ExperimentResult:
             placement = multiple_linear_placement(torus, t)
             loads = odr_edge_loads(placement)
             emax = float(loads.max())
-            per_dim = _per_dimension_max(torus, loads)
+            per_dim = per_dimension_max(torus, loads).tolist()
             interior = max(per_dim[1 : d - 1])
             interior_form = formulas.odr_multiple_emax_interior(k, d, t)
             bound = formulas.odr_multiple_upper_bound(k, d, t)

@@ -20,7 +20,7 @@ computes it from two representations:
   :mod:`repro.load.plancache`, and read by every fast consumer:
   :mod:`repro.load.odr_loads` (exact ODR loads and the incremental
   kernels of the searches), :mod:`repro.load.udr_loads` (exact UDR
-  loads, plus a Monte-Carlo estimator) and the backends of
+  loads) and the backends of
   :mod:`repro.load.engine` — the :class:`~repro.load.engine.LoadEngine`
   facade, whose FFT circular-correlation backend gives all edges in one
   spectral pass for cosets and multiple linear placements, exact via the
@@ -33,8 +33,8 @@ and provides every closed form and lower bound the paper states
 """
 
 from repro.load.edge_loads import edge_loads_reference
-from repro.load.odr_loads import odr_edge_loads, dimension_order_edge_loads
-from repro.load.udr_loads import udr_edge_loads, udr_sampled_edge_loads
+from repro.load.odr_loads import odr_edge_loads
+from repro.load.udr_loads import udr_edge_loads
 from repro.load import engine
 from repro.load.engine import LoadEngine
 from repro.load.report import LoadReport, load_report
@@ -51,9 +51,7 @@ __all__ = [
     "engine",
     "LoadEngine",
     "odr_edge_loads",
-    "dimension_order_edge_loads",
     "udr_edge_loads",
-    "udr_sampled_edge_loads",
     "LoadReport",
     "load_report",
     "formulas",

@@ -1,193 +1,25 @@
-"""Structural analysis of a load vector: per-dimension and per-sign views.
+"""Per-dimension view of a load vector.
 
 EXP-7's key finding — the paper's Section 6.1 closed forms describe
 *interior*-dimension edges while the global maximum sits on the boundary
-dimensions — came from exactly the decomposition this module provides.  It
-also offers the imbalance statistics (peak-to-mean, Jain fairness) used to
-compare how evenly ODR vs UDR spread the same traffic.
-
-Empty-selection convention
---------------------------
-Every max-style reducer here treats an *empty* edge selection as carrying
-zero load and returns ``0.0`` (``numpy``'s ``initial=0.0``), never raising.
-Selections become empty in practice when an ``edge_mask`` filters out a
-whole dimension or direction — e.g. the surviving-edge view of a
-fault-masked routing where one dimension's links are all failed.
+dimensions — came from exactly this decomposition; EXP-9 uses it to show
+that UDR has no such boundary effect.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.torus.topology import Torus
 
-__all__ = [
-    "per_dimension_max",
-    "per_dimension_total",
-    "per_sign_max",
-    "load_histogram",
-    "peak_to_mean",
-    "jain_fairness",
-    "LoadDistribution",
-    "load_distribution",
-]
+__all__ = ["per_dimension_max"]
 
 
-def _decode_dims_signs(torus: Torus) -> tuple[np.ndarray, np.ndarray]:
+def per_dimension_max(torus: Torus, loads: np.ndarray) -> np.ndarray:
+    """Maximum load over the edges of each dimension, shape ``(d,)``."""
     ids = np.arange(torus.num_edges, dtype=np.int64)
-    _tails, dims, signs = torus.edges.decode_arrays(ids)
-    return dims, signs
-
-
-def _resolve_edge_mask(
-    torus: Torus, edge_mask: np.ndarray | None
-) -> np.ndarray | None:
-    if edge_mask is None:
-        return None
-    edge_mask = np.asarray(edge_mask, dtype=bool)
-    if edge_mask.shape != (torus.num_edges,):
-        raise ValueError(
-            f"edge_mask must have shape ({torus.num_edges},), "
-            f"got {edge_mask.shape}"
-        )
-    return edge_mask
-
-
-def per_dimension_max(
-    torus: Torus, loads: np.ndarray, edge_mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Maximum load over the edges of each dimension, shape ``(d,)``.
-
-    ``edge_mask`` optionally restricts the view to a subset of edges
-    (e.g. the surviving links of a fault mask); a dimension whose
-    selection is empty reports ``0.0`` per the module convention.
-    """
-    dims, _ = _decode_dims_signs(torus)
-    mask = _resolve_edge_mask(torus, edge_mask)
-    sels = [dims == s if mask is None else (dims == s) & mask
-            for s in range(torus.d)]
+    _tails, dims, _signs = torus.edges.decode_arrays(ids)
     return np.array(
-        [float(loads[sel].max(initial=0.0)) for sel in sels], dtype=np.float64
-    )
-
-
-def per_dimension_total(
-    torus: Torus, loads: np.ndarray, edge_mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Total load carried by each dimension's edges, shape ``(d,)``.
-
-    ``edge_mask`` restricts the view like in :func:`per_dimension_max`;
-    an empty selection totals ``0.0``.
-    """
-    dims, _ = _decode_dims_signs(torus)
-    mask = _resolve_edge_mask(torus, edge_mask)
-    sels = [dims == s if mask is None else (dims == s) & mask
-            for s in range(torus.d)]
-    return np.array(
-        [float(loads[sel].sum()) for sel in sels], dtype=np.float64
-    )
-
-
-def per_sign_max(
-    torus: Torus, loads: np.ndarray, edge_mask: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Maximum load over (+)-direction and (−)-direction edges.
-
-    Empty selections (all edges of a direction masked out) report
-    ``0.0`` per the module convention.
-    """
-    _, signs = _decode_dims_signs(torus)
-    mask = _resolve_edge_mask(torus, edge_mask)
-    plus = signs > 0 if mask is None else (signs > 0) & mask
-    minus = signs < 0 if mask is None else (signs < 0) & mask
-    return (
-        float(loads[plus].max(initial=0.0)),
-        float(loads[minus].max(initial=0.0)),
-    )
-
-
-def load_histogram(loads: np.ndarray, bins: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram ``(counts, bin_edges)`` of the per-edge loads."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    return np.histogram(np.asarray(loads, dtype=np.float64), bins=bins)
-
-
-def peak_to_mean(loads: np.ndarray) -> float:
-    """Peak-to-mean ratio over *used* edges (1.0 = perfectly even)."""
-    loads = np.asarray(loads, dtype=np.float64)
-    used = loads[loads > 0]
-    if used.size == 0:
-        return 0.0
-    return float(used.max() / used.mean())
-
-
-def jain_fairness(loads: np.ndarray) -> float:
-    """Jain's fairness index over used edges: ``(Σx)² / (n·Σx²)`` in (0, 1]."""
-    loads = np.asarray(loads, dtype=np.float64)
-    used = loads[loads > 0]
-    if used.size == 0:
-        return 1.0
-    return float(used.sum() ** 2 / (used.size * (used**2).sum()))
-
-
-@dataclass(frozen=True)
-class LoadDistribution:
-    """Per-dimension and fairness view of one load vector.
-
-    Attributes
-    ----------
-    dim_max:
-        Per-dimension maximum loads.
-    dim_total:
-        Per-dimension total loads.
-    boundary_max:
-        Max over the first and last dimensions (where the EXP-7 boundary
-        effect lives); equals ``global_max`` for dimension-order routing on
-        linear placements.
-    interior_max:
-        Max over dimensions ``1 … d-2`` (0-based); ``0.0`` when ``d < 3``.
-    plus_max, minus_max:
-        Direction-resolved maxima.
-    peak_to_mean, jain:
-        Imbalance statistics over used edges.
-    """
-
-    dim_max: tuple[float, ...]
-    dim_total: tuple[float, ...]
-    boundary_max: float
-    interior_max: float
-    plus_max: float
-    minus_max: float
-    peak_to_mean: float
-    jain: float
-
-    @property
-    def global_max(self) -> float:
-        return max(self.dim_max) if self.dim_max else 0.0
-
-
-def load_distribution(torus: Torus, loads: np.ndarray) -> LoadDistribution:
-    """Compute the full :class:`LoadDistribution` for one load vector."""
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (torus.num_edges,):
-        raise ValueError(
-            f"loads must have shape ({torus.num_edges},), got {loads.shape}"
-        )
-    dmax = per_dimension_max(torus, loads)
-    dtotal = per_dimension_total(torus, loads)
-    plus_max, minus_max = per_sign_max(torus, loads)
-    boundary = float(max(dmax[0], dmax[-1]))
-    interior = float(dmax[1:-1].max()) if torus.d >= 3 else 0.0
-    return LoadDistribution(
-        dim_max=tuple(float(x) for x in dmax),
-        dim_total=tuple(float(x) for x in dtotal),
-        boundary_max=boundary,
-        interior_max=interior,
-        plus_max=plus_max,
-        minus_max=minus_max,
-        peak_to_mean=peak_to_mean(loads),
-        jain=jain_fairness(loads),
+        [float(loads[dims == s].max(initial=0.0)) for s in range(torus.d)],
+        dtype=np.float64,
     )

@@ -24,7 +24,7 @@ with the class's aggregated rows, evaluated for every edge at once by
 
 from repro.load.engine.base import LoadBackend
 from repro.load.engine.displacement import DisplacementBackend
-from repro.load.engine.fft import FFTBackend, fft_edge_loads
+from repro.load.engine.fft import FFTBackend
 from repro.load.engine.facade import (
     LoadEngine,
     available_backends,
@@ -40,7 +40,6 @@ __all__ = [
     "VectorizedBackend",
     "FFTBackend",
     "DisplacementBackend",
-    "fft_edge_loads",
     "available_backends",
     "cross_check",
 ]

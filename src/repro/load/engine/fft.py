@@ -95,7 +95,7 @@ from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
 from repro.torus.coords import all_coords
 
-__all__ = ["FFTBackend", "fft_edge_loads"]
+__all__ = ["FFTBackend"]
 
 
 # ------------------------------------------------------ stabilizer test
@@ -369,25 +369,6 @@ def _cover_loads(cover: _Cover, plan: SpectralPlan) -> tuple[np.ndarray, float]:
         torus.shape,
     )
     return loads.T.reshape(-1), drift
-
-
-# ------------------------------------------------------------ entry point
-
-
-def fft_edge_loads(
-    placement: Placement,
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact per-edge loads through the :class:`FFTBackend`.
-
-    Drop-in equivalent of
-    :func:`repro.load.edge_loads.edge_loads_reference` for any
-    translation-invariant routing: spectral for the complete-exchange
-    placements :meth:`FFTBackend.supports` accepts, the path-table
-    apply otherwise.
-    """
-    return FFTBackend().compute(placement, routing, pair_weights=pair_weights)
 
 
 # --------------------------------------------------------------- backend

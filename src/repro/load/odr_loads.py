@@ -18,17 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import RoutingError
 from repro.load.path_table import PathTable
 from repro.load.plancache import current_plan_cache
 from repro.placements.base import Placement
-from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
 
 __all__ = [
     "odr_edge_loads",
-    "dimension_order_edge_loads",
     "odr_edge_loads_swap_delta",
     "odr_edge_loads_add_delta",
 ]
@@ -40,40 +37,6 @@ def odr_edge_loads(
 ) -> np.ndarray:
     """Exact per-edge loads under ODR (ascending dimension order)."""
     return _odr_table(placement.torus).loads(placement, pair_weights)
-
-
-def dimension_order_edge_loads(
-    placement: Placement,
-    order,
-    pair_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact per-edge loads for an arbitrary fixed dimension order.
-
-    Parameters
-    ----------
-    placement:
-        The processor placement ``P``.
-    order:
-        Permutation of ``range(d)`` — the order dimensions are corrected
-        in (``range(d)`` is ODR).
-    pair_weights:
-        Optional ``(|P|, |P|)`` traffic multiplicities (see
-        :func:`repro.load.edge_loads.edge_loads_reference`).  Default:
-        complete exchange.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64`` loads for all ``2d·k^d`` directed edges.
-    """
-    torus = placement.torus
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(torus.d)):
-        raise RoutingError(
-            f"order must be a permutation of range({torus.d}), got {order}"
-        )
-    table = current_plan_cache().get(torus, DimensionOrderRouting(order)).table
-    return table.loads(placement, pair_weights)
 
 
 def _odr_table(torus: Torus) -> PathTable:

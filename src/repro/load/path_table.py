@@ -50,6 +50,7 @@ import math
 import numpy as np
 
 from repro.errors import EngineError, LoadError
+from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.load.traffic import validate_pair_weights
 from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
@@ -332,7 +333,10 @@ class PathTable:
         (default: complete exchange); pairs of weight zero are skipped.
         Pairs are applied in chunks of about ``2^16`` hop slots: a gather
         of their rows, one add, one gather through the wrap table and
-        one ``np.bincount``.
+        one ``np.bincount``.  Complete-exchange loads of a weighted table
+        are snapped to the routing's load quantum when it is known
+        (:func:`~repro.load.quantize.routing_load_quantum`), so UDR loads
+        sit exactly on the :math:`1/d!` lattice, as the FFT backend's do.
         """
         m = len(placement)
         pair_weights = validate_pair_weights(pair_weights, m)
@@ -363,4 +367,9 @@ class PathTable:
                 weights=None if weights is None else weights.ravel(),
                 minlength=total.size,
             )
-        return total[: self.sink]
+        loads = total[: self.sink]
+        if pair_weights is None and self.weights is not None:
+            quantum = routing_load_quantum(self.routing, self.torus.d)
+            if quantum is not None:
+                return snap_loads(loads, quantum)
+        return loads

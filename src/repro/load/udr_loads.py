@@ -1,4 +1,4 @@
-"""Exact and sampled edge loads for Unordered Dimensional Routing.
+"""Exact edge loads for Unordered Dimensional Routing.
 
 A UDR path corrects dimensions in some order; for a pair differing in the
 dimension set ``D`` (``|D| = s``) there are :math:`s!` equally likely
@@ -23,9 +23,6 @@ slots): a full evaluation is one row gather and one weighted
 ``np.bincount`` per chunk of pairs, no per-pair Python work.  For every
 pair the weights over all its edges sum to its Lee distance, giving the
 conservation law the property tests check.
-
-:func:`udr_sampled_edge_loads` is the Monte-Carlo estimator (one random
-permutation per message), matching what the packet simulator does.
 """
 
 from __future__ import annotations
@@ -35,13 +32,8 @@ import numpy as np
 from repro.load.plancache import current_plan_cache
 from repro.placements.base import Placement
 from repro.routing.udr import UnorderedDimensionalRouting
-from repro.util.modular import minimal_correction_array
-from repro.util.rng import resolve_rng
 
-__all__ = [
-    "udr_edge_loads",
-    "udr_sampled_edge_loads",
-]
+__all__ = ["udr_edge_loads"]
 
 
 def udr_edge_loads(placement: Placement) -> np.ndarray:
@@ -55,48 +47,3 @@ def udr_edge_loads(placement: Placement) -> np.ndarray:
     """
     plan = current_plan_cache().get(placement.torus, UnorderedDimensionalRouting())
     return plan.table.loads(placement)
-
-
-def udr_sampled_edge_loads(
-    placement: Placement,
-    messages_per_pair: int = 1,
-    seed=None,
-) -> np.ndarray:
-    """Monte-Carlo UDR loads: each message samples one random dimension order.
-
-    With ``messages_per_pair = n`` the result divided by ``n`` is an
-    unbiased estimator of :func:`udr_edge_loads`; the packet simulator's
-    link counters follow the same law.
-    """
-    if messages_per_pair < 1:
-        raise ValueError(
-            f"messages_per_pair must be >= 1, got {messages_per_pair}"
-        )
-    rng = resolve_rng(seed)
-    torus = placement.torus
-    k, d = torus.k, torus.d
-    coords = placement.coords()
-    m = coords.shape[0]
-    strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-    loads = np.zeros(torus.num_edges, dtype=np.float64)
-    two_d = 2 * d
-
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            p, q = coords[i], coords[j]
-            delta, _ = minimal_correction_array(p, q, k)
-            diff = np.nonzero(delta)[0]
-            for _ in range(messages_per_pair):
-                order = rng.permutation(diff)
-                cur = p.copy()
-                node = int(cur @ strides)
-                for dim in order:
-                    step = 1 if delta[dim] > 0 else -1
-                    sign_bit = 0 if step > 0 else 1
-                    for _hop in range(abs(int(delta[dim]))):
-                        loads[node * two_d + 2 * dim + sign_bit] += 1.0
-                        cur[dim] = (cur[dim] + step) % k
-                        node = int(cur @ strides)
-    return loads

@@ -1,8 +1,9 @@
 """Exact vectorized ODR loads on mixed-radix tori.
 
-The same segment-accumulation algorithm as
-:func:`repro.load.odr_loads.dimension_order_edge_loads`, with the
-per-dimension radix taken from the torus shape.  Conservation (total load
+Every ordered pair walks its ODR path one dimension at a time, all pairs
+advancing together by one hop per step, with the per-dimension radix
+taken from the torus shape; the square tori's loads come from the path
+table instead (:mod:`repro.load.odr_loads`).  Conservation (total load
 = total Lee distance over ordered pairs) holds identically and is
 property-tested.
 """

@@ -27,7 +27,6 @@ from typing import TextIO
 
 __all__ = [
     "set_quiet",
-    "is_quiet",
     "info",
     "progress",
     "warn",
@@ -44,11 +43,6 @@ def set_quiet(quiet: bool) -> bool:
     previous = _quiet
     _quiet = bool(quiet)
     return previous
-
-
-def is_quiet() -> bool:
-    """Whether suppressible diagnostics are currently silenced."""
-    return _quiet
 
 
 def _emit(message: str, stream: TextIO | None = None) -> None:

@@ -38,10 +38,9 @@ from repro.placements.analysis import (
     layer_counts,
     is_uniform,
     uniform_dimensions,
-    placement_summary,
 )
-from repro.placements.registry import get_family, family_names, register_family
-from repro.placements.catalog import global_minimum_emax, enumerate_placements
+from repro.placements.registry import get_family
+from repro.placements.catalog import global_minimum_emax
 from repro.placements.exact_search import (
     ExactSearchResult,
     SearchCounters,
@@ -74,12 +73,8 @@ __all__ = [
     "layer_counts",
     "is_uniform",
     "uniform_dimensions",
-    "placement_summary",
     "get_family",
-    "family_names",
-    "register_family",
     "global_minimum_emax",
-    "enumerate_placements",
     "ExactSearchResult",
     "SearchCounters",
     "exact_global_minimum",

@@ -1,4 +1,4 @@
-"""Structural analysis of placements: uniformity and summary statistics.
+"""Structural analysis of placements: uniformity.
 
 The paper calls a placement *uniform* when each principal subtorus of
 :math:`T_k^d` contains the same number of processors (Sec. 2).  Since there
@@ -10,20 +10,12 @@ subtorus (Sec. 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.placements.base import Placement
 from repro.torus.subtorus import subtorus_layer_counts
 
-__all__ = [
-    "layer_counts",
-    "is_uniform",
-    "uniform_dimensions",
-    "placement_summary",
-    "PlacementSummary",
-]
+__all__ = ["layer_counts", "is_uniform", "uniform_dimensions"]
 
 
 def layer_counts(placement: Placement, dim: int) -> np.ndarray:
@@ -43,49 +35,3 @@ def uniform_dimensions(placement: Placement) -> list[int]:
 def is_uniform(placement: Placement) -> bool:
     """Paper's uniformity: equal processors in *every* principal subtorus."""
     return len(uniform_dimensions(placement)) == placement.torus.d
-
-
-@dataclass(frozen=True)
-class PlacementSummary:
-    """Structural facts about a placement, for reports and experiment rows."""
-
-    name: str
-    k: int
-    d: int
-    size: int
-    density: float
-    uniform: bool
-    uniform_dims: tuple[int, ...]
-    min_layer_count: int
-    max_layer_count: int
-
-    def as_row(self) -> list:
-        """Row form for :class:`repro.util.tables.Table`."""
-        return [
-            self.name,
-            self.k,
-            self.d,
-            self.size,
-            self.density,
-            self.uniform,
-        ]
-
-
-def placement_summary(placement: Placement) -> PlacementSummary:
-    """Compute a :class:`PlacementSummary` for ``placement``."""
-    torus = placement.torus
-    all_counts = np.concatenate(
-        [layer_counts(placement, dim) for dim in range(torus.d)]
-    )
-    udims = tuple(uniform_dimensions(placement))
-    return PlacementSummary(
-        name=placement.name,
-        k=torus.k,
-        d=torus.d,
-        size=len(placement),
-        density=len(placement) / torus.num_nodes,
-        uniform=len(udims) == torus.d,
-        uniform_dims=udims,
-        min_layer_count=int(all_counts.min()),
-        max_layer_count=int(all_counts.max()),
-    )

@@ -36,17 +36,18 @@ from repro.util.itertools_ext import ordered_pair_index_arrays
 __all__ = [
     "CatalogResult",
     "block_emax",
-    "enumerate_placements",
     "global_minimum_emax",
 ]
 
 #: refuse exhaustive enumeration beyond this many candidate placements.
 MAX_CATALOG = 2_000_000
 
-#: hop slots (placements x ordered pairs x path slots) gathered per block;
-#: keeps the block's scratch arrays near a megabyte, so a sweep adds
-#: almost nothing to peak memory.
-_BLOCK_SLOTS = 1 << 14
+#: bytes of a block's largest int64 scratch array (its hop slots or its
+#: ``(rows, num_edges + 1)`` count matrix).  Below glibc's initial
+#: 128 KiB mmap threshold, every block reuses heap memory: above it, each
+#: block maps and unmaps its arrays, thousands of page faults per scan,
+#: unless an earlier import happened to raise the threshold.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,6 @@ class CatalogResult:
     num_optimal: int
     example_optimal: Placement
     emax_histogram: dict[float, int]
-
-
-def enumerate_placements(torus: Torus, size: int):
-    """Yield every placement of ``size`` processors on ``torus``."""
-    if not 1 <= size <= torus.num_nodes:
-        raise InvalidParameterError(
-            f"size must satisfy 1 <= size <= {torus.num_nodes}, got {size}"
-        )
-    for ids in itertools.combinations(range(torus.num_nodes), size):
-        yield Placement(torus, list(ids), name="catalog")
 
 
 def _evaluate_chunk(args) -> tuple[float, tuple[int, ...], int, dict[float, int]]:
@@ -112,18 +103,22 @@ def _evaluate_chunk(args) -> tuple[float, tuple[int, ...], int, dict[float, int]
     return best, best_ids, num_optimal, histogram
 
 
-def block_emax(table: PathTable, ids: np.ndarray) -> np.ndarray:
+def block_emax(
+    table: PathTable, ids: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Exact ODR :math:`E_{max}` of each row of a ``(placements, size)`` block.
 
-    ``table`` is the ODR path table of the placements' torus and ``ids``
-    holds one placement's node ids per row.  The block costs one gather
-    of extended node ids, one
+    ``table`` is the ODR path table of the placements' torus, ``ids``
+    holds one placement's node ids per row and ``pairs`` is
+    :func:`~repro.util.itertools_ext.ordered_pair_index_arrays` of
+    ``size``, built once by a caller that scores many blocks.  The block
+    costs one gather of extended node ids, one
     :meth:`~repro.load.path_table.PathTable.edges` call over every
     ordered pair of every placement, one
     :meth:`~repro.load.path_table.PathTable.edge_counts` scatter, and a
     row-wise ``max`` — exact integer loads, bit-identical to the oracle.
     """
-    pi, qi = ordered_pair_index_arrays(ids.shape[1])
+    pi, qi = pairs
     placed = table.node_ext[ids]
     edges = table.edges(placed[:, pi], placed[:, qi])
     return table.edge_counts(edges).max(axis=1, initial=0)
@@ -135,15 +130,18 @@ def _scan(
     """Block scorer with the same contract as :func:`_evaluate_chunk`.
 
     ``combos`` is a lexicographic stream of ``size``-subsets of node ids,
-    scored one block at a time by :func:`block_emax`.
+    scored one block at a time by :func:`block_emax`; the integer
+    :math:`E_{max}` values are tallied by one ``np.bincount`` per block.
     """
     routing = OrderedDimensionalRouting(torus.d)
     table = current_plan_cache().get(torus, routing).table
-    block = max(1, _BLOCK_SLOTS // max(1, size * (size - 1) * table.width))
+    pairs = ordered_pair_index_arrays(size)
+    slots = max(pairs[0].size * table.width, table.sink + 1)
+    block = max(1, _BLOCK_BYTES // (8 * slots))
+    # a pair's path crosses an edge at most once, so E_max <= its pair count
+    tally = np.zeros(pairs[0].size + 1, dtype=np.int64)
     best: int | None = None
     best_ids: tuple[int, ...] | None = None
-    num_optimal = 0
-    histogram: dict[float, int] = {}
     while True:
         ids = np.fromiter(
             itertools.chain.from_iterable(itertools.islice(combos, block)),
@@ -151,23 +149,19 @@ def _scan(
         ).reshape(-1, size)
         if ids.shape[0] == 0:
             break
-        emax = block_emax(table, ids)
-        values, counts = np.unique(emax, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
-            histogram[float(value)] = histogram.get(float(value), 0) + count
-        low = int(values[0])
-        if best is None or low < best:
+        emax = block_emax(table, ids, pairs)
+        tally += np.bincount(emax, minlength=tally.size)
+        row = int(np.argmin(emax))
+        if best is None or emax[row] < best:
             # the stream is lexicographic, so the first achiever of a new
             # minimum is the lex-smallest one
-            best, num_optimal = low, int(counts[0])
-            best_ids = tuple(int(x) for x in ids[int(np.argmax(emax == low))])
-        elif low == best:
-            num_optimal += int(counts[0])
+            best = int(emax[row])
+            best_ids = tuple(int(x) for x in ids[row])
     return (
         None if best is None else float(best),
         best_ids,
-        num_optimal,
-        histogram,
+        0 if best is None else int(tally[best]),
+        {float(v): int(c) for v, c in enumerate(tally.tolist()) if c},
     )
 
 

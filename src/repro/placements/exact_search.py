@@ -95,6 +95,7 @@ from repro.placements.catalog import block_emax
 from repro.placements.symmetry import automorphism_group
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
+from repro.util.itertools_ext import ordered_pair_index_arrays
 
 __all__ = [
     "SearchCounters",
@@ -565,7 +566,11 @@ def screen_initial_upper_bound(
         return None
     routing = OrderedDimensionalRouting(torus.d)
     table = current_plan_cache().get(torus, routing).table
-    emaxes = block_emax(table, np.stack([c.node_ids for c in candidates]))
+    emaxes = block_emax(
+        table,
+        np.stack([c.node_ids for c in candidates]),
+        ordered_pair_index_arrays(size),
+    )
     best = int(np.argmin(emaxes))
     return float(emaxes[best]), candidates[best]
 

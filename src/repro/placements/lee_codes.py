@@ -31,35 +31,10 @@ from repro.torus.coords import all_coords, coords_to_ids
 from repro.torus.topology import Torus
 
 __all__ = [
-    "lee_sphere_size",
     "perfect_lee_placement",
     "is_perfect_dominating",
     "covering_radius",
 ]
-
-
-def lee_sphere_size(r: int, d: int = 2) -> int:
-    """Number of nodes within Lee distance ``r`` of a point.
-
-    For ``d = 2`` this is the classical :math:`2r^2 + 2r + 1`; the general
-    form is computed by dynamic programming over dimensions (valid while
-    ``2r < k`` so spheres do not self-wrap).
-    """
-    if r < 0:
-        raise InvalidParameterError(f"radius must be >= 0, got {r}")
-    # counts[j] = number of points of Z^dim at L1 distance exactly j
-    counts = np.zeros(r + 1, dtype=np.int64)
-    counts[0] = 1
-    for _dim in range(d):
-        new = np.zeros(r + 1, dtype=np.int64)
-        for dist in range(r + 1):
-            if counts[dist] == 0:
-                continue
-            new[dist] += counts[dist]  # offset 0 in this dimension
-            for step in range(1, r - dist + 1):
-                new[dist + step] += 2 * counts[dist]  # ± step
-        counts = new
-    return int(counts.sum())
 
 
 def perfect_lee_placement(torus: Torus, r: int) -> Placement:

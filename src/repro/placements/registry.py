@@ -1,7 +1,7 @@
 """Registry of named placement families.
 
-Experiments and examples reference families by short name; users can
-register their own with :func:`register_family`.
+``repro sweep --family`` and the experiments reference families by
+short name.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.placements.fully import FullyPopulatedFamily
 from repro.placements.linear import LinearPlacementFamily
 from repro.placements.multiple import MultipleLinearPlacementFamily
 
-__all__ = ["get_family", "family_names", "register_family"]
+__all__ = ["get_family"]
 
 _FACTORIES: dict[str, Callable[[], PlacementFamily]] = {
     "linear": lambda: LinearPlacementFamily(offset=0),
@@ -32,15 +32,3 @@ def get_family(name: str) -> PlacementFamily:
         raise InvalidParameterError(
             f"unknown placement family {name!r}; known: {sorted(_FACTORIES)}"
         ) from None
-
-
-def family_names() -> list[str]:
-    """Sorted names of all registered families."""
-    return sorted(_FACTORIES)
-
-
-def register_family(name: str, factory: Callable[[], PlacementFamily]) -> None:
-    """Register (or replace) a family factory under ``name``."""
-    if not name:
-        raise InvalidParameterError("family name must be non-empty")
-    _FACTORIES[name] = factory

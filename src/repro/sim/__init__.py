@@ -23,12 +23,6 @@ from repro.sim.fault_injection import (
     FaultToleranceStats,
 )
 from repro.sim.validate import compare_sim_to_analytic, ValidationReport
-from repro.sim.node_faults import (
-    edges_of_nodes,
-    random_node_failures,
-    node_failure_impact,
-    NodeFailureImpact,
-)
 from repro.sim.wormhole import (
     WormholeConfig,
     WormholeEngine,
@@ -49,10 +43,6 @@ __all__ = [
     "FaultToleranceStats",
     "compare_sim_to_analytic",
     "ValidationReport",
-    "edges_of_nodes",
-    "random_node_failures",
-    "node_failure_impact",
-    "NodeFailureImpact",
     "WormholeConfig",
     "WormholeEngine",
     "WormholeResult",

@@ -8,7 +8,8 @@ work on flat numpy arrays:
 * :mod:`repro.torus.topology` — the :class:`Torus` object,
 * :mod:`repro.torus.edges` — the directed-edge indexing scheme,
 * :mod:`repro.torus.subtorus` — principal subtori,
-* :mod:`repro.torus.graph` — networkx export and classical graph facts,
+* :mod:`repro.torus.graph` — networkx export for cross-validation
+  (imported on its own: networkx is a test dependency),
 * :mod:`repro.torus.lattice` — the array :math:`A_k^d` embedding used by
   the paper's Appendix (hyperplane-sweep bisection).
 """
@@ -17,12 +18,6 @@ from repro.torus.topology import Torus
 from repro.torus.edges import EdgeIndex, Edge
 from repro.torus.coords import coords_to_ids, ids_to_coords, all_coords
 from repro.torus.subtorus import principal_subtorus_nodes, subtorus_layer_counts
-from repro.torus.graph import (
-    to_networkx,
-    to_networkx_undirected,
-    torus_bisection_width,
-    full_torus_diameter,
-)
 from repro.torus.lattice import ArrayLattice
 
 __all__ = [
@@ -34,9 +29,5 @@ __all__ = [
     "all_coords",
     "principal_subtorus_nodes",
     "subtorus_layer_counts",
-    "to_networkx",
-    "to_networkx_undirected",
-    "torus_bisection_width",
-    "full_torus_diameter",
     "ArrayLattice",
 ]

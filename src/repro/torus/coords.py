@@ -18,7 +18,6 @@ __all__ = [
     "ids_to_coords",
     "all_coords",
     "normalize_coords",
-    "coord_tuple",
 ]
 
 
@@ -81,8 +80,3 @@ def all_coords(k: int, d: int) -> np.ndarray:
     """
     k, d = check_torus_params(k, d)
     return ids_to_coords(np.arange(k**d, dtype=np.int64), k, d)
-
-
-def coord_tuple(coord) -> tuple[int, ...]:
-    """Return ``coord`` as a plain tuple of Python ints (hashable key)."""
-    return tuple(int(c) for c in np.asarray(coord).ravel())

@@ -1,8 +1,9 @@
-"""networkx export and classical graph facts about :math:`T_k^d`.
+"""networkx export of :math:`T_k^d`.
 
-These conversions are deliberately kept out of the hot paths — they exist
-for cross-validation (shortest paths vs Lee distance, connectivity under
-faults) and for users who want to hand the torus to generic graph tooling.
+The conversion is deliberately kept out of the hot paths: it is an
+independent oracle for the tests (shortest paths against Lee distance,
+cuts against the hyperplane bisection).  networkx is a test dependency,
+so no other module of the package imports this one.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ import networkx as nx
 
 from repro.torus.topology import Torus
 
-__all__ = [
-    "to_networkx",
-    "to_networkx_undirected",
-    "torus_bisection_width",
-    "full_torus_diameter",
-]
+__all__ = ["to_networkx"]
 
 
 def to_networkx(torus: Torus, removed_edges=None) -> "nx.DiGraph":
@@ -43,30 +39,3 @@ def to_networkx(torus: Torus, removed_edges=None) -> "nx.DiGraph":
         e = ei.decode(edge_id)
         g.add_edge(e.tail, e.head, edge_id=e.edge_id, dim=e.dim, sign=e.sign)
     return g
-
-
-def to_networkx_undirected(torus: Torus) -> "nx.Graph":
-    """Undirected simple-graph view of the torus (one edge per link pair)."""
-    return to_networkx(torus).to_undirected()
-
-
-def torus_bisection_width(k: int, d: int, directed: bool = True) -> int:
-    """Bisection width of the fully populated torus, per Section 1.
-
-    For even ``k`` the optimal bisection cuts the torus across one dimension
-    at two antipodal boundaries, removing :math:`2k^{d-1}` undirected links
-    (:math:`4k^{d-1}` directed), which is the figure the paper quotes.
-
-    Parameters
-    ----------
-    directed:
-        When True (default, matching the paper), count each unidirectional
-        link separately.
-    """
-    width = 4 * k ** (d - 1)
-    return width if directed else width // 2
-
-
-def full_torus_diameter(k: int, d: int) -> int:
-    """Graph diameter of :math:`T_k^d`: :math:`d\\lfloor k/2\\rfloor`."""
-    return d * (k // 2)

@@ -12,9 +12,6 @@ from repro.util.validation import (
     check_dimension,
     check_radix,
     check_torus_params,
-    check_probability,
-    check_positive,
-    check_nonnegative,
 )
 from repro.util.tables import Table, format_table
 from repro.util.rng import resolve_rng
@@ -29,9 +26,6 @@ __all__ = [
     "check_dimension",
     "check_radix",
     "check_torus_params",
-    "check_probability",
-    "check_positive",
-    "check_nonnegative",
     "Table",
     "format_table",
     "resolve_rng",

@@ -1,21 +1,10 @@
-"""Iteration helpers used across the package."""
+"""The ordered-pair index arrays that every complete-exchange consumer shares."""
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, Sequence, TypeVar
-
 import numpy as np
 
-T = TypeVar("T")
-
-__all__ = [
-    "chunked",
-    "ordered_pair_index_arrays",
-    "pairs_ordered",
-    "pairs_unordered",
-    "product_coords",
-]
+__all__ = ["ordered_pair_index_arrays"]
 
 
 def ordered_pair_index_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,30 +26,3 @@ def ordered_pair_index_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
     qi = flat - pi * (m - 1)
     qi += qi >= pi
     return pi, qi
-
-
-def chunked(seq: Sequence[T], size: int) -> Iterator[Sequence[T]]:
-    """Yield successive slices of ``seq`` of length ``size`` (last may be short)."""
-    if size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {size}")
-    for start in range(0, len(seq), size):
-        yield seq[start : start + size]
-
-
-def pairs_ordered(items: Iterable[T]) -> Iterator[tuple[T, T]]:
-    """All ordered pairs ``(a, b)`` with ``a != b`` (the complete-exchange set)."""
-    items = list(items)
-    for a in items:
-        for b in items:
-            if a is not b and a != b:
-                yield (a, b)
-
-
-def pairs_unordered(items: Iterable[T]) -> Iterator[tuple[T, T]]:
-    """All unordered pairs ``{a, b}`` with ``a != b``."""
-    return itertools.combinations(list(items), 2)
-
-
-def product_coords(k: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Iterate all ``k**d`` coordinate tuples of ``T_k^d`` in C order."""
-    return itertools.product(range(k), repeat=d)

@@ -6,12 +6,9 @@ and gives tests a single behaviour to pin down.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, TypeVar
+from typing import Collection, Iterable
 
 from repro.errors import InvalidParameterError
-
-#: numeric type preserved through a check (int stays int, float stays float).
-_NumT = TypeVar("_NumT", bound=float)
 
 __all__ = [
     "check_dimension",
@@ -19,9 +16,6 @@ __all__ = [
     "check_torus_params",
     "check_shape",
     "check_node_ids",
-    "check_probability",
-    "check_positive",
-    "check_nonnegative",
 ]
 
 
@@ -71,25 +65,3 @@ def check_node_ids(node_ids: Collection[int], num_nodes: int) -> None:
         raise InvalidParameterError(
             f"node ids must lie in [0, {num_nodes})"
         )
-
-
-def check_probability(p: float, name: str = "p") -> float:
-    """Validate that ``p`` lies in ``[0, 1]``."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"{name} must be in [0, 1], got {p}")
-    return p
-
-
-def check_positive(x: _NumT, name: str = "value") -> _NumT:
-    """Validate that ``x > 0``."""
-    if x <= 0:
-        raise InvalidParameterError(f"{name} must be > 0, got {x}")
-    return x
-
-
-def check_nonnegative(x: _NumT, name: str = "value") -> _NumT:
-    """Validate that ``x >= 0``."""
-    if x < 0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {x}")
-    return x

@@ -1,6 +1,5 @@
 """Plain-text rendering of 2-D torus placements (Fig. 1 reproduction)."""
 
 from repro.viz.ascii_art import render_placement_2d, render_figure1
-from repro.viz.load_map import render_load_map_2d
 
-__all__ = ["render_placement_2d", "render_figure1", "render_load_map_2d"]
+__all__ = ["render_placement_2d", "render_figure1"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.load.bounds import best_known_lower_bound
-from repro.load.distribution import load_distribution, per_dimension_total
+from repro.load.distribution import per_dimension_max
 from repro.load.odr_loads import odr_edge_loads
 from repro.placements.base import Placement
 from repro.placements.catalog import global_minimum_emax
@@ -58,8 +58,4 @@ class TestDistributionConsistency:
         ids = rng.choice(torus.num_nodes, size=size, replace=False)
         placement = Placement(torus, ids)
         loads = odr_edge_loads(placement)
-        dist = load_distribution(torus, loads)
-        assert dist.global_max == loads.max()
-        assert per_dimension_total(torus, loads).sum() == loads.sum()
-        if d >= 3:
-            assert dist.global_max == max(dist.boundary_max, dist.interior_max)
+        assert per_dimension_max(torus, loads).max() == loads.max()

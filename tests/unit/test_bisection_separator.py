@@ -1,13 +1,8 @@
 """Unit tests for repro.bisection.separator."""
 
 import numpy as np
-import pytest
 
-from repro.bisection.separator import (
-    crossing_edges_between,
-    separator_edges,
-    separator_size,
-)
+from repro.bisection.separator import separator_edges, separator_size
 from repro.torus.subtorus import principal_subtorus_nodes
 
 
@@ -40,28 +35,3 @@ class TestSeparatorEdges:
         layer = principal_subtorus_nodes(torus_6_3, 0, 2)
         # a full layer has boundary 2 cuts x 2k^(d-1)
         assert separator_size(torus_6_3, layer) == 4 * 36
-
-
-class TestCrossingEdgesBetween:
-    def test_partial_partition(self, torus_4_2):
-        a = np.array([0])
-        b = np.array([1])
-        crossing = crossing_edges_between(torus_4_2, a, b)
-        assert crossing.size == 2  # one undirected link = two directed
-
-    def test_ignores_outsiders(self, torus_4_2):
-        a = np.array([0])
-        b = np.array([5])  # not adjacent to 0
-        assert crossing_edges_between(torus_4_2, a, b).size == 0
-
-    def test_disjointness_enforced(self, torus_4_2):
-        with pytest.raises(ValueError):
-            crossing_edges_between(torus_4_2, [0, 1], [1, 2])
-
-    def test_full_partition_matches_separator(self, torus_4_2):
-        a = np.arange(8)
-        b = np.arange(8, 16)
-        assert np.array_equal(
-            crossing_edges_between(torus_4_2, a, b),
-            separator_edges(torus_4_2, a),
-        )

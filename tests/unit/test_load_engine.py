@@ -19,10 +19,12 @@ from repro.load.path_table import PathTable
 from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.load.traffic import hotspot_traffic_weights
+from repro.load.udr_loads import udr_edge_loads
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
 from repro.placements.multiple import multiple_linear_placement
+from repro.placements.random_placement import random_placement
 from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.faults import FaultMaskedRouting
 from repro.routing.minimal import AllMinimalPaths
@@ -50,6 +52,26 @@ class TestBackendAgreement:
         diffs = cross_check(placement, make_routing(d), atol=ATOL)
         assert set(diffs) >= {"reference", "displacement", "fft"}
         assert all(v <= ATOL for v in diffs.values())
+
+    @pytest.mark.parametrize("k,d", [(4, 3), (5, 3), (8, 3), (6, 4)])
+    def test_udr_loads_sit_on_the_lattice(self, k, d):
+        # complete-exchange UDR loads are multiples of 1/d!: every backend
+        # returns them on that lattice, so raw loads compare equal
+        torus = Torus(k, d)
+        routing = UnorderedDimensionalRouting()
+        quantum = routing_load_quantum(routing, d)
+        random = random_placement(torus, 20, seed=2)
+        for placement in (linear_placement(torus), random):
+            loads = {
+                name: LoadEngine(name).edge_loads(placement, routing)
+                for name in ("vectorized", "displacement", "fft", "auto")
+            }
+            loads["udr_edge_loads"] = udr_edge_loads(placement)
+            for name, got in loads.items():
+                assert np.array_equal(got, snap_loads(got, quantum)), name
+                assert np.array_equal(got, loads["fft"]), name
+        oracle = edge_loads_reference(random, routing)
+        assert np.abs(loads["vectorized"] - oracle).max() <= ATOL
 
     def test_weighted_traffic(self, linear_4_2):
         routing = OrderedDimensionalRouting(2)

@@ -19,7 +19,6 @@ from repro.load.engine import (
     ReferenceBackend,
     VectorizedBackend,
     cross_check,
-    fft_edge_loads,
 )
 from repro.load.engine import fft as fft_module
 from repro.load.engine.fft import _usage_spectra
@@ -66,7 +65,9 @@ def _table_loads(placement, routing):
 def _assert_bit_identical(placement, routing, pair_weights=None):
     torus = placement.torus
     oracle = edge_loads_reference(placement, routing, pair_weights)
-    got = fft_edge_loads(placement, routing, pair_weights=pair_weights)
+    got = LoadEngine("fft").edge_loads(
+        placement, routing, pair_weights=pair_weights
+    )
     quantum = routing_load_quantum(routing, torus.d)
     if quantum is not None and pair_weights is None:
         assert np.array_equal(
@@ -124,7 +125,7 @@ class TestBitIdentity:
         np.fill_diagonal(w, 0.0)
         routing = UnorderedDimensionalRouting()
         oracle = edge_loads_reference(placement, routing, w)
-        got = fft_edge_loads(placement, routing, pair_weights=w)
+        got = LoadEngine("fft").edge_loads(placement, routing, pair_weights=w)
         quantum = routing_load_quantum(routing, torus.d)
         assert np.array_equal(
             snap_loads(got, quantum), snap_loads(oracle, quantum)
@@ -244,7 +245,9 @@ class TestRegimes:
     def test_empty_pair_set(self):
         torus = Torus(4, 2)
         placement = Placement(torus, [3], name="singleton")
-        loads = fft_edge_loads(placement, OrderedDimensionalRouting(2))
+        loads = LoadEngine("fft").edge_loads(
+            placement, OrderedDimensionalRouting(2)
+        )
         assert loads.shape == (torus.num_edges,)
         assert not loads.any()
 

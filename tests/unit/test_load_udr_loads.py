@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.load.edge_loads import edge_loads_reference
-from repro.load.udr_loads import udr_edge_loads, udr_sampled_edge_loads
+from repro.load.udr_loads import udr_edge_loads
 from repro.placements.base import Placement
 from repro.placements.linear import linear_placement
 from repro.placements.multiple import multiple_linear_placement
@@ -68,29 +68,3 @@ class TestProperties:
         loads = udr_edge_loads(p)
         used = loads[loads > 0]
         assert np.allclose(used, 1.0)
-
-
-class TestSampledEstimator:
-    def test_total_is_exact(self):
-        p = linear_placement(Torus(4, 2))
-        exact = udr_edge_loads(p)
-        sampled = udr_sampled_edge_loads(p, messages_per_pair=1, seed=0)
-        assert sampled.sum() == pytest.approx(exact.sum())
-
-    def test_converges(self):
-        p = linear_placement(Torus(4, 2))
-        exact = udr_edge_loads(p)
-        n = 300
-        sampled = udr_sampled_edge_loads(p, messages_per_pair=n, seed=0) / n
-        assert np.abs(sampled - exact).max() < 0.25
-
-    def test_reproducible(self):
-        p = linear_placement(Torus(4, 2))
-        a = udr_sampled_edge_loads(p, seed=3)
-        b = udr_sampled_edge_loads(p, seed=3)
-        assert np.array_equal(a, b)
-
-    def test_invalid_messages(self):
-        p = linear_placement(Torus(4, 2))
-        with pytest.raises(ValueError):
-            udr_sampled_edge_loads(p, messages_per_pair=0)

@@ -21,11 +21,6 @@ class TestQuietFlag:
         assert console.set_quiet(True) is False
         assert console.set_quiet(False) is True
 
-    def test_is_quiet_tracks_state(self):
-        assert not console.is_quiet()
-        console.set_quiet(True)
-        assert console.is_quiet()
-
 
 class TestEmission:
     def test_info_goes_to_stderr_not_stdout(self, capsys):

@@ -3,7 +3,6 @@
 from repro.placements.analysis import (
     is_uniform,
     layer_counts,
-    placement_summary,
     uniform_dimensions,
 )
 from repro.placements.base import Placement
@@ -35,21 +34,3 @@ class TestUniformity:
         ids = torus_4_2.node_ids([(0, j) for j in range(4)])
         p = Placement(torus_4_2, ids)
         assert uniform_dimensions(p) == [1]
-
-
-class TestSummary:
-    def test_fields(self):
-        torus = Torus(6, 3)
-        p = linear_placement(torus)
-        s = placement_summary(p)
-        assert s.size == 36
-        assert s.uniform
-        assert s.uniform_dims == (0, 1, 2)
-        assert s.density == 36 / 216
-        assert s.min_layer_count == s.max_layer_count == 6
-
-    def test_as_row(self):
-        s = placement_summary(linear_placement(Torus(4, 2)))
-        row = s.as_row()
-        assert row[0] == "linear(c=0)"
-        assert row[3] == 4

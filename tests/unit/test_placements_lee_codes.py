@@ -6,30 +6,10 @@ from repro.errors import InvalidParameterError
 from repro.placements.lee_codes import (
     covering_radius,
     is_perfect_dominating,
-    lee_sphere_size,
     perfect_lee_placement,
 )
 from repro.placements.linear import linear_placement
 from repro.torus.topology import Torus
-
-
-class TestSphereSize:
-    def test_2d_closed_form(self):
-        for r in range(0, 5):
-            assert lee_sphere_size(r, 2) == 2 * r * r + 2 * r + 1
-
-    def test_radius_zero(self):
-        assert lee_sphere_size(0, 3) == 1
-
-    def test_3d_radius_one(self):
-        assert lee_sphere_size(1, 3) == 7  # center + 6 neighbours
-
-    def test_1d(self):
-        assert lee_sphere_size(3, 1) == 7
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            lee_sphere_size(-1)
 
 
 class TestPerfectLeePlacement:

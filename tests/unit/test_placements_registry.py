@@ -1,17 +1,33 @@
 """Unit tests for repro.placements.registry."""
 
+import argparse
+
 import pytest
 
+from repro.cli import build_parser
 from repro.errors import InvalidParameterError
+from repro.placements import registry
 from repro.placements.base import PlacementFamily
-from repro.placements.registry import family_names, get_family, register_family
+from repro.placements.registry import get_family
+
+
+def _sweep_family_choices() -> list[str]:
+    sub = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    sweep = sub.choices["sweep"]
+    return next(a for a in sweep._actions if a.dest == "family").choices
 
 
 class TestRegistry:
     def test_known_families(self):
-        names = family_names()
-        assert "linear" in names
-        assert "fully-populated" in names
+        # `repro sweep --family` lists the registry's keys by hand
+        choices = _sweep_family_choices()
+        assert sorted(choices) == sorted(registry._FACTORIES)
+        for name in choices:
+            assert isinstance(get_family(name), PlacementFamily)
 
     def test_get_family_builds(self):
         fam = get_family("linear")
@@ -24,21 +40,3 @@ class TestRegistry:
     def test_unknown_family(self):
         with pytest.raises(InvalidParameterError):
             get_family("no-such-family")
-
-    def test_register_custom(self):
-        class Dummy(PlacementFamily):
-            name = "dummy"
-
-            def build(self, k, d):
-                raise NotImplementedError
-
-            def expected_size(self, k, d):
-                return 0
-
-        register_family("dummy-test", Dummy)
-        assert "dummy-test" in family_names()
-        assert isinstance(get_family("dummy-test"), Dummy)
-
-    def test_register_empty_name_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            register_family("", lambda: None)

@@ -7,7 +7,11 @@ class, and function must carry a docstring.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +79,31 @@ class TestExports:
 
     def test_version_matches_metadata(self):
         assert repro.__version__ == "1.0.0"
+
+
+#: imports every module of the package but the networkx export, in a
+#: fresh interpreter, and prints the networkx and scipy modules loaded.
+_IMPORT_ALL = """
+import pkgutil, sys
+import repro
+for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+    if info.name != "repro.torus.graph":
+        __import__(info.name)
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("networkx", "scipy")))
+"""
+
+
+class TestImportFootprint:
+    def test_no_module_loads_networkx_or_scipy(self):
+        # numpy is the one runtime dependency; networkx is a test
+        # dependency that only repro.torus.graph imports
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_ALL],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert proc.stdout.split() == []

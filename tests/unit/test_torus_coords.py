@@ -6,7 +6,6 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.torus.coords import (
     all_coords,
-    coord_tuple,
     coords_to_ids,
     ids_to_coords,
     normalize_coords,
@@ -63,11 +62,3 @@ class TestAllCoords:
     def test_values_in_range(self):
         coords = all_coords(5, 2)
         assert coords.min() == 0 and coords.max() == 4
-
-
-class TestCoordTuple:
-    def test_from_array(self):
-        assert coord_tuple(np.array([1, 2])) == (1, 2)
-
-    def test_hashable(self):
-        assert hash(coord_tuple([0, 1])) == hash((0, 1))

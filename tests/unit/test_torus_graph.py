@@ -2,13 +2,7 @@
 
 import networkx as nx
 
-from repro.torus.graph import (
-    full_torus_diameter,
-    to_networkx,
-    to_networkx_undirected,
-    torus_bisection_width,
-)
-from repro.torus.topology import Torus
+from repro.torus.graph import to_networkx
 
 
 class TestToNetworkx:
@@ -38,21 +32,3 @@ class TestToNetworkx:
                     nx.shortest_path_length(g, u, v)
                     == torus_5_2.lee_distance_ids(u, v)
                 )
-
-    def test_undirected_regular(self, torus_5_2):
-        g = to_networkx_undirected(torus_5_2)
-        assert all(deg == 4 for _n, deg in g.degree())
-
-
-class TestClassicalFacts:
-    def test_bisection_width_directed(self):
-        assert torus_bisection_width(4, 2) == 16
-        assert torus_bisection_width(4, 3) == 64
-
-    def test_bisection_width_undirected(self):
-        assert torus_bisection_width(4, 2, directed=False) == 8
-
-    def test_diameter(self):
-        assert full_torus_diameter(6, 3) == 9
-        assert full_torus_diameter(5, 2) == 4
-        assert full_torus_diameter(5, 2) == Torus(5, 2).diameter

@@ -5,9 +5,6 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.util.validation import (
     check_dimension,
-    check_nonnegative,
-    check_positive,
-    check_probability,
     check_radix,
     check_torus_params,
 )
@@ -60,27 +57,3 @@ class TestCheckTorusParams:
     def test_bad_dimension(self):
         with pytest.raises(InvalidParameterError):
             check_torus_params(4, 0)
-
-
-class TestCheckProbability:
-    def test_bounds_inclusive(self):
-        assert check_probability(0.0) == 0.0
-        assert check_probability(1.0) == 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            check_probability(1.5)
-        with pytest.raises(InvalidParameterError):
-            check_probability(-0.1)
-
-
-class TestSignChecks:
-    def test_positive(self):
-        assert check_positive(3) == 3
-        with pytest.raises(InvalidParameterError):
-            check_positive(0)
-
-    def test_nonnegative(self):
-        assert check_nonnegative(0) == 0
-        with pytest.raises(InvalidParameterError):
-            check_nonnegative(-1)
