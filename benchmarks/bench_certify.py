@@ -1,12 +1,14 @@
 """Benchmark `repro certify` end to end: wall time of bound-mode certification.
 
-Each case runs what ``repro certify --k K --d 2`` runs serially: the
-candidate screen (``screen_initial_upper_bound``, one block score on the
-ODR path table) and then the bound-mode exact search capped by it.  The
+Each case runs what ``repro certify --k K --d D --size N`` runs serially:
+the candidate screen (``screen_initial_upper_bound``, one block score on
+the ODR path table; it matches only ``N = K^{D-1}``) and then the
+bound-mode exact search, capped by the screen when it matched.  The
 search climbs a ladder of fixed bounds from the paper's Eq. 6 lower
-bound, ``ceil((k - 1)/4)``, and stops at the first rung that reaches a
-placement; each expanded prefix grows all its canonical children, with
-every surviving ODR variant, in one path-table scatter.
+bound, ``ceil((N - 1)/(2D))``, and stops at the first rung that reaches
+a placement.  It walks blocks of same-depth prefixes: one canonicity call
+per block, and one path-table scatter grows the block's canonical
+children with every surviving ODR variant.
 
 Pinned in ``benchmarks/BENCH_certify.json``:
 
@@ -16,7 +18,10 @@ Pinned in ``benchmarks/BENCH_certify.json``:
 * ``T_6^2`` wall time at most ``max_seconds.T6_ladder`` (1 s) and
   ``T_8^2`` wall time at most ``max_seconds.T8_ladder`` (about 3x its
   measured time), asserted live together with their counts;
-* ``T_7^2`` and ``T_9^2`` wall times, recorded (informational).
+* ``T_4^3`` ``n = 5`` (``T4x3_ladder``, uncapped: no structured family
+  has 5 nodes) counts and ladder, asserted live: the 48-element point
+  group of ``d = 3`` keeps its blocks to about one prefix each;
+* ``T_7^2``, ``T_9^2`` and ``T_4^3`` wall times, recorded (informational).
 
 The case names carry ``_ladder``: the series of the search that pruned
 against the screen's seed (``T5``/``T6``/``T7``) are retired, and
@@ -42,13 +47,14 @@ from repro.torus.topology import Torus
 
 BASELINE = pathlib.Path(__file__).with_name("BENCH_certify.json")
 
-#: case -> (k, timing rounds); size is k (= k^{d-1}, d = 2) throughout.
+#: case -> (k, d, size, timing rounds).
 CASES = {
-    "T5_ladder": (5, 3),
-    "T6_ladder": (6, 3),
-    "T7_ladder": (7, 1),
-    "T8_ladder": (8, 1),
-    "T9_ladder": (9, 1),
+    "T5_ladder": (5, 2, 5, 3),
+    "T6_ladder": (6, 2, 6, 3),
+    "T7_ladder": (7, 2, 7, 1),
+    "T8_ladder": (8, 2, 8, 1),
+    "T9_ladder": (9, 2, 9, 1),
+    "T4x3_ladder": (4, 3, 5, 1),
 }
 
 #: live wall-time pins (seconds, best of the case's rounds).
@@ -69,11 +75,15 @@ COUNTERS = (
 )
 
 
-def certify(k: int):
-    """One serial ``repro certify --k k --d 2`` computation."""
-    torus = Torus(k, 2)
-    upper, _ = screen_initial_upper_bound(torus, k)
-    return exact_global_minimum(torus, k, initial_upper_bound=upper, progress=False)
+def certify(k: int, d: int = 2, size: int | None = None):
+    """One serial ``repro certify --k k --d d --size size`` computation."""
+    torus = Torus(k, d)
+    size = k ** (d - 1) if size is None else size
+    screened = screen_initial_upper_bound(torus, size)
+    upper = None if screened is None else screened[0]
+    return exact_global_minimum(
+        torus, size, initial_upper_bound=upper, progress=False
+    )
 
 
 def _record(result) -> dict:
@@ -88,14 +98,15 @@ def _record(result) -> dict:
 def test_t5_t6_counts_match_baseline():
     recorded = json.loads(BASELINE.read_text())["cases"]
     for case in ("T5_ladder", "T6_ladder"):
-        k, _ = CASES[case]
-        assert _record(certify(k)) == recorded[case]["counts"], case
+        k, d, size, _ = CASES[case]
+        assert _record(certify(k, d, size)) == recorded[case]["counts"], case
 
 
 def test_t6_within_budget(capsys):
     limit = MAX_SECONDS["T6_ladder"]
     certify(6)  # warm: group tables, path table
-    seconds, result = best_of(lambda: certify(6), rounds=CASES["T6_ladder"][1])
+    rounds = CASES["T6_ladder"][-1]
+    seconds, result = best_of(lambda: certify(6), rounds=rounds)
     with capsys.disabled():
         print(f"\ncertify T_6^2: {seconds:.3f}s (pin <= {limit}s)")
     assert result.minimum_emax == 2.0 and result.num_optimal == 24
@@ -117,6 +128,15 @@ def test_t8_counts_and_budget(capsys):
     )
 
 
+def test_t4x3_counts_and_ladder():
+    # d = 3: Eq. 6 gives ceil(4/6) = 1; rungs 1 and 2 are refuted
+    k, d, size, _ = CASES["T4x3_ladder"]
+    result = certify(k, d, size)
+    recorded = json.loads(BASELINE.read_text())["cases"]["T4x3_ladder"]
+    assert _record(result) == recorded["counts"]
+    assert result.rungs == ((1.0, 54), (2.0, 2302), (3.0, 3877))
+
+
 def test_baseline_pins():
     recorded = json.loads(BASELINE.read_text())
     assert recorded["max_seconds"] == MAX_SECONDS
@@ -135,23 +155,25 @@ def test_ladder_cases_keep_the_retired_answers():
 def write_baseline() -> dict:
     """Measure every case and rewrite the committed baseline."""
     cases = {}
-    for case, (k, rounds) in CASES.items():
-        certify(k)  # warm
-        seconds, result = best_of(lambda: certify(k), rounds=rounds)
+    for case, (k, d, size, rounds) in CASES.items():
+        certify(k, d, size)  # warm
+        seconds, result = best_of(lambda: certify(k, d, size), rounds=rounds)
         cases[case] = {
             "k": k,
-            "size": k,
+            "d": d,
+            "size": size,
             "seconds": round(seconds, 3),
             "counts": _record(result),
         }
     baseline = {
         "description": (
-            "Serial bound-mode certification as `repro certify --k K --d 2` "
-            "runs it (candidate screen, then the exact search's "
-            "ladder from Eq. 6 capped by it), best wall time of warm runs. "
-            "Counts are exact pins; T6_ladder and T8_ladder seconds are "
-            "gated by max_seconds; T7_ladder and T9_ladder seconds are "
-            "recorded only."
+            "Serial bound-mode certification as `repro certify --k K --d D "
+            "--size N` runs it (candidate screen, then the exact search's "
+            "ladder from Eq. 6, capped by the screen when a structured "
+            "family has N nodes), best wall time of warm runs. Counts are "
+            "exact pins; T6_ladder and T8_ladder seconds are gated by "
+            "max_seconds; T7_ladder, T9_ladder and T4x3_ladder seconds "
+            "are recorded only."
         ),
         "max_seconds": MAX_SECONDS,
         "cases": cases,

@@ -19,7 +19,6 @@ __all__ = [
     "ExperimentError",
     "SearchError",
     "ExecutionError",
-    "TaskTimeoutError",
     "TraceError",
 ]
 
@@ -114,14 +113,4 @@ class TraceError(ReproError):
     trace header, an unsupported format version, or a corrupt interior
     line (traces tolerate only the torn-*final*-line kill artifact,
     matching :class:`~repro.exec.journal.CheckpointJournal` semantics).
-    """
-
-
-class TaskTimeoutError(ExecutionError):
-    """A single task exceeded its per-task deadline.
-
-    Raised (or recorded in the :class:`~repro.exec.ExecutionReport`) when a
-    worker fails to return within ``task_timeout`` seconds; the watchdog
-    tears the pool down, reschedules the survivors, and retries the
-    overdue task against its remaining budget.
     """

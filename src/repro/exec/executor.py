@@ -436,7 +436,7 @@ class ResilientExecutor:
                             "timeout",
                             state.task.task_id,
                             state.attempts,
-                            f"TaskTimeoutError: exceeded the "
+                            f"timeout: exceeded the "
                             f"{policy.task_timeout:g}s deadline",
                         )
                         self._charge(state, pending, report, "deadline")

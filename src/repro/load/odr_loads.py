@@ -108,7 +108,8 @@ def odr_edge_loads_add_delta(
     ``(..., num_edges)``, ``kept_coords`` ``(..., m, d)`` and
     ``added_coord`` ``(..., d)`` grow every row in one path-table scatter
     (:class:`~repro.load.path_table.PathTable`) — the exact search grows
-    all of a node's surviving symmetry variants this way.
+    a block of prefixes' canonical children, each with every surviving
+    symmetry variant of its parent, this way.
 
     Since every pair contributes non-negative load, growing a placement
     one node at a time makes the partial :math:`E_{max}` monotone

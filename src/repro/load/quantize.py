@@ -44,7 +44,6 @@ __all__ = [
     "QUANTUM_DENOMINATOR_CAP",
     "routing_load_quantum",
     "snap_loads",
-    "snap_drift",
 ]
 
 #: a snap-back may move a raw float load by strictly less than this; a
@@ -86,11 +85,3 @@ def snap_loads(loads: np.ndarray, denominator: int) -> np.ndarray:
     if denominator == 1:
         return np.rint(loads)
     return np.rint(loads * denominator) / denominator
-
-
-def snap_drift(loads: np.ndarray, denominator: int) -> float:
-    """Largest absolute move :func:`snap_loads` applies to ``loads``."""
-    loads = np.asarray(loads, dtype=np.float64)
-    return float(
-        np.abs(loads - snap_loads(loads, denominator)).max(initial=0.0)
-    )

@@ -34,17 +34,26 @@ orbit member :math:`t\\cdot h\\cdot R` has
 times in the orbit — an integer, because the fibers of
 :math:`g \\mapsto g(R)` partition evenly.
 
-**Climbing from the paper's lower bound.**  The surviving variants' load
-vectors are kept as one ``(variants, edges)`` array and grown along the
-prefix tree: :func:`repro.load.odr_loads.odr_edge_loads_add_delta`
-gathers the ODR path-table rows of every (canonical child, variant, kept
-node) triple and scatters them in one ``bincount`` per expanded prefix —
-all of a prefix's children grow together, :math:`O(|P|)` pair work per
-child instead of :math:`O(|P|^2)` per leaf; the engine performs *zero*
-from-scratch placement evaluations.  Because loads only ever increase as
-processors are added, the partial :math:`E_{max}` of a prefix
-lower-bounds every completion.  ``bound`` mode searches a ladder of fixed
-upper bounds.  Eq. 6 (Blaum et al.) gives every placement
+**Blocks.**  The tree is walked depth first over *blocks*: runs of
+same-depth canonical prefixes in lexicographic order, each with one
+``(rows, edges)`` load array of its prefixes' surviving variants.  All
+candidate children of a block are tested in one canonicity call, and
+:func:`repro.load.odr_loads.odr_edge_loads_add_delta` grows every
+(canonical child, surviving variant of its parent) row by one gather of
+ODR path-table rows and one ``bincount`` per chunk (below) —
+:math:`O(|P|)` pair work per child instead of :math:`O(|P|^2)` per leaf;
+the engine performs *zero* from-scratch placement evaluations.  A byte
+cap keeps the scratch arrays in the heap memory the allocator reuses: a
+block is split before its canonicity call outgrows it, and its rows grow
+in chunks of whole parents.  A block's subtrees are searched before the
+blocks after it, so leaves are reached in lexicographic order, as a
+prefix-by-prefix walk reaches them, and the work counters, sums over
+prefixes, do not depend on the blocking.
+
+**Climbing from the paper's lower bound.**  Because loads only ever
+increase as processors are added, the partial :math:`E_{max}` of a
+prefix lower-bounds every completion.  ``bound`` mode searches a ladder
+of fixed upper bounds.  Eq. 6 (Blaum et al.) gives every placement
 :math:`E_{max} \\ge \\lceil (n-1)/(2d) \\rceil`, so the first rung is
 that bound, the next one more, and so on.  A rung at ``UB`` retires every
 variant and subtree whose partial :math:`E_{max}` exceeds ``UB`` and never
@@ -77,7 +86,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -118,6 +127,16 @@ _HEARTBEAT_SECONDS = 5.0
 #: extra linear-coefficient families screened per torus when capping the
 #: bound-mode ladder (beyond the paper's all-ones default).
 _SCREEN_COEFFICIENT_VARIANTS = 4
+
+#: bytes of a block's scratch: its candidates' canonicity images
+#: (8·P·(m+1)² bytes each) and one scatter's ``(rows, num_edges + 1)``
+#: counts.  Smaller blocks make more calls, whose fixed cost the blocks
+#: exist to share.  Larger ones stop reusing heap memory: a warm T_6²
+#: certify takes about 320 minor page faults and a 1.3 MB traced peak at
+#: this cap, whatever ran before it; 500 to 1,400 faults at 224–256 KiB,
+#: depending on what ran before; 2,500 at twice this cap; and 3,400
+#: faults and 8 MB when T_6²'s blocks are never split.
+_BLOCK_BYTES = 3 << 16
 
 _TOL = 1e-12
 
@@ -216,6 +235,30 @@ class ExactSearchResult:
     rungs: tuple[tuple[float, int], ...]
 
 
+@dataclass(frozen=True)
+class _Block:
+    """Same-depth canonical prefixes, in lexicographic order, and the rows
+    of their alive variants: prefix ``b`` owns rows
+    ``offsets[b]:offsets[b + 1]``."""
+
+    ids: np.ndarray  # (prefixes, m) node ids
+    stabs: np.ndarray  # (prefixes,) stabilizer orders
+    offsets: np.ndarray  # (prefixes + 1,)
+    variants: np.ndarray  # (rows,) each row's variant index
+    loads: np.ndarray  # (rows, num_edges)
+
+    def prefixes(self, start: int, stop: int) -> _Block:
+        """The block of prefixes ``start:stop`` and their rows."""
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return _Block(
+            self.ids[start:stop],
+            self.stabs[start:stop],
+            self.offsets[start : stop + 1] - lo,
+            self.variants[lo:hi],
+            self.loads[lo:hi],
+        )
+
+
 class _SearchContext:
     """Per-process search state: group tables, rung bound, accumulators."""
 
@@ -282,7 +325,18 @@ class _SearchContext:
     # ------------------------------------------------------------- search
 
     def run_root(self, root: tuple[int, ...]) -> dict:
-        """Search the subtree under one canonical prefix; return partials.
+        """Search the subtree under one canonical prefix; return partials."""
+        self._walk(self._seed(root), frontier=None)
+        return self.take_partial()
+
+    def collect_frontier(self, depth: int) -> tuple[list[tuple[int, ...]], dict]:
+        """Canonical (pruned) prefixes at ``depth``, plus shallow partials."""
+        frontier: list[tuple[int, ...]] = []
+        self._walk(self._seed(()), frontier=(depth, frontier))
+        return frontier, self.take_partial()
+
+    def _seed(self, root: tuple[int, ...]) -> _Block:
+        """The one-prefix block of a canonical ``root``.
 
         The prefix's loads are rebuilt (workers receive ids only) without
         being counted: the frontier pass that reached the root counted its
@@ -293,40 +347,34 @@ class _SearchContext:
             (self.num_variants, self.torus.num_edges), dtype=np.float64
         )
         for m, node in enumerate(root):
-            grown, keep = self._grow(root[:m], alive, loads, np.array([node]))
-            alive, loads = alive[keep[0]], grown[0, keep[0]]
+            grown = self._grow(root[:m], alive, loads, [node])
+            keep = grown.max(axis=-1) <= self.upper_bound + _TOL
+            alive, loads = alive[keep], grown[keep]
         stab = self.group.order
         if root:
             canonical, stab = self.group.canonicity(root)
             if not canonical:  # pragma: no cover - roots are always canonical
                 raise SearchError(f"prefix {tuple(root)} is not canonical")
-        self._descend(tuple(root), alive, loads, stab, frontier=None)
-        return self.take_partial()
-
-    def collect_frontier(self, depth: int) -> tuple[list[tuple[int, ...]], dict]:
-        """Canonical (pruned) prefixes at ``depth``, plus shallow partials."""
-        frontier: list[tuple[int, ...]] = []
-        alive = np.arange(self.num_variants)
-        loads = np.zeros(
-            (self.num_variants, self.torus.num_edges), dtype=np.float64
+        return _Block(
+            np.array(root, dtype=np.int64).reshape(1, len(root)),
+            np.array([stab]),
+            np.array([0, alive.size]),
+            alive,
+            loads,
         )
-        self._descend(
-            (), alive, loads, self.group.order, frontier=(depth, frontier)
-        )
-        return frontier, self.take_partial()
 
     def _grow(
         self,
-        ids: tuple[int, ...],
+        ids,
         alive: np.ndarray,
         loads: np.ndarray,
-        nodes: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Extend every surviving variant's loads by each of ``nodes``.
+        nodes,
+    ) -> np.ndarray:
+        """One prefix's alive variants' loads, extended by each of ``nodes``.
 
-        One path-table scatter covers all (child, variant) rows.  Returns
-        the ``(children, variants, edges)`` grown loads and the
-        ``(children, variants)`` mask of rows still within the rung.
+        One path-table scatter covers all (child, variant) rows: the
+        prefix's ``(variants, edges)`` loads broadcast over the children.
+        Returns ``(children · variants, edges)`` loads, child-major.
         """
         images = self.variant_coords[alive]
         grown = odr_edge_loads_add_delta(
@@ -335,56 +383,155 @@ class _SearchContext:
             images[:, np.array(ids, dtype=np.int64)],
             images[:, nodes].swapaxes(0, 1),
         )
-        return grown, grown.max(axis=-1) <= self.upper_bound + _TOL
+        return grown.reshape(-1, loads.shape[-1])
 
-    def _descend(
+    def _walk(
         self,
-        ids: tuple[int, ...],
-        alive: np.ndarray,
-        loads: np.ndarray,
-        stab: int,
+        block: _Block,
         frontier: tuple[int, list[tuple[int, ...]]] | None,
     ) -> None:
-        m = len(ids)
-        if m == self.size:
-            self._leaf(ids, alive, loads, stab)
-            return
-        if frontier is not None and m == frontier[0]:
-            frontier[1].append(ids)
-            return
-        lower = ids[-1] + 1 if ids else 0
-        nodes = np.arange(lower, self.torus.num_nodes - (self.size - m) + 1)
-        if nodes.size == 0:
-            return
-        # every candidate child of this prefix is tested in one call
-        children = np.empty((nodes.size, m + 1), dtype=np.int64)
-        children[:, :m] = ids
-        children[:, m] = nodes
-        self.counters["canonicity_checks"] += int(nodes.size)
-        canonical, stabs = self.group.canonicity(children)
-        kids = nodes[canonical]
-        if kids.size == 0:
-            return
-        # ... and every canonical child grows in one scatter
-        grown, keep = self._grow(ids, alive, loads, kids)
-        self.counters["canonical_nodes"] += int(kids.size)
-        self.counters["pair_updates"] += 2 * m * int(keep.size)
-        self.counters["variants_dropped"] += int(keep.size) - int(
-            np.count_nonzero(keep)
-        )
-        for node, child_stab, child_loads, child_keep in zip(
-            kids.tolist(), stabs[canonical].tolist(), grown, keep
-        ):
-            if not child_keep.any():
-                self.counters["subtrees_pruned_emax"] += 1
+        """Depth-first search of the subtrees under ``block``'s prefixes.
+
+        The stack holds blocks, each lexicographically below the ones
+        beneath it, so leaves (and frontier roots) come out in the order
+        a prefix-by-prefix walk reaches them.
+        """
+        stack = [block]
+        while stack:
+            block = stack.pop()
+            if self.progress:
+                self._heartbeat()
+            m = block.ids.shape[1]
+            if m == self.size:
+                ends = block.offsets.tolist()
+                for ids, stab, lo, hi in zip(
+                    block.ids.tolist(), block.stabs.tolist(), ends, ends[1:]
+                ):
+                    self._leaf(
+                        tuple(ids),
+                        block.variants[lo:hi],
+                        block.loads[lo:hi],
+                        stab,
+                    )
                 continue
-            self._descend(
-                ids + (node,),
-                alive[child_keep],
-                child_loads[child_keep],
-                child_stab,
-                frontier,
+            if frontier is not None and m == frontier[0]:
+                frontier[1].extend(map(tuple, block.ids.tolist()))
+                continue
+            # candidate children: ids[-1] + 1 ... N - (n - m), at least one
+            # per prefix, since its last node was at most N - (n - m) - 1
+            lower = block.ids[:, -1] + 1 if m else np.zeros(1, dtype=np.int64)
+            counts = self.torus.num_nodes - (self.size - m) + 1 - lower
+            if counts.size > 1:
+                # expand the longest head whose candidates' canonicity
+                # images fit the cap (one prefix at least); the tail waits
+                image = 8 * self.group.point_order * (m + 1) ** 2
+                limit = _BLOCK_BYTES // image
+                cut = max(1, int(counts.cumsum().searchsorted(limit, "right")))
+                if cut < counts.size:
+                    stack.append(block.prefixes(cut, counts.size))
+                    block = block.prefixes(0, cut)
+                    lower, counts = lower[:cut], counts[:cut]
+            child = self._expand(block, lower, counts)
+            if child is not None:
+                stack.append(child)
+
+    def _expand(
+        self, block: _Block, lower: np.ndarray, counts: np.ndarray
+    ) -> _Block | None:
+        """The block of ``block``'s canonical children still within the rung.
+
+        Prefix ``b`` has the ``counts[b]`` candidates ``lower[b], ...``.
+        """
+        m = block.ids.shape[1]
+        parents = np.arange(counts.size).repeat(counts)
+        self.counters["canonicity_checks"] += int(parents.size)
+        # every candidate child of the block is tested in one call
+        children = np.empty((parents.size, m + 1), dtype=np.int64)
+        children[:, :m] = block.ids[parents]
+        children[:, m] = np.arange(parents.size) + (
+            lower + counts - counts.cumsum()
+        )[parents]
+        canonical, stabs = self.group.canonicity(children)
+        parents, children, stabs = (
+            parents[canonical],
+            children[canonical],
+            stabs[canonical],
+        )
+        self.counters["canonical_nodes"] += int(parents.size)
+        if parents.size == 0:
+            return None
+        # ... and grows with each alive variant of its parent, one row per
+        # (child, variant), as few scatters as keep their counts in the cap
+        sizes = (block.offsets[1:] - block.offsets[:-1])[parents]
+        pieces = []
+        chunk = _BLOCK_BYTES // (8 * (self.torus.num_edges + 1))
+        for lo, hi in _chunks(parents, sizes, chunk):
+            grown, variants = self._grow_rows(
+                block, parents[lo:hi], children[lo:hi], sizes[lo:hi]
             )
+            keep = grown.max(axis=-1) <= self.upper_bound + _TOL
+            # each child's rows left within the rung
+            left = np.add.reduceat(keep, sizes[lo:hi].cumsum() - sizes[lo:hi])
+            kids = left > 0
+            kept_rows = int(np.count_nonzero(keep))
+            kept_kids = int(np.count_nonzero(kids))
+            self.counters["pair_updates"] += 2 * m * keep.size
+            self.counters["variants_dropped"] += keep.size - kept_rows
+            self.counters["subtrees_pruned_emax"] += kids.size - kept_kids
+            if kept_kids:
+                pieces.append(
+                    (
+                        children[lo:hi][kids],
+                        stabs[lo:hi][kids],
+                        left[kids],
+                        variants[keep],
+                        grown[keep],
+                    )
+                )
+        if not pieces:
+            return None
+        ids, stabs, left, variants, loads = (
+            pieces[0]
+            if len(pieces) == 1
+            else (np.concatenate(part) for part in zip(*pieces))
+        )
+        offsets = np.zeros(left.size + 1, dtype=np.int64)
+        left.cumsum(out=offsets[1:])
+        return _Block(ids, stabs, offsets, variants, loads)
+
+    def _grow_rows(
+        self,
+        block: _Block,
+        parents: np.ndarray,
+        children: np.ndarray,
+        sizes: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Loads of every (child, alive variant of its parent) row.
+
+        ``children[i]`` extends prefix ``parents[i]`` of ``block`` and
+        takes its ``sizes[i]`` rows.  One path-table scatter covers all
+        rows; returns their ``(rows, edges)`` loads and variant indices.
+        """
+        m = block.ids.shape[1]
+        if parents[0] == parents[-1]:
+            # one parent: its (variants, edges) loads broadcast over the
+            # children instead of being copied for each
+            parent = parents[0]
+            rows = slice(block.offsets[parent], block.offsets[parent + 1])
+            variants = block.variants[rows]
+            grown = self._grow(
+                children[0, :m], variants, block.loads[rows], children[:, m]
+            )
+            return grown, np.tile(variants, parents.size)
+        kid = np.arange(parents.size).repeat(sizes)
+        first = block.offsets[parents] - sizes.cumsum() + sizes
+        rows = np.arange(kid.size) + first.repeat(sizes)
+        variants = block.variants[rows]
+        images = self.variant_coords[variants[:, None], children[kid]]
+        grown = odr_edge_loads_add_delta(
+            self.torus, block.loads[rows], images[:, :m], images[:, m]
+        )
+        return grown, variants
 
     def _leaf(
         self,
@@ -395,8 +542,6 @@ class _SearchContext:
     ) -> None:
         self.counters["leaf_orbits"] += 1
         self.counters["variant_evaluations"] += int(alive.size)
-        if self.progress:
-            self._heartbeat()
         emaxes = loads.max(axis=1)
         # exact per-placement weights: value v occurs
         # k^d · #{variants at v} · variant_weight / |Stab| times in the orbit
@@ -444,6 +589,27 @@ class _SearchContext:
             f"{tally('canonical_nodes')} nodes expanded, "
             f"{pruned} subtrees pruned, {rung}"
         )
+
+
+def _chunks(
+    parents: np.ndarray, sizes: np.ndarray, limit: int
+) -> Iterator[tuple[int, int]]:
+    """Ranges of the sorted ``parents`` that split no parent, each with
+    ``sizes`` summing to at most ``limit`` unless one parent exceeds it."""
+    ends = sizes.cumsum()
+    if ends[-1] <= limit or parents[0] == parents[-1]:
+        yield 0, parents.size
+        return
+    bounds = np.flatnonzero(np.diff(parents, prepend=-1))
+    before = np.append(ends[bounds - 1], ends[-1])
+    before[0] = 0
+    bounds = np.append(bounds, parents.size)
+    i = 0
+    while i + 1 < bounds.size:
+        j = int(before.searchsorted(before[i] + limit, "right")) - 1
+        j = max(i + 1, j)
+        yield int(bounds[i]), int(bounds[j])
+        i = j
 
 
 # --------------------------------------------------------- multiprocessing

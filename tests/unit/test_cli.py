@@ -227,22 +227,19 @@ class TestObservabilityFlags:
         assert "bounds hold     : True" in captured.out
         assert captured.err == ""
 
-    def test_certify_progress_emits_heartbeat_lines(self, capsys):
+    def test_certify_progress_emits_heartbeat_lines(self, capsys, monkeypatch):
         import repro.placements.exact_search as es
 
-        previous = es._HEARTBEAT_SECONDS
-        es._HEARTBEAT_SECONDS = 0.0
-        try:
-            assert main(
-                ["certify", "--k", "3", "--d", "2", "--progress"]
-            ) == 0
-        finally:
-            es._HEARTBEAT_SECONDS = previous
-        err = capsys.readouterr().err
-        assert "exact-search T_3^2" in err
-        assert "nodes expanded" in err
-        # heartbeats name the ladder rung being searched
-        assert "rung E_max <= 1" in err
+        monkeypatch.setattr(es, "_HEARTBEAT_SECONDS", 0.0)
+        # T_3^2 certifies on rung 1; T_5^2 refutes it without reaching a
+        # leaf, and its search still reports while that rung runs
+        for k in ("3", "5"):
+            assert main(["certify", "--k", k, "--d", "2", "--progress"]) == 0
+            err = capsys.readouterr().err
+            assert f"exact-search T_{k}^2" in err
+            assert "nodes expanded" in err
+            # heartbeats name the ladder rung being searched
+            assert "rung E_max <= 1" in err
 
 
 #: ``repro lint`` argv → (exit code, a line its stdout must carry);

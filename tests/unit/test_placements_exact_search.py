@@ -1,8 +1,15 @@
 """Unit tests for the symmetry-reduced exact search engine."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import repro
 
 from repro.errors import InvalidParameterError, SearchError
 from repro.load.odr_loads import odr_edge_loads
@@ -39,6 +46,16 @@ class TestFullModeVsBruteForce:
         torus = Torus(3, 2)
         catalog = global_minimum_emax(torus, 3)
         result = exact_global_minimum(torus, 3, mode="full")
+        assert result.minimum_emax == catalog.minimum_emax
+        assert result.num_optimal == catalog.num_optimal
+        assert result.emax_histogram == catalog.emax_histogram
+
+    @pytest.mark.parametrize("k, d, size", [(3, 3, 4), (4, 3, 3)])
+    def test_d3_matches_too(self, k, d, size):
+        # d = 3 has the largest point group (48 elements)
+        torus = Torus(k, d)
+        catalog = global_minimum_emax(torus, size)
+        result = exact_global_minimum(torus, size, mode="full")
         assert result.minimum_emax == catalog.minimum_emax
         assert result.num_optimal == catalog.num_optimal
         assert result.emax_histogram == catalog.emax_histogram
@@ -178,32 +195,39 @@ class TestCounters:
         assert counters.leaf_orbits < 33  # full mode visits all 33 orbits
 
     @pytest.mark.parametrize("mode", ["full", "bound"])
-    def test_one_kernel_call_per_expanded_prefix(self, mode, monkeypatch):
-        # all canonical children of a prefix grow in the same scatter, each
-        # with every surviving variant: the add kernel runs once per
-        # expanded prefix, never once per child or per variant, and its
-        # (children, variants) rows grow every canonical node exactly once
+    def test_block_calls_sum_to_the_counters(self, mode, monkeypatch):
+        # each expanded block tests all its candidates in one canonicity
+        # call and grows its canonical children, with every surviving
+        # variant, in as few scatters as the block cap allows: the calls'
+        # sizes sum to the work counters, and full mode scatters less often
+        # than one prefix at a time would
         from repro.placements import exact_search
+        from repro.placements.symmetry import AutomorphismGroup
 
-        rows = []
+        prefixes = _prefixes_with_canonical_children(Torus(4, 2), 4)
+        pairs, candidates = [], []
         kernel = exact_search.odr_edge_loads_add_delta
+        canonicity = AutomorphismGroup.canonicity
 
-        def counted(torus, loads, kept, added):
-            rows.append(added.shape[:-1])
+        def counted_kernel(torus, loads, kept, added):
+            pairs.append(2 * kept.shape[-2] * math.prod(added.shape[:-1]))
             return kernel(torus, loads, kept, added)
 
-        monkeypatch.setattr(exact_search, "odr_edge_loads_add_delta", counted)
-        result = exact_global_minimum(Torus(4, 2), 4, mode=mode)
-        assert sum(children for children, _ in rows) == (
-            result.counters.canonical_nodes
+        def counted_canonicity(group, node_ids):
+            candidates.append(math.prod(np.shape(node_ids)[:-1]))
+            return canonicity(group, node_ids)
+
+        monkeypatch.setattr(
+            exact_search, "odr_edge_loads_add_delta", counted_kernel
         )
-        assert max(variants for _, variants in rows) == result.num_variants
+        monkeypatch.setattr(
+            AutomorphismGroup, "canonicity", counted_canonicity
+        )
+        result = exact_global_minimum(Torus(4, 2), 4, mode=mode)
+        assert sum(pairs) == result.counters.pair_updates
+        assert sum(candidates) == result.counters.canonicity_checks
         if mode == "full":
-            assert len(rows) == _prefixes_with_canonical_children(
-                Torus(4, 2), 4
-            )
-        else:
-            assert len(rows) < result.counters.canonical_nodes
+            assert len(pairs) < prefixes
 
 
 def _prefixes_with_canonical_children(torus, size):
@@ -224,6 +248,55 @@ def _prefixes_with_canonical_children(torus, size):
             ):
                 count += 1
     return count
+
+
+#: minor page faults per T_6^2 certify, then the traced peak of one, in a
+#: fresh interpreter that imports only the exact search: T_4^2 and T_5^2
+#: first, one warm-up, then 20 measured runs.  The module's cap reads
+#: about 320 faults and a 1.3 MB peak.  Twice the cap faults about 2,500
+#: times per run, once its scratch arrays outgrow the heap the allocator
+#: reuses; a cap that never splits T_6^2's blocks peaks at about 8 MB.
+_FAULTS_AND_PEAK = """
+import resource
+import tracemalloc
+from repro.placements.exact_search import (
+    exact_global_minimum,
+    screen_initial_upper_bound,
+)
+from repro.torus.topology import Torus
+def certify(k):
+    torus = Torus(k, 2)
+    upper, _ = screen_initial_upper_bound(torus, k)
+    exact_global_minimum(torus, k, initial_upper_bound=upper, progress=False)
+for k in (4, 5, 6):
+    certify(k)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    certify(6)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+tracemalloc.start()
+certify(6)
+print(faults / 20, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="counts minor page faults against glibc's mmap threshold",
+)
+def test_block_cap_bounds_faults_and_peak():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_AND_PEAK],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    faults, peak = map(float, proc.stdout.split())
+    assert faults < 1000
+    assert peak < 4e6
 
 
 class TestParallel:
