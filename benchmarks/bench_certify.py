@@ -19,9 +19,12 @@ Pinned in ``benchmarks/BENCH_certify.json``:
   ``T_8^2`` wall time at most ``max_seconds.T8_ladder`` (about 3x its
   measured time), asserted live together with their counts;
 * ``T_4^3`` ``n = 5`` (``T4x3_ladder``, uncapped: no structured family
-  has 5 nodes) counts and ladder, asserted live: the 48-element point
-  group of ``d = 3`` keeps its blocks to about one prefix each;
-* ``T_7^2``, ``T_9^2`` and ``T_4^3`` wall times, recorded (informational).
+  has 5 nodes) counts and ladder, asserted live: with the 48-element
+  point group of ``d = 3`` a candidate's canonicity masks take six times
+  the bytes they take in ``d = 2``, so its blocks hold a sixth as many
+  candidates;
+* ``T_7^2``, ``T_9^2`` and ``T_4^3`` wall times, best of three rounds,
+  recorded (informational).
 
 The case names carry ``_ladder``: the series of the search that pruned
 against the screen's seed (``T5``/``T6``/``T7``) are retired, and
@@ -51,10 +54,10 @@ BASELINE = pathlib.Path(__file__).with_name("BENCH_certify.json")
 CASES = {
     "T5_ladder": (5, 2, 5, 3),
     "T6_ladder": (6, 2, 6, 3),
-    "T7_ladder": (7, 2, 7, 1),
-    "T8_ladder": (8, 2, 8, 1),
-    "T9_ladder": (9, 2, 9, 1),
-    "T4x3_ladder": (4, 3, 5, 1),
+    "T7_ladder": (7, 2, 7, 3),
+    "T8_ladder": (8, 2, 8, 3),
+    "T9_ladder": (9, 2, 9, 3),
+    "T4x3_ladder": (4, 3, 5, 3),
 }
 
 #: live wall-time pins (seconds, best of the case's rounds).

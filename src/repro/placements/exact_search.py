@@ -37,18 +37,21 @@ times in the orbit — an integer, because the fibers of
 **Blocks.**  The tree is walked depth first over *blocks*: runs of
 same-depth canonical prefixes in lexicographic order, each with one
 ``(rows, edges)`` load array of its prefixes' surviving variants.  All
-candidate children of a block are tested in one canonicity call, and
+candidate children of a block are tested in one canonicity call, parent
+by parent, so each parent's anchored image masks are summed once for all
+its children (see
+:meth:`~repro.placements.symmetry.AutomorphismGroup.canonicity`), and
 :func:`repro.load.odr_loads.odr_edge_loads_add_delta` grows every
 (canonical child, surviving variant of its parent) row by one gather of
 ODR path-table rows and one ``bincount`` per chunk (below) —
 :math:`O(|P|)` pair work per child instead of :math:`O(|P|^2)` per leaf;
 the engine performs *zero* from-scratch placement evaluations.  A byte
 cap keeps the scratch arrays in the heap memory the allocator reuses: a
-block is split before its canonicity call outgrows it, and its rows grow
-in chunks of whole parents.  A block's subtrees are searched before the
-blocks after it, so leaves are reached in lexicographic order, as a
-prefix-by-prefix walk reaches them, and the work counters, sums over
-prefixes, do not depend on the blocking.
+block is split before its candidates' canonicity masks outgrow it, and
+its rows grow in chunks of whole parents.  A block's subtrees are
+searched before the blocks after it, so leaves are reached in
+lexicographic order, as a prefix-by-prefix walk reaches them, and the
+work counters, sums over prefixes, do not depend on the blocking.
 
 **Climbing from the paper's lower bound.**  Because loads only ever
 increase as processors are added, the partial :math:`E_{max}` of a
@@ -82,11 +85,12 @@ partial accumulators instead of re-searching the subtree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -128,14 +132,16 @@ _HEARTBEAT_SECONDS = 5.0
 #: bound-mode ladder (beyond the paper's all-ones default).
 _SCREEN_COEFFICIENT_VARIANTS = 4
 
-#: bytes of a block's scratch: its candidates' canonicity images
-#: (8·P·(m+1)² bytes each) and one scatter's ``(rows, num_edges + 1)``
+#: bytes of a block's scratch: its candidates' canonicity masks (two
+#: ``(m+1, P, words)`` uint64 arrays live at once, 16·P·(m+1)·words
+#: bytes per candidate) and one scatter's ``(rows, num_edges + 1)``
 #: counts.  Smaller blocks make more calls, whose fixed cost the blocks
-#: exist to share.  Larger ones stop reusing heap memory: a warm T_6²
-#: certify takes about 320 minor page faults and a 1.3 MB traced peak at
-#: this cap, whatever ran before it; 500 to 1,400 faults at 224–256 KiB,
-#: depending on what ran before; 2,500 at twice this cap; and 3,400
-#: faults and 8 MB when T_6²'s blocks are never split.
+#: exist to share.  Larger ones stop reusing heap memory: in the fault
+#: test's protocol a warm T_6² certify takes about 270–310 minor page
+#: faults and a 1.4 MB traced peak at this cap (the count moves with
+#: allocator history, even with the length of the import path); about
+#: 1,000 faults and 2.3 MB at twice this cap; and 2,000 faults and 8 MB
+#: when T_6²'s blocks are never split.
 _BLOCK_BYTES = 3 << 16
 
 _TOL = 1e-12
@@ -423,9 +429,9 @@ class _SearchContext:
             counts = self.torus.num_nodes - (self.size - m) + 1 - lower
             if counts.size > 1:
                 # expand the longest head whose candidates' canonicity
-                # images fit the cap (one prefix at least); the tail waits
-                image = 8 * self.group.point_order * (m + 1) ** 2
-                limit = _BLOCK_BYTES // image
+                # masks fit the cap (one prefix at least); the tail waits
+                masks = 16 * self.group.point_order * (m + 1)
+                limit = _BLOCK_BYTES // (masks * self.group.mask_words)
                 cut = max(1, int(counts.cumsum().searchsorted(limit, "right")))
                 if cut < counts.size:
                     stack.append(block.prefixes(cut, counts.size))
@@ -678,38 +684,56 @@ def _decode_partial(data: dict) -> dict:
 # -------------------------------------------------------- ladder capping
 
 
-def _candidate_leaf_placements(torus: Torus, size: int) -> list[Placement]:
+def _screen_rows(
+    torus: Torus, size: int
+) -> tuple[np.ndarray, list[Callable[[int], Placement]]] | None:
     """Structured size-``size`` placements worth screening as ladder caps.
 
     Only shapes the paper gives closed forms for: the linear families of
     Definition 10 (all ``k`` offsets of all-ones coefficients plus a few
     coefficient variants) when ``size == k^{d-1}``, and the 2-D diagonal
-    / antidiagonal shifts (the same size on ``T_k^2``).  Empty when no
-    structured family matches — the caller then climbs uncapped.
+    / antidiagonal shifts (the same size on ``T_k^2``).  Returns every
+    candidate's sorted ids, family by family and ``k`` offsets each, and
+    one constructor per family that builds the placement of an offset.
+    ``None`` when no structured family matches — the caller then climbs
+    uncapped.
+
+    Each family is a coefficient vector ``c`` with a unit entry, so each
+    offset ``s`` has ``k^{d-1}`` nodes ``p`` with ``c·p ≡ s``; a stable
+    sort of the nodes by ``c·p mod k`` lists every offset's ids in order.
     """
     k, d = torus.k, torus.d
     if size != k ** (d - 1) or size < 2:
-        return []
+        return None
     from repro.placements.diagonal import (
         antidiagonal_placement_2d,
         shifted_diagonal_placement,
     )
     from repro.placements.linear import linear_placement
 
-    coefficient_sets: list[list[int]] = [[1] * d]
     units = [c for c in range(2, k) if math.gcd(c, k) == 1][
         : _SCREEN_COEFFICIENT_VARIANTS
     ]
-    coefficient_sets.extend([1] * (d - 1) + [c] for c in units)
-    candidates = [
-        linear_placement(torus, coefficients=coeffs, offset=offset)
-        for coeffs in coefficient_sets
-        for offset in range(k)
+    families: list[tuple[list[int], Callable[[int], Placement]]] = [
+        (coeffs, functools.partial(linear_placement, torus, coeffs))
+        for coeffs in [[1] * d] + [[1] * (d - 1) + [c] for c in units]
     ]
     if d == 2:
-        candidates.extend(shifted_diagonal_placement(torus, s) for s in range(k))
-        candidates.extend(antidiagonal_placement_2d(torus, s) for s in range(k))
-    return candidates
+        families.append(
+            ([1, 1], functools.partial(shifted_diagonal_placement, torus))
+        )
+        # {(i, i + s)}: the coefficients (-1, 1) at offset s
+        families.append(
+            ([-1, 1], functools.partial(antidiagonal_placement_2d, torus))
+        )
+    coords = torus.all_node_coords()
+    ids = np.concatenate(
+        [
+            np.argsort((coords @ coeffs) % k, kind="stable").reshape(k, size)
+            for coeffs, _ in families
+        ]
+    )
+    return ids, [build for _, build in families]
 
 
 def screen_initial_upper_bound(
@@ -717,28 +741,26 @@ def screen_initial_upper_bound(
 ) -> tuple[float, Placement] | None:
     """Ladder cap for ``bound``-mode certification.
 
-    Scores every structured candidate from
-    :func:`_candidate_leaf_placements` in one
+    Scores every structured candidate from :func:`_screen_rows` in one
     :func:`~repro.placements.catalog.block_emax` block on the ODR path
     table (one gather, one scatter, a row max) and returns the best
-    ``(E_max, placement)``, the first candidate among equals —
-    achievable by construction, so passing it as
-    :func:`exact_global_minimum`'s ``initial_upper_bound`` caps the
-    ladder at a rung that is sure to certify.  Returns ``None`` when no
-    structured family matches ``size``.
+    ``(E_max, placement)``, the first candidate among equals, whose
+    placement alone is built, by its family's constructor — achievable
+    by construction, so passing it as :func:`exact_global_minimum`'s
+    ``initial_upper_bound`` caps the ladder at a rung that is sure to
+    certify.  Returns ``None`` when no structured family matches
+    ``size``.
     """
-    candidates = _candidate_leaf_placements(torus, size)
-    if not candidates:
+    screen = _screen_rows(torus, size)
+    if screen is None:
         return None
+    ids, builders = screen
     routing = OrderedDimensionalRouting(torus.d)
     table = current_plan_cache().get(torus, routing).table
-    emaxes = block_emax(
-        table,
-        np.stack([c.node_ids for c in candidates]),
-        ordered_pair_index_arrays(size),
-    )
+    emaxes = block_emax(table, ids, ordered_pair_index_arrays(size))
     best = int(np.argmin(emaxes))
-    return float(emaxes[best]), candidates[best]
+    family, offset = divmod(best, torus.k)
+    return float(emaxes[best]), builders[family](offset)
 
 
 # ----------------------------------------------------------------- driver

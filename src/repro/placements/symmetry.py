@@ -17,6 +17,22 @@ matrix as array ops, so canonicalizing a placement never materializes a
 :class:`Placement` per group element, and orbit sizes come exactly from
 stabilizer counting (orbit–stabilizer theorem).
 
+The exact search's orderly generation asks, for batches of sorted node
+sets, whether each is the lexicographically least member of its orbit
+(:meth:`AutomorphismGroup.canonicity`).  Only images containing node 0
+can sort at or below a set, so the ``P·n`` images anchored at its
+members decide.  Each is a bitmask of ``ceil(k^d / 64)`` words, node
+``v`` at bit ``63 - v % 64`` of word ``v // 64``: of two sets of one
+size the lexicographically smaller has the larger mask, so the test is a
+word-by-word comparison and no image is sorted.  Sets that share their
+first ``n - 1`` ids (a parent's children, as the search sends them)
+share that prefix's anchored masks; a child adds one bit to each and
+sums only the ``P`` masks anchored at its new id.  Every mask is exact
+whatever the prefix, so the test is exact on any batch; the full-group
+:meth:`~AutomorphismGroup.sorted_images`,
+:meth:`~AutomorphismGroup.canonical_ids` and
+:meth:`~AutomorphismGroup.orbit_size` remain its oracle.
+
 One caution for consumers: only *translations* leave the restricted-ODR
 load profile invariant.  Dimension permutations re-order the correction
 sequence and reflections flip the even-``k`` tie-break, so :math:`E_{max}`
@@ -118,6 +134,22 @@ def _lexmin_row(rows: np.ndarray) -> np.ndarray:
     return alive[0]
 
 
+def _compare(
+    masks: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which masks lie above ``target`` and which equal it.
+
+    Both carry their words on the last axis, the most significant first,
+    and broadcast against each other.
+    """
+    above = masks[..., 0] > target[..., 0]
+    equal = masks[..., 0] == target[..., 0]
+    for word in range(1, masks.shape[-1]):
+        above |= equal & (masks[..., word] > target[..., word])
+        equal &= masks[..., word] == target[..., word]
+    return above, equal
+
+
 class AutomorphismGroup:
     """The automorphism group of :math:`T_k^d` acting on node-id sets.
 
@@ -131,7 +163,9 @@ class AutomorphismGroup:
     ``(d!·2^d, k^d)`` and a ``(k^d, k^d)`` translation table are built
     once, and each query is one gather through both — no per-element
     Python objects.  The translation table is quadratic in the node
-    count, which suits the small tori symmetry reduction is run on.
+    count, which suits the small tori symmetry reduction is run on; a
+    ``(k^d, words)`` node-bit table turns images into the set masks
+    :meth:`canonicity` compares.
 
     Point-group elements are applied as ``reflect(permute(x))`` and are
     indexed by :attr:`point_descs` ``(perm, reflection_mask)`` pairs;
@@ -170,6 +204,20 @@ class AutomorphismGroup:
         )
         #: (k^d,) — the node at minus each node's coordinate.
         self._negate: np.ndarray = np.mod(-base, k) @ strides
+        #: (k^d, P) — :attr:`point_ids` transposed, so one gather by node
+        #: ids puts the point group on the last axis.
+        self._point_images: np.ndarray = np.ascontiguousarray(self.point_ids.T)
+        #: uint64 words in a node-set mask (see :meth:`canonicity`).
+        self.mask_words: int = -(-self.num_translations // 64)
+        nodes = np.arange(self.num_translations)
+        #: (k^d, mask_words) — node ``v``'s mask: bit ``63 - v % 64`` of
+        #: word ``v // 64``, word 0 the most significant.
+        self._bits: np.ndarray = np.zeros(
+            (self.num_translations, self.mask_words), dtype=np.uint64
+        )
+        self._bits[nodes, nodes // 64] = np.uint64(1) << (
+            63 - nodes % 64
+        ).astype(np.uint64)
 
     # ----------------------------------------------------------- images
 
@@ -207,30 +255,65 @@ class AutomorphismGroup:
         case) that fix the set, so ``order // |Stab|`` is the exact orbit
         size.
 
-        Leading axes batch sets of equal size: ``(..., m)`` ids give a
+        Leading axes batch sets of equal size: ``(..., n)`` ids give a
         boolean and an integer array of shape ``(...)``.
 
-        Only *anchored* images are built.  An image can sort at or below
+        Only *anchored* images are tested.  An image can sort at or below
         the set only if it contains node 0, since the lex-min set always
         does; and each group element mapping some ``x`` of the set to 0 is
-        ``h`` followed by the translation by ``-h(x)``.  So the ``P·m``
+        ``h`` followed by the translation by ``-h(x)``.  So the ``P·n``
         images ``{h(y) - h(x) : y}`` decide canonicity, and the ones equal
         to the set count its stabilizer exactly.
+
+        No image is sorted.  A set is a mask of :attr:`mask_words` words,
+        node ``v`` at bit ``63 - v % 64`` of word ``v // 64``, word 0
+        first.  Of two sets of one size, the smallest id in their
+        symmetric difference decides both orders, so the lexicographically
+        smaller set has the larger mask: some image sorts below the set
+        exactly when its mask lies above the set's.
+
+        Rows that share their first ``n - 1`` ids with the row before form
+        a run, and a run's prefix ``S`` has its ``P·(n-1)`` anchored masks
+        summed once.  A row ``S + {w}`` anchored at ``x`` in ``S`` has
+        ``S``'s mask plus the one bit of ``h(w) - h(x)``, which that mask
+        lacks because ``w`` is not in ``S``; only the ``P`` masks anchored
+        at ``w`` are summed in full.  This holds for any prefix, canonical
+        or not, so the test is exact on any batch; a search, whose
+        candidates come parent by parent, shares each parent's masks
+        across its children.
         """
         ids = np.sort(np.asarray(node_ids, dtype=np.int64), axis=-1)
-        sets = ids.reshape(-1, ids.shape[-1])  # (B, m)
-        moved = np.moveaxis(self.point_ids[:, sets], 0, 1)  # (B, P, m)
-        anchored = self._translate[
-            self._negate[moved][..., :, None], moved[..., None, :]
-        ]  # (B, P, m anchors, m)
-        images = np.sort(anchored.reshape(len(sets), -1, sets.shape[1]), -1)
-        # compare every image with its set at their first differing column
-        target = sets[:, None, :]
-        differs = images != target
-        first = differs.argmax(axis=-1)[..., None]
-        smaller = np.take_along_axis(images < target, first, axis=-1)[..., 0]
-        canonical = ~smaller.any(axis=-1)
-        fixed = np.count_nonzero(~differs.any(axis=-1), axis=-1)
+        sets = ids.reshape(-1, ids.shape[-1])  # (B, n)
+        m = sets.shape[1] - 1
+        head, last = sets[:, :m], sets[:, m]
+        starts = np.ones(len(sets), dtype=bool)
+        starts[1:] = (head[1:] != head[:-1]).any(axis=1)
+        run = starts.cumsum() - 1
+        # _translate[t, v] as flat[t·stride + v]: one gather per image id
+        flat = self._translate.reshape(-1)
+        stride = self.num_translations
+        moved = self._point_images[head[starts]]  # (R, m, P): h(y)
+        back = self._negate[moved] * stride  # (R, m, P): -h(x), row offset
+        # each prefix's masks, anchored at each of its ids in turn
+        prefix = np.empty(back.shape + (self.mask_words,), dtype=np.uint64)
+        for x in range(m):
+            prefix[:, x] = self._bits[flat[back[:, x, None] + moved]].sum(axis=1)
+        target = self._bits[sets].sum(axis=1)  # (B, W)
+        new = self._point_images[last]  # (B, P): h(w)
+        # anchored at w: h(y) - h(w) over the prefix, and w itself at 0
+        own = self._bits[
+            flat[(self._negate[new] * stride)[:, None] + moved[run]]
+        ].sum(axis=1)
+        own |= self._bits[0]  # (B, P, W)
+        own_above, own_equal = _compare(own, target[:, None])
+        # anchored at the prefix: one more bit, h(w) - h(x)
+        images = self._bits[flat[back[run] + new[:, None]]]
+        images += prefix[run]  # (B, m, P, W)
+        above, equal = _compare(images, target[:, None, None])
+        canonical = ~(own_above.any(axis=1) | above.any(axis=(1, 2)))
+        fixed = np.count_nonzero(own_equal, axis=1) + np.count_nonzero(
+            equal, axis=(1, 2)
+        )
         stab = np.where(canonical, fixed, 0)
         if ids.ndim == 1:
             return bool(canonical[0]), int(stab[0])

@@ -60,6 +60,17 @@ class TestFullModeVsBruteForce:
         assert result.num_optimal == catalog.num_optimal
         assert result.emax_histogram == catalog.emax_histogram
 
+    @pytest.mark.parametrize("k, d", [(8, 2), (9, 2), (3, 4)])
+    def test_word_boundary_tori_match_too(self, k, d):
+        # canonicity masks take ceil(k^d / 64) words: T_8^2 fills one
+        # exactly, T_9^2 and T_3^4 spill into a second
+        torus = Torus(k, d)
+        catalog = global_minimum_emax(torus, 3)
+        result = exact_global_minimum(torus, 3, mode="full")
+        assert result.minimum_emax == catalog.minimum_emax
+        assert result.num_optimal == catalog.num_optimal
+        assert result.emax_histogram == catalog.emax_histogram
+
 
 class TestOrbitAccounting:
     def test_histogram_covers_all_placements(self, full_4_2):
@@ -163,6 +174,78 @@ class TestLadder:
         assert full_4_2.rungs == ()
 
 
+def _constructed_candidates(torus):
+    """The screen's candidates built one by one through their families'
+    constructors, in the screen's order."""
+    from repro.placements.diagonal import (
+        antidiagonal_placement_2d,
+        shifted_diagonal_placement,
+    )
+    from repro.placements.exact_search import _SCREEN_COEFFICIENT_VARIANTS
+
+    k, d = torus.k, torus.d
+    units = [c for c in range(2, k) if math.gcd(c, k) == 1]
+    coefficient_sets = [[1] * d] + [
+        [1] * (d - 1) + [c] for c in units[:_SCREEN_COEFFICIENT_VARIANTS]
+    ]
+    candidates = [
+        linear_placement(torus, coefficients=coeffs, offset=offset)
+        for coeffs in coefficient_sets
+        for offset in range(k)
+    ]
+    if d == 2:
+        candidates.extend(shifted_diagonal_placement(torus, s) for s in range(k))
+        candidates.extend(antidiagonal_placement_2d(torus, s) for s in range(k))
+    return candidates
+
+
+_SCREENED_TORI = [(k, 2) for k in range(4, 11)] + [
+    (3, 3), (4, 3), (5, 3), (3, 4),
+]
+
+
+class TestScreen:
+    @pytest.mark.parametrize("k, d", _SCREENED_TORI)
+    def test_rows_are_the_constructed_placements(self, k, d):
+        from repro.placements.exact_search import _screen_rows
+
+        torus = Torus(k, d)
+        ids, _ = _screen_rows(torus, k ** (d - 1))
+        expected = np.stack([c.node_ids for c in _constructed_candidates(torus)])
+        assert np.array_equal(ids, expected)
+
+    @pytest.mark.parametrize("k, d", _SCREENED_TORI)
+    def test_winner_is_the_first_best_constructed(self, k, d):
+        from repro.load.plancache import current_plan_cache
+        from repro.placements.catalog import block_emax
+        from repro.placements.exact_search import screen_initial_upper_bound
+        from repro.routing.odr import OrderedDimensionalRouting
+        from repro.util.itertools_ext import ordered_pair_index_arrays
+
+        torus = Torus(k, d)
+        size = k ** (d - 1)
+        candidates = _constructed_candidates(torus)
+        table = current_plan_cache().get(
+            torus, OrderedDimensionalRouting(d)
+        ).table
+        emaxes = block_emax(
+            table,
+            np.stack([c.node_ids for c in candidates]),
+            ordered_pair_index_arrays(size),
+        )
+        best = candidates[int(np.argmin(emaxes))]
+        upper, seed = screen_initial_upper_bound(torus, size)
+        assert upper == float(emaxes.min())
+        assert seed.name == best.name
+        assert np.array_equal(seed.node_ids, best.node_ids)
+
+    def test_no_structured_family_matches(self):
+        from repro.placements.exact_search import screen_initial_upper_bound
+
+        assert screen_initial_upper_bound(Torus(5, 2), 4) is None
+        assert screen_initial_upper_bound(Torus(4, 3), 5) is None
+
+
 class TestWitness:
     def test_witness_reevaluates_to_minimum(self, full_4_2):
         # independent full evaluation certifies the reported witness
@@ -253,9 +336,10 @@ def _prefixes_with_canonical_children(torus, size):
 #: minor page faults per T_6^2 certify, then the traced peak of one, in a
 #: fresh interpreter that imports only the exact search: T_4^2 and T_5^2
 #: first, one warm-up, then 20 measured runs.  The module's cap reads
-#: about 320 faults and a 1.3 MB peak.  Twice the cap faults about 2,500
-#: times per run, once its scratch arrays outgrow the heap the allocator
-#: reuses; a cap that never splits T_6^2's blocks peaks at about 8 MB.
+#: about 270-310 faults and a 1.4 MB peak.  Twice the cap faults about
+#: 1,000 times per run, once its scratch arrays outgrow the heap the
+#: allocator reuses; a cap that never splits T_6^2's blocks faults about
+#: 2,000 times and peaks at about 8 MB.
 _FAULTS_AND_PEAK = """
 import resource
 import tracemalloc
