@@ -27,8 +27,10 @@ Every subcommand prints plain text (markdown-compatible tables) to stdout
 and exits non-zero if a reproduction check fails.  ``certify``, the one
 subcommand that fans work out over processes (``--jobs``), accepts
 resilience flags (``--retries``, ``--task-timeout``) and deterministic
-fault injection (``--chaos-seed``) wired through :mod:`repro.exec`, and
-journals completed work (``--checkpoint``/``--resume``).  Long-running
+fault injection (``--chaos-*``), which it passes to the search as one
+:class:`repro.exec.ExecPolicy`; it prints the search's degraded
+execution reports to stderr and journals completed work
+(``--checkpoint``/``--resume``).  Long-running
 subcommands take observability flags (``--trace``,
 ``--profile``/``--profile-out``) wired through :mod:`repro.obs`.
 Diagnostics go to stderr via :mod:`repro.obs.console`; the top-level
@@ -41,9 +43,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro._version import __version__
+
+if TYPE_CHECKING:
+    from repro.exec import ExecPolicy
 
 __all__ = ["main", "build_parser"]
 
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint",
         add_help=False,
-        help="run the repo's semantic static-analysis rules (RL001-RL017); "
+        help="run the repo's semantic static-analysis rules (RL004-RL017); "
         "see `repro lint --help`",
     )
     return parser
@@ -308,13 +313,6 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         default=0.0,
         metavar="FRAC",
         help="fraction of chaos tasks that hang past the deadline (default 0)",
-    )
-    group.add_argument(
-        "--chaos-slow",
-        type=float,
-        default=0.0,
-        metavar="FRAC",
-        help="fraction of chaos tasks delayed but completing (default 0)",
     )
 
 
@@ -386,54 +384,25 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@contextlib.contextmanager
-def _exec_context(args: argparse.Namespace) -> Iterator[None]:
-    """Install an exec policy from resilience flags; report degradations.
-
-    Any executor run that absorbed faults (retries, timeouts, pool
-    rebuilds, serial fallbacks) prints its one-line summary to stderr on
-    exit, so degraded-but-correct runs remain visible.
-    """
-    import dataclasses
-
-    from repro.exec import (
-        ChaosPolicy,
-        clear_reports,
-        current_exec_policy,
-        recent_reports,
-        using_exec_policy,
-    )
+def _exec_policy(args: argparse.Namespace) -> ExecPolicy:
+    """The :class:`repro.exec.ExecPolicy` that the resilience flags ask for."""
+    from repro.exec import ChaosPolicy, ExecPolicy
 
     updates: dict = {}
-    if getattr(args, "retries", None) is not None:
+    if args.retries is not None:
         updates["retries"] = args.retries
-    if getattr(args, "task_timeout", None) is not None:
+    if args.task_timeout is not None:
         updates["task_timeout"] = args.task_timeout
-    if getattr(args, "chaos_seed", None) is not None:
+    if args.chaos_seed is not None:
         updates["chaos"] = ChaosPolicy(
             seed=args.chaos_seed,
-            crash_fraction=getattr(args, "chaos_crash", 0.2),
-            hang_fraction=getattr(args, "chaos_hang", 0.0),
-            slow_fraction=getattr(args, "chaos_slow", 0.0),
+            crash_fraction=args.chaos_crash,
+            hang_fraction=args.chaos_hang,
         )
         if "task_timeout" not in updates:
             # hung chaos workers need a deadline to be reaped at all
             updates["task_timeout"] = 5.0
-    policy = (
-        dataclasses.replace(current_exec_policy(), **updates)
-        if updates
-        else None
-    )
-    clear_reports()
-    try:
-        with using_exec_policy(policy):
-            yield
-    finally:
-        from repro.obs import console
-
-        for report in recent_reports():
-            if report.degraded:
-                console.warn(f"resilience: {report.summary()}")
+    return ExecPolicy(**updates)
 
 
 # --------------------------------------------------------------- commands
@@ -592,6 +561,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.errors import InvalidParameterError
+    from repro.obs import console
     from repro.placements.exact_search import (
         exact_global_minimum,
         screen_initial_upper_bound,
@@ -603,7 +573,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     torus = Torus(args.k, args.d)
     size = args.size if args.size is not None else args.k ** (args.d - 1)
     upper = args.ub
-    with _obs_context(args), _exec_context(args):
+    policy = _exec_policy(args)
+    with _obs_context(args):
         if upper is None and args.mode == "bound":
             screened = screen_initial_upper_bound(torus, size)
             if screened is not None:
@@ -616,8 +587,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             torus, size, mode=args.mode, processes=args.jobs,
             initial_upper_bound=upper,
             checkpoint=args.checkpoint, resume=args.resume,
-            progress=True if args.progress else None,
+            progress=True if args.progress else None, policy=policy,
         )
+        # runs that absorbed faults stay visible, though their answer
+        # is exact
+        for report in result.reports:
+            if report.degraded:
+                console.warn(f"resilience: {report.summary()}")
     counters = result.counters
     witness = sorted(map(tuple, result.example_optimal.coords().tolist()))
     print(f"certified space : all C({torus.num_nodes}, {size}) = "

@@ -8,8 +8,8 @@ the surviving findings sorted for stable output.
 
 Suppression syntax, on the offending line::
 
-    x = total // n          # repro: noqa(RL001)
-    y = a / b               # repro: noqa(RL001,RL002)
+    stamp = time.time()     # repro: noqa(RL010)
+    from repro.load.edge_loads import edge_loads_reference  # repro: noqa(RL004,RL006)
     z = risky()             # repro: noqa          (suppresses every rule)
 
 Rules self-register via the :func:`register` decorator; adding a rule is
@@ -168,7 +168,7 @@ class FileContext:
 class Rule(abc.ABC):
     """One lint rule: a code, a one-line summary, and a ``check``."""
 
-    #: unique rule code, e.g. ``RL001``.
+    #: unique rule code, e.g. ``RL004``.
     code: str = "RL999"
     #: one-line human summary shown by ``--list-rules``.
     summary: str = ""
@@ -407,7 +407,7 @@ def lint_paths(
         rules = tuple(rule for rule in rules if rule.code not in dropped)
     report = LintReport()
     # First pass parses everything so semantic rules see the whole
-    # program (import graph, re-export chains) — not just one file.
+    # program (re-export chains) — not just one file.
     parsed: list[tuple[Path, str, ast.Module]] = []
     for path in iter_python_files(paths):
         report.files_scanned += 1

@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
         description=(
-            "repro's semantic lint: paper-invariant rules RL001-RL017 "
+            "repro's semantic lint: paper-invariant rules RL004-RL017 "
             "(whole-program resolver and scope passes included)"
         ),
     )
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated rule codes to run exclusively, e.g. RL001,RL006",
+        help="comma-separated rule codes to run exclusively, e.g. RL004,RL006",
     )
     parser.add_argument(
         "--ignore",

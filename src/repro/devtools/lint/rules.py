@@ -1,16 +1,17 @@
-"""The built-in rule set: repo-specific invariants RL001–RL017.
+"""The built-in rule set: repo-specific invariants RL004–RL017.
 
 Each rule generalizes a bug class this repository has actually hit (see
-``docs/STATIC_ANALYSIS.md`` for the catalogue and the PR-1 incidents the
-first five rules grew out of).  Rules are heuristics, not proofs — the
+``docs/STATIC_ANALYSIS.md`` for the catalogue).  Rules whose bug class
+the tier-1 tests already catch, or that missed a mutation of it, were
+retired.  Rules are heuristics, not proofs — the
 ``# repro: noqa(CODE)`` escape hatch exists precisely for the sites where
 a human can certify the invariant holds.
 
-RL001–RL010 are (mostly) single-file pattern matchers; RL011 and RL014
-are built on :mod:`repro.devtools.lint.semantics` — they resolve names
-through the file's imports (``ctx.resolve``) and follow re-export chains
-through the project; RL014 also runs the scope analysis.  RL004, RL009,
-and RL010 were retrofitted onto the same resolver, so renamed imports
+RL004–RL010 and RL017 are (mostly) single-file pattern matchers; RL014
+is built on :mod:`repro.devtools.lint.semantics` — it resolves names
+through the file's imports (``ctx.resolve``), follows re-export chains
+through the project and runs the scope analysis.  RL004, RL009, and RL010 were
+retrofitted onto the same resolver, so renamed imports
 (``from repro.load.edge_loads import edge_loads_reference as oracle``)
 no longer slip past them.
 """
@@ -28,9 +29,6 @@ from repro.devtools.lint.semantics import (
 )
 
 __all__ = [
-    "FloorOnLoadExpression",
-    "UnguardedDivision",
-    "RoutingMissingInvarianceFlag",
     "LoadFacadeBypass",
     "ConstructorSkipsValidation",
     "UnusedImport",
@@ -38,30 +36,9 @@ __all__ = [
     "FullLoadEvalInLoop",
     "DirectPoolConstruction",
     "WallClockOrPrintInLibrary",
-    "AmbientRNG",
     "ExecutorWorkerPurity",
-    "SpanOutsideWith",
     "DynamicTelemetryName",
 ]
-
-#: identifier fragments that mark a value as a real-valued load figure —
-#: flooring these silently truncates Definition-4/5 quantities (the PR-1
-#: ``LinkCountSummary.normalized`` bug class).
-_LOAD_KEYWORDS = (
-    "load",
-    "ratio",
-    "bound",
-    "emax",
-    "frac",
-    "weight",
-    "prob",
-    "latency",
-)
-
-#: denominator spellings that are known nonzero mathematical constants.
-_NONZERO_CONSTANTS = frozenset(
-    {"np.pi", "numpy.pi", "math.pi", "math.tau", "math.e"}
-)
 
 #: the load-engine internals that must only be reached through the
 #: :class:`repro.load.engine.LoadEngine` facade.
@@ -74,306 +51,6 @@ _ENGINE_INTERNALS = frozenset(
         "DisplacementBackend",
     }
 )
-
-
-def _identifiers(node: ast.AST) -> Iterator[str]:
-    """Every Name id and Attribute attr inside ``node``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-
-
-def _is_loadlike(name: str) -> bool:
-    lowered = name.lower()
-    return any(key in lowered for key in _LOAD_KEYWORDS)
-
-
-def _is_floor_call(node: ast.Call) -> bool:
-    """``math.floor(...)`` / ``np.floor(...)`` / bare ``floor(...)``."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "floor"
-    if isinstance(func, ast.Attribute):
-        return func.attr == "floor"
-    return False
-
-
-@register
-class FloorOnLoadExpression(Rule):
-    """RL001 — ``//`` or ``floor`` applied to a load/ratio/bound value.
-
-    Loads, linearity ratios, and the Eq. 6/8/9 bounds are rationals;
-    flooring them silently truncates (PR 1's
-    ``LinkCountSummary.normalized`` bug).  Index/count arithmetic such as
-    ``m // 2`` ring splits is whitelisted by the identifier heuristic:
-    only expressions that *mention* a load-like identifier (or assign to
-    one) are flagged.
-    """
-
-    code = "RL001"
-    summary = "floor-division/floor() on a load, ratio, or bound expression"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        reported: set[tuple[int, int]] = set()
-
-        def flag(node: ast.AST, detail: str) -> Iterator[Finding]:
-            key = (node.lineno, node.col_offset)
-            if key not in reported:
-                reported.add(key)
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{detail} — loads and bounds are rationals; use true "
-                    "division (or suppress with `# repro: noqa(RL001)` if "
-                    "this is genuinely integral)",
-                )
-
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
-                if any(_is_loadlike(name) for name in _identifiers(node)):
-                    yield from flag(
-                        node,
-                        f"floor division in `{ctx.segment(node)}` involves a "
-                        "load-like value",
-                    )
-            elif isinstance(node, ast.Call) and _is_floor_call(node):
-                if any(
-                    _is_loadlike(name)
-                    for arg in node.args
-                    for name in _identifiers(arg)
-                ):
-                    yield from flag(
-                        node,
-                        f"`{ctx.segment(node)}` floors a load-like value",
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets: list[ast.expr]
-                if isinstance(node, ast.Assign):
-                    targets = node.targets
-                else:
-                    targets = [node.target]
-                if node.value is None or not any(
-                    _is_loadlike(name)
-                    for target in targets
-                    for name in _identifiers(target)
-                ):
-                    continue
-                for sub in ast.walk(node.value):
-                    if isinstance(sub, ast.BinOp) and isinstance(
-                        sub.op, ast.FloorDiv
-                    ):
-                        yield from flag(
-                            sub,
-                            "floor division assigned to a load-like name "
-                            f"(`{ctx.segment(node)}`)",
-                        )
-                    elif isinstance(sub, ast.Call) and _is_floor_call(sub):
-                        yield from flag(
-                            sub,
-                            "floor() result assigned to a load-like name "
-                            f"(`{ctx.segment(node)}`)",
-                        )
-
-
-class _ScopeGuards:
-    """Guard expressions visible inside one function (or module) scope."""
-
-    def __init__(self, inherited: tuple[str, ...] = ()):
-        self.texts: list[str] = list(inherited)
-
-    def add(self, text: str) -> None:
-        if text:
-            self.texts.append(text)
-
-    def covers(self, denominator_text: str) -> bool:
-        # Word-boundary match so a denominator `k` is not "guarded" by an
-        # unrelated `if link:` test.
-        pattern = re.compile(
-            rf"(?<![\w.]){re.escape(denominator_text)}(?![\w(])"
-        )
-        return any(pattern.search(guard) for guard in self.texts)
-
-
-@register
-class UnguardedDivision(Rule):
-    """RL002 — division by a bare name with no visible zero guard.
-
-    Scoped to the numeric hot paths (``repro.load``, ``repro.bisection``,
-    ``repro.sim``) where a zero denominator is a latent
-    ``ZeroDivisionError`` (PR 1's empty-path-set crash class).  A
-    denominator counts as guarded when the enclosing function mentions it
-    in any ``if``/``while``/``assert``/ternary test, comprehension
-    filter, or ``max``/``min`` clamp.  Modulus is deliberately out of
-    scope: ``x % k`` by a validated radix is the codebase's cyclic
-    bread-and-butter and never reaches zero past construction.
-    """
-
-    code = "RL002"
-    summary = "division without a zero guard in a load/bisection/sim hot path"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.is_test_file:
-            return False
-        return any(
-            ctx.in_package(pkg) for pkg in ("load", "bisection", "sim")
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        yield from self._check_scope(ctx, ctx.tree.body, _ScopeGuards())
-
-    # ------------------------------------------------------------ helpers
-
-    def _check_scope(
-        self,
-        ctx: FileContext,
-        body: list[ast.stmt],
-        inherited: _ScopeGuards,
-    ) -> Iterator[Finding]:
-        guards = _ScopeGuards(tuple(inherited.texts))
-        nested: list[list[ast.stmt]] = []
-        divisions: list[ast.BinOp] = []
-        for node in self._walk_shallow(body, nested):
-            if isinstance(node, (ast.If, ast.While)):
-                guards.add(ctx.segment(node.test))
-            elif isinstance(node, ast.IfExp):
-                guards.add(ctx.segment(node.test))
-            elif isinstance(node, ast.Assert):
-                guards.add(ctx.segment(node.test))
-            elif isinstance(node, ast.comprehension):
-                for cond in node.ifs:
-                    guards.add(ctx.segment(cond))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Name) and func.id in ("max", "min"):
-                    for arg in node.args:
-                        guards.add(ctx.segment(arg))
-            elif isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Div, ast.FloorDiv)
-            ):
-                divisions.append(node)
-        for division in divisions:
-            key = self._denominator_key(ctx, division.right)
-            if key is None:
-                continue
-            if guards.covers(key):
-                continue
-            yield self.finding(
-                ctx,
-                division,
-                f"division by `{ctx.segment(division.right)}` has no zero "
-                "guard in this scope — raise a descriptive error or clamp "
-                "before dividing",
-            )
-        for sub_body in nested:
-            yield from self._check_scope(ctx, sub_body, guards)
-
-    @staticmethod
-    def _walk_shallow(
-        body: list[ast.stmt], nested: list[list[ast.stmt]]
-    ) -> Iterator[ast.AST]:
-        """Walk statements without descending into nested def/class bodies."""
-        stack: list[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                nested.append(node.body)
-                # decorators/defaults still belong to the outer scope
-                stack.extend(ast.iter_child_nodes(node))
-                for child in node.body:
-                    if child in stack:
-                        stack.remove(child)
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _denominator_key(
-        self, ctx: FileContext, denom: ast.expr
-    ) -> str | None:
-        """The text to look for in guards, or ``None`` when exempt."""
-        if isinstance(denom, ast.Constant):
-            if denom.value == 0:
-                return str(denom.value)  # certain bug; nothing can guard it
-            return None
-        if isinstance(denom, ast.Name):
-            return denom.id
-        if isinstance(denom, ast.Attribute):
-            text = ctx.segment(denom)
-            if text in _NONZERO_CONSTANTS:
-                return None
-            return text
-        if (
-            isinstance(denom, ast.Call)
-            and isinstance(denom.func, ast.Name)
-            and denom.func.id == "len"
-            and len(denom.args) == 1
-        ):
-            return ctx.segment(denom.args[0])
-        return None
-
-
-@register
-class RoutingMissingInvarianceFlag(Rule):
-    """RL003 — a direct ``RoutingAlgorithm`` subclass with no explicit
-    ``translation_invariant`` declaration.
-
-    The displacement-class cache dispatches on this flag; inheriting the
-    base default silently (PR 1's missing declaration) either forfeits
-    the cache or — worse, if the default ever changed — corrupts loads
-    for non-invariant routings.  Direct subclasses must state the flag;
-    deeper subclasses inherit an explicit ancestor value.
-    """
-
-    code = "RL003"
-    summary = "RoutingAlgorithm subclass missing translation_invariant"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not self._bases_routing_algorithm(node):
-                continue
-            if self._declares_flag(node):
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"routing class `{node.name}` subclasses RoutingAlgorithm "
-                "directly but does not declare `translation_invariant` — "
-                "state it explicitly (the path table and the load backends "
-                "dispatch on this flag)",
-            )
-
-    @staticmethod
-    def _bases_routing_algorithm(node: ast.ClassDef) -> bool:
-        for base in node.bases:
-            name = base.id if isinstance(base, ast.Name) else None
-            if name is None and isinstance(base, ast.Attribute):
-                name = base.attr
-            if name == "RoutingAlgorithm":
-                return True
-        return False
-
-    @staticmethod
-    def _declares_flag(node: ast.ClassDef) -> bool:
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "translation_invariant"
-                    ):
-                        return True
-            elif isinstance(stmt, ast.AnnAssign):
-                if (
-                    isinstance(stmt.target, ast.Name)
-                    and stmt.target.id == "translation_invariant"
-                ):
-                    return True
-        return False
 
 
 @register
@@ -848,65 +525,6 @@ class WallClockOrPrintInLibrary(Rule):
 
 
 @register
-class AmbientRNG(Rule):
-    """RL011 — ambient RNG call in library code.
-
-    Every stochastic path in this repository threads an explicit,
-    seeded generator through :func:`repro.util.rng.resolve_rng` /
-    :func:`~repro.util.rng.spawn_rngs`; that is what makes annealing and
-    randomized-search results replayable from a manifest seed.  A
-    ``random.random()`` / ``np.random.shuffle(...)`` global-state call —
-    or a private ``np.random.default_rng(...)`` that bypasses the shared
-    entry point — reintroduces ambient state the manifest cannot
-    capture.  Resolver-backed, so ``import numpy.random as npr`` and
-    ``from random import shuffle`` are both seen.  Explicit generator
-    *classes* (``random.Random(seed)``, ``np.random.PCG64(seed)``) are
-    exempt: constructing one with a pinned seed is deterministic.
-    """
-
-    code = "RL011"
-    summary = "ambient/unseeded RNG call outside repro.util.rng"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.is_test_file or not ctx.in_package():
-            return False
-        return not ctx.posix_path.endswith("repro/util/rng.py")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qname = ctx.resolve(node.func)
-            if qname is None:
-                continue
-            in_random = qname.startswith("random.")
-            in_np_random = qname.startswith("numpy.random.")
-            if not (in_random or in_np_random):
-                continue
-            leaf = qname.rsplit(".", 1)[-1]
-            if leaf[:1].isupper():
-                continue  # explicit generator classes are deterministic
-            if leaf == "default_rng":
-                detail = (
-                    f"`{qname}` bypasses the shared RNG entry point — "
-                    "accept a `seed_or_rng` and call "
-                    "`repro.util.rng.resolve_rng(seed_or_rng)` instead"
-                )
-            else:
-                detail = (
-                    f"`{qname}` mutates/reads ambient RNG state — thread "
-                    "an explicit generator from "
-                    "`repro.util.rng.resolve_rng(seed)` through the call "
-                    "chain"
-                )
-            yield self.finding(
-                ctx,
-                node,
-                detail + ", or certify with `# repro: noqa(RL011)`",
-            )
-
-
-@register
 class ExecutorWorkerPurity(Rule):
     """RL014 — an unpicklable or impure worker handed to the executor.
 
@@ -1014,64 +632,6 @@ class ExecutorWorkerPurity(Rule):
                     "cannot pickle across the process boundary; hoist it "
                     "to module level",
                 )
-
-
-@register
-class SpanOutsideWith(Rule):
-    """RL015 — ``tracer.span(...)`` used outside a ``with`` statement.
-
-    A :class:`repro.obs.tracer.Span` only records on ``__exit__``; a
-    span created outside a ``with`` (stored, returned, or discarded)
-    silently drops its timing and, with an active tracer, corrupts span
-    nesting for everything recorded while it dangles.  Chained
-    annotations inside the with-item (``with tracer.span("x").annotate(
-    ...)``) are recognized.  The tracer module itself and tests are
-    exempt.
-    """
-
-    code = "RL015"
-    summary = "tracer.span(...) outside a `with` statement"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.is_test_file or not ctx.in_package():
-            return False
-        return not ctx.posix_path.endswith("repro/obs/tracer.py")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        allowed: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    expr: ast.expr | None = item.context_expr
-                    while isinstance(expr, ast.Call):
-                        allowed.add(id(expr))
-                        func = expr.func
-                        expr = (
-                            func.value
-                            if isinstance(func, ast.Attribute)
-                            else None
-                        )
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "span"
-                and id(node) not in allowed
-                and self._tracer_like(ctx, node.func.value)
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`{ctx.segment(node.func)}(...)` outside a `with` — "
-                    "spans record on __exit__; write "
-                    "`with tracer.span(...):`, or certify a deliberate "
-                    "handle with `# repro: noqa(RL015)`",
-                )
-
-    @staticmethod
-    def _tracer_like(ctx: FileContext, receiver: ast.expr) -> bool:
-        segment = ctx.segment(receiver).lower()
-        return "tracer" in segment
 
 
 @register

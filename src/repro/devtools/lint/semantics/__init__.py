@@ -3,15 +3,14 @@
 The original lint rules were single-file AST pattern matchers; this
 package gives them two capabilities they could not express:
 
-* **project-wide symbol resolution and an import graph**
+* **project-wide symbol resolution**
   (:mod:`~repro.devtools.lint.semantics.resolver`) — every local name is
   mapped through the file's imports to a fully qualified name
   (``from repro.load.engine import fft as f`` makes ``f.FFTBackend``
   resolve to ``repro.load.engine.fft.FFTBackend``), and a
   :class:`~repro.devtools.lint.semantics.resolver.Project` built over all
   linted files chases re-export chains (``repro.load.engine.LoadEngine``
-  canonicalizes to ``repro.load.engine.facade.LoadEngine``) and exposes
-  the module-level import graph;
+  canonicalizes to ``repro.load.engine.facade.LoadEngine``);
 
 * **scope and global-mutation analysis**
   (:mod:`~repro.devtools.lint.semantics.scopes`) — module-level

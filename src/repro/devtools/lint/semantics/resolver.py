@@ -7,20 +7,19 @@ imports anything — resolution is purely syntactic, so ``import numpy as
 np`` makes ``np.random.rand`` resolve to ``numpy.random.rand`` whether
 or not numpy is installed.
 
-:class:`Project` indexes every linted file by dotted module name, builds
-the import graph between them, and canonicalizes qualified names through
-re-export chains: ``repro.load.engine.LoadEngine`` follows the
+:class:`Project` indexes every linted file by dotted module name and
+canonicalizes qualified names through re-export chains: ``repro.load.engine.LoadEngine`` follows the
 ``from repro.load.engine.facade import LoadEngine`` line in
 ``engine/__init__.py`` down to ``repro.load.engine.facade.LoadEngine``.
 Rules match on canonical names, which is what makes them alias- *and*
-import-graph-aware.
+re-export-aware.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "ImportResolver",
@@ -80,8 +79,6 @@ class ImportResolver:
         self.is_package = is_package
         #: local name → fully qualified origin (``np`` → ``numpy``).
         self.bindings: dict[str, str] = {}
-        #: every module named by an import statement, resolved absolute.
-        self.imported_modules: set[str] = set()
         self._collect(tree)
 
     # ------------------------------------------------------------ building
@@ -104,7 +101,6 @@ class ImportResolver:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    self.imported_modules.add(alias.name)
                     if alias.asname is not None:
                         self.bindings[alias.asname] = alias.name
                     else:
@@ -117,8 +113,6 @@ class ImportResolver:
                     continue
                 module = node.module or ""
                 absolute = ".".join(p for p in (base, module) if p)
-                if absolute:
-                    self.imported_modules.add(absolute)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
@@ -178,7 +172,8 @@ class Project:
     """A whole-program index over every linted module.
 
     Build once per lint run (``lint_paths`` does); rules then resolve
-    names through :meth:`canonical` and walk :attr:`import_graph`.
+    names through :meth:`canonical`, and each file's context finds its
+    own resolver through :meth:`module`.
     """
 
     #: re-export chains longer than this are assumed cyclic and abandoned.
@@ -203,31 +198,6 @@ class Project:
     def module(self, name: str) -> ModuleInfo | None:
         """The indexed module of that dotted name, if any."""
         return self.modules.get(name)
-
-    # ------------------------------------------------------- import graph
-
-    @property
-    def import_graph(self) -> dict[str, tuple[str, ...]]:
-        """``module → modules it imports`` (project members only), sorted."""
-        graph: dict[str, tuple[str, ...]] = {}
-        for name, info in sorted(self.modules.items()):
-            edges: set[str] = set()
-            for target in info.resolver.imported_modules:
-                if target in self.modules and target != name:
-                    edges.add(target)
-            # `from pkg import sym` where pkg.sym is itself a module is an
-            # edge to that module too.
-            for origin in info.resolver.bindings.values():
-                if origin in self.modules and origin != name:
-                    edges.add(origin)
-            graph[name] = tuple(sorted(edges))
-        return graph
-
-    def importers_of(self, name: str) -> tuple[str, ...]:
-        """Project modules that import module ``name`` (reverse edges)."""
-        return tuple(
-            src for src, targets in self.import_graph.items() if name in targets
-        )
 
     # ------------------------------------------------------ canonical names
 
@@ -268,13 +238,6 @@ class Project:
                 break  # defined here (or self-referential): canonical
             current = ".".join([origin, *tail])
         return current
-
-    def iter_modules(self) -> Iterator[ModuleInfo]:
-        for name in sorted(self.modules):
-            yield self.modules[name]
-
-    def __len__(self) -> int:
-        return len(self.modules)
 
     def __repr__(self) -> str:
         return f"Project({len(self.modules)} modules)"

@@ -9,15 +9,17 @@ constructing a pool directly (lint rule RL009 enforces the facade).  The layer t
   exponential backoff, a per-task deadline watchdog, automatic pool
   rebuild after worker crashes, and graceful degradation to in-process
   serial execution once a task's retry budget is spent;
-* :class:`ExecPolicy` / :func:`using_exec_policy` — ambient configuration
-  (the CLI's ``--retries``/``--task-timeout``/``--chaos-seed`` flags);
+* :class:`ExecPolicy` — the retry budget, deadline and chaos schedule
+  (the CLI's ``--retries``/``--task-timeout``/``--chaos-*`` flags),
+  passed to each executor by its caller;
 * :class:`CheckpointJournal` — an append-only JSONL journal of completed
   task ids and partial accumulators, so ``repro certify --resume``
   restarts a long search after a crash;
-* :class:`ChaosPolicy` — seeded fault injection (crash/hang/slow) used by
+* :class:`ChaosPolicy` — seeded fault injection (crash/hang) used by
   the chaos test suites to prove the above paths actually work;
 * :class:`ExecutionReport` — structured accounting of every retry,
-  timeout, rebuild, and downgrade a run absorbed.
+  timeout, rebuild, and downgrade a run absorbed, returned with its
+  results.
 
 See ``docs/ROBUSTNESS.md`` for the retry/fallback state machine and the
 journal format.
@@ -26,14 +28,8 @@ journal format.
 from repro.exec.chaos import CHAOS_FAULTS, ChaosPolicy, unit_hash
 from repro.exec.executor import ExecTask, ExecutionOutcome, ResilientExecutor
 from repro.exec.journal import JOURNAL_VERSION, CheckpointJournal
-from repro.exec.policy import ExecPolicy, current_exec_policy, using_exec_policy
-from repro.exec.report import (
-    ExecutionEvent,
-    ExecutionReport,
-    clear_reports,
-    recent_reports,
-    record_report,
-)
+from repro.exec.policy import ExecPolicy
+from repro.exec.report import ExecutionEvent, ExecutionReport
 
 __all__ = [
     "CHAOS_FAULTS",
@@ -45,11 +41,6 @@ __all__ = [
     "JOURNAL_VERSION",
     "CheckpointJournal",
     "ExecPolicy",
-    "current_exec_policy",
-    "using_exec_policy",
     "ExecutionEvent",
     "ExecutionReport",
-    "clear_reports",
-    "recent_reports",
-    "record_report",
 ]

@@ -2,9 +2,9 @@
 
 A :class:`ChaosPolicy` decides — purely from a seed, a task id, and an
 attempt number — whether a worker-side task execution should ``crash``
-(hard-kill its worker process), ``hang`` (sleep past any sane deadline),
-``slow`` (sleep briefly, then compute normally), or run clean.  The
-decision is a salted SHA-256 hash mapped to the unit interval, so:
+(hard-kill its worker process), ``hang`` (sleep until the deadline
+watchdog terminates its worker), or run clean.  The decision is a salted
+SHA-256 hash mapped to the unit interval, so:
 
 * the *same* seed reproduces the same fault schedule run after run — the
   chaos suites in ``tests/`` are ordinary deterministic tests;
@@ -33,10 +33,14 @@ from repro.errors import InvalidParameterError
 __all__ = ["ChaosPolicy", "CHAOS_FAULTS", "unit_hash"]
 
 #: every fault kind a policy can inject, in decision order.
-CHAOS_FAULTS = ("crash", "hang", "slow")
+CHAOS_FAULTS = ("crash", "hang")
 
 #: exit code used by injected worker crashes (visible in pool diagnostics).
 _CRASH_EXIT_CODE = 73
+
+#: how long a hung task sleeps: far past any deadline, so the watchdog,
+#: not the sleep, ends the task.
+_HANG_SECONDS = 3600.0
 
 
 def unit_hash(*parts: object) -> float:
@@ -61,26 +65,20 @@ class ChaosPolicy:
     seed:
         Root of the deterministic schedule; two runs with equal seeds
         inject identical faults.
-    crash_fraction, hang_fraction, slow_fraction:
+    crash_fraction, hang_fraction:
         Expected fraction of (task, attempt) executions hit by each fault
-        kind; the three must sum to at most 1.
-    hang_seconds:
-        How long a hung task sleeps — choose it far above the executor's
-        ``task_timeout`` so the watchdog, not the sleep, ends the task.
-    slow_seconds:
-        Added latency for ``slow`` faults (the task still completes).
+        kind; the two must sum to at most 1.  A hung task never finishes
+        by itself, so a policy that hangs needs the executor's
+        ``task_timeout``.
     """
 
     seed: int
     crash_fraction: float = 0.0
     hang_fraction: float = 0.0
-    slow_fraction: float = 0.0
-    hang_seconds: float = 3600.0
-    slow_seconds: float = 0.25
 
     def __post_init__(self) -> None:
         total = 0.0
-        for name in ("crash_fraction", "hang_fraction", "slow_fraction"):
+        for name in ("crash_fraction", "hang_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidParameterError(
@@ -90,10 +88,6 @@ class ChaosPolicy:
         if total > 1.0 + 1e-12:
             raise InvalidParameterError(
                 f"fault fractions must sum to <= 1, got {total}"
-            )
-        if self.hang_seconds < 0 or self.slow_seconds < 0:
-            raise InvalidParameterError(
-                "hang_seconds and slow_seconds must be >= 0"
             )
 
     def decide(self, task_id: str, attempt: int) -> str | None:
@@ -105,8 +99,7 @@ class ChaosPolicy:
         u = unit_hash(self.seed, "chaos", task_id, attempt)
         threshold = 0.0
         for kind, fraction in zip(
-            CHAOS_FAULTS,
-            (self.crash_fraction, self.hang_fraction, self.slow_fraction),
+            CHAOS_FAULTS, (self.crash_fraction, self.hang_fraction)
         ):
             threshold += fraction
             if u < threshold:
@@ -117,28 +110,11 @@ class ChaosPolicy:
         """Execute the scheduled fault inside a worker process.
 
         ``crash`` hard-exits the interpreter (the parent sees a broken
-        pool), ``hang`` sleeps for :attr:`hang_seconds` (the parent's
-        deadline watchdog must intervene), ``slow`` sleeps briefly and
-        returns so the task still succeeds.
+        pool); ``hang`` sleeps until the parent's deadline watchdog
+        terminates the worker.
         """
         fault = self.decide(task_id, attempt)
         if fault == "crash":
             os._exit(_CRASH_EXIT_CODE)
         elif fault == "hang":
-            time.sleep(self.hang_seconds)
-        elif fault == "slow":
-            time.sleep(self.slow_seconds)
-
-    def expected_faults(self, task_ids: list[str], attempt: int = 0) -> dict:
-        """Predicted fault kinds for ``task_ids`` at one attempt number.
-
-        Lets tests and the CLI report the injected schedule without
-        running anything: ``{task_id: kind}`` for the tasks that would be
-        hit.
-        """
-        out: dict[str, str] = {}
-        for task_id in task_ids:
-            fault = self.decide(task_id, attempt)
-            if fault is not None:
-                out[task_id] = fault
-        return out
+            time.sleep(_HANG_SECONDS)

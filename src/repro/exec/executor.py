@@ -10,7 +10,7 @@ failure modes a bare pool propagates raw:
   deadline; overdue tasks are charged, innocent in-flight tasks are
   rescheduled without charge, and the stuck workers are terminated;
 * **transient faults** — bounded retry with exponential backoff and
-  deterministic seeded jitter, so a rerun reproduces the exact schedule;
+  deterministic hashed jitter, so a rerun reproduces the exact schedule;
 * **persistent faults** — after the retry budget, a task degrades to
   in-process serial execution (*graceful degradation*) instead of failing
   an hours-long run; every downgrade is recorded in the
@@ -45,8 +45,8 @@ from typing import Any, Callable, Sequence
 from repro.errors import ExecutionError
 from repro.exec.chaos import ChaosPolicy, unit_hash
 from repro.exec.journal import CheckpointJournal
-from repro.exec.policy import ExecPolicy, current_exec_policy
-from repro.exec.report import ExecutionReport, record_report
+from repro.exec.policy import ExecPolicy
+from repro.exec.report import ExecutionReport
 from repro.obs.tracer import (
     NULL_TRACER,
     WorkerTraceConfig,
@@ -56,6 +56,16 @@ from repro.obs.tracer import (
 )
 
 __all__ = ["ExecTask", "ExecutionOutcome", "ResilientExecutor"]
+
+#: retry ``n`` of a task waits ``min(_BACKOFF_MAX, _BACKOFF_BASE *
+#: _BACKOFF_FACTOR**(n - 1))`` seconds, scaled by a jitter in [0.5, 1).
+_BACKOFF_BASE = 0.05
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 2.0
+
+#: watchdog polling interval in seconds: the granularity at which
+#: deadlines are checked and completions collected.
+_HEARTBEAT = 0.05
 
 
 @dataclass(frozen=True)
@@ -161,8 +171,7 @@ class ResilientExecutor:
         also invoked lazily in the parent before any serial fallback.
     policy:
         The :class:`~repro.exec.policy.ExecPolicy` governing retries,
-        deadlines, backoff, and chaos; defaults to the ambient policy
-        installed by :func:`~repro.exec.policy.using_exec_policy`.
+        deadlines and chaos; defaults to ``ExecPolicy()``.
     journal:
         Optional :class:`~repro.exec.journal.CheckpointJournal`; completed
         tasks found in it are returned without re-execution and new
@@ -187,7 +196,7 @@ class ResilientExecutor:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.initializer = initializer
         self.initargs = initargs
-        self.policy = policy if policy is not None else current_exec_policy()
+        self.policy = policy if policy is not None else ExecPolicy()
         self.journal = journal
         self.label = label
         self._pool: ProcessPoolExecutor | None = None
@@ -198,28 +207,18 @@ class ResilientExecutor:
 
     # ------------------------------------------------------------ schedule
 
-    def backoff_delay(self, task_id: str, attempt: int) -> float:
+    @staticmethod
+    def backoff_delay(task_id: str, attempt: int) -> float:
         """Seconds to wait before retry ``attempt`` (1-based) of a task.
 
         Exponential in the attempt number, capped, and scaled by a
-        deterministic jitter in ``[0.5, 1.0)`` derived from
-        ``(policy.seed, task_id, attempt)`` — the schedule is a pure
-        function of the policy, so reruns are reproducible.
+        deterministic jitter in ``[0.5, 1.0)`` hashed from
+        ``(task_id, attempt)``, so reruns reproduce the schedule.
         """
-        policy = self.policy
         raw = min(
-            policy.backoff_max,
-            policy.backoff_base * policy.backoff_factor ** (attempt - 1),
+            _BACKOFF_MAX, _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempt - 1)
         )
-        jitter = 0.5 + 0.5 * unit_hash(policy.seed, "backoff", task_id, attempt)
-        return raw * jitter
-
-    def backoff_schedule(self, task_id: str) -> tuple[float, ...]:
-        """The full retry-delay schedule one task would follow."""
-        return tuple(
-            self.backoff_delay(task_id, attempt)
-            for attempt in range(1, self.policy.retries + 1)
-        )
+        return raw * (0.5 + 0.5 * unit_hash("backoff", task_id, attempt))
 
     # ----------------------------------------------------------------- run
 
@@ -229,8 +228,7 @@ class ResilientExecutor:
         Raises
         ------
         ExecutionError
-            If a task exhausts its retry budget while serial fallback is
-            disabled, or the workload is malformed (duplicate ids).
+            If the workload is malformed (duplicate ids).
         Exception
             Any exception raised by ``worker_fn`` itself propagates
             unchanged — deterministic task errors are not retried (a
@@ -288,7 +286,6 @@ class ResilientExecutor:
             report.finish()
             if self._tracer.enabled:
                 self._flush_metrics(report)
-            record_report(report)
         return ExecutionOutcome(results=results, report=report)
 
     # ------------------------------------------------------------ pool loop
@@ -314,12 +311,6 @@ class ResilientExecutor:
             ]
             for state in exhausted:
                 pending.remove(state)
-                if not policy.fallback_serial:
-                    raise ExecutionError(
-                        f"{self.label}: task {state.task.task_id!r} failed "
-                        f"{state.attempts} attempts (retries={policy.retries}) "
-                        "and serial fallback is disabled"
-                    )
                 report.fallbacks += 1
                 self._note(
                     report,
@@ -366,9 +357,7 @@ class ResilientExecutor:
             if not inflight:
                 if pending:
                     wake = min(state.not_before for state in pending)
-                    delay = min(
-                        max(wake - time.monotonic(), 0.0), policy.heartbeat
-                    )
+                    delay = min(max(wake - time.monotonic(), 0.0), _HEARTBEAT)
                     if delay > 0:
                         time.sleep(delay)
                 continue
@@ -376,7 +365,7 @@ class ResilientExecutor:
             # 3. collect completions (bounded wait = watchdog heartbeat).
             done, _ = wait(
                 set(inflight),
-                timeout=policy.heartbeat,
+                timeout=_HEARTBEAT,
                 return_when=FIRST_COMPLETED,
             )
             broken = False

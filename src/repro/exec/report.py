@@ -4,29 +4,18 @@ Every :meth:`~repro.exec.executor.ResilientExecutor.run` produces an
 :class:`ExecutionReport`: counters for the happy path (tasks completed,
 resumed from a checkpoint) and a typed event log for everything that went
 wrong and how it was absorbed (retries, timeouts, pool rebuilds, serial
-downgrades).  Reports from recent runs are kept in a small in-process
-ring so the CLI can surface degradations after the fact without threading
-report objects through every return value.
+downgrades).  The exact search returns its executors' reports on
+:attr:`repro.placements.exact_search.ExactSearchResult.reports`, and
+``repro certify`` prints the :meth:`~ExecutionReport.summary` of every
+degraded one to stderr.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.obs.console import wall_clock
-
-__all__ = [
-    "ExecutionEvent",
-    "ExecutionReport",
-    "record_report",
-    "recent_reports",
-    "clear_reports",
-]
-
-#: how many reports the in-process ring retains.
-_RING_CAPACITY = 32
+__all__ = ["ExecutionEvent", "ExecutionReport"]
 
 
 @dataclass(frozen=True)
@@ -42,11 +31,6 @@ class ExecutionEvent:
     task_id: str | None
     attempt: int
     detail: str
-
-    def render(self) -> str:
-        """Canonical one-line text form."""
-        where = self.task_id if self.task_id is not None else "<pool>"
-        return f"[{self.kind}] {where} (attempt {self.attempt}): {self.detail}"
 
 
 @dataclass
@@ -78,9 +62,6 @@ class ExecutionReport:
         their retry budget.
     events:
         The ordered incident log (see :class:`ExecutionEvent`).
-    started_unix:
-        Informational wall-clock timestamp of report creation; never
-        used for arithmetic (NTP steps would corrupt durations).
     started_monotonic:
         ``time.perf_counter()`` at creation — the basis every duration
         is computed from (see :meth:`finish`).
@@ -99,7 +80,6 @@ class ExecutionReport:
     pool_rebuilds: int = 0
     fallbacks: int = 0
     events: list[ExecutionEvent] = field(default_factory=list)
-    started_unix: float = field(default_factory=wall_clock)
     started_monotonic: float = field(default_factory=time.perf_counter)
     elapsed_seconds: float = 0.0
 
@@ -123,15 +103,6 @@ class ExecutionReport:
             or self.fallbacks
         )
 
-    @property
-    def downgraded_task_ids(self) -> tuple[str, ...]:
-        """Tasks that ended up on the serial fallback path, in order."""
-        return tuple(
-            event.task_id
-            for event in self.events
-            if event.kind == "fallback" and event.task_id is not None
-        )
-
     def summary(self) -> str:
         """One line suitable for CLI/warning output."""
         parts = [
@@ -151,41 +122,3 @@ class ExecutionReport:
             parts.append(f"{self.fallbacks} serial fallbacks")
         parts.append(f"{self.elapsed_seconds:.2f}s")
         return ", ".join(parts)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (events rendered as text lines)."""
-        return {
-            "label": self.label,
-            "tasks": self.tasks,
-            "completed": self.completed,
-            "resumed": self.resumed,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "broken_pools": self.broken_pools,
-            "pool_rebuilds": self.pool_rebuilds,
-            "fallbacks": self.fallbacks,
-            "started_at_unix": self.started_unix,
-            "elapsed_seconds": self.elapsed_seconds,
-            "events": [event.render() for event in self.events],
-        }
-
-
-_RECENT: list[ExecutionReport] = []
-
-
-def record_report(report: ExecutionReport) -> None:
-    """Push a finished report onto the in-process ring."""
-    _RECENT.append(report)
-    if len(_RECENT) > _RING_CAPACITY:
-        del _RECENT[: len(_RECENT) - _RING_CAPACITY]
-
-
-def recent_reports() -> tuple[ExecutionReport, ...]:
-    """Reports from recent runs, oldest first."""
-    return tuple(_RECENT)
-
-
-def clear_reports() -> None:
-    """Empty the ring (used by tests and long-lived drivers)."""
-    _RECENT.clear()

@@ -16,8 +16,7 @@ incremental ODR kernels and the catalog all reuse the same path table.
 It is the only place tables are cached.  Each process builds its own
 plans.
 
-The ambient-policy convention mirrors ``using_exec_policy`` /
-``using_tracer``: instrumented code asks
+The ambient convention mirrors ``using_tracer``: instrumented code asks
 :func:`current_plan_cache` for the cache the caller installed with
 :func:`using_plan_cache`.
 

@@ -1,8 +1,7 @@
 """Nested tracing spans with an ambient, swappable tracer.
 
-The design mirrors the package's other ambient policies
-(:func:`repro.load.plancache.using_plan_cache`,
-:func:`repro.exec.using_exec_policy`): instrumented code asks for the
+The design mirrors the package's other ambient state,
+:func:`repro.load.plancache.using_plan_cache`: instrumented code asks for the
 process-wide tracer via :func:`current_tracer` and opens spans on it —
 no tracer argument threads through any signature.  The default tracer
 is the :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op
@@ -441,8 +440,8 @@ def using_tracer(
 ) -> Iterator["Tracer | NullTracer"]:
     """Temporarily install ``tracer`` as the ambient tracer.
 
-    ``None`` is a no-op (the current tracer stays in effect), as for
-    ``using_exec_policy(None)``.
+    ``None`` is a no-op (the current tracer stays in effect), so a
+    caller can pass an optional tracer straight through.
     """
     global _current
     if tracer is None:

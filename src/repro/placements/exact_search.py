@@ -89,7 +89,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -97,7 +97,13 @@ import numpy as np
 # re-exported so the per-layer benchmark (benchmarks/e2e) can wrap it here
 from repro.bisection.separator import separator_size  # noqa: F401
 from repro.errors import ExecutionError, InvalidParameterError, SearchError
-from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
+from repro.exec import (
+    CheckpointJournal,
+    ExecPolicy,
+    ExecTask,
+    ExecutionReport,
+    ResilientExecutor,
+)
 from repro.load.formulas import blaum_lower_bound
 from repro.load.odr_loads import odr_edge_loads_add_delta
 from repro.load.plancache import current_plan_cache
@@ -226,6 +232,10 @@ class ExactSearchResult:
         The ``bound``-mode ladder: ``(UB, nodes expanded)`` per rung
         searched, from the Eq. 6 rung up to the certifying one (empty in
         ``full`` mode).
+    reports:
+        One :class:`~repro.exec.ExecutionReport` per fanned-out search,
+        in order (one per rung; empty for an undecomposed serial run).
+        Ignored by ``==``, since it carries timings.
     """
 
     minimum_emax: float
@@ -239,6 +249,7 @@ class ExactSearchResult:
     num_variants: int
     counters: SearchCounters
     rungs: tuple[tuple[float, int], ...]
+    reports: tuple[ExecutionReport, ...] = field(compare=False, default=())
 
 
 @dataclass(frozen=True)
@@ -788,12 +799,15 @@ def _search_rung(
     processes: int | None,
     journal: CheckpointJournal | None,
     decompose: bool,
+    policy: ExecPolicy | None,
+    reports: list[ExecutionReport],
 ) -> list[dict]:
     """Partials of one search at the fixed bound ``upper``.
 
     Undecomposed runs search the whole tree from the empty prefix.
     Otherwise the frontier at the split depth is collected here and its
-    roots fan out through one :class:`ResilientExecutor` per rung.
+    roots fan out through one :class:`ResilientExecutor` per rung, whose
+    report is appended to ``reports``.
     """
     context.upper_bound = upper
     if not decompose:
@@ -810,6 +824,7 @@ def _search_rung(
         jobs=workers,
         initializer=_init_worker,
         initargs=(torus.k, torus.d, size, upper, context.progress),
+        policy=policy,
         journal=journal,
         label=(
             f"exact-search[T_{torus.k}^{torus.d} n={size} E_max<={upper:g}]"
@@ -823,6 +838,7 @@ def _search_rung(
             f"'exact_search', {len(frontier)} subtree roots, "
             f"{workers} workers)"
         ) from err
+    reports.append(outcome.report)
     return [shallow, *outcome.in_task_order(tasks)]
 
 
@@ -835,6 +851,7 @@ def exact_global_minimum(
     checkpoint: str | None = None,
     resume: bool = False,
     progress: bool | None = None,
+    policy: ExecPolicy | None = None,
 ) -> ExactSearchResult:
     """Exactly certify the minimum ODR :math:`E_{max}` over all placements.
 
@@ -876,6 +893,11 @@ def exact_global_minimum(
         Emit throttled heartbeat lines to stderr while searching (leaf
         orbits, nodes expanded, prunes, rung).  ``None`` (default)
         enables heartbeats exactly when the ambient tracer is enabled.
+    policy:
+        The :class:`~repro.exec.ExecPolicy` (retries, deadline, chaos)
+        of every subtree-root fan-out; ``None`` uses ``ExecPolicy()``.
+        Each fan-out's report comes back on
+        :attr:`ExactSearchResult.reports`.
 
     Raises
     ------
@@ -923,6 +945,7 @@ def exact_global_minimum(
     histogram: dict[float, int] = {}
     counters = dict.fromkeys(SearchCounters.__dataclass_fields__, 0)
     searched: list[tuple[float, int]] = []
+    reports: list[ExecutionReport] = []
     best, best_ids = math.inf, None
 
     serial = processes is None or processes <= 1
@@ -955,7 +978,8 @@ def exact_global_minimum(
         ):
             if mode == "full":
                 partials = _search_rung(
-                    context, math.inf, processes, journal, decompose
+                    context, math.inf, processes, journal, decompose,
+                    policy, reports,
                 )
                 best, best_ids = _merge_partials(
                     partials, histogram, counters
@@ -964,7 +988,8 @@ def exact_global_minimum(
                 before = counters["canonical_nodes"]
                 with tracer.span("search.rung", ub=upper) as span:
                     partials = _search_rung(
-                        context, upper, processes, journal, decompose
+                        context, upper, processes, journal, decompose,
+                        policy, reports,
                     )
                     best, best_ids = _merge_partials(
                         partials, histogram, counters
@@ -1038,4 +1063,5 @@ def exact_global_minimum(
         num_variants=context.num_variants,
         counters=SearchCounters(**counters),
         rungs=tuple(searched),
+        reports=tuple(reports),
     )

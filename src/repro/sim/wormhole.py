@@ -280,7 +280,7 @@ class WormholeEngine:
             # deliberate manual handle: the span is conditional (capped
             # at MAX_CYCLE_SPANS) and closed at two exit points below.
             cycle_span = (
-                tracer.span("sim.cycle", cycle=cycle)  # repro: noqa(RL015)
+                tracer.span("sim.cycle", cycle=cycle)
                 if traced and cycle < MAX_CYCLE_SPANS
                 else None
             )

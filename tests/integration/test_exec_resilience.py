@@ -6,8 +6,10 @@ workers, retries re-roll the schedule, and the serial fallback is always
 fault-free — so a run surviving injected crashes and hangs must produce
 *exactly* the fault-free answer, not an approximation of it.  These
 drills exercise the one wired call site, the exact-search certifier:
-crashed and hung workers, mid-run kill + resume through the checkpoint
-journal, and a fan-out that fails beyond recovery.
+crashed and hung workers, a run whose every pool attempt crashes,
+mid-run kill + resume through the checkpoint journal, and a fan-out that
+fails beyond recovery.  Each drill reads the executors' reports from the
+result's ``reports``.
 """
 
 from __future__ import annotations
@@ -19,45 +21,26 @@ import json
 import pytest
 
 from repro.errors import ExecutionError, SearchError
-from repro.exec import (
-    ChaosPolicy,
-    ExecPolicy,
-    clear_reports,
-    recent_reports,
-    using_exec_policy,
-)
+from repro.exec import ChaosPolicy, ExecPolicy, ResilientExecutor
 from repro.load.odr_loads import odr_edge_loads
 from repro.placements.exact_search import exact_global_minimum
 from repro.placements.linear import linear_placement
 from repro.torus.topology import Torus
 
-#: the ISSUE acceptance drill: ~20% of worker executions crash.
-CRASHY = ExecPolicy(
-    retries=3,
-    backoff_base=0.001,
-    backoff_max=0.01,
-    heartbeat=0.02,
-    chaos=ChaosPolicy(seed=7, crash_fraction=0.2),
-)
+#: the crash drill: ~20% of worker executions crash.
+CRASHY = ExecPolicy(retries=3, chaos=ChaosPolicy(seed=7, crash_fraction=0.2))
 
 #: hang drill: stuck workers reaped by the deadline watchdog; the drill
 #: re-seeds it with :func:`_hang_policy` so that some task does hang.
 HANGY = ExecPolicy(
     retries=2,
     task_timeout=0.5,
-    backoff_base=0.001,
-    backoff_max=0.01,
-    heartbeat=0.02,
-    chaos=ChaosPolicy(seed=13, hang_fraction=0.3, hang_seconds=60.0),
+    chaos=ChaosPolicy(seed=13, hang_fraction=0.3),
 )
 
-#: every worker execution crashes and nothing falls back: the fan-out fails.
-EXHAUSTED = ExecPolicy(
-    retries=0,
-    backoff_base=0.001,
-    heartbeat=0.02,
-    fallback_serial=False,
-    chaos=ChaosPolicy(seed=7, crash_fraction=1.0),
+#: every worker execution crashes: every task falls back to serial.
+ALL_CRASH = ExecPolicy(
+    retries=0, chaos=ChaosPolicy(seed=7, crash_fraction=1.0)
 )
 
 
@@ -98,7 +81,7 @@ def _hang_policy(task_ids):
     """
     for seed in itertools.count(HANGY.chaos.seed):
         chaos = dataclasses.replace(HANGY.chaos, seed=seed)
-        if "hang" in chaos.expected_faults(task_ids).values():
+        if any(chaos.decide(task_id, 0) == "hang" for task_id in task_ids):
             return dataclasses.replace(HANGY, chaos=chaos)
 
 
@@ -106,36 +89,49 @@ class TestCertifyUnderChaos:
     def test_crash_chaos_is_bit_identical_on_t5_2(self):
         torus = Torus(5, 2)
         serial = exact_global_minimum(torus, 5, mode="bound")
-        clear_reports()
-        with using_exec_policy(CRASHY):
-            chaotic = exact_global_minimum(torus, 5, mode="bound", processes=2)
+        chaotic = exact_global_minimum(
+            torus, 5, mode="bound", processes=2, policy=CRASHY
+        )
         assert _certify_key(chaotic) == _certify_key(serial)
         # the drill must actually have exercised the pool machinery
-        report = recent_reports()[-1]
+        report = chaotic.reports[-1]
         assert report.label.startswith("exact-search")
         assert report.completed == report.tasks
-        _assert_chaos_struck(recent_reports())
+        _assert_chaos_struck(chaotic.reports)
 
     def test_full_mode_histogram_survives_chaos_on_t4_2(self):
         torus = Torus(4, 2)
         serial = exact_global_minimum(torus, 4, mode="full")
-        clear_reports()
-        with using_exec_policy(CRASHY):
-            chaotic = exact_global_minimum(torus, 4, mode="full", processes=2)
+        chaotic = exact_global_minimum(
+            torus, 4, mode="full", processes=2, policy=CRASHY
+        )
         assert _certify_key(chaotic) == _certify_key(serial)
         assert chaotic.emax_histogram == serial.emax_histogram
-        _assert_chaos_struck(recent_reports())
+        _assert_chaos_struck(chaotic.reports)
+
+    def test_all_crash_chaos_falls_back_to_the_serial_answer_on_t4_2(self):
+        torus = Torus(4, 2)
+        serial = exact_global_minimum(torus, 4, mode="full")
+        chaotic = exact_global_minimum(
+            torus, 4, mode="full", processes=2, policy=ALL_CRASH
+        )
+        assert _certify_key(chaotic) == _certify_key(serial)
+        assert chaotic.emax_histogram == serial.emax_histogram
+        (report,) = chaotic.reports
+        assert report.tasks > 0
+        assert report.fallbacks == report.completed == report.tasks
+        assert report.broken_pools >= 1
 
     def test_hang_chaos_is_bit_identical_on_t4_2(self, tmp_path):
         torus = Torus(4, 2)
         serial = exact_global_minimum(torus, 4, mode="full")
         policy = _hang_policy(_root_task_ids(torus, 4, tmp_path))
-        clear_reports()
-        with using_exec_policy(policy):
-            chaotic = exact_global_minimum(torus, 4, mode="full", processes=2)
+        chaotic = exact_global_minimum(
+            torus, 4, mode="full", processes=2, policy=policy
+        )
         assert _certify_key(chaotic) == _certify_key(serial)
         assert chaotic.emax_histogram == serial.emax_histogram
-        report = recent_reports()[-1]
+        report = chaotic.reports[-1]
         assert report.label.startswith("exact-search")
         assert report.timeouts > 0  # the watchdog reaped hung roots
 
@@ -169,7 +165,6 @@ class TestCertifyKillResume:
         path.write_text(
             "\n".join(lines[:keep]) + '\n{"kind": "task", "id": "root-1'
         )
-        clear_reports()
         resumed = exact_global_minimum(
             torus,
             6,
@@ -182,7 +177,7 @@ class TestCertifyKillResume:
         assert resumed.minimum_emax == 2.0
         assert resumed.num_optimal == 24
         assert _certify_key(resumed) == _certify_key(full)
-        report = recent_reports()[-1]
+        report = resumed.reports[-1]
         assert report.resumed == keep - 1  # journaled roots were skipped
         assert report.resumed + report.completed == report.tasks
 
@@ -197,12 +192,11 @@ class TestCertifyKillResume:
         )
         plain = exact_global_minimum(torus, 5, mode="bound")
         assert _certify_key(serial) == _certify_key(plain)
-        clear_reports()
         resumed = exact_global_minimum(
             torus, 5, mode="bound", checkpoint=str(path), resume=True
         )
         assert _certify_key(resumed) == _certify_key(plain)
-        report = recent_reports()[-1]
+        report = resumed.reports[-1]
         assert report.completed == 0  # everything came from the journal
         assert report.resumed == report.tasks
 
@@ -248,14 +242,13 @@ class TestCertifyLadderResume:
         path.write_text(
             "\n".join(lines[:keep]) + '\n{"kind": "task", "id": "rung2/ro'
         )
-        clear_reports()
         resumed = exact_global_minimum(
             torus, 5, processes=2, checkpoint=str(path), resume=True
         )
         assert _certify_key(resumed) == _certify_key(full)
         assert resumed.counters == full.counters
         assert resumed.rungs == full.rungs
-        refuted, certified = recent_reports()
+        refuted, certified = resumed.reports
         # no journaled root is searched again
         assert (refuted.resumed, refuted.completed) == (first, 0)
         assert certified.resumed == second // 2
@@ -271,7 +264,10 @@ class TestCertifyLadderResume:
 
 
 class TestWrappedErrors:
-    def test_certify_failure_names_roots_and_workers(self):
-        with using_exec_policy(EXHAUSTED):
-            with pytest.raises(SearchError, match=r"roots.*workers"):
-                exact_global_minimum(Torus(4, 2), 4, processes=2)
+    def test_certify_failure_names_roots_and_workers(self, monkeypatch):
+        def fail(self, tasks):
+            raise ExecutionError(f"{self.label}: the pool is gone")
+
+        monkeypatch.setattr(ResilientExecutor, "run", fail)
+        with pytest.raises(SearchError, match=r"roots.*workers"):
+            exact_global_minimum(Torus(4, 2), 4, processes=2)

@@ -111,6 +111,23 @@ _BAD_INPUT = {
         "analyze", "--k", "4", "--d", "2", "--engine", "parallel"
     ],
     "jobs-on-analyze": ["analyze", "--k", "4", "--d", "2", "--jobs", "2"],
+    # resilience flags are checked before the incumbent screen
+    "negative-retries": ["certify", "--k", "4", "--d", "2", "--retries", "-1"],
+    "zero-task-timeout": [
+        "certify", "--k", "4", "--d", "2", "--task-timeout", "0"
+    ],
+    "chaos-crash-above-one": [
+        "certify", "--k", "4", "--d", "2",
+        "--chaos-seed", "1", "--chaos-crash", "1.5",
+    ],
+    "chaos-fractions-above-one": [
+        "certify", "--k", "4", "--d", "2",
+        "--chaos-seed", "1", "--chaos-crash", "0.6", "--chaos-hang", "0.6",
+    ],
+    "deleted-chaos-slow": [
+        "certify", "--k", "4", "--d", "2",
+        "--chaos-seed", "1", "--chaos-slow", "0.1",
+    ],
 }
 for _command, _argv in _LOAD_COMMANDS.items():
     _BAD_INPUT[f"batch-size-on-{_command}"] = _argv + ["--batch-size", "8"]
@@ -170,6 +187,22 @@ class TestCertify:
         ) == 0
         out = capsys.readouterr().out
         assert "certified space : all C(9, 2) = 36 placements" in out
+
+    def test_chaos_run_prints_the_serial_stdout_and_its_degradation(
+        self, capsys
+    ):
+        assert main(["certify", "--k", "4", "--d", "2"]) == 0
+        serial = capsys.readouterr().out
+        chaos = ["certify", "--k", "4", "--d", "2", "--jobs", "2",
+                 "--chaos-seed", "7", "--retries", "3"]
+        assert main(chaos) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert "resilience: exact-search[T_4^2 n=4" in captured.err
+        assert main(["--quiet", *chaos]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert "resilience:" not in captured.err
 
 
 class TestAnalyzeMarkdown:
@@ -245,7 +278,7 @@ class TestObservabilityFlags:
 #: ``repro lint`` argv → (exit code, a line its stdout must carry);
 #: ``{dirty}`` is a file with exactly one RL007 finding.
 _LINT_CASES = {
-    "list-rules": (["--list-rules"], 0, "RL011  ambient/unseeded RNG"),
+    "list-rules": (["--list-rules"], 0, "RL007  mutable default argument"),
     "one-finding": (["{dirty}"], 1, "1 finding(s) in 1 file(s) [RL007×1]"),
     "unknown-code": (["--select", "RL999", "{dirty}"], 2, ""),
 }

@@ -1,4 +1,4 @@
-"""Tests for the repro.devtools.lint framework and rule set RL001-RL010.
+"""Tests for the repro.devtools.lint framework and rules RL004-RL010.
 
 Every rule gets one failing and one passing fixture snippet; the
 framework-level tests cover suppressions, reporters, the runner CLI, and
@@ -34,141 +34,6 @@ def _lint_snippet(tmp_path: Path, rel_path: str, source: str):
 
 def _codes(findings) -> set[str]:
     return {f.code for f in findings}
-
-
-# ------------------------------------------------------------------ RL001
-
-
-class TestRL001FloorOnLoad:
-    def test_flags_floor_division_of_load(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/analysis/mod.py",
-            "def f(total_load, n):\n    return total_load // n\n",
-        )
-        assert "RL001" in _codes(findings)
-
-    def test_flags_floor_call_on_bound(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/analysis/mod.py",
-            "import math\n\ndef f(eq8_bound):\n    return math.floor(eq8_bound)\n",
-        )
-        assert "RL001" in _codes(findings)
-
-    def test_flags_assignment_to_load_name(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/analysis/mod.py",
-            "def f(x, n):\n    emax = x // n\n    return emax\n",
-        )
-        assert "RL001" in _codes(findings)
-
-    def test_index_arithmetic_passes(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/analysis/mod.py",
-            "def f(m, k):\n    half = m // 2\n    return half, k // 2\n",
-        )
-        assert "RL001" not in _codes(findings)
-
-
-# ------------------------------------------------------------------ RL002
-
-
-class TestRL002UnguardedDivision:
-    def test_flags_unguarded_denominator(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/load/mod.py",
-            "def f(x, n):\n    return x / n\n",
-        )
-        assert "RL002" in _codes(findings)
-
-    def test_guarded_denominator_passes(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/load/mod.py",
-            "def f(x, n):\n"
-            "    if n <= 0:\n"
-            "        raise ValueError('n must be positive')\n"
-            "    return x / n\n",
-        )
-        assert "RL002" not in _codes(findings)
-
-    def test_ternary_guard_passes(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/sim/mod.py",
-            "def f(x, n):\n    return x / n if n else 0.0\n",
-        )
-        assert "RL002" not in _codes(findings)
-
-    def test_len_denominator_guarded_by_emptiness_check(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/load/mod.py",
-            "def f(w, paths):\n"
-            "    if not paths:\n"
-            "        raise ValueError('no paths')\n"
-            "    return w / len(paths)\n",
-        )
-        assert "RL002" not in _codes(findings)
-
-    def test_single_letter_name_needs_its_own_guard(self, tmp_path):
-        # a guard mentioning `link` must not cover a denominator `k`
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/bisection/mod.py",
-            "def f(x, k, link):\n"
-            "    if link:\n"
-            "        pass\n"
-            "    return x / k\n",
-        )
-        assert "RL002" in _codes(findings)
-
-    def test_out_of_scope_package_ignored(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/viz/mod.py",
-            "def f(x, n):\n    return x / n\n",
-        )
-        assert "RL002" not in _codes(findings)
-
-
-# ------------------------------------------------------------------ RL003
-
-
-class TestRL003RoutingInvarianceFlag:
-    def test_flags_missing_declaration(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/routing/mod.py",
-            "class MyRouting(RoutingAlgorithm):\n"
-            "    def paths(self, torus, p, q):\n"
-            "        return []\n",
-        )
-        assert "RL003" in _codes(findings)
-
-    def test_explicit_declaration_passes(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/routing/mod.py",
-            "class MyRouting(RoutingAlgorithm):\n"
-            "    translation_invariant = True\n"
-            "    def paths(self, torus, p, q):\n"
-            "        return []\n",
-        )
-        assert "RL003" not in _codes(findings)
-
-    def test_indirect_subclass_inherits(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/routing/mod.py",
-            "class Derived(DimensionOrderRouting):\n"
-            "    pass\n",
-        )
-        assert "RL003" not in _codes(findings)
 
 
 # ------------------------------------------------------------------ RL004
@@ -727,28 +592,28 @@ class TestSuppressions:
     def test_multi_code_noqa(self, tmp_path):
         findings = _lint_snippet(
             tmp_path,
-            "repro/load/mod.py",
-            "def f(total_load, n):\n"
-            "    return total_load // n  # repro: noqa(RL001, RL002)\n",
+            "repro/viz/mod.py",
+            "from repro.load.edge_loads import edge_loads_reference"
+            "  # repro: noqa(RL004, RL006)\n",
         )
         assert findings == []
 
     def test_parse_noqa_shapes(self):
         noqa = parse_noqa(
             "x = 1  # repro: noqa\n"
-            "y = 2  # repro: noqa(RL001)\n"
+            "y = 2  # repro: noqa(RL006)\n"
             "z = 3\n"
         )
         assert noqa[1] is None
-        assert noqa[2] == frozenset({"RL001"})
+        assert noqa[2] == frozenset({"RL006"})
         assert 3 not in noqa
 
 
 class TestFramework:
     def test_registry_lists_every_rule_in_order(self):
         codes = [rule.code for rule in all_rules()]
-        assert codes == [f"RL00{i}" for i in range(1, 10)] + [
-            f"RL0{i}" for i in range(10, 18) if i not in (12, 13, 16)
+        assert codes == [f"RL00{i}" for i in range(4, 10)] + [
+            "RL010", "RL014", "RL017"
         ]
 
     def test_syntax_error_reported_as_rl000(self, tmp_path):
@@ -792,7 +657,7 @@ class TestFramework:
     def test_list_rules(self, capsys):
         assert run(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "RL001" in out and "RL007" in out
+        assert "RL004" in out and "RL007" in out
 
 
 class TestSelfCheck:

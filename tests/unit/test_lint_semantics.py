@@ -1,7 +1,7 @@
-"""Tests for the whole-program semantic analyzer and rules RL011-RL015.
+"""Tests for the whole-program semantic analyzer and rule RL014.
 
 Covers the semantics package itself (resolver, project canonicalization,
-scope analysis), true-positive and false-positive fixtures for each
+scope analysis), true-positive and false-positive fixtures for the
 semantic rule, the resolver retrofits of RL004/RL009/RL010, multiline
 noqa spans, and the JSON reporter round-trip.
 """
@@ -122,14 +122,6 @@ class TestProject:
         qname = "repro.load.engine.facade.LoadEngine"
         assert self._project().canonical(qname) == qname
 
-    def test_import_graph_and_importers(self):
-        project = self._project()
-        graph = project.import_graph
-        assert graph["repro.load.engine"] == ("repro.load.engine.facade",)
-        assert project.importers_of("repro.load.engine.facade") == (
-            "repro.load.engine",
-        )
-
 
 # ------------------------------------------------------ scope analysis
 
@@ -169,65 +161,6 @@ class TestScopeAnalysis:
         assert scopes.is_nested(funcs["inner"])
         assert not scopes.is_nested(funcs["worker"])
         assert "inner" not in scopes.module_functions
-
-
-# --------------------------------------------------------------- RL011
-
-
-class TestRL011AmbientRNG:
-    def test_flags_numpy_default_rng(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/sim/mod.py",
-            "import numpy as np\n\n"
-            "def f(seed):\n"
-            "    return np.random.default_rng(seed)\n",
-        )
-        assert "RL011" in _codes(findings)
-
-    def test_flags_renamed_random_import(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/sim/mod.py",
-            "from random import shuffle as mix\n\n"
-            "def f(xs):\n"
-            "    mix(xs)\n"
-            "    return xs\n",
-        )
-        assert "RL011" in _codes(findings)
-
-    def test_clean_resolve_rng_and_generator_classes(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/sim/mod.py",
-            "import numpy as np\n"
-            "from repro.util.rng import resolve_rng\n\n"
-            "def f(seed):\n"
-            "    rng = resolve_rng(seed)\n"
-            "    bitgen = np.random.PCG64(seed)\n"
-            "    return rng, bitgen\n",
-        )
-        assert "RL011" not in _codes(findings)
-
-    def test_rng_module_itself_exempt(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/util/rng.py",
-            "import numpy as np\n\n"
-            "def resolve_rng(seed):\n"
-            "    return np.random.default_rng(seed)\n",
-        )
-        assert "RL011" not in _codes(findings)
-
-    def test_tests_exempt(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "tests/unit/test_mod.py",
-            "import random\n\n"
-            "def test_f():\n"
-            "    assert random.random() >= 0\n",
-        )
-        assert "RL011" not in _codes(findings)
 
 
 # --------------------------------------------------------------- RL014
@@ -301,62 +234,6 @@ class TestRL014WorkerPurity:
             "    return ResilientExecutor(_worker, jobs)\n",
         )
         assert "RL014" not in _codes(findings)
-
-
-# --------------------------------------------------------------- RL015
-
-
-class TestRL015SpanHygiene:
-    def test_flags_span_assigned_to_variable(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "def f(tracer, n):\n"
-            "    span = tracer.span('work', n=n)\n"
-            "    return n\n",
-        )
-        assert "RL015" in _codes(findings)
-
-    def test_flags_discarded_span_on_current_tracer(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "from repro.obs import current_tracer\n\n"
-            "def f(n):\n"
-            "    current_tracer().span('loose')\n"
-            "    return n\n",
-        )
-        assert "RL015" in _codes(findings)
-
-    def test_with_statement_clean(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "def f(tracer, n):\n"
-            "    with tracer.span('work', n=n):\n"
-            "        return n + 1\n",
-        )
-        assert "RL015" not in _codes(findings)
-
-    def test_chained_with_item_clean(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "def f(tracer, n):\n"
-            "    with tracer.span('work').annotate(n=n):\n"
-            "        return n + 1\n",
-        )
-        assert "RL015" not in _codes(findings)
-
-    def test_non_tracer_span_method_ignored(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "repro/exp/mod.py",
-            "def f(layout, n):\n"
-            "    cell = layout.span(n)\n"
-            "    return cell\n",
-        )
-        assert "RL015" not in _codes(findings)
 
 
 # ------------------------------------------------------- rule retrofits
@@ -545,8 +422,8 @@ class TestJsonRoundTrip:
                     path="src/repro/mod.py",
                     line=3,
                     col=4,
-                    code="RL011",
-                    message="ambient RNG",
+                    code="RL007",
+                    message="mutable default",
                 )
             ],
             files_scanned=1,
@@ -555,14 +432,14 @@ class TestJsonRoundTrip:
         assert doc == {
             "files_scanned": 1,
             "total": 1,
-            "counts": {"RL011": 1},
+            "counts": {"RL007": 1},
             "findings": [
                 {
                     "path": "src/repro/mod.py",
                     "line": 3,
                     "col": 4,
-                    "code": "RL011",
-                    "message": "ambient RNG",
+                    "code": "RL007",
+                    "message": "mutable default",
                 }
             ],
         }

@@ -3,7 +3,7 @@
 The cache's contract has three independent pieces, each pinned here:
 structural fingerprints (shape and routing structure, never ``id()``), bounded
 LRU residency (recency order, eviction at capacity), and the ambient
-install/restore convention shared with ``using_exec_policy``/``using_tracer``.
+install/restore convention shared with ``using_tracer``.
 """
 
 from __future__ import annotations

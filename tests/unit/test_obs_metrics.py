@@ -136,7 +136,7 @@ class TestCrossProcessMerge:
         executor = ResilientExecutor(
             _observe_payload,
             jobs=4,
-            policy=ExecPolicy(retries=1, heartbeat=0.05),
+            policy=ExecPolicy(retries=1),
             label="metrics-merge",
         )
         outcome = executor.run(tasks)

@@ -333,13 +333,16 @@ def _prefixes_with_canonical_children(torus, size):
     return count
 
 
-#: minor page faults per T_6^2 certify, then the traced peak of one, in a
-#: fresh interpreter that imports only the exact search: T_4^2 and T_5^2
-#: first, one warm-up, then 20 measured runs.  The module's cap reads
-#: about 270-310 faults and a 1.4 MB peak.  Twice the cap faults about
-#: 1,000 times per run, once its scratch arrays outgrow the heap the
-#: allocator reuses; a cap that never splits T_6^2's blocks faults about
-#: 2,000 times and peaks at about 8 MB.
+#: the most minor page faults per T_6^2 certify over three allocator
+#: histories, then the traced peak of one, in a fresh interpreter that
+#: imports only the exact search.  Each history first holds other heap
+#: blocks (ten of 16 KiB, three of 1 MiB, one of 4 MiB), then certifies
+#: T_4^2, T_5^2 and one warm-up, then 20 measured runs.  The module's cap
+#: reads about 250-350 faults in its worst history and a 1.4 MB peak.
+#: Twice the cap faults about 1,040-1,230 times per run in its worst
+#: history, once its scratch arrays outgrow the heap the allocator
+#: reuses; a cap that never splits T_6^2's blocks faults about 2,060 times
+#: and peaks at about 8 MB.
 _FAULTS_AND_PEAK = """
 import resource
 import tracemalloc
@@ -352,15 +355,19 @@ def certify(k):
     torus = Torus(k, 2)
     upper, _ = screen_initial_upper_bound(torus, k)
     exact_global_minimum(torus, k, initial_upper_bound=upper, progress=False)
-for k in (4, 5, 6):
-    certify(k)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    certify(6)
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+worst = 0.0
+for held in ([16 << 10] * 10, [1 << 20] * 3, [4 << 20]):
+    hold = [bytearray(size) for size in held]
+    for k in (4, 5, 6):
+        certify(k)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        certify(6)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    worst = max(worst, faults / 20)
 tracemalloc.start()
 certify(6)
-print(faults / 20, tracemalloc.get_traced_memory()[1])
+print(worst, tracemalloc.get_traced_memory()[1])
 """
 
 
