@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from repro._version import __version__
 
 if TYPE_CHECKING:
-    from repro.exec import ExecPolicy
+    from repro.exec import ExecPolicy, ExecutionReport
 
 __all__ = ["main", "build_parser"]
 
@@ -196,15 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace_sum.add_argument("path", help="the trace JSONL file to summarize")
     p_trace_cp = trace_sub.add_parser(
         "critical-path",
-        help="extract the last-finishing root-to-leaf chain (auto-stitches "
-        "worker traces)",
+        help="extract the last-finishing root-to-leaf chain",
     )
-    p_trace_cp.add_argument("path", help="trace file, directory, or glob")
+    p_trace_cp.add_argument("path", help="the trace JSONL file")
     p_trace_wf = trace_sub.add_parser(
         "waterfall",
         help="render start-offset span bars plus the busy-worker timeline",
     )
-    p_trace_wf.add_argument("path", help="trace file, directory, or glob")
+    p_trace_wf.add_argument("path", help="the trace JSONL file")
     p_trace_wf.add_argument(
         "--width", type=int, default=48, help="bar width in columns (default 48)"
     )
@@ -405,6 +404,19 @@ def _exec_policy(args: argparse.Namespace) -> ExecPolicy:
     return ExecPolicy(**updates)
 
 
+def _warn_degraded(reports: Sequence[ExecutionReport]) -> None:
+    """Name the faults a certify's fan-outs absorbed, on stderr.
+
+    A run that absorbed faults stays visible though its answer is exact,
+    and so does one that failed.
+    """
+    from repro.obs import console
+
+    for report in reports:
+        if report.degraded:
+            console.warn(f"resilience: {report.summary()}")
+
+
 # --------------------------------------------------------------- commands
 
 
@@ -560,8 +572,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    from repro.errors import InvalidParameterError
-    from repro.obs import console
+    from repro.errors import InvalidParameterError, SearchError
     from repro.placements.exact_search import (
         exact_global_minimum,
         screen_initial_upper_bound,
@@ -583,17 +594,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                     f"incumbent seed  : {seed.name} E_max = {upper:g} "
                     "(path-table candidate screen; the ladder's cap)"
                 )
-        result = exact_global_minimum(
-            torus, size, mode=args.mode, processes=args.jobs,
-            initial_upper_bound=upper,
-            checkpoint=args.checkpoint, resume=args.resume,
-            progress=True if args.progress else None, policy=policy,
-        )
-        # runs that absorbed faults stay visible, though their answer
-        # is exact
-        for report in result.reports:
-            if report.degraded:
-                console.warn(f"resilience: {report.summary()}")
+        try:
+            result = exact_global_minimum(
+                torus, size, mode=args.mode, processes=args.jobs,
+                initial_upper_bound=upper,
+                checkpoint=args.checkpoint, resume=args.resume,
+                progress=True if args.progress else None, policy=policy,
+            )
+        except SearchError as err:
+            _warn_degraded(err.reports)
+            raise
+        _warn_degraded(result.reports)
     counters = result.counters
     witness = sorted(map(tuple, result.example_optimal.coords().tolist()))
     print(f"certified space : all C({torus.num_nodes}, {size}) = "
@@ -634,30 +645,30 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(summarize_path(args.path), end="")
         return 0
     if args.trace_command == "critical-path":
-        from repro.obs import critical_path, load_stitched
+        from repro.obs import critical_path, read_trace
         from repro.obs.analyze import render_critical_path
 
-        path = critical_path(load_stitched(args.path))
+        path = critical_path(read_trace(args.path))
         print("\n".join(render_critical_path(path)))
         return 0
     if args.trace_command == "waterfall":
-        from repro.obs import load_stitched
+        from repro.obs import read_trace
         from repro.obs.analyze import render_waterfall
 
         lines = render_waterfall(
-            load_stitched(args.path),
+            read_trace(args.path),
             width=args.width,
             max_spans=args.max_spans,
         )
         print("\n".join(lines))
         return 0
     if args.trace_command == "diff":
-        from repro.obs import diff_traces, load_stitched
+        from repro.obs import diff_traces, read_trace
         from repro.obs.analyze import render_diff
 
         rows = diff_traces(
-            load_stitched(args.before),
-            load_stitched(args.after),
+            read_trace(args.before),
+            read_trace(args.after),
             tolerance=args.tolerance,
         )
         print("\n".join(render_diff(rows)))

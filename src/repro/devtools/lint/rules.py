@@ -638,7 +638,7 @@ class ExecutorWorkerPurity(Rule):
 class DynamicTelemetryName(Rule):
     """RL017 — dynamic span/metric name fed into the telemetry registry.
 
-    Trace tooling — ``repro trace diff``, the stitcher's canonical form,
+    Trace tooling — ``repro trace diff``, ``canonical_form``,
     the bench observatory's pinned metric names — keys everything on
     span and metric *names*.  A name built at runtime
     (f-string, ``+``, ``.format``, a variable) fragments those keys into

@@ -7,6 +7,11 @@ clause while still being able to discriminate the failure class.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.exec.report import ExecutionReport
+
 __all__ = [
     "ReproError",
     "InvalidParameterError",
@@ -93,7 +98,13 @@ class SearchError(ReproError):
     placement survives the pruning), or an orbit-size accounting mismatch
     against :math:`C(k^d, n)` — the latter indicates a bug and is checked
     defensively after every symmetry-reduced sweep.
+
+    ``reports`` holds the :class:`~repro.exec.report.ExecutionReport` of
+    every fan-out that ran before the failure (empty when none did), so a
+    caller can still show the faults a failed search absorbed.
     """
+
+    reports: tuple[ExecutionReport, ...] = ()
 
 
 class ExecutionError(ReproError):

@@ -25,11 +25,17 @@ tasks are persisted as they finish and skipped on resume.
 Deterministic fault injection for testing these paths lives in
 :mod:`repro.exec.chaos`; it runs only inside pool workers, never on the
 serial fallback, so a chaotic run must converge to the fault-free answer.
+
+Under an enabled tracer, each pool task runs under a worker-local
+in-memory tracer and returns its metrics snapshot with its result; the
+parent folds the delivered snapshots into its own registry in task
+order.  A crashed, hung or superseded attempt delivers nothing, so each
+task's work is counted once.  Pool workers write no trace records: the
+``exec.run``/``exec.task`` spans and ``exec.*`` events are the parent's.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from concurrent.futures import (
@@ -47,13 +53,7 @@ from repro.exec.chaos import ChaosPolicy, unit_hash
 from repro.exec.journal import CheckpointJournal
 from repro.exec.policy import ExecPolicy
 from repro.exec.report import ExecutionReport
-from repro.obs.tracer import (
-    NULL_TRACER,
-    WorkerTraceConfig,
-    current_tracer,
-    init_worker_tracer,
-    worker_trace_config,
-)
+from repro.obs.tracer import NULL_TRACER, Tracer, current_tracer, using_tracer
 
 __all__ = ["ExecTask", "ExecutionOutcome", "ResilientExecutor"]
 
@@ -103,20 +103,13 @@ class _TaskState:
 # The pool executes `_resilient_call`, which consults the chaos schedule
 # and then calls the user's worker function.  Both the user function and
 # any initializer are installed once per worker by `_resilient_init`, so
-# per-task pickles carry only (task_id, attempt, payload).
-#
-# When the parent runs under a file-backed tracer, `_resilient_init` also
-# installs a worker-local tracer (one JSONL file per worker under the
-# parent trace's `.workers/` directory) and `_resilient_call` wraps the
-# user function in an `exec.task.body` span stamped with the dispatching
-# (exec_run, task_id, attempt) — the key `repro.obs.stitch` uses to
-# reparent worker spans under the parent's `exec.task` records.
+# per-task pickles carry only (task_id, attempt, payload).  Under a traced
+# parent the task runs under its own in-memory tracer, and the call
+# returns that tracer's metrics snapshot beside the value.
 
-_WORKER_STATE: tuple[Callable[[Any], Any], ChaosPolicy | None] | None = None
-
-#: one id per `ResilientExecutor.run` call in this process, so worker
-#: trace files from successive executor runs never collide.
-_EXEC_RUN_COUNTER = itertools.count(1)
+_WORKER_STATE: (
+    tuple[Callable[[Any], Any], ChaosPolicy | None, bool] | None
+) = None
 
 
 def _resilient_init(
@@ -124,34 +117,28 @@ def _resilient_init(
     initializer: Callable[..., None] | None,
     initargs: tuple[Any, ...],
     chaos: ChaosPolicy | None,
-    trace_config: WorkerTraceConfig | None = None,
+    traced: bool,
 ) -> None:
     global _WORKER_STATE
-    if trace_config is not None:
-        init_worker_tracer(trace_config)
     if initializer is not None:
         initializer(*initargs)
-    _WORKER_STATE = (worker_fn, chaos)
+    _WORKER_STATE = (worker_fn, chaos, traced)
 
 
-def _resilient_call(packed: tuple[str, int, Any]) -> Any:
+def _resilient_call(
+    packed: tuple[str, int, Any],
+) -> tuple[Any, dict[str, Any] | None]:
     task_id, attempt, payload = packed
     assert _WORKER_STATE is not None
-    worker_fn, chaos = _WORKER_STATE
-    tracer = current_tracer()
-    if not tracer.enabled:
-        if chaos is not None:
-            chaos.inject(task_id, attempt)
-        return worker_fn(payload)
-    try:
-        with tracer.span("exec.task.body", task_id=task_id, attempt=attempt):
-            if chaos is not None:
-                chaos.inject(task_id, attempt)
-            return worker_fn(payload)
-    finally:
-        # flush after every task: a worker killed later still leaves its
-        # counters on disk for the stitcher to merge.
-        tracer.flush_metrics()
+    worker_fn, chaos, traced = _WORKER_STATE
+    if chaos is not None:
+        chaos.inject(task_id, attempt)
+    if not traced:
+        return worker_fn(payload), None
+    tracer = Tracer(keep_finished=False)
+    with using_tracer(tracer):
+        value = worker_fn(payload)
+    return value, tracer.metrics.snapshot()
 
 
 class ResilientExecutor:
@@ -202,8 +189,6 @@ class ResilientExecutor:
         self._pool: ProcessPoolExecutor | None = None
         self._parent_initialized = False
         self._tracer = NULL_TRACER
-        self._exec_run = ""
-        self._trace_config: WorkerTraceConfig | None = None
 
     # ------------------------------------------------------------ schedule
 
@@ -236,11 +221,8 @@ class ResilientExecutor:
         """
         report = ExecutionReport(label=self.label, tasks=len(tasks))
         self._tracer = current_tracer()
-        self._exec_run = f"{os.getpid():08x}-x{next(_EXEC_RUN_COUNTER):04d}"
-        self._trace_config = worker_trace_config(
-            self._tracer, self._exec_run, label=self.label
-        )
         results: dict[str, Any] = {}
+        snapshots: dict[str, dict[str, Any]] = {}
         seen: set[str] = set()
         for task in tasks:
             if task.task_id in seen:
@@ -269,23 +251,23 @@ class ResilientExecutor:
         ]
         try:
             with self._tracer.span(
-                "exec.run",
-                label=self.label,
-                tasks=len(tasks),
-                jobs=self.jobs,
-                exec_run=self._exec_run,
+                "exec.run", label=self.label, tasks=len(tasks), jobs=self.jobs
             ):
                 if todo:
                     if self.jobs <= 1:
                         for state in todo:
                             self._run_inline(state, results, report)
                     else:
-                        self._run_pool(todo, results, report)
+                        self._run_pool(todo, results, report, snapshots)
         finally:
             self._shutdown_pool()
             report.finish()
             if self._tracer.enabled:
-                self._flush_metrics(report)
+                # the pool tasks' metrics, folded in task order
+                for task in tasks:
+                    if task.task_id in snapshots:
+                        self._tracer.metrics.merge(snapshots[task.task_id])
+                self._add_report_counters(report)
         return ExecutionOutcome(results=results, report=report)
 
     # ------------------------------------------------------------ pool loop
@@ -295,6 +277,7 @@ class ResilientExecutor:
         todo: list[_TaskState],
         results: dict[str, Any],
         report: ExecutionReport,
+        snapshots: dict[str, dict[str, Any]],
     ) -> None:
         policy = self.policy
         pending: list[_TaskState] = list(todo)
@@ -373,8 +356,11 @@ class ResilientExecutor:
                 state = inflight.pop(future)
                 error = future.exception()
                 if error is None:
-                    self._complete(state, future.result(), results, report)
+                    value, snapshot = future.result()
+                    self._complete(state, value, results, report)
                     completed += 1
+                    if snapshot is not None:
+                        snapshots[state.task.task_id] = snapshot
                     if self._tracer.enabled:
                         duration = time.monotonic() - state.started
                         self._tracer.record_span(
@@ -383,7 +369,6 @@ class ResilientExecutor:
                             task_id=state.task.task_id,
                             attempt=state.attempts,
                             mode="pool",
-                            exec_run=self._exec_run,
                         )
                         self._tracer.metrics.histogram(
                             "exec.task_seconds"
@@ -491,7 +476,7 @@ class ResilientExecutor:
         else:  # pragma: no cover - closed kind set
             self._tracer.event("exec.incident", **attrs)
 
-    def _flush_metrics(self, report: ExecutionReport) -> None:
+    def _add_report_counters(self, report: ExecutionReport) -> None:
         """Push the run's headline counters into the tracer's registry."""
         metrics = self._tracer.metrics
         metrics.counter("exec.tasks").add(report.tasks)
@@ -537,7 +522,6 @@ class ResilientExecutor:
             task_id=state.task.task_id,
             attempt=state.attempts,
             mode="inline",
-            exec_run=self._exec_run,
         ):
             value = self.worker_fn(state.task.payload)
         self._complete(state, value, results, report)
@@ -554,7 +538,7 @@ class ResilientExecutor:
                     self.initializer,
                     self.initargs,
                     self.policy.chaos,
-                    self._trace_config,
+                    self._tracer.enabled,
                 ),
             )
         return self._pool

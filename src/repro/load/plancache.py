@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import EngineError
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_PLAN_CAPACITY",
     "SpectralPlan",
     "PlanCache",
-    "PlanCacheStats",
     "current_plan_cache",
     "using_plan_cache",
 ]
@@ -121,25 +119,6 @@ class SpectralPlan:
         )
 
 
-@dataclass(frozen=True)
-class PlanCacheStats:
-    """Lookup tallies of one :class:`PlanCache` (monotonic)."""
-
-    hits: int
-    misses: int
-    evictions: int
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when the cache was never consulted)."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-
 class PlanCache:
     """A bounded LRU of :class:`SpectralPlan` entries, keyed by structure.
 
@@ -162,9 +141,6 @@ class PlanCache:
         self.capacity = int(capacity)
         self._plans: "OrderedDict[_PlanKey, SpectralPlan]" = OrderedDict()
         self._verdicts: Dict[Any, Any] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     # ------------------------------------------------------------- lookup
 
@@ -174,17 +150,14 @@ class PlanCache:
         metrics = current_tracer().metrics
         plan = self._plans.get(key)
         if plan is not None:
-            self._hits += 1
             self._plans.move_to_end(key)
             metrics.counter("plancache.hits").add(1)
             return plan
-        self._misses += 1
         metrics.counter("plancache.misses").add(1)
         plan = SpectralPlan(torus, routing)
         self._plans[key] = plan
         if len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
-            self._evictions += 1
             metrics.counter("plancache.evictions").add(1)
         metrics.gauge("plancache.size").set(len(self._plans))
         return plan
@@ -201,26 +174,16 @@ class PlanCache:
 
     # ------------------------------------------------------------ queries
 
-    @property
-    def stats(self) -> PlanCacheStats:
-        return PlanCacheStats(self._hits, self._misses, self._evictions)
-
     def __len__(self) -> int:
         return len(self._plans)
 
     def clear(self) -> None:
-        """Drop every resident plan and verdict (tallies are kept — they
-        are history)."""
+        """Drop every resident plan and verdict."""
         self._plans.clear()
         self._verdicts.clear()
 
     def __repr__(self) -> str:
-        stats = self.stats
-        return (
-            f"PlanCache(capacity={self.capacity}, plans={len(self)}, "
-            f"hits={stats.hits}, misses={stats.misses}, "
-            f"evictions={stats.evictions})"
-        )
+        return f"PlanCache(capacity={self.capacity}, plans={len(self)})"
 
 
 # ------------------------------------------------------------ ambient cache

@@ -20,12 +20,10 @@ The moving parts:
   (:mod:`repro.obs.sink`);
 * :func:`summarize_trace` — the ``repro trace summarize`` renderer
   (:mod:`repro.obs.summary`);
-* :func:`stitch_traces` / :func:`load_stitched` — cross-process trace
-  stitching: worker files reparented under their dispatching
-  ``exec.task`` spans (:mod:`repro.obs.stitch`);
-* :func:`critical_path` / :func:`utilization` / :func:`diff_traces` —
-  the trace analytics behind ``repro trace critical-path | waterfall |
-  diff`` (:mod:`repro.obs.analyze`);
+* :func:`critical_path` / :func:`utilization` / :func:`diff_traces` /
+  :func:`canonical_form` — the trace analytics behind ``repro trace
+  critical-path | waterfall | diff`` and the cross-run comparisons
+  (:mod:`repro.obs.analyze`);
 * :func:`profiling` — cProfile-backed ``--profile pstats|flamegraph``
   hooks (:mod:`repro.obs.profiling`);
 * :mod:`repro.obs.console` — the single sanctioned stderr/wall-clock
@@ -37,6 +35,7 @@ from __future__ import annotations
 from repro.obs import console
 from repro.obs.analyze import (
     build_forest,
+    canonical_form,
     critical_path,
     diff_traces,
     rollup,
@@ -50,31 +49,16 @@ from repro.obs.metrics import (
     Metrics,
 )
 from repro.obs.profiling import PROFILE_MODES, profiling, write_collapsed_stacks
-from repro.obs.sink import (
-    TRACE_VERSION,
-    JsonlTraceSink,
-    read_trace,
-    worker_trace_dir,
-)
-from repro.obs.stitch import (
-    canonical_form,
-    load_stitched,
-    split_segments,
-    stitch_path,
-    stitch_traces,
-)
+from repro.obs.sink import TRACE_VERSION, JsonlTraceSink, read_trace
 from repro.obs.summary import summarize_path, summarize_trace
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
     Span,
     Tracer,
-    WorkerTraceConfig,
     current_tracer,
-    init_worker_tracer,
     set_tracer,
     using_tracer,
-    worker_trace_config,
 )
 
 __all__ = [
@@ -91,13 +75,9 @@ __all__ = [
     "current_tracer",
     "set_tracer",
     "using_tracer",
-    "WorkerTraceConfig",
-    "worker_trace_config",
-    "init_worker_tracer",
     "TRACE_VERSION",
     "JsonlTraceSink",
     "read_trace",
-    "worker_trace_dir",
     "summarize_trace",
     "summarize_path",
     "build_forest",
@@ -105,10 +85,6 @@ __all__ = [
     "rollup",
     "utilization",
     "diff_traces",
-    "stitch_traces",
-    "stitch_path",
-    "split_segments",
-    "load_stitched",
     "canonical_form",
     "PROFILE_MODES",
     "profiling",

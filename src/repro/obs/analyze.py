@@ -1,8 +1,7 @@
 """Trace analytics: critical path, rollups, utilization, and diffs.
 
 This is the analysis half of the observability stack — it consumes the
-record lists produced by :func:`repro.obs.sink.read_trace` (or the
-stitched output of :func:`repro.obs.stitch.load_stitched`) and answers
+record lists produced by :func:`repro.obs.sink.read_trace` and answers
 the questions a slow parallel certify run raises:
 
 * **Where did the wall-clock go?**  :func:`critical_path` walks the
@@ -18,7 +17,10 @@ the questions a slow parallel certify run raises:
   one-busy-worker buckets is the straggler-shard signature.
 * **What changed between two runs?**  :func:`diff_traces` compares two
   traces name-by-name (counts and durations); a trace diffed against
-  itself is empty, which CI uses as the stitch smoke invariant.
+  itself is empty, which CI's trace smoke asserts on a parallel run.
+* **Did two runs tell the same story?**  :func:`canonical_form`
+  projects a trace onto its timing-free shape, so a serial and a
+  ``--jobs 4`` certify compare equal.
 
 Everything returns plain JSON-compatible structures; the ``render_*``
 helpers turn them into the fixed-width text the ``repro trace``
@@ -39,6 +41,7 @@ __all__ = [
     "rollup",
     "utilization",
     "diff_traces",
+    "canonical_form",
     "render_critical_path",
     "render_waterfall",
     "render_diff",
@@ -92,11 +95,10 @@ def build_forest(records: list[dict[str, Any]]) -> list[SpanNode]:
     """Resolve span records into a forest of :class:`SpanNode` trees.
 
     Spans whose ``parent`` id never appears in the trace (the parent
-    span of a crashed run went unrecorded, or a worker file is analyzed
-    unstitched) become additional roots with ``orphan=True`` — analytics
-    degrade gracefully instead of dropping their subtrees.  Children are
-    ordered by start time, ties broken by span id, so the forest is
-    deterministic for equal inputs.
+    span of a crashed run went unrecorded) become additional roots with
+    ``orphan=True`` — analytics degrade gracefully instead of dropping
+    their subtrees.  Children are ordered by start time, ties broken by
+    span id, so the forest is deterministic for equal inputs.
     """
     spans = [r for r in records if r.get("kind") == "span"]
     nodes = {str(r.get("id")): SpanNode(record=r) for r in spans}
@@ -323,6 +325,72 @@ def diff_traces(
         )
     rows.sort(key=lambda r: (-abs(r["delta_seconds"]), r["name"]))
     return rows
+
+
+# --------------------------------------------------------- canonical form
+
+#: attributes that vary across equivalent runs (pool layout, ids,
+#: human-readable timing text) and are dropped by :func:`canonical_form`.
+VOLATILE_ATTRIBUTES = frozenset({"mode", "jobs", "workers", "detail", "pid"})
+
+
+def canonical_form(
+    records: list[dict[str, Any]],
+    ignore_attributes: frozenset[str] = VOLATILE_ATTRIBUTES,
+) -> Any:
+    """The timing-free shape of a trace, for cross-run comparison.
+
+    Spans become ``["span", name, status, attributes, children]`` with
+    durations, timestamps, ids, and :data:`VOLATILE_ATTRIBUTES` dropped;
+    events attach to their span as ``["event", name, attributes]``.
+    Sibling order is sorted (pool completion order is nondeterministic),
+    so two runs of the same workload — serial or ``--jobs 4`` — compare
+    equal exactly when their logical trees agree.
+    Metrics records are excluded: counter determinism is a *separate*
+    contract (task-order merges), asserted directly by the tests.
+    """
+    spans = [r for r in records if r.get("kind") == "span"]
+    events = [r for r in records if r.get("kind") == "event"]
+    children: dict[Any, list[dict[str, Any]]] = {}
+    known = {str(span.get("id")) for span in spans}
+    for span in spans:
+        parent = span.get("parent")
+        key = str(parent) if parent is not None and str(parent) in known else None
+        children.setdefault(key, []).append(span)
+
+    def clean(attributes: dict[str, Any]) -> list[list[Any]]:
+        return sorted(
+            [str(name), repr(value)]
+            for name, value in attributes.items()
+            if name not in ignore_attributes
+        )
+
+    incidents: dict[Any, list[list[Any]]] = {}
+    for event in events:
+        span_id = event.get("span")
+        key = str(span_id) if span_id is not None and str(span_id) in known else None
+        incidents.setdefault(key, []).append(
+            ["event", str(event.get("name")), clean(event.get("attributes", {}))]
+        )
+
+    def node(span: dict[str, Any]) -> list[Any]:
+        span_id = str(span.get("id"))
+        kids = sorted(
+            [node(child) for child in children.get(span_id, [])]
+            + incidents.get(span_id, [])
+        )
+        return [
+            "span",
+            str(span.get("name")),
+            str(span.get("status", "ok")),
+            clean(span.get("attributes", {})),
+            kids,
+        ]
+
+    return sorted(
+        [node(root) for root in children.get(None, [])]
+        + incidents.get(None, [])
+    )
 
 
 # ------------------------------------------------------------- rendering

@@ -8,13 +8,14 @@ tracing is disabled the registry is the shared no-op
 attribute read and one no-op call.
 
 Cross-process semantics are by *snapshot merge*, not shared memory:
-pool workers (or any partial producer) return a
-:meth:`Metrics.snapshot` alongside their results, and the parent folds
-the snapshots in **task order** via :meth:`Metrics.merge` — counters
-and histograms are commutative sums, gauges are last-write-wins, so a
-fixed merge order makes the merged registry deterministic no matter how
-the pool scheduled the work (the same discipline the load engine uses
-for its floating-point shard sums).
+under a traced parent, each :class:`repro.exec.ResilientExecutor` pool
+task returns a :meth:`Metrics.snapshot` alongside its result, and the
+executor folds the snapshots into the parent's registry in **task
+order** via :meth:`Metrics.merge` — counters and histograms are
+commutative sums, gauges are last-write-wins, so a fixed merge order
+makes the merged registry deterministic no matter how the pool
+scheduled the work (the same discipline the load engine uses for its
+floating-point shard sums).
 
 Histograms use base-2 exponential buckets: an observation ``v`` lands
 in the bucket whose upper bound is the smallest power of two ``>= v``.
@@ -179,9 +180,9 @@ class Metrics:
         """Fold one :meth:`snapshot` into this registry.
 
         Counters and histogram buckets add; gauges take the snapshot's
-        value (last write wins).  Merging worker snapshots **in task
-        order** therefore yields a deterministic registry regardless of
-        pool completion order.
+        value (last write wins).  The resilient executor merges its pool
+        tasks' snapshots **in task order**, so the registry is
+        deterministic regardless of pool completion order.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).value += float(value)

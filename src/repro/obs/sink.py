@@ -21,7 +21,6 @@ Records are JSON objects with sorted keys, one per line::
 
 from __future__ import annotations
 
-import glob as _glob
 import json
 import os
 from pathlib import Path
@@ -34,23 +33,10 @@ __all__ = [
     "TRACE_VERSION",
     "JsonlTraceSink",
     "read_trace",
-    "worker_trace_dir",
 ]
 
 #: bump when the record format changes incompatibly.
 TRACE_VERSION = 1
-
-
-def worker_trace_dir(path: str | os.PathLike[str]) -> Path:
-    """The worker-trace directory convention for a parent trace file.
-
-    A traced ``ResilientExecutor`` run mirrors its pool workers into
-    per-worker JSONL files under ``<trace>.workers/`` next to the parent
-    trace — the directory :func:`repro.obs.stitch.stitch_path` (and
-    ``repro trace critical-path``/``waterfall``) discovers automatically.
-    """
-    parent = Path(path)
-    return parent.with_name(parent.name + ".workers")
 
 
 class JsonlTraceSink:
@@ -63,32 +49,22 @@ class JsonlTraceSink:
         truncated — each run is one trace).
     label:
         Human-readable trace name stored in the header.
-    extra:
-        Additional JSON-compatible header fields (worker sinks record
-        their parent run id and dispatching exec-run id here).
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike[str],
-        label: str = "trace",
-        extra: dict[str, Any] | None = None,
-    ):
+    def __init__(self, path: str | os.PathLike[str], label: str = "trace"):
         self.path = Path(path)
         self.label = label
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: TextIO | None = self.path.open("w", encoding="utf-8")
-        header = {
-            "kind": "header",
-            "version": TRACE_VERSION,
-            "label": label,
-            "pid": os.getpid(),
-            "run": f"{os.getpid():08x}",
-            "started_unix": wall_clock(),
-        }
-        if extra:
-            header.update(extra)
-        self.emit(header)
+        self.emit(
+            {
+                "kind": "header",
+                "version": TRACE_VERSION,
+                "label": label,
+                "pid": os.getpid(),
+                "started_unix": wall_clock(),
+            }
+        )
 
     def emit(self, record: dict[str, Any]) -> None:
         """Write one record as a JSON line (sorted keys, flushed)."""
@@ -122,48 +98,19 @@ def _parse_line(line: str) -> dict[str, Any] | None:
 
 
 def read_trace(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
-    """Load every record of one or more JSONL traces (headers first).
-
-    ``path`` may be a single trace file, a **directory** of trace files
-    (every ``*.jsonl`` inside, in sorted-name order — the natural input
-    for stitching a worker-trace directory), or a **glob pattern**
-    (expanded and read in sorted order).  Multi-file reads concatenate
-    the per-file records; each file keeps its own header record, so
-    :func:`repro.obs.stitch.split_segments` can regroup them.
+    """Load every record of one JSONL trace file, header first.
 
     Tolerates exactly the :class:`~repro.exec.journal.CheckpointJournal`
-    kill artifact — one truncated *final* line per file, which is
-    dropped; any corrupt interior line raises
-    :class:`~repro.errors.TraceError`, as does a missing/invalid header
-    or an unsupported format version.
+    kill artifact — one truncated *final* line, which is dropped; any
+    corrupt interior line raises :class:`~repro.errors.TraceError`, as
+    does a missing file, a directory, a missing/invalid header or an
+    unsupported format version.
     """
     trace_path = Path(path)
     if trace_path.is_dir():
-        files = sorted(trace_path.glob("*.jsonl"))
-        if not files:
-            raise TraceError(
-                f"trace directory {trace_path} contains no .jsonl files"
-            )
-        return [record for file in files for record in _read_trace_file(file)]
+        raise TraceError(f"{trace_path} is a directory, not a trace file")
     if not trace_path.exists():
-        pattern = os.fspath(path)
-        if _glob.has_magic(pattern):
-            matches = sorted(_glob.glob(pattern))
-            if not matches:
-                raise TraceError(
-                    f"trace glob {pattern!r} matched no files"
-                )
-            return [
-                record
-                for file in matches
-                for record in _read_trace_file(Path(file))
-            ]
         raise TraceError(f"trace file {trace_path} does not exist")
-    return _read_trace_file(trace_path)
-
-
-def _read_trace_file(trace_path: Path) -> list[dict[str, Any]]:
-    """Load one JSONL trace file (torn-final-line tolerant)."""
     lines = trace_path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise TraceError(f"trace file {trace_path} is empty")

@@ -1,7 +1,6 @@
 """Render a JSONL trace into human-readable summary tables.
 
-``repro trace summarize out.jsonl`` turns the record stream, stitched
-with the run's worker traces when it has any, into:
+``repro trace summarize out.jsonl`` turns the record stream into:
 
 * a **span table** — per span name: count, total/mean/max duration,
   and the share of the root span's wall time;
@@ -21,7 +20,7 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from repro.obs.stitch import load_stitched
+from repro.obs.sink import read_trace
 from repro.util.tables import Table
 
 __all__ = ["summarize_trace", "summarize_path"]
@@ -191,6 +190,6 @@ def summarize_trace(records: list[dict[str, Any]]) -> str:
 
 
 def summarize_path(path: str | os.PathLike[str]) -> str:
-    """Load ``path`` with :func:`~repro.obs.stitch.load_stitched` and
-    summarize it, so a parallel run's tables include its workers."""
-    return summarize_trace(load_stitched(path))
+    """Load ``path`` with :func:`~repro.obs.sink.read_trace` and
+    summarize it."""
+    return summarize_trace(read_trace(path))

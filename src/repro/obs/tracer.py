@@ -12,8 +12,10 @@ instrumentation site.
 Spans measure with monotonic clocks (``time.perf_counter``); the single
 wall-clock timestamp on each span is informational only and comes from
 :func:`repro.obs.console.wall_clock`.  Span ids embed the producing
-process id, so records from pool workers (should a worker ever carry a
-real tracer) and from the parent can share one sink without colliding.
+process id.  Pool workers write no records: under a traced parent each
+pool task runs under a worker-local in-memory tracer, and only its
+metrics snapshot travels back with the task's result (see
+:mod:`repro.exec.executor`).
 
 A finished span becomes one JSON-compatible record handed to the
 tracer's *sink* (any object with ``emit(record)`` — see
@@ -29,7 +31,6 @@ import contextlib
 import itertools
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Iterator, Protocol
 
 from repro.obs.console import wall_clock
@@ -43,9 +44,6 @@ __all__ = [
     "current_tracer",
     "set_tracer",
     "using_tracer",
-    "WorkerTraceConfig",
-    "worker_trace_config",
-    "init_worker_tracer",
 ]
 
 
@@ -168,7 +166,6 @@ class Tracer:
         self.sink = sink
         self.metrics = metrics if metrics is not None else Metrics()
         self.label = label
-        self.trace_id = f"{os.getpid():08x}"
         self.finished: list[Span] = []
         self._keep = keep_finished if keep_finished is not None else sink is None
         self._keep_limit = keep_limit
@@ -208,7 +205,6 @@ class Tracer:
                 "name": span.name,
                 "id": span.span_id,
                 "parent": span.parent_id,
-                "trace": self.trace_id,
                 "status": span.status,
                 "started_unix": span.started_unix,
                 "duration_seconds": span.duration_seconds,
@@ -234,7 +230,6 @@ class Tracer:
                 "name": name,
                 "id": self._next_id(),
                 "parent": self.current_span_id(),
-                "trace": self.trace_id,
                 "status": str(attributes.pop("status", "ok")),
                 "started_unix": wall_clock() - float(duration_seconds),
                 "duration_seconds": float(duration_seconds),
@@ -249,7 +244,6 @@ class Tracer:
                 "kind": "event",
                 "name": name,
                 "span": self.current_span_id(),
-                "trace": self.trace_id,
                 "attributes": attributes,
             }
         )
@@ -259,17 +253,6 @@ class Tracer:
     def _emit(self, record: dict[str, Any]) -> None:
         if self.sink is not None:
             self.sink.emit(record)
-
-    def flush_metrics(self) -> None:
-        """Emit the current (cumulative) metrics snapshot to the sink.
-
-        Pool workers call this after each task so a worker killed later
-        still leaves its counters on disk; :func:`repro.obs.stitch`
-        folds the *last* snapshot of each worker file into the stitched
-        trace's final registry.
-        """
-        if not self._closed:
-            self._emit({"kind": "metrics", "values": self.metrics.snapshot()})
 
     def finish(self) -> None:
         """Flush the final metrics snapshot and close the sink (idempotent)."""
@@ -294,7 +277,6 @@ class NullTracer:
     enabled = False
     metrics: Metrics = NULL_METRICS
     label = "null"
-    trace_id = ""
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
         return _NULL_SPAN
@@ -308,9 +290,6 @@ class NullTracer:
         pass
 
     def event(self, name: str, **attributes: Any) -> None:
-        pass
-
-    def flush_metrics(self) -> None:
         pass
 
     def finish(self) -> None:
@@ -336,102 +315,6 @@ def set_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
     global _current
     _current = tracer if tracer is not None else NULL_TRACER
     return _current
-
-
-# ------------------------------------------------------- worker plumbing
-#
-# A `ResilientExecutor` run under an enabled, file-backed tracer mirrors
-# itself into pool workers: the pool initializer installs a worker-local
-# `Tracer` writing `worker-<exec_run>-<pid>.jsonl` next to the parent's
-# trace file, and the per-task shim wraps the user's worker function in
-# an `exec.task.body` span stamped with the dispatching (exec_run,
-# task_id, attempt).  `repro.obs.stitch` later reparents those worker
-# spans under the parent's matching `exec.task` records, so a parallel
-# certify renders as one logical tree.
-
-
-@dataclass(frozen=True)
-class WorkerTraceConfig:
-    """Everything a pool initializer needs to mirror a tracer in a worker.
-
-    Attributes
-    ----------
-    directory:
-        The worker-trace directory next to the parent's trace file
-        (see :func:`repro.obs.sink.worker_trace_dir`).
-    run_id:
-        The parent tracer's :attr:`Tracer.trace_id`; stitched worker
-        files must carry it so traces from different runs never mix.
-    exec_run:
-        The dispatching executor run's unique id (one per
-        ``ResilientExecutor.run`` call in the parent process).
-    label:
-        Human-readable workload label for the worker trace headers.
-    """
-
-    directory: str
-    run_id: str
-    exec_run: str
-    label: str
-
-
-def worker_trace_config(
-    tracer: "Tracer | NullTracer", exec_run: str, label: str = "worker"
-) -> WorkerTraceConfig | None:
-    """The :class:`WorkerTraceConfig` mirroring ``tracer``, if any.
-
-    Returns ``None`` when the tracer is disabled or its sink has no
-    file path (nothing for a worker to write next to).
-    """
-    if not tracer.enabled:
-        return None
-    path = getattr(getattr(tracer, "sink", None), "path", None)
-    if path is None:
-        return None
-    from repro.obs.sink import worker_trace_dir
-
-    return WorkerTraceConfig(
-        directory=str(worker_trace_dir(path)),
-        run_id=tracer.trace_id,
-        exec_run=exec_run,
-        label=label,
-    )
-
-
-def init_worker_tracer(config: WorkerTraceConfig) -> Tracer:
-    """Install a worker-local tracer per ``config`` (pool initializer).
-
-    The worker's JSONL file lives in ``config.directory`` and its header
-    carries the parent run id plus the dispatching exec-run id, which is
-    what :func:`repro.obs.stitch.stitch_traces` keys the reparenting on.
-    Worker processes are torn down without cleanup, so the sink flushes
-    every record and :meth:`Tracer.flush_metrics` runs after each task —
-    a killed worker loses at most its in-flight span.
-    """
-    from pathlib import Path
-
-    from repro.obs.sink import JsonlTraceSink
-
-    directory = Path(config.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = f"worker-{config.exec_run}-{os.getpid():08x}"
-    path = directory / f"{stem}.jsonl"
-    suffix = 1
-    while path.exists():  # pid reuse across pool rebuilds
-        suffix += 1
-        path = directory / f"{stem}-{suffix}.jsonl"
-    sink = JsonlTraceSink(
-        path,
-        label=config.label,
-        extra={
-            "worker": True,
-            "run": config.run_id,
-            "exec_run": config.exec_run,
-        },
-    )
-    tracer = Tracer(sink=sink, label=config.label)
-    set_tracer(tracer)
-    return tracer
 
 
 @contextlib.contextmanager

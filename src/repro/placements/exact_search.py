@@ -1002,50 +1002,58 @@ def exact_global_minimum(
                 searched.append((upper, nodes))
                 if best_ids is not None:
                     break
+
+        if tracer.enabled:
+            # one literal call per counter (not a dynamic f-string name) so
+            # the exported metric namespace is statically enumerable — RL017.
+            metrics = tracer.metrics
+            metrics.counter("search.canonicity_checks").add(
+                counters["canonicity_checks"]
+            )
+            metrics.counter("search.canonical_nodes").add(
+                counters["canonical_nodes"]
+            )
+            metrics.counter("search.leaf_orbits").add(
+                counters["leaf_orbits"]
+            )
+            metrics.counter("search.variant_evaluations").add(
+                counters["variant_evaluations"]
+            )
+            metrics.counter("search.pair_updates").add(
+                counters["pair_updates"]
+            )
+            metrics.counter("search.full_evaluations").add(
+                counters["full_evaluations"]
+            )
+            metrics.counter("search.subtrees_pruned_emax").add(
+                counters["subtrees_pruned_emax"]
+            )
+            metrics.counter("search.variants_dropped").add(
+                counters["variants_dropped"]
+            )
+            metrics.counter("search.canonical_rejections").add(
+                counters["canonicity_checks"] - counters["canonical_nodes"]
+            )
+
+        if best_ids is None:
+            raise SearchError(
+                f"no placement achieved E_max <= {cap:g} (Eq. 6 bounds the "
+                f"minimum below by {first}; {len(searched)} rungs refuted); "
+                "initial_upper_bound must be achievable (at or above the "
+                "true minimum)"
+            )
+        if mode == "full" and sum(histogram.values()) != space:
+            raise SearchError(
+                f"orbit accounting mismatch: histogram covers "
+                f"{sum(histogram.values())} placements, expected {space}"
+            )
+    except SearchError as err:
+        err.reports = tuple(reports)
+        raise
     finally:
         if journal is not None:
             journal.close()
 
-    if tracer.enabled:
-        # one literal call per counter (not a dynamic f-string name) so the
-        # exported metric namespace is statically enumerable — RL017.
-        metrics = tracer.metrics
-        metrics.counter("search.canonicity_checks").add(
-            counters["canonicity_checks"]
-        )
-        metrics.counter("search.canonical_nodes").add(
-            counters["canonical_nodes"]
-        )
-        metrics.counter("search.leaf_orbits").add(counters["leaf_orbits"])
-        metrics.counter("search.variant_evaluations").add(
-            counters["variant_evaluations"]
-        )
-        metrics.counter("search.pair_updates").add(counters["pair_updates"])
-        metrics.counter("search.full_evaluations").add(
-            counters["full_evaluations"]
-        )
-        metrics.counter("search.subtrees_pruned_emax").add(
-            counters["subtrees_pruned_emax"]
-        )
-        metrics.counter("search.variants_dropped").add(
-            counters["variants_dropped"]
-        )
-        metrics.counter("search.canonical_rejections").add(
-            counters["canonicity_checks"] - counters["canonical_nodes"]
-        )
-
-    if best_ids is None:
-        raise SearchError(
-            f"no placement achieved E_max <= {cap:g} (Eq. 6 bounds the "
-            f"minimum below by {first}; {len(searched)} rungs refuted); "
-            "initial_upper_bound must be achievable (at or above the true "
-            "minimum)"
-        )
-    if mode == "full" and sum(histogram.values()) != space:
-        raise SearchError(
-            f"orbit accounting mismatch: histogram covers "
-            f"{sum(histogram.values())} placements, expected {space}"
-        )
     num_optimal = sum(
         count
         for value, count in histogram.items()

@@ -2,11 +2,11 @@
 
 ``repro certify`` journals each completed work unit (``--checkpoint``),
 and both it and ``repro experiments`` write a trace (``--trace``).
-``--resume``, trace stitching and the trace drills assume that two runs
-of one command write the same records in the same order.  ``set``
-iteration order is salted per process by ``PYTHONHASHSEED``, so a set's
-order that leaks into a report, a journal or a trace shows only across
-processes, whichever function the set lives in.
+``--resume`` and the trace drills assume that two runs of one command
+write the same records in the same order.  ``set`` iteration order is
+salted per process by ``PYTHONHASHSEED``, so a set's order that leaks
+into a report, a journal or a trace shows only across processes,
+whichever function the set lives in.
 
 Each case runs one command in two child processes, under two hash seeds
 set explicitly (a ``PYTHONHASHSEED`` pinned in the parent environment
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from repro.obs import canonical_form, load_stitched
+from repro.obs import canonical_form, read_trace
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 HASH_SEEDS = ("1", "2")
@@ -96,7 +96,7 @@ def _span_order(records: list[dict[str, Any]]) -> list[Any]:
 
 
 def _assert_same_trace(first: Path, second: Path) -> None:
-    first_records, second_records = load_stitched(first), load_stitched(second)
+    first_records, second_records = read_trace(first), read_trace(second)
     assert canonical_form(first_records) == canonical_form(second_records)
     assert _span_order(first_records) == _span_order(second_records)
     assert _final_counters(first_records) == _final_counters(second_records)

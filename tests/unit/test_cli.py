@@ -107,6 +107,7 @@ _BAD_INPUT = {
     "resume-on-experiments": ["experiments", "--only", "EXP-2", "--resume"],
     "corrupt-trace": ["trace", "summarize", "{corrupt}"],
     "missing-trace": ["trace", "summarize", "{missing}"],
+    "trace-directory": ["trace", "critical-path", "{dir}"],
     "deleted-parallel-engine": [
         "analyze", "--k", "4", "--d", "2", "--engine", "parallel"
     ],
@@ -149,7 +150,11 @@ class TestBadInput:
     def test_exits_2_with_named_error(self, capsys, tmp_path, argv):
         corrupt = tmp_path / "corrupt.jsonl"
         corrupt.write_text("not a trace\n")
-        paths = {"{corrupt}": corrupt, "{missing}": tmp_path / "nope.jsonl"}
+        paths = {
+            "{corrupt}": corrupt,
+            "{missing}": tmp_path / "nope.jsonl",
+            "{dir}": tmp_path,
+        }
         argv = [str(paths.get(arg, arg)) for arg in argv]
         captured = _assert_named_error(capsys, argv)
         # the --resume check runs before the incumbent screen
@@ -203,6 +208,28 @@ class TestCertify:
         captured = capsys.readouterr()
         assert captured.out == serial
         assert "resilience:" not in captured.err
+
+    def test_failed_run_still_prints_its_degradation(self, capsys):
+        # rung 1 fans out, every pool attempt crashes and all 3 roots fall
+        # back to serial; then no placement reaches E_max <= 1
+        failing = ["certify", "--k", "5", "--d", "2", "--jobs", "2",
+                   "--chaos-seed", "7", "--chaos-crash", "1.0",
+                   "--retries", "0", "--ub", "1"]
+        assert main(failing) == 2
+        err = capsys.readouterr().err
+        assert "error: no placement achieved E_max <= 1" in err
+        (line,) = [
+            line for line in err.splitlines()
+            if line.startswith("resilience: ")
+        ]
+        assert line.startswith(
+            "resilience: exact-search[T_5^2 n=5 E_max<=1]: 3/3 tasks"
+        )
+        assert "3 serial fallbacks" in line
+        assert main(["--quiet", *failing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no placement achieved E_max <= 1")
+        assert len(err.splitlines()) == 1
 
 
 class TestAnalyzeMarkdown:

@@ -20,6 +20,7 @@ from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.load.traffic import hotspot_traffic_weights
 from repro.load.udr_loads import udr_edge_loads
+from repro.obs import Tracer, using_tracer
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
@@ -273,13 +274,14 @@ class TestDisplacementCache:
         monkeypatch.setattr(AllMinimalPaths, "paths", counting_paths)
         plans = PlanCache()
         engine = LoadEngine("displacement")
-        with using_plan_cache(plans):
+        tracer = Tracer()
+        with using_plan_cache(plans), using_tracer(tracer):
             rows = [
                 engine.edge_loads(placement, AllMinimalPaths())
                 for _ in range(20)
             ]
         assert len(plans) == 1
-        assert plans.stats.misses == 1
+        assert tracer.metrics.counter("plancache.misses").value == 1
         assert set(builds.values()) == {1}
         plan = plans.get(torus_5_2, AllMinimalPaths())
         assert int(plan.enumerated_table().filled.sum()) == len(builds)

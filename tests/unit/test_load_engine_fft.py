@@ -29,6 +29,7 @@ from repro.load.quantize import (
     snap_loads,
 )
 from repro.load.traffic import hotspot_traffic_weights
+from repro.obs import Tracer, using_tracer
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
@@ -293,6 +294,14 @@ class TestColdPlans:
                 )
 
 
+def _plan_lookups(tracer):
+    """Plan-cache lookups counted by ``tracer``: hits plus misses."""
+    counters = tracer.metrics.snapshot()["counters"]
+    return counters.get("plancache.hits", 0) + counters.get(
+        "plancache.misses", 0
+    )
+
+
 class TestCosetVerdicts:
     """The plan cache remembers a coset's verdict for every routing."""
 
@@ -302,10 +311,11 @@ class TestCosetVerdicts:
         cache = PlanCache()
         with using_plan_cache(cache):
             FFTBackend().compute(placement, OrderedDimensionalRouting(2))
-            lookups = cache.stats.lookups
-            for routing in _routings(2):
-                assert FFTBackend().supports(placement, routing)
-        assert cache.stats.lookups == lookups
+            tracer = Tracer()
+            with using_tracer(tracer):
+                for routing in _routings(2):
+                    assert FFTBackend().supports(placement, routing)
+        assert _plan_lookups(tracer) == 0
 
     def test_supports_remembers_the_verdict_and_builds_nothing(self):
         torus = Torus(6, 2)
@@ -325,10 +335,11 @@ class TestCosetVerdicts:
         random = random_placement(torus, size=8, seed=1)
         multilinear = multiple_linear_placement(torus, 2, base_offset=3)
         cache = PlanCache()
-        with using_plan_cache(cache):
+        tracer = Tracer()
+        with using_plan_cache(cache), using_tracer(tracer):
             assert not FFTBackend().supports(random, routing)
             assert FFTBackend().supports(multilinear, routing)
-        assert cache.stats.lookups == 0
+        assert _plan_lookups(tracer) == 0
         assert cache.verdict((8, 2, random.node_ids.tobytes())) is None
         cover = cache.verdict((8, 2, multilinear.node_ids.tobytes()))
         assert len(cover.classes) == 3

@@ -3,7 +3,9 @@
 The cache's contract has three independent pieces, each pinned here:
 structural fingerprints (shape and routing structure, never ``id()``), bounded
 LRU residency (recency order, eviction at capacity), and the ambient
-install/restore convention shared with ``using_tracer``.
+install/restore convention shared with ``using_tracer``.  The cache keeps
+no tallies of its own: its lookups are read from the ambient tracer's
+``plancache.*`` counters.
 """
 
 from __future__ import annotations
@@ -25,6 +27,24 @@ from repro.routing.udr import UnorderedDimensionalRouting
 from repro.torus.topology import Torus
 
 
+@pytest.fixture
+def tracer():
+    """A tracer installed for the test, whose counters tally the lookups."""
+    tracer = Tracer(label="plancache-test")
+    with using_tracer(tracer):
+        yield tracer
+
+
+def _tallies(tracer):
+    """``(hits, misses, evictions)`` from the tracer's plan-cache counters."""
+    counters = tracer.metrics.snapshot()["counters"]
+    return (
+        counters.get("plancache.hits", 0),
+        counters.get("plancache.misses", 0),
+        counters.get("plancache.evictions", 0),
+    )
+
+
 class TestFingerprints:
     def test_fingerprint_is_structural_not_identity(self):
         cache = PlanCache()
@@ -33,7 +53,7 @@ class TestFingerprints:
         assert first is second
         assert len(cache) == 1
 
-    def test_fingerprint_separates_configurations(self):
+    def test_fingerprint_separates_configurations(self, tracer):
         cache = PlanCache()
         torus = Torus(4, 2)
         plans = {
@@ -42,7 +62,7 @@ class TestFingerprints:
             id(cache.get(Torus(5, 2), OrderedDimensionalRouting(2))),
         }
         assert len(plans) == 3
-        assert cache.stats.misses == 3
+        assert _tallies(tracer) == (0, 3, 0)
 
     def test_routing_order_lands_in_the_fingerprint(self):
         from repro.routing.dimension_order import DimensionOrderRouting
@@ -55,18 +75,16 @@ class TestFingerprints:
 
 
 class TestLRU:
-    def test_get_builds_once_then_hits(self):
+    def test_get_builds_once_then_hits(self, tracer):
         cache = PlanCache()
         torus, routing = Torus(4, 2), OrderedDimensionalRouting(2)
         first = cache.get(torus, routing)
         second = cache.get(torus, routing)
         assert first is second
         assert isinstance(first, SpectralPlan)
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 0)
-        assert stats.hit_rate == 0.5
+        assert _tallies(tracer) == (1, 1, 0)
 
-    def test_eviction_drops_least_recently_used(self):
+    def test_eviction_drops_least_recently_used(self, tracer):
         cache = PlanCache(capacity=2)
         odr = OrderedDimensionalRouting(2)
         a, b, c = Torus(3, 2), Torus(4, 2), Torus(5, 2)
@@ -75,19 +93,21 @@ class TestLRU:
         cache.get(a, odr)  # refresh a -> b is now the LRU entry
         cache.get(c, odr)  # evicts b
         assert len(cache) == 2
-        assert cache.stats.evictions == 1
+        assert _tallies(tracer) == (1, 3, 1)
         # b must be rebuilt (a fresh miss), a is still resident
         assert cache.get(a, odr) is plan_a
-        misses_before = cache.stats.misses
         cache.get(b, odr)
-        assert cache.stats.misses == misses_before + 1
+        assert _tallies(tracer) == (2, 4, 2)
 
-    def test_clear_keeps_the_tallies(self):
+    def test_clear_keeps_the_tallies(self, tracer):
         cache = PlanCache()
-        cache.get(Torus(3, 2), OrderedDimensionalRouting(2))
+        odr = OrderedDimensionalRouting(2)
+        cache.get(Torus(3, 2), odr)
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.misses == 1
+        assert _tallies(tracer) == (0, 1, 0)
+        cache.get(Torus(3, 2), odr)  # cleared plans are rebuilt
+        assert _tallies(tracer) == (0, 2, 0)
 
     def test_coset_verdicts_are_bounded_and_cleared(self):
         cache = PlanCache(capacity=1)
@@ -107,14 +127,12 @@ class TestLRU:
     def test_default_capacity(self):
         assert PlanCache().capacity == DEFAULT_PLAN_CAPACITY
 
-    def test_metrics_flow_through_the_ambient_tracer(self):
-        tracer = Tracer(label="plancache-test")
+    def test_metrics_flow_through_the_ambient_tracer(self, tracer):
         cache = PlanCache(capacity=1)
         odr = OrderedDimensionalRouting(2)
-        with using_tracer(tracer):
-            cache.get(Torus(3, 2), odr)
-            cache.get(Torus(3, 2), odr)
-            cache.get(Torus(4, 2), odr)  # evicts the first plan
+        cache.get(Torus(3, 2), odr)
+        cache.get(Torus(3, 2), odr)
+        cache.get(Torus(4, 2), odr)  # evicts the first plan
         snapshot = tracer.metrics.snapshot()
         assert snapshot["counters"]["plancache.hits"] == 1
         assert snapshot["counters"]["plancache.misses"] == 2

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import TraceError
 from repro.obs import (
     build_forest,
+    canonical_form,
     critical_path,
     diff_traces,
     rollup,
@@ -231,6 +232,45 @@ class TestDiffTraces:
         ]
         rows = diff_traces(before, after)
         assert [row["name"] for row in rows] == ["big", "small"]
+
+
+def _pool_run(prefix="p", jobs=2, mode="pool"):
+    """A parallel run's records: two tasks under ``exec.run``, one event."""
+    return [
+        {"kind": "header", "version": 1, "label": "certify"},
+        _span("exec.task", f"{prefix}2", f"{prefix}1", 1.0, 2.0,
+              task_id="root-0", attempt=0, mode=mode),
+        _span("exec.task", f"{prefix}3", f"{prefix}1", 1.5, 1.0,
+              task_id="root-1", attempt=0, mode=mode),
+        {
+            "kind": "event",
+            "name": "exec.retry",
+            "span": f"{prefix}1",
+            "attributes": {"task_id": "root-1", "attempt": 1},
+        },
+        _span("exec.run", f"{prefix}1", None, 0.0, 4.0, tasks=2, jobs=jobs),
+        {"kind": "metrics", "values": {"counters": {"exec.tasks": 2.0}}},
+    ]
+
+
+class TestCanonicalForm:
+    def test_ignores_volatile_attributes_and_ids(self):
+        # same logical run, other span ids, pool layout and dispatch mode
+        other = _pool_run(prefix="q", jobs=4, mode="inline")
+        assert canonical_form(_pool_run()) == canonical_form(other)
+
+    def test_detects_structural_differences(self):
+        records = _pool_run()
+        pruned = [r for r in records if r.get("id") != "p3"]
+        assert canonical_form(records) != canonical_form(pruned)
+
+    def test_durations_do_not_affect_the_form(self):
+        records = _pool_run()
+        slower = [dict(r) for r in records]
+        for record in slower:
+            if record.get("kind") == "span":
+                record["duration_seconds"] = 99.0
+        assert canonical_form(records) == canonical_form(slower)
 
 
 class TestRenderers:

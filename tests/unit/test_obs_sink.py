@@ -113,34 +113,27 @@ class TestReadTrace:
 
 
 class TestReadTraceDirectoryAndGlob:
+    """A run writes one trace file; directories and patterns are rejected."""
+
     def _write(self, path, label):
         with JsonlTraceSink(path, label=label) as sink:
             sink.emit({"kind": "event", "name": f"from-{label}"})
         return path
 
-    def test_directory_concatenates_sorted_files(self, tmp_path):
-        # written out of name order; read back deterministically sorted
-        self._write(tmp_path / "worker-b.jsonl", "b")
-        self._write(tmp_path / "worker-a.jsonl", "a")
-        records = read_trace(tmp_path)
-        labels = [
-            r["label"] for r in records if r.get("kind") == "header"
-        ]
-        assert labels == ["a", "b"]
-
-    def test_empty_directory_raises(self, tmp_path):
-        with pytest.raises(TraceError, match="no .jsonl files"):
+    def test_directory_raises(self, tmp_path):
+        self._write(tmp_path / "trace.jsonl", "a")
+        with pytest.raises(TraceError, match="is a directory"):
             read_trace(tmp_path)
 
-    def test_glob_pattern_concatenates_sorted_matches(self, tmp_path):
-        self._write(tmp_path / "t2.jsonl", "two")
+    def test_empty_directory_raises(self, tmp_path):
+        with pytest.raises(TraceError, match="is a directory"):
+            read_trace(tmp_path)
+
+    def test_glob_pattern_raises(self, tmp_path):
+        # patterns are not expanded, even when they match a trace
         self._write(tmp_path / "t1.jsonl", "one")
-        self._write(tmp_path / "other.log", "skip")
-        records = read_trace(tmp_path / "t*.jsonl")
-        labels = [
-            r["label"] for r in records if r.get("kind") == "header"
-        ]
-        assert labels == ["one", "two"]
+        with pytest.raises(TraceError, match="does not exist"):
+            read_trace(tmp_path / "t*.jsonl")
 
     def test_glob_with_no_matches_raises(self, tmp_path):
         with pytest.raises(TraceError):

@@ -6,7 +6,6 @@ from repro.cli import main
 from repro.obs import (
     JsonlTraceSink,
     Tracer,
-    load_stitched,
     read_trace,
     summarize_path,
     summarize_trace,
@@ -160,17 +159,31 @@ class TestSummarizePath:
         assert "outer" in text and "inner" in text and "tick" in text
         assert "ticks" in text
 
-    def test_parallel_run_summarizes_the_stitched_trace(self, tmp_path, capsys):
-        path = tmp_path / "trace.jsonl"
-        argv = ["certify", "--k", "4", "--d", "2", "--jobs", "2"]
-        assert main([*argv, "--trace", str(path)]) == 0
+    def test_parallel_run_summarizes_like_the_serial_run(
+        self, tmp_path, capsys
+    ):
+        argv = ["certify", "--k", "4", "--d", "2"]
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "par.jsonl"
+        # the checkpoint sends the serial run through the executor too
+        checkpoint = ["--checkpoint", str(tmp_path / "serial.ck")]
+        assert main([*argv, *checkpoint, "--trace", str(serial)]) == 0
+        assert main([*argv, "--jobs", "2", "--trace", str(parallel)]) == 0
         capsys.readouterr()
-        stitched = _final_counters(load_stitched(path))
-        # the workers' counters reach the summary, not only the parent's
-        assert stitched != _final_counters(read_trace(path))
-        assert _counter_rows(summarize_path(path)) == {
-            name: f"{float(value):g}" for name, value in stitched.items()
+        rows = _counter_rows(summarize_path(parallel))
+        assert rows == {
+            name: f"{float(value):g}"
+            for name, value in _final_counters(read_trace(parallel)).items()
         }
+        # the workers' plan-cache lookups reach the parent's trace; a
+        # lookup hits or misses by what the process ran before
+        expected = _counter_rows(summarize_path(serial))
+        lookups = ("plancache.hits", "plancache.misses")
+        assert sum(float(rows.get(name, 0)) for name in lookups) == sum(
+            float(expected.get(name, 0)) for name in lookups
+        )
+        for name in expected:
+            if not name.startswith(("exec.", "plancache.")):
+                assert rows[name] == expected[name], name
 
 
 def _final_counters(records):
