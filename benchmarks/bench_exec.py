@@ -2,7 +2,8 @@
 
 The resilience layer wraps every pool fan-out in the repo
 (`docs/ROBUSTNESS.md`), so its bookkeeping — task states, heartbeat
-waits, report events — must be cheap.  This suite runs an EXP-22-style
+waits, handing each task to a free worker (one parent round trip per
+task) — must be cheap.  This suite runs an EXP-22-style
 catalog workload (all ``C(16, 4)`` placements on ``T_4^2``, split into
 16 explicit blocks of node-id tuples, each scored one placement at a
 time by the catalog's per-placement oracle ``_evaluate_chunk``) three

@@ -1,8 +1,9 @@
 """Shared helper for the experiment benchmarks.
 
-Each ``bench_expNN_*.py`` runs one registered experiment under
-pytest-benchmark, asserts its paper-vs-measured checks pass, and prints the
-result tables (the same rows recorded in EXPERIMENTS.md).
+``bench_experiments.py`` runs each registered experiment under
+pytest-benchmark through the ``run_experiment`` fixture, which asserts
+its paper-vs-measured checks pass and prints the result tables (the same
+rows recorded in EXPERIMENTS.md).
 
 Run everything with::
 

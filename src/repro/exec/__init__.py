@@ -5,10 +5,10 @@ shards behind ``repro certify``, goes through this subsystem instead of
 constructing a pool directly (lint rule RL009 enforces the facade).  The layer turns a fragile
 ``ProcessPoolExecutor`` into a production-shaped executor:
 
-* :class:`ResilientExecutor` — bounded retries with deterministic
-  exponential backoff, a per-task deadline watchdog, automatic pool
-  rebuild after worker crashes, and graceful degradation to in-process
-  serial execution once a task's retry budget is spent;
+* :class:`ResilientExecutor` — hands each task to a free worker, with
+  bounded immediate retries, a per-task deadline watchdog, automatic
+  pool rebuild after worker crashes, and graceful degradation to
+  in-process serial execution once a task's retry budget is spent;
 * :class:`ExecPolicy` — the retry budget, deadline and chaos schedule
   (the CLI's ``--retries``/``--task-timeout``/``--chaos-*`` flags),
   passed to each executor by its caller;
@@ -17,9 +17,9 @@ constructing a pool directly (lint rule RL009 enforces the facade).  The layer t
   restarts a long search after a crash;
 * :class:`ChaosPolicy` — seeded fault injection (crash/hang) used by
   the chaos test suites to prove the above paths actually work;
-* :class:`ExecutionReport` — structured accounting of every retry,
-  timeout, rebuild, and downgrade a run absorbed, returned with its
-  results.
+* :class:`ExecutionReport` — counts of the retries, timeouts,
+  rebuilds, and downgrades a run absorbed, returned with its results
+  (each incident is also an ``exec.*`` event in the ambient trace).
 
 See ``docs/ROBUSTNESS.md`` for the retry/fallback state machine and the
 journal format.
@@ -29,7 +29,7 @@ from repro.exec.chaos import CHAOS_FAULTS, ChaosPolicy, unit_hash
 from repro.exec.executor import ExecTask, ExecutionOutcome, ResilientExecutor
 from repro.exec.journal import JOURNAL_VERSION, CheckpointJournal
 from repro.exec.policy import ExecPolicy
-from repro.exec.report import ExecutionEvent, ExecutionReport
+from repro.exec.report import ExecutionReport
 
 __all__ = [
     "CHAOS_FAULTS",
@@ -41,6 +41,5 @@ __all__ = [
     "JOURNAL_VERSION",
     "CheckpointJournal",
     "ExecPolicy",
-    "ExecutionEvent",
     "ExecutionReport",
 ]

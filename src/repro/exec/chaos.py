@@ -46,9 +46,8 @@ _HANG_SECONDS = 3600.0
 def unit_hash(*parts: object) -> float:
     """Map ``parts`` deterministically to a float in ``[0, 1)``.
 
-    The same salted-hash primitive drives both chaos decisions and the
-    executor's backoff jitter, so a whole resilient run is a pure function
-    of its seeds.
+    The salted-hash primitive behind every chaos decision, so a run's
+    fault schedule is a pure function of its seed.
     """
     digest = hashlib.sha256(
         ":".join(str(part) for part in parts).encode("utf-8")

@@ -4,17 +4,18 @@
 through a :class:`concurrent.futures.ProcessPoolExecutor` and absorbs the
 failure modes a bare pool propagates raw:
 
+* **one task per free worker** — a task is submitted only while fewer
+  than ``jobs`` tasks are in flight, so a task in flight is a task that
+  is running, and its age is its own run time;
 * **worker crashes** (``BrokenProcessPool``) — the pool is torn down and
-  rebuilt, in-flight tasks are charged one attempt and rescheduled;
+  rebuilt, and every running task is charged one attempt;
 * **hangs and stragglers** — a heartbeat watchdog enforces a per-task
-  deadline; overdue tasks are charged, innocent in-flight tasks are
-  rescheduled without charge, and the stuck workers are terminated;
-* **transient faults** — bounded retry with exponential backoff and
-  deterministic hashed jitter, so a rerun reproduces the exact schedule;
-* **persistent faults** — after the retry budget, a task degrades to
-  in-process serial execution (*graceful degradation*) instead of failing
-  an hours-long run; every downgrade is recorded in the
-  :class:`~repro.exec.report.ExecutionReport`.
+  deadline; overdue tasks are charged, innocent running tasks are
+  re-queued without charge, and the stuck workers are terminated;
+* **persistent faults** — a charged task re-queues at once; after the
+  retry budget it degrades to in-process serial execution (*graceful
+  degradation*) instead of failing an hours-long run, and the
+  :class:`~repro.exec.report.ExecutionReport` counts every downgrade.
 
 Tasks must be pure functions of their payloads (all call sites in this
 package shard commutative accumulations), so re-execution after a lost
@@ -31,13 +32,15 @@ in-memory tracer and returns its metrics snapshot with its result; the
 parent folds the delivered snapshots into its own registry in task
 order.  A crashed, hung or superseded attempt delivers nothing, so each
 task's work is counted once.  Pool workers write no trace records: the
-``exec.run``/``exec.task`` spans and ``exec.*`` events are the parent's.
+``exec.run``/``exec.task`` spans and the ``exec.*`` incident events are
+the parent's.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -45,23 +48,17 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
-from repro.exec.chaos import ChaosPolicy, unit_hash
+from repro.exec.chaos import ChaosPolicy
 from repro.exec.journal import CheckpointJournal
 from repro.exec.policy import ExecPolicy
 from repro.exec.report import ExecutionReport
 from repro.obs.tracer import NULL_TRACER, Tracer, current_tracer, using_tracer
 
 __all__ = ["ExecTask", "ExecutionOutcome", "ResilientExecutor"]
-
-#: retry ``n`` of a task waits ``min(_BACKOFF_MAX, _BACKOFF_BASE *
-#: _BACKOFF_FACTOR**(n - 1))`` seconds, scaled by a jitter in [0.5, 1).
-_BACKOFF_BASE = 0.05
-_BACKOFF_FACTOR = 2.0
-_BACKOFF_MAX = 2.0
 
 #: watchdog polling interval in seconds: the granularity at which
 #: deadlines are checked and completions collected.
@@ -94,8 +91,7 @@ class _TaskState:
 
     task: ExecTask
     attempts: int = 0
-    not_before: float = 0.0
-    started: float = field(default=0.0)
+    started: float = 0.0
 
 
 # ----------------------------------------------------------- worker shims
@@ -190,21 +186,6 @@ class ResilientExecutor:
         self._parent_initialized = False
         self._tracer = NULL_TRACER
 
-    # ------------------------------------------------------------ schedule
-
-    @staticmethod
-    def backoff_delay(task_id: str, attempt: int) -> float:
-        """Seconds to wait before retry ``attempt`` (1-based) of a task.
-
-        Exponential in the attempt number, capped, and scaled by a
-        deterministic jitter in ``[0.5, 1.0)`` hashed from
-        ``(task_id, attempt)``, so reruns reproduce the schedule.
-        """
-        raw = min(
-            _BACKOFF_MAX, _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempt - 1)
-        )
-        return raw * (0.5 + 0.5 * unit_hash("backoff", task_id, attempt))
-
     # ----------------------------------------------------------------- run
 
     def run(self, tasks: Sequence[ExecTask]) -> ExecutionOutcome:
@@ -238,13 +219,7 @@ class ResilientExecutor:
                         task.task_id
                     ]
                     report.resumed += 1
-                    self._note(
-                        report,
-                        "resume",
-                        task.task_id,
-                        0,
-                        "restored from checkpoint",
-                    )
+                    self._tracer.event("exec.resume", task_id=task.task_id)
 
         todo = [
             _TaskState(task) for task in tasks if task.task_id not in results
@@ -279,106 +254,76 @@ class ResilientExecutor:
         report: ExecutionReport,
         snapshots: dict[str, dict[str, Any]],
     ) -> None:
-        policy = self.policy
-        pending: list[_TaskState] = list(todo)
-        inflight: dict[Future[Any], _TaskState] = {}
-        total = len(todo)
-        completed = 0
+        retries, timeout = self.policy.retries, self.policy.task_timeout
+        pending = deque(todo)
+        running: dict[Future[Any], _TaskState] = {}
 
-        while completed < total:
-            now = time.monotonic()
-
-            # 1. tasks past their retry budget degrade to the serial path.
-            exhausted = [
-                state for state in pending if state.attempts > policy.retries
-            ]
-            for state in exhausted:
-                pending.remove(state)
-                report.fallbacks += 1
-                self._note(
-                    report,
-                    "fallback",
-                    state.task.task_id,
-                    state.attempts,
-                    "retry budget exhausted; degrading to in-process serial "
-                    "execution",
-                )
-                self._run_inline(state, results, report)
-                completed += 1
-
-            # 2. submit every task whose backoff delay has elapsed.
-            ready = [state for state in pending if state.not_before <= now]
-            for state in ready:
-                pending.remove(state)
+        while pending or running:
+            # 1. hand queued tasks to free workers; a task past its retry
+            #    budget degrades to the serial path instead.
+            while pending and len(running) < self.jobs:
+                state = pending.popleft()
+                task_id = state.task.task_id
+                if state.attempts > retries:
+                    report.fallbacks += 1
+                    self._tracer.event(
+                        "exec.fallback",
+                        task_id=task_id,
+                        attempt=state.attempts,
+                        detail="retry budget exhausted; degrading to "
+                        "in-process serial execution",
+                    )
+                    self._run_inline(state, results, report)
+                    continue
                 if state.attempts > 0:
                     report.retries += 1
-                    self._note(
-                        report,
-                        "retry",
-                        state.task.task_id,
-                        state.attempts,
-                        f"resubmitting after "
-                        f"{self.backoff_delay(state.task.task_id, state.attempts):.3f}s backoff",
+                    self._tracer.event(
+                        "exec.retry", task_id=task_id, attempt=state.attempts
                     )
                 report.attempts += 1
                 try:
                     future = self._ensure_pool().submit(
                         _resilient_call,
-                        (state.task.task_id, state.attempts, state.task.payload),
+                        (task_id, state.attempts, state.task.payload),
                     )
                 except BrokenExecutor:
                     # the pool died between waits; charge nobody, rebuild.
                     self._note_broken_pool(report, "pool broke at submit")
                     self._abandon_pool(report)
                     pending.append(state)
-                    pending.extend(inflight.values())
-                    inflight.clear()
+                    pending.extend(running.values())
+                    running.clear()
                     break
                 state.started = time.monotonic()
-                inflight[future] = state
-
-            if not inflight:
-                if pending:
-                    wake = min(state.not_before for state in pending)
-                    delay = min(max(wake - time.monotonic(), 0.0), _HEARTBEAT)
-                    if delay > 0:
-                        time.sleep(delay)
+                running[future] = state
+            if not running:
                 continue
 
-            # 3. collect completions (bounded wait = watchdog heartbeat).
+            # 2. collect completions (bounded wait = watchdog heartbeat).
             done, _ = wait(
-                set(inflight),
-                timeout=_HEARTBEAT,
-                return_when=FIRST_COMPLETED,
+                running, timeout=_HEARTBEAT, return_when=FIRST_COMPLETED
             )
             broken = False
             for future in done:
-                state = inflight.pop(future)
+                state = running.pop(future)
                 error = future.exception()
                 if error is None:
                     value, snapshot = future.result()
                     self._complete(state, value, results, report)
-                    completed += 1
                     if snapshot is not None:
                         snapshots[state.task.task_id] = snapshot
-                    if self._tracer.enabled:
-                        duration = time.monotonic() - state.started
-                        self._tracer.record_span(
-                            "exec.task",
-                            duration,
-                            task_id=state.task.task_id,
-                            attempt=state.attempts,
-                            mode="pool",
-                        )
-                        self._tracer.metrics.histogram(
-                            "exec.task_seconds"
-                        ).observe(duration)
+                    self._tracer.record_span(
+                        "exec.task",
+                        time.monotonic() - state.started,
+                        task_id=state.task.task_id,
+                        attempt=state.attempts,
+                        mode="pool",
+                    )
                 elif isinstance(error, BrokenExecutor):
                     broken = True
                     self._charge(
                         state,
                         pending,
-                        report,
                         f"worker crashed ({type(error).__name__})",
                     )
                 else:
@@ -386,95 +331,50 @@ class ResilientExecutor:
                     raise error
             if broken:
                 self._note_broken_pool(
-                    report, "worker process died; rescheduling in-flight tasks"
+                    report, "worker process died; re-queueing running tasks"
                 )
-                for state in inflight.values():
-                    self._charge(state, pending, report, "pool broke mid-task")
-                inflight.clear()
+                for state in running.values():
+                    self._charge(state, pending, "pool broke mid-task")
+                running.clear()
                 self._abandon_pool(report)
                 continue
 
-            # 4. watchdog: enforce the per-task deadline.
-            if policy.task_timeout is not None and inflight:
-                now = time.monotonic()
-                overdue = [
-                    (future, state)
-                    for future, state in inflight.items()
-                    if now - state.started > policy.task_timeout
-                ]
-                if overdue:
-                    for _future, state in overdue:
+            # 3. watchdog: enforce the per-task deadline.
+            now = time.monotonic()
+            if timeout is not None and any(
+                now - state.started > timeout for state in running.values()
+            ):
+                for state in running.values():
+                    if now - state.started > timeout:
                         report.timeouts += 1
-                        self._note(
-                            report,
-                            "timeout",
-                            state.task.task_id,
-                            state.attempts,
-                            f"timeout: exceeded the "
-                            f"{policy.task_timeout:g}s deadline",
+                        self._tracer.event(
+                            "exec.timeout",
+                            task_id=state.task.task_id,
+                            attempt=state.attempts,
+                            detail=f"exceeded the {timeout:g}s deadline",
                         )
-                        self._charge(state, pending, report, "deadline")
-                    overdue_ids = {id(state) for _f, state in overdue}
-                    for state in inflight.values():
-                        if id(state) not in overdue_ids:
-                            # innocent victims of the pool teardown: requeue
-                            # immediately, no attempt charged.
-                            state.not_before = 0.0
-                            pending.append(state)
-                    inflight.clear()
-                    self._abandon_pool(report)
+                        self._charge(state, pending, "deadline")
+                    else:
+                        # an innocent victim of the pool teardown:
+                        # re-queued, no attempt charged.
+                        pending.append(state)
+                running.clear()
+                self._abandon_pool(report)
 
     # -------------------------------------------------------------- helpers
 
     def _charge(
-        self,
-        state: _TaskState,
-        pending: list[_TaskState],
-        report: ExecutionReport,
-        reason: str,
+        self, state: _TaskState, pending: deque[_TaskState], reason: str
     ) -> None:
-        """Charge one failed attempt and schedule the retry (with backoff)."""
+        """Charge one failed attempt and re-queue the task at once."""
         state.attempts += 1
-        if state.attempts <= self.policy.retries:
-            delay = self.backoff_delay(state.task.task_id, state.attempts)
-        else:
-            delay = 0.0  # heading to fallback; no point waiting
-        state.not_before = time.monotonic() + delay
         pending.append(state)
-        self._note(
-            report, "attempt-failed", state.task.task_id, state.attempts, reason
+        self._tracer.event(
+            "exec.attempt_failed",
+            task_id=state.task.task_id,
+            attempt=state.attempts,
+            detail=reason,
         )
-
-    def _note(
-        self,
-        report: ExecutionReport,
-        kind: str,
-        task_id: str | None,
-        attempt: int,
-        detail: str,
-    ) -> None:
-        """Record one incident in the report *and* the ambient trace."""
-        report.add_event(kind, task_id, attempt, detail)
-        # one literal tracer.event call per incident kind so every event
-        # name in the trace is statically greppable (RL017); the report
-        # keeps the historical hyphenated kind strings.
-        attrs = {"task_id": task_id, "attempt": attempt, "detail": detail}
-        if kind == "retry":
-            self._tracer.event("exec.retry", **attrs)
-        elif kind == "timeout":
-            self._tracer.event("exec.timeout", **attrs)
-        elif kind == "fallback":
-            self._tracer.event("exec.fallback", **attrs)
-        elif kind == "resume":
-            self._tracer.event("exec.resume", **attrs)
-        elif kind == "rebuild":
-            self._tracer.event("exec.rebuild", **attrs)
-        elif kind == "attempt-failed":
-            self._tracer.event("exec.attempt_failed", **attrs)
-        elif kind == "broken-pool":
-            self._tracer.event("exec.broken_pool", **attrs)
-        else:  # pragma: no cover - closed kind set
-            self._tracer.event("exec.incident", **attrs)
 
     def _add_report_counters(self, report: ExecutionReport) -> None:
         """Push the run's headline counters into the tracer's registry."""
@@ -490,7 +390,7 @@ class ResilientExecutor:
 
     def _note_broken_pool(self, report: ExecutionReport, detail: str) -> None:
         report.broken_pools += 1
-        self._note(report, "broken-pool", None, 0, detail)
+        self._tracer.event("exec.broken_pool", detail=detail)
 
     def _complete(
         self,
@@ -549,7 +449,7 @@ class ResilientExecutor:
             return
         self._kill_pool()
         report.pool_rebuilds += 1
-        self._note(report, "rebuild", None, 0, "process pool torn down")
+        self._tracer.event("exec.rebuild", detail="process pool torn down")
 
     def _kill_pool(self) -> None:
         pool, self._pool = self._pool, None

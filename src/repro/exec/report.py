@@ -2,9 +2,10 @@
 
 Every :meth:`~repro.exec.executor.ResilientExecutor.run` produces an
 :class:`ExecutionReport`: counters for the happy path (tasks completed,
-resumed from a checkpoint) and a typed event log for everything that went
-wrong and how it was absorbed (retries, timeouts, pool rebuilds, serial
-downgrades).  The exact search returns its executors' reports on
+resumed from a checkpoint) and for everything that went wrong and how it
+was absorbed (retries, timeouts, pool rebuilds, serial downgrades).  Each
+incident itself is an ``exec.*`` event in the ambient trace, not a second
+log here.  The exact search returns its executors' reports on
 :attr:`repro.placements.exact_search.ExactSearchResult.reports`, and
 ``repro certify`` prints the :meth:`~ExecutionReport.summary` of every
 degraded one to stderr.
@@ -15,22 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["ExecutionEvent", "ExecutionReport"]
-
-
-@dataclass(frozen=True)
-class ExecutionEvent:
-    """One noteworthy incident during a resilient run.
-
-    ``kind`` is one of ``"resume"``, ``"retry"``, ``"timeout"``,
-    ``"broken-pool"``, ``"rebuild"``, ``"fallback"``; ``task_id`` is
-    ``None`` for pool-wide events.
-    """
-
-    kind: str
-    task_id: str | None
-    attempt: int
-    detail: str
+__all__ = ["ExecutionReport"]
 
 
 @dataclass
@@ -60,8 +46,6 @@ class ExecutionReport:
     fallbacks:
         Tasks downgraded to in-process serial execution after exhausting
         their retry budget.
-    events:
-        The ordered incident log (see :class:`ExecutionEvent`).
     started_monotonic:
         ``time.perf_counter()`` at creation — the basis every duration
         is computed from (see :meth:`finish`).
@@ -79,15 +63,8 @@ class ExecutionReport:
     broken_pools: int = 0
     pool_rebuilds: int = 0
     fallbacks: int = 0
-    events: list[ExecutionEvent] = field(default_factory=list)
     started_monotonic: float = field(default_factory=time.perf_counter)
     elapsed_seconds: float = 0.0
-
-    def add_event(
-        self, kind: str, task_id: str | None, attempt: int, detail: str
-    ) -> None:
-        """Append one incident to the log."""
-        self.events.append(ExecutionEvent(kind, task_id, attempt, detail))
 
     def finish(self) -> None:
         """Fix ``elapsed_seconds`` from the monotonic start."""

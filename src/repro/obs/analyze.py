@@ -12,9 +12,9 @@ the questions a slow parallel certify run raises:
   aggregates per span name, splitting *self* time (duration minus
   direct children) from *child* time, so a fat parent that merely waits
   on children is distinguishable from one doing real work.
-* **Was the pool starved?**  :func:`utilization` buckets busy
-  ``exec.task`` spans over the run's wall-clock extent — a tail of
-  one-busy-worker buckets is the straggler-shard signature.
+* **Was the pool starved?**  :func:`utilization` measures busy
+  ``exec.task`` time per interval of the run's wall-clock extent — a
+  tail of one-busy-worker intervals is the straggler-shard signature.
 * **What changed between two runs?**  :func:`diff_traces` compares two
   traces name-by-name (counts and durations); a trace diffed against
   itself is empty, which CI's trace smoke asserts on a parallel run.
@@ -97,24 +97,24 @@ def build_forest(records: list[dict[str, Any]]) -> list[SpanNode]:
     Spans whose ``parent`` id never appears in the trace (the parent
     span of a crashed run went unrecorded) become additional roots with
     ``orphan=True`` — analytics degrade gracefully instead of dropping
-    their subtrees.  Children are ordered by start time, ties broken by
+    their subtrees.  Every span record is its own node, a span without
+    an ``id`` too.  Children are ordered by start time, ties broken by
     span id, so the forest is deterministic for equal inputs.
     """
-    spans = [r for r in records if r.get("kind") == "span"]
-    nodes = {str(r.get("id")): SpanNode(record=r) for r in spans}
+    nodes = [SpanNode(record=r) for r in records if r.get("kind") == "span"]
+    by_id = {n.span_id: n for n in nodes if n.record.get("id") is not None}
     roots: list[SpanNode] = []
-    for record in spans:
-        node = nodes[str(record.get("id"))]
-        parent_id = record.get("parent")
+    for node in nodes:
+        parent_id = node.record.get("parent")
         if parent_id is None:
             roots.append(node)
-        elif str(parent_id) in nodes:
-            nodes[str(parent_id)].children.append(node)
+        elif str(parent_id) in by_id:
+            by_id[str(parent_id)].children.append(node)
         else:
             node.orphan = True
             roots.append(node)
     order = lambda n: (n.started, n.span_id)  # noqa: E731
-    for node in nodes.values():
+    for node in nodes:
         node.children.sort(key=order)
     roots.sort(key=order)
     return roots
@@ -177,10 +177,14 @@ def rollup(
 
     Sorted by descending self time — the order in which optimizing a
     span name actually pays — with the total-duration share relative to
-    the forest's summed root durations.
+    the summed durations of the forest's roots.  An orphan ran inside a
+    span that never closed, so orphans count toward that sum only when
+    every root is one.
     """
     roots = _forest(trace)
-    wall = sum(r.duration for r in roots)
+    wall = sum(r.duration for r in roots if not r.orphan) or sum(
+        r.duration for r in roots
+    )
     stats: dict[str, dict[str, Any]] = {}
     for root in roots:
         for node in root.walk():
@@ -227,13 +231,15 @@ def utilization(
     """Busy-workers-per-interval timeline from dispatch-span records.
 
     Buckets the run's wall-clock extent (first span start to last span
-    finish) into ``buckets`` intervals and counts how many ``span_name``
-    spans overlap each one.  An interval's count is the number of
-    simultaneously busy workers; trailing buckets stuck at 1 expose
-    straggler shards, interior zeros expose pool starvation.
+    finish) into ``buckets`` intervals and adds each ``span_name``
+    span's overlap with each interval, divided by the interval's width.
+    An interval's value is the mean number of busy workers over it, so
+    two back-to-back spans on one worker read 1, not 2, where they meet.
+    Trailing intervals stuck at 1 expose straggler shards, interior
+    zeros expose pool starvation.
 
     Returns ``{"span_name", "started_unix", "wall_seconds",
-    "bucket_seconds", "busy": [int, ...], "peak", "mean"}`` — with no
+    "bucket_seconds", "busy": [float, ...], "peak", "mean"}`` — with no
     matching spans, ``busy`` is empty.
     """
     roots = _forest(trace)
@@ -250,19 +256,21 @@ def utilization(
             "wall_seconds": 0.0,
             "bucket_seconds": 0.0,
             "busy": [],
-            "peak": 0,
+            "peak": 0.0,
             "mean": 0.0,
         }
     start = min(node.started for node in tasks)
     finish = max(node.finished for node in tasks)
     wall = max(finish - start, 1e-9)
     width = wall / buckets
-    busy = [0] * buckets
+    busy = [0.0] * buckets
     for node in tasks:
-        first = int((node.started - start) / width)
-        last = int((node.finished - start) / width)
-        for index in range(max(0, first), min(buckets - 1, last) + 1):
-            busy[index] += 1
+        begin, end = node.started - start, node.finished - start
+        first = max(0, int(begin / width))
+        last = min(buckets - 1, int(end / width))
+        for index in range(first, last + 1):
+            overlap = min(end, (index + 1) * width) - max(begin, index * width)
+            busy[index] += max(overlap, 0.0) / width
     return {
         "span_name": span_name,
         "started_unix": start,
@@ -477,7 +485,7 @@ def render_waterfall(
         )
         lines.append("")
         lines.append(
-            f"  busy workers (exec.task, peak {timeline['peak']}, "
+            f"  busy workers (exec.task, peak {timeline['peak']:.2f}, "
             f"mean {timeline['mean']:.2f}):"
         )
         lines.append(f"  [{spark}]")

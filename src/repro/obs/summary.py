@@ -2,8 +2,9 @@
 
 ``repro trace summarize out.jsonl`` turns the record stream into:
 
-* a **span table** — per span name: count, total/mean/max duration,
-  and the share of the root span's wall time;
+* a **span table** — the :func:`~repro.obs.analyze.rollup` rows: per
+  span name, count, total/self/mean/max duration, the share of the root
+  spans' wall time, and errors;
 * an **event table** — incident counts per event name (the executor's
   retries/timeouts/rebuilds/fallbacks show up here);
 * **metric tables** — counters, gauges, and histogram summaries from
@@ -20,49 +21,38 @@ from __future__ import annotations
 import os
 from typing import Any
 
+from repro.obs.analyze import rollup
 from repro.obs.sink import read_trace
 from repro.util.tables import Table
 
 __all__ = ["summarize_trace", "summarize_path"]
 
 
-def _span_table(spans: list[dict[str, Any]]) -> Table:
-    by_name: dict[str, list[float]] = {}
-    errors: dict[str, int] = {}
-    for span in spans:
-        name = str(span.get("name", "?"))
-        by_name.setdefault(name, []).append(
-            float(span.get("duration_seconds", 0.0))
-        )
-        if span.get("status") == "error":
-            errors[name] = errors.get(name, 0) + 1
-    total_all = sum(sum(durations) for durations in by_name.values())
-    # root spans (no parent) define the wall-clock denominator when present
-    roots = [
-        float(span.get("duration_seconds", 0.0))
-        for span in spans
-        if span.get("parent") is None
-    ]
-    denominator = max(sum(roots), 0.0) or total_all
+def _span_table(records: list[dict[str, Any]]) -> Table:
     table = Table(
-        ["span", "count", "total s", "mean s", "max s", "% of run", "errors"],
+        [
+            "span",
+            "count",
+            "total s",
+            "self s",
+            "mean s",
+            "max s",
+            "% of run",
+            "errors",
+        ],
         title="Spans",
     )
-    ranked = sorted(
-        by_name.items(), key=lambda item: (-sum(item[1]), item[0])
-    )
-    for name, durations in ranked:
-        total = sum(durations)
-        share = 100.0 * total / denominator if denominator > 0 else 0.0
+    for row in rollup(records):
         table.add_row(
             [
-                name,
-                len(durations),
-                f"{total:.4f}",
-                f"{total / len(durations):.4f}",
-                f"{max(durations):.4f}",
-                f"{share:.1f}",
-                errors.get(name, 0),
+                row["name"],
+                row["count"],
+                f"{row['total_seconds']:.4f}",
+                f"{row['self_seconds']:.4f}",
+                f"{row['total_seconds'] / row['count']:.4f}",
+                f"{row['max_seconds']:.4f}",
+                f"{100.0 * row['fraction_of_wall']:.1f}",
+                row["errors"],
             ]
         )
     return table
@@ -176,7 +166,7 @@ def summarize_trace(records: list[dict[str, Any]]) -> str:
         )
         parts.append("")
     if spans:
-        parts.append(_span_table(spans).render())
+        parts.append(_span_table(records).render())
         parts.append("")
     if events:
         parts.append(_event_table(events).render())

@@ -85,6 +85,21 @@ def _hang_policy(task_ids):
             return dataclasses.replace(HANGY, chaos=chaos)
 
 
+def _hung_attempts(policy, task_ids):
+    """Pool attempts the chaos schedule hangs, with no crash in play.
+
+    A task's attempts run in order until one does not hang, and at most
+    ``retries + 1`` of them run in the pool.
+    """
+    hung = 0
+    for task_id in task_ids:
+        for attempt in range(policy.retries + 1):
+            if policy.chaos.decide(task_id, attempt) != "hang":
+                break
+            hung += 1
+    return hung
+
+
 class TestCertifyUnderChaos:
     def test_crash_chaos_is_bit_identical_on_t5_2(self):
         torus = Torus(5, 2)
@@ -125,7 +140,8 @@ class TestCertifyUnderChaos:
     def test_hang_chaos_is_bit_identical_on_t4_2(self, tmp_path):
         torus = Torus(4, 2)
         serial = exact_global_minimum(torus, 4, mode="full")
-        policy = _hang_policy(_root_task_ids(torus, 4, tmp_path))
+        task_ids = _root_task_ids(torus, 4, tmp_path)
+        policy = _hang_policy(task_ids)
         chaotic = exact_global_minimum(
             torus, 4, mode="full", processes=2, policy=policy
         )
@@ -133,7 +149,10 @@ class TestCertifyUnderChaos:
         assert chaotic.emax_histogram == serial.emax_histogram
         report = chaotic.reports[-1]
         assert report.label.startswith("exact-search")
-        assert report.timeouts > 0  # the watchdog reaped hung roots
+        # a task's deadline runs from its hand-off to a free worker, so
+        # the watchdog charges each hung attempt once and nothing else
+        assert report.timeouts == _hung_attempts(policy, task_ids) > 0
+        assert report.fallbacks == 0
 
 
 class TestCertifyKillResume:

@@ -20,6 +20,7 @@ from repro.exec import (
     ExecutionReport,
     ResilientExecutor,
 )
+from repro.obs import Tracer, using_tracer
 
 #: fault-free policy for pool tests.
 FAST = ExecPolicy(retries=2)
@@ -51,6 +52,27 @@ def _slow_square(x):
 
 def _tasks(n):
     return [ExecTask(f"t-{i}", i) for i in range(n)]
+
+
+class _ListSink:
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def _traced_run(executor, tasks):
+    """``executor.run(tasks)`` under a tracer; the outcome and its events."""
+    sink = _ListSink()
+    with using_tracer(Tracer(sink=sink)):
+        outcome = executor.run(tasks)
+    events = [r for r in sink.records if r["kind"] == "event"]
+    return outcome, events
+
+
+def _task_ids(events, name):
+    return {e["attributes"]["task_id"] for e in events if e["name"] == name}
 
 
 class TestInlinePath:
@@ -104,33 +126,6 @@ class TestValidation:
         assert outcome.report.tasks == 0
 
 
-class TestBackoffSchedule:
-    def test_deterministic_across_instances(self):
-        a = ResilientExecutor(_square, jobs=1, policy=FAST)
-        b = ResilientExecutor(_square, jobs=2, policy=ExecPolicy(retries=5))
-        attempts = range(1, 5)
-        assert [a.backoff_delay("t-0", n) for n in attempts] == [
-            b.backoff_delay("t-0", n) for n in attempts
-        ]
-
-    def test_jitter_bounds_and_growth(self):
-        # 0.05 s doubling per retry, times a jitter in [0.5, 1)
-        for attempt in range(1, 6):
-            raw = 0.05 * 2.0 ** (attempt - 1)
-            delay = ResilientExecutor.backoff_delay("t-0", attempt)
-            assert 0.5 * raw <= delay < raw
-
-    def test_cap_applies(self):
-        # from the 7th retry on, 0.05 * 2**(n - 1) passes the 2 s cap
-        for attempt in range(7, 12):
-            delay = ResilientExecutor.backoff_delay("t-0", attempt)
-            assert 1.0 <= delay < 2.0
-
-    def test_schedule_varies_by_task(self):
-        delay = ResilientExecutor.backoff_delay
-        assert delay("t-0", 1) != delay("t-1", 1)
-
-
 class TestJournalIntegration:
     def test_resumed_tasks_skip_execution(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -142,12 +137,13 @@ class TestJournalIntegration:
             executor = ResilientExecutor(
                 _square, jobs=1, policy=FAST, journal=journal
             )
-            outcome = executor.run(_tasks(3))
+            outcome, events = _traced_run(executor, _tasks(3))
         finally:
             journal.close()
         assert outcome.results == {"t-0": 0, "t-1": 999, "t-2": 4}
         assert outcome.report.resumed == 1
-        assert [e.kind for e in outcome.report.events].count("resume") == 1
+        resumes = [e for e in events if e["name"] == "exec.resume"]
+        assert [e["attributes"]["task_id"] for e in resumes] == ["t-1"]
 
     def test_completions_are_journaled(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -201,14 +197,15 @@ class TestCrashRecovery:
             retries=1, chaos=ChaosPolicy(seed=11, crash_fraction=1.0)
         )
         tasks = _tasks(3)
-        outcome = ResilientExecutor(_square, jobs=2, policy=policy).run(tasks)
+        outcome, events = _traced_run(
+            ResilientExecutor(_square, jobs=2, policy=policy), tasks
+        )
         assert outcome.in_task_order(tasks) == [0, 1, 4]
         report = outcome.report
         assert report.fallbacks == 3
         assert report.broken_pools >= 1
         assert report.degraded
-        fallbacks = {e.task_id for e in report.events if e.kind == "fallback"}
-        assert fallbacks == {"t-0", "t-1", "t-2"}
+        assert _task_ids(events, "exec.fallback") == {"t-0", "t-1", "t-2"}
 
     def test_partial_crashes_retry_to_success(self):
         # 0.5 crash fraction re-rolls per attempt: with a generous budget
@@ -231,17 +228,32 @@ class TestDeadlineWatchdog:
             chaos=ChaosPolicy(seed=7, hang_fraction=1.0),
         )
         tasks = _tasks(2)
-        outcome = ResilientExecutor(_square, jobs=2, policy=policy).run(tasks)
+        outcome, events = _traced_run(
+            ResilientExecutor(_square, jobs=2, policy=policy), tasks
+        )
         assert outcome.in_task_order(tasks) == [0, 1]
         report = outcome.report
-        assert report.timeouts >= 2
+        # each task's two hung attempts time out once each
+        assert report.timeouts == 4
         assert report.pool_rebuilds >= 1
         assert report.fallbacks == 2
-        assert any(
-            "timeout: exceeded the" in e.detail
-            for e in report.events
-            if e.kind == "timeout"
+        timeouts = [e for e in events if e["name"] == "exec.timeout"]
+        assert len(timeouts) == 4
+        assert all(
+            e["attributes"]["detail"] == "exceeded the 0.2s deadline"
+            for e in timeouts
         )
+
+    def test_deadline_runs_from_hand_off_not_from_queueing(self):
+        # 24 tasks of 50 ms on two workers queue for 0.6 s, twice the
+        # deadline; each task is handed to a free worker, so none times out.
+        policy = ExecPolicy(retries=0, task_timeout=0.3)
+        tasks = _tasks(24)
+        outcome = ResilientExecutor(_slow_square, jobs=2, policy=policy).run(
+            tasks
+        )
+        assert outcome.in_task_order(tasks) == [i * i for i in range(24)]
+        assert (outcome.report.timeouts, outcome.report.fallbacks) == (0, 0)
 
     def test_no_timeout_without_deadline(self):
         policy = ExecPolicy(retries=1, task_timeout=None)
@@ -259,7 +271,8 @@ class TestReportShape:
         )
         report = outcome.report
         assert "2/2 tasks" in report.summary()
-        assert (report.completed, report.tasks, report.events) == (2, 2, [])
+        assert (report.completed, report.tasks, report.attempts) == (2, 2, 0)
+        assert not report.degraded
 
     def test_repr(self):
         executor = ResilientExecutor(_square, jobs=3, policy=FAST, label="x")

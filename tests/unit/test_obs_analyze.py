@@ -173,6 +173,19 @@ class TestUtilization:
         assert timeline["busy"][-1] == 2  # b + c
         assert timeline["wall_seconds"] == pytest.approx(4.0)
 
+    def test_back_to_back_spans_count_one_worker(self):
+        # one worker runs a then b; the bucket where they meet is busy
+        # for its full width once, not twice
+        records = [
+            _span("exec.run", "r", None, 0.0, 2.0),
+            _span("exec.task", "a", "r", 0.0, 1.0),
+            _span("exec.task", "b", "r", 1.0, 1.0),
+        ]
+        timeline = utilization(records, buckets=4)
+        assert timeline["busy"] == pytest.approx([1.0] * 4)
+        assert timeline["peak"] == pytest.approx(1.0)
+        assert timeline["mean"] == pytest.approx(1.0)
+
     def test_no_matching_spans_is_empty_timeline(self):
         timeline = utilization(_forest_records(), span_name="exec.task")
         assert timeline["busy"] == []
