@@ -14,8 +14,6 @@ Section 8 outlook — to a 4x8x16 machine:
 Run:  python examples/mixed_radix_machine.py
 """
 
-import math
-
 from repro.mixedradix import (
     MixedTorus,
     lcm_linear_placement,

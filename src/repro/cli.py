@@ -20,7 +20,7 @@ Usage (after ``pip install -e .``)::
     python -m repro trace waterfall out.jsonl
     python -m repro trace diff before.jsonl after.jsonl
     python -m repro bench report                       # BENCH_trajectory.json
-    python -m repro experiments --quick --profile pstats
+    python -m cProfile -o exp.prof -m repro experiments --quick
     python -m repro --quiet analyze --k 8 --d 2
 
 Every subcommand prints plain text (markdown-compatible tables) to stdout
@@ -30,12 +30,12 @@ resilience flags (``--retries``, ``--task-timeout``) and deterministic
 fault injection (``--chaos-*``), which it passes to the search as one
 :class:`repro.exec.ExecPolicy`; it prints the search's degraded
 execution reports to stderr and journals completed work
-(``--checkpoint``/``--resume``).  Long-running
-subcommands take observability flags (``--trace``,
-``--profile``/``--profile-out``) wired through :mod:`repro.obs`.
-Diagnostics go to stderr via :mod:`repro.obs.console`; the top-level
-``--quiet`` silences everything but errors, keeping machine-parsed
-stdout clean.
+(``--checkpoint``/``--resume``).  Long-running subcommands take
+``--trace``, which writes a JSONL trace through :mod:`repro.obs`; a
+function-level profile comes from running the whole process under
+``python -m cProfile``.  Diagnostics go to stderr via
+:mod:`repro.obs.console`; the top-level ``--quiet`` silences everything
+but errors, keeping machine-parsed stdout clean.
 """
 
 from __future__ import annotations
@@ -323,49 +323,24 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="write a JSONL trace of spans/events/metrics to this file",
     )
-    group.add_argument(
-        "--profile",
-        choices=["pstats", "flamegraph"],
-        default=None,
-        help=(
-            "profile the command with cProfile: 'pstats' writes a binary "
-            "dump, 'flamegraph' writes collapsed stacks"
-        ),
-    )
-    group.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        default=None,
-        help="profile output path (default: <command>.prof / <command>.folded)",
-    )
 
 
 @contextlib.contextmanager
 def _obs_context(args: argparse.Namespace) -> Iterator[None]:
-    """Install the profiler and, for ``--trace``, a JSONL tracer."""
-    from repro.obs import JsonlTraceSink, Tracer, console, profiling, using_tracer
+    """For ``--trace``, install a JSONL tracer around the block."""
+    from repro.obs import JsonlTraceSink, Tracer, console, using_tracer
 
-    trace_path = getattr(args, "trace", None)
-    with profiling(
-        getattr(args, "profile", None),
-        out=getattr(args, "profile_out", None),
-        label=str(getattr(args, "command", "repro")),
-    ):
-        if trace_path is None:
+    if args.trace is None:
+        yield
+        return
+    label = str(args.command)
+    tracer = Tracer(sink=JsonlTraceSink(args.trace, label=label), label=label)
+    try:
+        with using_tracer(tracer):
             yield
-            return
-        label = str(args.command)
-        tracer = Tracer(
-            sink=JsonlTraceSink(trace_path, label=label),
-            label=label,
-            keep_finished=False,
-        )
-        try:
-            with using_tracer(tracer):
-                yield
-        finally:
-            tracer.finish()
-            console.info(f"trace written to {trace_path}")
+    finally:
+        tracer.finish()
+        console.info(f"trace written to {args.trace}")
 
 
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:

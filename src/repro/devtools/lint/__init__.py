@@ -2,9 +2,10 @@
 
 The framework is deliberately small: a :class:`Rule` walks one parsed
 file (:class:`FileContext`) and yields :class:`Finding` objects; the
-registry maps rule codes to rule instances; :func:`lint_paths` drives the
-walk over files, applies ``# repro: noqa(...)`` suppressions, and returns
-the surviving findings sorted for stable output.
+registry maps rule codes to rule instances; :func:`lint_paths` lints each
+file on its own with :func:`lint_file`, applies ``# repro: noqa(...)``
+suppressions, and returns the surviving findings sorted for stable
+output.  No rule looks beyond the file it checks.
 
 Suppression syntax, on the offending line::
 
@@ -26,11 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.devtools.lint.semantics import (
-    ImportResolver,
-    Project,
-    module_name_for_path,
-)
+from repro.devtools.lint.semantics import ImportResolver, module_name_for_path
 
 __all__ = [
     "Finding",
@@ -71,26 +68,17 @@ class Finding:
 class FileContext:
     """Everything a rule may inspect about one source file.
 
-    ``project`` is the whole-program index built by :func:`lint_paths`
-    (single-file runs get a one-module project); ``resolver`` is the
-    file's own alias-aware import resolver, and :meth:`resolve` is the
-    one call rules should use — it resolves through the file's imports
-    *and* canonicalizes re-exports through the project.
+    ``resolver`` is the file's own alias-aware import resolver, and
+    :meth:`resolve` is the one call rules should use to name what an
+    expression denotes.
     """
 
-    def __init__(
-        self,
-        path: Path,
-        source: str,
-        tree: ast.Module,
-        project: "Project | None" = None,
-    ):
+    def __init__(self, path: Path, source: str, tree: ast.Module):
         self.path = path
         self.source = source
         self.tree = tree
         self.lines = source.splitlines()
         self.noqa = parse_noqa(source)
-        self.project = project
         self._resolver: "ImportResolver | None" = None
         self._effective_noqa: dict[int, frozenset[str] | None] | None = None
 
@@ -98,31 +86,22 @@ class FileContext:
     def resolver(self) -> "ImportResolver":
         """This file's alias-aware import resolver (built lazily)."""
         if self._resolver is None:
-            if self.project is not None:
-                info = self.project.module(module_name_for_path(self.path))
-                if info is not None and info.path == self.path:
-                    self._resolver = info.resolver
-            if self._resolver is None:
-                self._resolver = ImportResolver(
-                    self.tree,
-                    module_name=module_name_for_path(self.path),
-                    is_package=self.path.name == "__init__.py",
-                )
+            self._resolver = ImportResolver(
+                self.tree,
+                module_name=module_name_for_path(self.path),
+                is_package=self.path.name == "__init__.py",
+            )
         return self._resolver
 
     def resolve(self, node: ast.AST) -> str | None:
-        """Canonical qualified name of a ``Name``/``Attribute`` chain.
+        """Qualified name of a ``Name``/``Attribute`` chain.
 
         Aliases are seen through (``from repro.load.engine import fft as
-        f`` makes ``f.FFTBackend`` resolve), and re-export chains are
-        chased through the project when one is available.
+        f`` makes ``f.FFTBackend`` resolve to
+        ``repro.load.engine.fft.FFTBackend``); a name re-exported by a
+        package resolves to the package's name, not its defining module.
         """
-        qname = self.resolver.qualified_name(node)
-        if qname is None:
-            return None
-        if self.project is not None:
-            return self.project.canonical(qname)
-        return qname
+        return self.resolver.qualified_name(node)
 
     @property
     def effective_noqa(self) -> dict[int, frozenset[str] | None]:
@@ -317,27 +296,24 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
     return iter(collected)
 
 
-def _parse_source(path: Path) -> tuple[str, ast.Module | None, Finding | None]:
-    """Read and parse one file; syntax errors become an RL000 finding."""
+def lint_file(path: Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
+    """Lint one file, applying noqa; a syntax error yields one RL000 finding."""
+    if rules is None:
+        rules = all_rules()
     source = path.read_text(encoding="utf-8")
     try:
-        return source, ast.parse(source, filename=str(path)), None
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as err:
-        return (
-            source,
-            None,
+        return [
             Finding(
                 path=path.as_posix(),
                 line=err.lineno or 1,
                 col=(err.offset or 1) - 1,
                 code=SYNTAX_ERROR_CODE,
                 message=f"syntax error: {err.msg}",
-            ),
-        )
-
-
-def _lint_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
-    """Run ``rules`` over an already-built context, applying noqa."""
+            )
+        ]
+    ctx = FileContext(path, source, tree)
     findings: list[Finding] = []
     noqa = ctx.effective_noqa
     for rule in rules:
@@ -351,27 +327,6 @@ def _lint_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
                 continue
             findings.append(finding)
     return findings
-
-
-def lint_file(
-    path: Path,
-    rules: Sequence[Rule] | None = None,
-    project: Project | None = None,
-) -> list[Finding]:
-    """Lint one file; a syntax error yields a single RL000 finding.
-
-    Without a ``project``, a single-module one is built so semantic
-    rules still resolve the file's own imports.
-    """
-    if rules is None:
-        rules = all_rules()
-    source, tree, error = _parse_source(path)
-    if tree is None:
-        assert error is not None
-        return [error]
-    if project is None:
-        project = Project.build([(path, tree)])
-    return _lint_context(FileContext(path, source, tree, project), rules)
 
 
 @dataclass
@@ -406,20 +361,8 @@ def lint_paths(
         dropped = {get_rule(code).code for code in ignore}
         rules = tuple(rule for rule in rules if rule.code not in dropped)
     report = LintReport()
-    # First pass parses everything so semantic rules see the whole
-    # program (re-export chains) — not just one file.
-    parsed: list[tuple[Path, str, ast.Module]] = []
     for path in iter_python_files(paths):
         report.files_scanned += 1
-        source, tree, error = _parse_source(path)
-        if tree is None:
-            assert error is not None
-            report.findings.append(error)
-        else:
-            parsed.append((path, source, tree))
-    project = Project.build([(path, tree) for path, _, tree in parsed])
-    for path, source, tree in parsed:
-        ctx = FileContext(path, source, tree, project)
-        report.findings.extend(_lint_context(ctx, rules))
+        report.findings.extend(lint_file(path, rules))
     report.findings.sort()
     return report

@@ -7,13 +7,15 @@ retired.  Rules are heuristics, not proofs — the
 ``# repro: noqa(CODE)`` escape hatch exists precisely for the sites where
 a human can certify the invariant holds.
 
-RL004–RL010 and RL017 are (mostly) single-file pattern matchers; RL014
-is built on :mod:`repro.devtools.lint.semantics` — it resolves names
-through the file's imports (``ctx.resolve``), follows re-export chains
-through the project and runs the scope analysis.  RL004, RL009, and RL010 were
-retrofitted onto the same resolver, so renamed imports
+Every rule reads only the file it checks.  RL004–RL010 and RL017 are
+(mostly) pattern matchers; RL014 is built on
+:mod:`repro.devtools.lint.semantics` — it resolves names through the
+file's imports (``ctx.resolve``) and runs the scope analysis.  RL004,
+RL009, and RL010 use the same resolver, so renamed imports
 (``from repro.load.edge_loads import edge_loads_reference as oracle``)
-no longer slip past them.
+do not slip past them.  No rule chases re-exports: RL004 matches any
+``repro.load.*`` name by its last part, and RL014 lists both public
+spellings of ``ResilientExecutor``.
 """
 
 from __future__ import annotations
@@ -101,18 +103,10 @@ class LoadFacadeBypass(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
-                    bound = alias.asname or alias.name
-                    origin = ctx.resolver.bindings.get(bound)
-                    canonical = (
-                        ctx.project.canonical(origin)
-                        if origin is not None and ctx.project is not None
-                        else origin
-                    )
-                    if canonical is not None and self._internal_qname(
-                        canonical
-                    ):
+                    origin = ctx.resolver.bindings.get(alias.asname or alias.name)
+                    if origin is not None and self._internal_qname(origin):
                         yield from flag(node, alias.name)
-                    elif canonical is None and alias.name in _ENGINE_INTERNALS:
+                    elif origin is None and alias.name in _ENGINE_INTERNALS:
                         yield from flag(node, alias.name)
             elif isinstance(node, (ast.Attribute, ast.Name)):
                 if isinstance(node, ast.Name) and not isinstance(
@@ -261,7 +255,7 @@ class MutableDefaultArgument(Rule):
     summary = "mutable default argument"
 
     _MUTABLE_FACTORIES = ("list", "dict", "set")
-    #: canonical qualified names of stdlib mutable-container factories.
+    #: qualified names of stdlib mutable-container factories.
     _MUTABLE_FACTORY_QNAMES = frozenset(
         {
             "collections.defaultdict",
@@ -383,7 +377,7 @@ class DirectPoolConstruction(Rule):
     code = "RL009"
     summary = "direct process-pool construction outside repro/exec"
 
-    #: canonical qualified names that construct a process pool.
+    #: qualified names that construct a process pool.
     _POOL_QNAMES = frozenset(
         {
             "concurrent.futures.ProcessPoolExecutor",
@@ -678,15 +672,16 @@ class DynamicTelemetryName(Rule):
                 and node.args
             ):
                 continue
+            # the method name first: slicing a receiver's source re-splits
+            # the whole file, so only telemetry-shaped calls pay for it
             method = node.func.attr
-            receiver = ctx.segment(node.func.value).lower()
             if method in self._TRACER_METHODS:
-                if "tracer" not in receiver:
-                    continue
+                needle = "tracer"
             elif method in self._METRIC_METHODS:
-                if "metrics" not in receiver:
-                    continue
+                needle = "metrics"
             else:
+                continue
+            if needle not in ctx.segment(node.func.value).lower():
                 continue
             name_arg = node.args[0]
             if (

@@ -1,32 +1,20 @@
-"""Alias-aware name resolution and the whole-program module index.
+"""Alias-aware name resolution for one file.
 
 :class:`ImportResolver` answers, for one file, "what fully qualified
 name does this expression denote?" using nothing but the file's import
 statements (plus simple module-level aliasing assignments).  It never
 imports anything — resolution is purely syntactic, so ``import numpy as
 np`` makes ``np.random.rand`` resolve to ``numpy.random.rand`` whether
-or not numpy is installed.
-
-:class:`Project` indexes every linted file by dotted module name and
-canonicalizes qualified names through re-export chains: ``repro.load.engine.LoadEngine`` follows the
-``from repro.load.engine.facade import LoadEngine`` line in
-``engine/__init__.py`` down to ``repro.load.engine.facade.LoadEngine``.
-Rules match on canonical names, which is what makes them alias- *and*
-re-export-aware.
+or not numpy is installed.  Re-exports are not chased: a rule that must
+match a re-exported name lists each public spelling of it.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable
 
-__all__ = [
-    "ImportResolver",
-    "ModuleInfo",
-    "Project",
-    "module_name_for_path",
-]
+__all__ = ["ImportResolver", "module_name_for_path"]
 
 #: roots recognized as "this repository's code" when deriving module
 #: names from paths (fixture snippets live under ``repro/...`` too).
@@ -150,94 +138,3 @@ class ImportResolver:
             return f"{base}.{node.attr}"
         return None
 
-
-class ModuleInfo:
-    """One indexed module: path, tree, and its import resolver."""
-
-    def __init__(self, name: str, path: Path, tree: ast.Module):
-        self.name = name
-        self.path = path
-        self.tree = tree
-        self.resolver = ImportResolver(
-            tree,
-            module_name=name,
-            is_package=path.name == "__init__.py",
-        )
-
-    def __repr__(self) -> str:
-        return f"ModuleInfo({self.name!r})"
-
-
-class Project:
-    """A whole-program index over every linted module.
-
-    Build once per lint run (``lint_paths`` does); rules then resolve
-    names through :meth:`canonical`, and each file's context finds its
-    own resolver through :meth:`module`.
-    """
-
-    #: re-export chains longer than this are assumed cyclic and abandoned.
-    _MAX_CHASE = 32
-
-    def __init__(self, modules: Iterable[ModuleInfo] = ()):
-        self.modules: dict[str, ModuleInfo] = {}
-        for info in modules:
-            self.add(info)
-
-    @classmethod
-    def build(cls, files: Iterable[tuple[Path, ast.Module]]) -> "Project":
-        """Index ``(path, tree)`` pairs into a project."""
-        project = cls()
-        for path, tree in files:
-            project.add(ModuleInfo(module_name_for_path(path), path, tree))
-        return project
-
-    def add(self, info: ModuleInfo) -> None:
-        self.modules[info.name] = info
-
-    def module(self, name: str) -> ModuleInfo | None:
-        """The indexed module of that dotted name, if any."""
-        return self.modules.get(name)
-
-    # ------------------------------------------------------ canonical names
-
-    def _split_module_prefix(self, qname: str) -> tuple[str, list[str]] | None:
-        """Longest indexed-module prefix of ``qname`` plus leftover parts."""
-        parts = qname.split(".")
-        for cut in range(len(parts), 0, -1):
-            prefix = ".".join(parts[:cut])
-            if prefix in self.modules:
-                return prefix, parts[cut:]
-        return None
-
-    def canonical(self, qname: str) -> str:
-        """Follow re-export chains down to the defining module.
-
-        ``repro.load.engine.LoadEngine`` → the origin recorded by the
-        ``from .facade import LoadEngine`` binding in the package's
-        ``__init__`` → ``repro.load.engine.facade.LoadEngine`` (itself
-        canonicalized recursively).  Names that resolve outside the
-        project, or that the owning module defines directly, come back
-        unchanged.
-        """
-        seen: set[str] = set()
-        current = qname
-        for _ in range(self._MAX_CHASE):
-            if current in seen:
-                break
-            seen.add(current)
-            split = self._split_module_prefix(current)
-            if split is None:
-                break
-            prefix, rest = split
-            if not rest:
-                break  # the name *is* a module; already canonical
-            head, tail = rest[0], rest[1:]
-            origin = self.modules[prefix].resolver.bindings.get(head)
-            if origin is None or origin == f"{prefix}.{head}":
-                break  # defined here (or self-referential): canonical
-            current = ".".join([origin, *tail])
-        return current
-
-    def __repr__(self) -> str:
-        return f"Project({len(self.modules)} modules)"

@@ -131,7 +131,7 @@ def _resilient_call(
         chaos.inject(task_id, attempt)
     if not traced:
         return worker_fn(payload), None
-    tracer = Tracer(keep_finished=False)
+    tracer = Tracer()
     with using_tracer(tracer):
         value = worker_fn(payload)
     return value, tracer.metrics.snapshot()

@@ -1,12 +1,13 @@
-"""Zero-dependency observability: tracing spans, metrics, and profiling.
+"""Zero-dependency observability: tracing spans and metrics.
 
 ``repro.obs`` is the package's telemetry layer.  It follows the same
-ambient-policy convention as the plan cache and the resilient
-executor: instrumented code calls :func:`current_tracer` and opens
-spans on whatever tracer the caller installed with
-:func:`using_tracer`; the default is the :data:`NULL_TRACER`, whose
-every operation is a cached no-op, so un-traced runs pay near-zero
-overhead (pinned by ``benchmarks/bench_obs.py``).
+ambient-policy convention as the plan cache: instrumented code calls
+:func:`current_tracer` and opens spans on whatever tracer the caller
+installed with :func:`using_tracer`, the one way in; the default is the
+:data:`NULL_TRACER`, whose every operation is a cached no-op, so
+un-traced runs pay near-zero overhead (pinned by
+``benchmarks/bench_obs.py``).  Finished spans, events and the final
+metrics snapshot leave a tracer only through its sink.
 
 The moving parts:
 
@@ -24,10 +25,11 @@ The moving parts:
   :func:`canonical_form` — the trace analytics behind ``repro trace
   critical-path | waterfall | diff`` and the cross-run comparisons
   (:mod:`repro.obs.analyze`);
-* :func:`profiling` — cProfile-backed ``--profile pstats|flamegraph``
-  hooks (:mod:`repro.obs.profiling`);
 * :mod:`repro.obs.console` — the single sanctioned stderr/wall-clock
   choke point, so ``--quiet``/``--json`` runs stay machine-clean.
+
+For a function-level profile, run the whole process under cProfile:
+``python -m cProfile -o FILE -m repro CMD``, then ``python -m pstats FILE``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from repro.obs.metrics import (
     Histogram,
     Metrics,
 )
-from repro.obs.profiling import PROFILE_MODES, profiling, write_collapsed_stacks
 from repro.obs.sink import TRACE_VERSION, JsonlTraceSink, read_trace
 from repro.obs.summary import summarize_path, summarize_trace
 from repro.obs.tracer import (
@@ -57,7 +58,6 @@ from repro.obs.tracer import (
     Span,
     Tracer,
     current_tracer,
-    set_tracer,
     using_tracer,
 )
 
@@ -73,7 +73,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "current_tracer",
-    "set_tracer",
     "using_tracer",
     "TRACE_VERSION",
     "JsonlTraceSink",
@@ -86,7 +85,4 @@ __all__ = [
     "utilization",
     "diff_traces",
     "canonical_form",
-    "PROFILE_MODES",
-    "profiling",
-    "write_collapsed_stacks",
 ]

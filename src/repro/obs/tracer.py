@@ -3,7 +3,9 @@
 The design mirrors the package's other ambient state,
 :func:`repro.load.plancache.using_plan_cache`: instrumented code asks for the
 process-wide tracer via :func:`current_tracer` and opens spans on it —
-no tracer argument threads through any signature.  The default tracer
+no tracer argument threads through any signature.  :func:`using_tracer`
+is the one way to install a tracer, and it restores the previous one on
+exit.  The default tracer
 is the :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op
 context manager and whose metrics registry drops everything, so
 un-traced runs pay a near-zero, allocation-free cost at every
@@ -19,7 +21,8 @@ metrics snapshot travels back with the task's result (see
 
 A finished span becomes one JSON-compatible record handed to the
 tracer's *sink* (any object with ``emit(record)`` — see
-:class:`repro.obs.sink.JsonlTraceSink`).  Events are zero-duration
+:class:`repro.obs.sink.JsonlTraceSink`); the sink is the one way records
+leave a tracer.  Events are zero-duration
 records attributed to the currently open span, which is how the
 resilient executor re-emits its retry/timeout/rebuild incidents into
 the same stream as the timing spans.
@@ -42,7 +45,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "current_tracer",
-    "set_tracer",
     "using_tracer",
 ]
 
@@ -140,17 +142,14 @@ class Tracer:
     Parameters
     ----------
     sink:
-        Destination for finished records (``None`` keeps spans in
-        :attr:`finished` only — useful for tests).
+        Destination for finished records (``None`` drops them, keeping
+        only the metrics registry — what a pool task's tracer does).
     metrics:
         The registry instrumented code reaches via ``tracer.metrics``
         (a fresh :class:`~repro.obs.metrics.Metrics` by default).
     label:
         Human-readable name for the whole trace (the CLI passes the
         subcommand name).
-    keep_finished:
-        Retain finished span objects on the tracer (bounded by
-        ``keep_limit``); on by default only when no sink is given.
     """
 
     enabled = True
@@ -160,15 +159,10 @@ class Tracer:
         sink: TraceSink | None = None,
         metrics: Metrics | None = None,
         label: str = "trace",
-        keep_finished: bool | None = None,
-        keep_limit: int = 10_000,
     ):
         self.sink = sink
         self.metrics = metrics if metrics is not None else Metrics()
         self.label = label
-        self.finished: list[Span] = []
-        self._keep = keep_finished if keep_finished is not None else sink is None
-        self._keep_limit = keep_limit
         self._stack: list[Span] = []
         self._counter = itertools.count(1)
         self._closed = False
@@ -197,8 +191,6 @@ class Tracer:
             while self._stack and self._stack[-1] is not span:
                 self._stack.pop()
             self._stack.pop()
-        if self._keep and len(self.finished) < self._keep_limit:
-            self.finished.append(span)
         self._emit(
             {
                 "kind": "span",
@@ -307,13 +299,6 @@ _current: "Tracer | NullTracer" = NULL_TRACER
 
 def current_tracer() -> "Tracer | NullTracer":
     """The ambient tracer instrumented code should open spans on."""
-    return _current
-
-
-def set_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
-    """Install the ambient tracer (``None`` resets to the null tracer)."""
-    global _current
-    _current = tracer if tracer is not None else NULL_TRACER
     return _current
 
 

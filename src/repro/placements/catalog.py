@@ -80,7 +80,9 @@ def _evaluate_chunk(args) -> tuple[float, tuple[int, ...], int, dict[float, int]
     """Reference worker: evaluate a chunk of id-tuples one placement at a
     time; returns (min, argmin ids, count at min, emax histogram).  This
     is the per-placement brute-force oracle :func:`_scan` is
-    cross-checked against; top-level so it pickles for multiprocessing."""
+    cross-checked against.  The catalog itself runs serially; the one
+    packed ``(k, d, chunk)`` argument is for ``benchmarks/bench_exec.py``,
+    which maps this function over process pools as its unit of work."""
     k, d, chunk = args
     torus = Torus(k, d)
     best: float | None = None

@@ -30,11 +30,6 @@ from repro.sim.packet import Packet
 
 __all__ = ["CycleEngine", "SimulationResult"]
 
-#: per-cycle `sim.cycle` spans are emitted only for the first N cycles of
-#: a traced run — enough to see the warm-up/drain shape without letting a
-#: pathological million-cycle run flood the trace file.
-MAX_CYCLE_SPANS = 512
-
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -157,15 +152,6 @@ class CycleEngine:
                     f"exceeded max_cycles={self.max_cycles} with "
                     f"{total - delivered} packets in flight"
                 )
-            # deliberate manual handle: the span is conditional (capped
-            # at MAX_CYCLE_SPANS) and closed at two exit points below.
-            cycle_span = (
-                tracer.span("sim.cycle", cycle=cycle)
-                if traced and cycle < MAX_CYCLE_SPANS
-                else None
-            )
-            if cycle_span is not None:
-                cycle_span.__enter__()
             # arrivals scheduled for this cycle
             for i in pending.pop(cycle, ()):  # packets join queues
                 edge = paths[i][hop[i]]
@@ -180,7 +166,6 @@ class CycleEngine:
                     # queue depth at arrival = instantaneous contention
                     depths.append(depth)
             # each live link serves one head-of-line packet
-            served = len(queues)
             arrivals = pending.setdefault(cycle + 1, [])
             for edge, q in list(queues.items()):
                 i = q.popleft()
@@ -194,9 +179,6 @@ class CycleEngine:
                     last_delivery = cycle + 1
                 else:
                     arrivals.append(i)
-            if cycle_span is not None:
-                cycle_span.annotate(served=served)
-                cycle_span.__exit__(None, None, None)
             cycle += 1
 
         for depth, count in Counter(depths).items():

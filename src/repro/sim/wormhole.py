@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.errors import InvalidParameterError, SimulationError
 from repro.obs.tracer import current_tracer
-from repro.sim.engine import MAX_CYCLE_SPANS
 from repro.sim.packet import Packet
 from repro.torus.topology import Torus
 
@@ -277,16 +276,6 @@ class WormholeEngine:
                     f"packets {self._stuck(packets, delivered_at)} in flight"
                 )
 
-            # deliberate manual handle: the span is conditional (capped
-            # at MAX_CYCLE_SPANS) and closed at two exit points below.
-            cycle_span = (
-                tracer.span("sim.cycle", cycle=cycle)
-                if traced and cycle < MAX_CYCLE_SPANS
-                else None
-            )
-            if cycle_span is not None:
-                cycle_span.__enter__()
-
             while waiting and release[waiting[-1]] <= cycle:
                 injecting.append(waiting.pop())
 
@@ -312,8 +301,6 @@ class WormholeEngine:
                 else:
                     keys.append(links[p][hop + 1] << lshift | p << hshift | hop + 1)
             if delivered >= total:
-                if cycle_span is not None:
-                    cycle_span.__exit__(None, None, None)
                 break
 
             # ---- phase 2: one flit crossing per physical link, candidates
@@ -382,8 +369,6 @@ class WormholeEngine:
             if injected_all:
                 injecting = [p for p in injecting if injected[p] < flits]
             rr_offset += 1
-            if cycle_span is not None:
-                cycle_span.__exit__(None, None, None)
             if not moved and not waiting:
                 # nothing moved and no release is due: the state is a
                 # fixed point, so every later cycle would stall too

@@ -85,7 +85,7 @@ def _assert_named_error(capsys, argv):
 
 #: the minimal valid invocation of each subcommand that took the
 #: deleted ``--batch-size``/``--no-plan-cache``/``--metrics-out``/
-#: ``--sample-resources`` flags.
+#: ``--sample-resources``/``--profile`` flags.
 _LOAD_COMMANDS = {
     "analyze": ["analyze", "--k", "4", "--d", "2"],
     "sweep": ["sweep", "--d", "2", "--ks", "4"],
@@ -139,6 +139,7 @@ for _command, _argv in _LOAD_COMMANDS.items():
     _BAD_INPUT[f"sample-resources-on-{_command}"] = _argv + [
         "--sample-resources"
     ]
+    _BAD_INPUT[f"profile-on-{_command}"] = _argv + ["--profile", "pstats"]
     if _command != "certify":
         _BAD_INPUT[f"engine-on-{_command}"] = _argv + ["--engine", "fft"]
 
@@ -265,21 +266,6 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert out.startswith("# Trace summary — certify")
         assert "search.certify" in out
-
-    def test_profile_flag_writes_dump(self, capsys, tmp_path):
-        out = tmp_path / "analyze.prof"
-        assert main(
-            ["analyze", "--k", "4", "--d", "2",
-             "--profile", "pstats", "--profile-out", str(out)]
-        ) == 0
-        assert out.exists()
-        assert "profile (pstats) written" in capsys.readouterr().err
-
-    def test_profile_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["analyze", "--k", "4", "--d", "2", "--profile", "perf"]
-            )
 
     def test_quiet_silences_stderr_but_not_results(self, capsys):
         assert main(["--quiet", "analyze", "--k", "6", "--d", "2"]) == 0

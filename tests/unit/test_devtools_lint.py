@@ -672,3 +672,8 @@ class TestSelfCheck:
         report = lint_paths([REPO_ROOT / "tests"])
         assert report.files_scanned > 0
         assert report.findings == [], render_text(report)
+
+    def test_examples_and_scripts_are_clean(self):
+        report = lint_paths([REPO_ROOT / "examples", REPO_ROOT / "scripts"])
+        assert report.files_scanned > 0
+        assert report.findings == [], render_text(report)

@@ -27,6 +27,14 @@ def _raising(quick):
     raise RuntimeError("synthetic experiment crash")
 
 
+class _ListSink:
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
 @pytest.fixture
 def synthetic_registry(monkeypatch):
     registry = {
@@ -76,14 +84,14 @@ class TestSuiteTiming:
     def test_traced_suite_emits_experiment_spans(self, synthetic_registry):
         from repro.obs import Tracer, using_tracer
 
-        tracer = Tracer()
-        with using_tracer(tracer):
+        sink = _ListSink()
+        with using_tracer(Tracer(sink=sink)):
             run_all()
-        spans = {span.name: span for span in tracer.finished}
-        assert set(spans) == {"experiment.run"}
+        spans = [record for record in sink.records if record["kind"] == "span"]
+        assert {span["name"] for span in spans} == {"experiment.run"}
         crashed = [
             span
-            for span in tracer.finished
-            if span.attributes.get("crashed") == "RuntimeError"
+            for span in spans
+            if span["attributes"].get("crashed") == "RuntimeError"
         ]
         assert len(crashed) == 1

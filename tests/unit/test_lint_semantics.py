@@ -1,9 +1,9 @@
-"""Tests for the whole-program semantic analyzer and rule RL014.
+"""Tests for the file-local semantic analyzer and rule RL014.
 
-Covers the semantics package itself (resolver, project canonicalization,
-scope analysis), true-positive and false-positive fixtures for the
-semantic rule, the resolver retrofits of RL004/RL009/RL010, multiline
-noqa spans, and the JSON reporter round-trip.
+Covers the semantics package itself (resolver, scope analysis),
+true-positive and false-positive fixtures for the semantic rule, the
+resolver retrofits of RL004/RL009/RL010, multiline noqa spans, and the
+JSON reporter round-trip.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.devtools.lint.semantics import (
     FunctionScopes,
     GlobalUsage,
     ImportResolver,
-    Project,
     module_name_for_path,
 )
 
@@ -96,31 +95,6 @@ class TestImportResolver:
         assert module_name_for_path(
             Path("src/repro/load/engine/__init__.py")
         ) == "repro.load.engine"
-
-
-class TestProject:
-    def _project(self) -> Project:
-        return Project.build(
-            [
-                (
-                    Path("src/repro/load/engine/__init__.py"),
-                    ast.parse("from repro.load.engine.facade import LoadEngine\n"),
-                ),
-                (
-                    Path("src/repro/load/engine/facade.py"),
-                    ast.parse("class LoadEngine:\n    pass\n"),
-                ),
-            ]
-        )
-
-    def test_canonical_chases_reexport(self):
-        assert self._project().canonical("repro.load.engine.LoadEngine") == (
-            "repro.load.engine.facade.LoadEngine"
-        )
-
-    def test_canonical_identity_for_defining_module(self):
-        qname = "repro.load.engine.facade.LoadEngine"
-        assert self._project().canonical(qname) == qname
 
 
 # ------------------------------------------------------ scope analysis

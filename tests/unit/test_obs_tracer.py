@@ -11,16 +11,9 @@ from repro.obs import (
     NULL_TRACER,
     Tracer,
     current_tracer,
-    set_tracer,
     using_tracer,
 )
 from repro.obs.tracer import _NULL_SPAN
-
-
-@pytest.fixture(autouse=True)
-def _reset_ambient():
-    yield
-    set_tracer(None)
 
 
 class _ListSink:
@@ -73,11 +66,12 @@ class TestSpanNesting:
         assert span.attributes == {"a": 1, "b": 2}
 
     def test_finished_spans_kept_without_sink(self):
-        tracer = Tracer()
+        sink = _ListSink()
+        tracer = Tracer(sink=sink)
         with tracer.span("a"):
             with tracer.span("b"):
                 pass
-        assert [span.name for span in tracer.finished] == ["b", "a"]
+        assert [record["name"] for record in sink.records] == ["b", "a"]
 
 
 class TestRecordsAndEvents:
@@ -142,11 +136,6 @@ class TestAmbientTracer:
             with using_tracer(None):
                 assert current_tracer() is tracer
             assert current_tracer() is tracer
-
-    def test_set_tracer_none_resets(self):
-        set_tracer(Tracer())
-        assert set_tracer(None) is NULL_TRACER
-        assert current_tracer() is NULL_TRACER
 
     def test_nested_using_tracer_restores_outer(self):
         outer, inner = Tracer(label="o"), Tracer(label="i")

@@ -228,7 +228,8 @@ class TestPinnedRuns:
         # recorded from the previous implementation, which observed one
         # contention depth per link and cycle; the tallied fold must agree
         placement = linear_placement(Torus(6, 2))
-        tracer = Tracer(sink=_Records(), label="wormhole")
+        sink = _Records()
+        tracer = Tracer(sink=sink, label="wormhole")
         with using_tracer(tracer):
             packets = complete_exchange_packets(
                 placement, OrderedDimensionalRouting(2), seed=3, rounds=2, stagger=1
@@ -246,6 +247,12 @@ class TestPinnedRuns:
         assert snap["counters"]["sim.flits_blocked"] == 983.0
         assert snap["counters"]["sim.cycles"] == 59.0
         assert snap["counters"]["sim.packets_routed"] == 120.0
+        # a run is one span: the engines trace no per-cycle spans
+        spans = [r for r in sink.records if r["kind"] == "span"]
+        assert [(r["name"], r["attributes"]["engine"]) for r in spans] == [
+            ("sim.run", "cycle"),
+            ("sim.run", "wormhole"),
+        ]
 
 
 class TestStalls:
