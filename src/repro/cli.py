@@ -19,7 +19,6 @@ Usage (after ``pip install -e .``)::
     python -m repro trace critical-path out.jsonl
     python -m repro trace waterfall out.jsonl
     python -m repro trace diff before.jsonl after.jsonl
-    python -m repro bench report                       # BENCH_trajectory.json
     python -m cProfile -o exp.prof -m repro experiments --quick
     python -m repro --quiet analyze --k 8 --d 2
 
@@ -223,32 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.10,
         help="relative per-name duration change to ignore (default 0.10)",
-    )
-
-    p_bench = sub.add_parser(
-        "bench", help="benchmark baselines and their trajectory over time"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_bench_report = bench_sub.add_parser(
-        "report",
-        help="aggregate committed BENCH_*.json baselines into "
-        "BENCH_trajectory.json and check for regressions",
-    )
-    p_bench_report.add_argument(
-        "--benchmarks-dir",
-        default="benchmarks",
-        help="directory holding BENCH_*.json baselines (default benchmarks)",
-    )
-    p_bench_report.add_argument(
-        "--output",
-        default=None,
-        help="trajectory path (default <benchmarks-dir>/BENCH_trajectory.json)",
-    )
-    p_bench_report.add_argument(
-        "--check",
-        action="store_true",
-        help="fail (exit 1) if any pinned metric regressed beyond tolerance "
-        "instead of appending a new trajectory point",
     )
 
     # `repro lint` declares no options of its own: main() forwards every
@@ -602,8 +575,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print(f"ladder          : {', '.join(steps)}")
     print(f"work            : {counters.leaf_orbits} leaf orbits, "
           f"{counters.variant_evaluations} leaf variants, "
-          f"{counters.pair_updates} pair updates, "
-          f"{counters.full_evaluations} full evaluations")
+          f"{counters.pair_updates} pair updates")
     print(f"pruning         : {counters.subtrees_pruned_emax} subtrees by "
           f"partial E_max, {counters.variants_dropped} variants dropped")
     if result.emax_histogram is not None:
@@ -651,18 +623,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 2
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.devtools.benchreport import run_report
-
-    if args.bench_command == "report":
-        return run_report(
-            benchmarks_dir=args.benchmarks_dir,
-            output=args.output,
-            check=args.check,
-        )
-    return 2
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.devtools.lint.__main__ import run
 
@@ -678,7 +638,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "certify": _cmd_certify,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "lint": _cmd_lint,
 }
 

@@ -1,11 +1,11 @@
 """Developer tooling for the repro codebase.
 
-The package currently ships one subsystem: :mod:`repro.devtools.lint`, an
-AST-based lint framework whose rules encode the repo-specific invariants
-the paper's identities depend on (no silent flooring of load expressions,
-guarded divisions in the numeric hot paths, explicit routing metadata,
-facade discipline around the load engine, centralized constructor
-validation).  Run it as::
+The package ships one subsystem: :mod:`repro.devtools.lint`, an AST-based
+lint framework whose rules encode repo-specific invariants the search and
+its instrumentation depend on (facade discipline around the load engine,
+centralized constructor validation, no from-scratch load evaluation in
+the search's loops, process pools only through the resilient executor,
+picklable executor workers, literal trace and metric names).  Run it as::
 
     python -m repro.devtools.lint src tests
     repro lint src tests

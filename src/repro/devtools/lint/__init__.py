@@ -68,15 +68,17 @@ class Finding:
 class FileContext:
     """Everything a rule may inspect about one source file.
 
-    ``resolver`` is the file's own alias-aware import resolver, and
-    :meth:`resolve` is the one call rules should use to name what an
-    expression denotes.
+    ``nodes`` is every node of ``tree`` in ``ast.walk`` order, walked
+    once and shared by the rules.  ``resolver`` is the file's own
+    alias-aware import resolver, and :meth:`resolve` is the one call
+    rules should use to name what an expression denotes.
     """
 
     def __init__(self, path: Path, source: str, tree: ast.Module):
         self.path = path
         self.source = source
         self.tree = tree
+        self.nodes = list(ast.walk(tree))
         self.lines = source.splitlines()
         self.noqa = parse_noqa(source)
         self._resolver: "ImportResolver | None" = None
@@ -114,7 +116,7 @@ class FileContext:
         often sits on the decorator or a wrapped argument line.
         """
         if self._effective_noqa is None:
-            self._effective_noqa = _expand_noqa_spans(self.tree, self.noqa)
+            self._effective_noqa = _expand_noqa_spans(self.nodes, self.noqa)
         return self._effective_noqa
 
     @property
@@ -230,7 +232,7 @@ def parse_noqa(source: str) -> dict[int, frozenset[str] | None]:
 
 
 def _expand_noqa_spans(
-    tree: ast.Module, noqa: dict[int, frozenset[str] | None]
+    nodes: Sequence[ast.AST], noqa: dict[int, frozenset[str] | None]
 ) -> dict[int, frozenset[str] | None]:
     """Spread suppressions across multiline statement spans.
 
@@ -242,7 +244,7 @@ def _expand_noqa_spans(
     """
     effective: dict[int, frozenset[str] | None] = dict(noqa)
     spans: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             spans.append((node.lineno, node.end_lineno or node.lineno))
         elif isinstance(

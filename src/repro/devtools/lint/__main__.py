@@ -23,8 +23,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
         description=(
-            "repro's semantic lint: paper-invariant rules RL004-RL017 "
-            "(whole-program resolver and scope passes included)"
+            "repro's semantic lint: paper-invariant rules RL004-RL017, "
+            "each checking one file at a time (import resolver and scope "
+            "passes included)"
         ),
     )
     parser.add_argument(

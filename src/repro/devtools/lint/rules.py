@@ -100,7 +100,7 @@ class LoadFacadeBypass(Rule):
                     "`LoadEngine('reference').edge_loads(...)`) instead",
                 )
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
                     origin = ctx.resolver.bindings.get(alias.asname or alias.name)
@@ -143,7 +143,7 @@ class ConstructorSkipsValidation(Rule):
         return ctx.in_package("torus") or ctx.in_package("mixedradix")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
             init = next(
@@ -202,7 +202,7 @@ class UnusedImport(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         imported: list[tuple[str, ast.stmt]] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = (alias.asname or alias.name).split(".")[0]
@@ -217,7 +217,7 @@ class UnusedImport(Rule):
         if not imported:
             return
         used: set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -271,7 +271,7 @@ class MutableDefaultArgument(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             defaults: list[ast.expr] = list(node.args.defaults)
@@ -333,7 +333,7 @@ class FullLoadEvalInLoop(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         reported: set[tuple[int, int]] = set()
-        for loop in ast.walk(ctx.tree):
+        for loop in ctx.nodes:
             if not isinstance(loop, self._LOOPS):
                 continue
             for node in ast.walk(loop):
@@ -399,7 +399,7 @@ class DirectPoolConstruction(Rule):
         )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -462,10 +462,10 @@ class WallClockOrPrintInLibrary(Rule):
         # reference (`default_factory=time.time`, `clock = now`).
         call_funcs = {
             id(node.func)
-            for node in ast.walk(ctx.tree)
+            for node in ctx.nodes
             if isinstance(node, ast.Call)
         }
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Attribute) and id(node) not in call_funcs:
                 if ctx.resolve(node) == "time.time":
                     # flag the reference itself, so
@@ -573,10 +573,10 @@ class ExecutorWorkerPurity(Rule):
         scopes = FunctionScopes(ctx.tree)
         usage = GlobalUsage(ctx.tree)
         defs_by_name: dict[str, list[ast.AST]] = {}
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs_by_name.setdefault(node.name, []).append(node)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if not self._is_executor_call(ctx, node):
@@ -633,7 +633,7 @@ class DynamicTelemetryName(Rule):
     """RL017 — dynamic span/metric name fed into the telemetry registry.
 
     Trace tooling — ``repro trace diff``, ``canonical_form``,
-    the bench observatory's pinned metric names — keys everything on
+    the end-to-end benchmark's per-layer metrics — keys everything on
     span and metric *names*.  A name built at runtime
     (f-string, ``+``, ``.format``, a variable) fragments those keys into
     unbounded families that no dashboard, diff, or grep can enumerate,
@@ -665,7 +665,7 @@ class DynamicTelemetryName(Rule):
         return not ctx.in_package("obs")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)

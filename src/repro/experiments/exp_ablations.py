@@ -123,15 +123,6 @@ def run_global_optimality(quick: bool = False) -> ExperimentResult:
             [k, k, certified.num_placements, certified.minimum_emax,
              linear_emax, certified.num_optimal, linear_optimal]
         )
-        # the engine never evaluates a placement from scratch
-        result.check(
-            certified.counters.full_evaluations == 0,
-            f"T_{k}^2: all {certified.num_placements} placements certified "
-            "exhaustively with zero full placement evaluations "
-            f"({certified.counters.leaf_orbits} canonical orbits, "
-            f"{certified.counters.variant_evaluations} incremental leaf "
-            "variants)",
-        )
         # the witness is re-verified with an independent full evaluation
         witness_emax = float(odr_edge_loads(certified.example_optimal).max())
         result.check(

@@ -171,9 +171,6 @@ class SearchCounters:
         :math:`C(k^d, n)` full placement evaluations.
     pair_updates:
         Ordered pairs pushed through the incremental load kernel.
-    full_evaluations:
-        From-scratch :math:`O(|P|^2)` placement evaluations performed by
-        the engine: always 0 — loads are only ever grown incrementally.
     subtrees_pruned_emax:
         Subtrees cut because every variant's monotone partial
         :math:`E_{max}` exceeded the rung's bound.
@@ -189,7 +186,6 @@ class SearchCounters:
     leaf_orbits: int
     variant_evaluations: int
     pair_updates: int
-    full_evaluations: int
     subtrees_pruned_emax: int
     variants_dropped: int
 
@@ -1021,9 +1017,6 @@ def exact_global_minimum(
             )
             metrics.counter("search.pair_updates").add(
                 counters["pair_updates"]
-            )
-            metrics.counter("search.full_evaluations").add(
-                counters["full_evaluations"]
             )
             metrics.counter("search.subtrees_pruned_emax").add(
                 counters["subtrees_pruned_emax"]

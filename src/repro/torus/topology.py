@@ -14,11 +14,7 @@ import numpy as np
 
 from repro.torus.coords import all_coords, coords_to_ids, ids_to_coords
 from repro.torus.edges import EdgeIndex
-from repro.util.modular import (
-    cyclic_distance_array,
-    lee_distance,
-    lee_distance_array,
-)
+from repro.util.modular import lee_distance, lee_distance_array
 from repro.util.validation import check_torus_params
 
 __all__ = ["Torus"]
@@ -117,14 +113,6 @@ class Torus:
     def lee_distances_array(self, p_coords, q_coords) -> np.ndarray:
         """Vectorized Lee distance over ``(n, d)`` coordinate arrays."""
         return lee_distance_array(
-            np.asarray(p_coords, dtype=np.int64),
-            np.asarray(q_coords, dtype=np.int64),
-            self.k,
-        )
-
-    def cyclic_distances_array(self, p_coords, q_coords) -> np.ndarray:
-        """Per-dimension cyclic distances, shape ``(n, d)``."""
-        return cyclic_distance_array(
             np.asarray(p_coords, dtype=np.int64),
             np.asarray(q_coords, dtype=np.int64),
             self.k,

@@ -129,6 +129,7 @@ _BAD_INPUT = {
         "certify", "--k", "4", "--d", "2",
         "--chaos-seed", "1", "--chaos-slow", "0.1",
     ],
+    "deleted-bench-report": ["bench", "report", "--check"],
 }
 for _command, _argv in _LOAD_COMMANDS.items():
     _BAD_INPUT[f"batch-size-on-{_command}"] = _argv + ["--batch-size", "8"]
@@ -170,7 +171,10 @@ class TestCertify:
         assert "incumbent seed  : linear(c=0) E_max = 2" in out
         assert "global min E_max: 2" in out
         assert "optimal count   : 292" in out
-        assert "0 full evaluations" in out
+        assert (
+            "work            : 14 leaf orbits, 76 leaf variants, "
+            "2384 pair updates\n"
+        ) in out
 
     def test_prints_the_ladder(self, capsys):
         # T_5^2 n=5: Eq. 6's rung 1 is refuted, the minimum 2 certified

@@ -257,10 +257,6 @@ class TestWitness:
 
 
 class TestCounters:
-    def test_zero_full_evaluations(self, full_4_2):
-        # the whole point: every load vector is grown incrementally
-        assert full_4_2.counters.full_evaluations == 0
-
     def test_far_fewer_leaf_variants_than_placements(self, full_4_2):
         assert (
             full_4_2.counters.variant_evaluations
