@@ -16,9 +16,12 @@ from repro.load.edge_loads import edge_loads_reference
 from repro.load.engine import LoadEngine
 from repro.load.odr_loads import odr_edge_loads
 from repro.load.plancache import PlanCache, using_plan_cache
+from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.load.udr_loads import udr_edge_loads
 from repro.placements.linear import linear_placement
+from repro.placements.random_placement import random_placement
 from repro.routing.odr import OrderedDimensionalRouting
+from repro.routing.udr import UnorderedDimensionalRouting
 from repro.sim.engine import CycleEngine
 from repro.sim.network import SimNetwork
 from repro.sim.workloads import complete_exchange_packets
@@ -39,6 +42,27 @@ def test_udr_loads(benchmark, k, d):
     placement = linear_placement(Torus(k, d))
     loads = benchmark(udr_edge_loads, placement)
     assert loads.max() > 0
+
+
+@pytest.mark.benchmark(group="engine-rings")
+@pytest.mark.parametrize("routing_name", ["odr", "udr"])
+def test_ring_loads_random(benchmark, routing_name):
+    """T_12^3, |P| = 144 random: counted ring by ring, not pair by pair.
+
+    The ring sums must equal the enumerated path table's pair apply (the
+    ``displacement`` backend, which never takes the rings) after snap.
+    """
+    placement = random_placement(Torus(12, 3), 144, seed=20261020)
+    if routing_name == "odr":
+        loads_of, routing = odr_edge_loads, OrderedDimensionalRouting(3)
+    else:
+        loads_of, routing = udr_edge_loads, UnorderedDimensionalRouting()
+    loads = benchmark(loads_of, placement)
+    expected = LoadEngine("displacement").edge_loads(placement, routing)
+    quantum = routing_load_quantum(routing, 3)
+    assert np.array_equal(
+        snap_loads(loads, quantum), snap_loads(expected, quantum)
+    )
 
 
 @pytest.mark.benchmark(group="engine-displacement")

@@ -65,6 +65,12 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
+#: one source line as the parser splits them, its break kept: ``\r\n``,
+#: ``\r`` or ``\n`` only (``str.splitlines`` also breaks on ``\f``,
+#: ``\v`` and more), then a last line without a break.
+_PARSER_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+
+
 class FileContext:
     """Everything a rule may inspect about one source file.
 
@@ -82,6 +88,7 @@ class FileContext:
         self.lines = source.splitlines()
         self.noqa = parse_noqa(source)
         self._resolver: "ImportResolver | None" = None
+        self._parser_lines: list[str] | None = None
         self._effective_noqa: dict[int, frozenset[str] | None] | None = None
 
     @property
@@ -142,8 +149,28 @@ class FileContext:
         return needle in self.posix_path
 
     def segment(self, node: ast.AST) -> str:
-        """Source text of ``node`` (empty string when unavailable)."""
-        return ast.get_source_segment(self.source, node) or ""
+        """Source text of ``node`` (empty string when unavailable).
+
+        The slice :func:`ast.get_source_segment` takes, cut at the UTF-8
+        byte offsets of the node's positions, from the file's lines as
+        the parser splits them, split once per file.
+        """
+        end_line = getattr(node, "end_lineno", None)
+        end_col = getattr(node, "end_col_offset", None)
+        if end_line is None or end_col is None:
+            return ""
+        if self._parser_lines is None:
+            self._parser_lines = _PARSER_LINE.findall(self.source)
+        lines = self._parser_lines
+        first, last = node.lineno - 1, end_line - 1
+        col = node.col_offset
+        if first == last:
+            return lines[first].encode()[col:end_col].decode()
+        return "".join(
+            [lines[first].encode()[col:].decode()]
+            + lines[first + 1 : last]
+            + [lines[last].encode()[:end_col].decode()]
+        )
 
 
 class Rule(abc.ABC):

@@ -13,7 +13,9 @@ Backends by name:
 ``vectorized``
     The closed-form rows of the plan's
     :class:`~repro.load.path_table.PathTable` (dimension-order routings,
-    UDR), any traffic.
+    UDR), any traffic; complete exchange on a placement large enough is
+    counted ring by ring from per-ring sender and receiver counts
+    (:mod:`repro.load.rings`) instead of pair by pair.
 ``displacement``
     Path-table rows enumerated through ``routing.paths``; any
     translation-invariant routing, weighted traffic included.
@@ -26,9 +28,9 @@ Backends by name:
     path-table apply otherwise.
 ``auto``
     The first backend of fft → vectorized → displacement → reference
-    that supports the call, which makes the choice structural:
-    complete-exchange cosets and unions of cosets on
-    translation-invariant routings go to ``fft``, other dimension-order
+    that supports the call: complete-exchange cosets and unions of
+    cosets on translation-invariant routings go to ``fft`` unless the
+    ring sums cost less than its spectral pass, other dimension-order
     and UDR calls (any traffic) to ``vectorized``, every other
     translation-invariant case to ``displacement``, and fault-masked
     routings to ``reference``.
@@ -63,9 +65,9 @@ __all__ = [
 
 #: the preference order the ``auto`` engine tries per call: ``fft``
 #: accepts only complete-exchange unions of cosets with fewer
-#: difference classes than nodes, where its warm spectral pass beats
-#: every other backend; ``vectorized`` serves the other dimension-order
-#: and UDR calls.
+#: difference classes than nodes whose warm spectral pass costs less
+#: than the ring sums; ``vectorized`` serves the other dimension-order
+#: and UDR calls, ring by ring where that pays.
 _AUTO_ORDER = ("fft", "vectorized", "displacement", "reference")
 
 _BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")

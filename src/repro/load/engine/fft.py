@@ -40,9 +40,14 @@ pair count.  A coset is the case ``t = 1``, one class ``H`` and
 ``S_H = P``; a union of ``t`` parallel linear classes has
 ``D = 2t - 1``.  :meth:`FFTBackend.supports` accepts a placement when
 ``D < |P|``, which a trivial stabilizer never meets
-(``D = |P - P| >= |P|``); every other input — rejected placements,
-weighted traffic — is served by the exact apply of the plan's path
-table instead.  Accepted placements are therefore the first choice of the
+(``D = |P - P| >= |P|``), and the path table's ring sums
+(:mod:`repro.load.rings`) would not cost less than the spectral pass: a
+cost model in the pair apply's hop slots (:func:`_spectral_cost`,
+:func:`~repro.load.path_table.ring_cost_for`) decides, before the
+classification wherever the rings beat even a one-class pass.  Every
+other input — rejected or declined placements, weighted traffic — is
+served by the exact path-table apply instead, ring by ring where that
+pays.  Accepted placements are therefore the first choice of the
 ``auto`` engine (fft → vectorized → displacement → reference).
 
 The classification is cheap.  A few rows of ``P`` screen the candidates
@@ -81,7 +86,7 @@ import numpy as np
 
 from repro.errors import EngineError
 from repro.load.engine.base import LoadBackend
-from repro.load.path_table import PathTable
+from repro.load.path_table import PathTable, ring_cost_for
 from repro.load.quantize import LOAD_SNAP_TOLERANCE, QUANTUM_DENOMINATOR_CAP
 from repro.load.plancache import (
     DEFAULT_PLAN_CAPACITY,
@@ -371,6 +376,39 @@ def _cover_loads(cover: _Cover, plan: SpectralPlan) -> tuple[np.ndarray, float]:
     return loads.T.reshape(-1), drift
 
 
+# ----------------------------------------------------------- cost model
+
+#: the warm spectral pass's cost in pair-apply hop slots, the unit of
+#: :func:`repro.load.rings.ring_cost`: ``d`` times
+#: (:data:`FFT_DIMENSION_SLOTS` + :data:`FFT_CHANNEL_SLOTS` per node) for
+#: the ``2d`` edge channels, plus :data:`FFT_CLASS_SLOTS` per node and
+#: difference class.  Fitted to warm ``compute`` calls on linear and
+#: multiple linear placements (``D`` = 1, 3, 5) on a 2-core x86-64
+#: container, one slot taken as 6.5 ns: within about 1.3x on
+#: T_8²-T_64² and T_4³-T_12³; 4-D passes run up to 2x over it.  A
+#: one-class pass took 83 µs on T_16², 123 µs on T_32², 181 µs on T_8³
+#: and 222 µs on T_12³, both routings; the rings took 56, 124, 59 and
+#: 126 µs there under ODR, and 96, 240, 202 and 504 µs under UDR.
+FFT_DIMENSION_SLOTS = 7000
+FFT_CHANNEL_SLOTS = 3
+FFT_CLASS_SLOTS = 1
+
+
+def _spectral_cost(torus, classes: int) -> int:
+    """Estimated warm spectral pass over ``classes`` difference classes."""
+    n = torus.num_nodes
+    return torus.d * (FFT_DIMENSION_SLOTS + FFT_CHANNEL_SLOTS * n) + (
+        FFT_CLASS_SLOTS * classes * n
+    )
+
+
+def _count_ring_decline() -> None:
+    """Record, when traced, that the rings took a call from the FFT."""
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.metrics.counter("engine.fft.ring_declines").add(1)
+
+
 # --------------------------------------------------------------- backend
 
 
@@ -419,16 +457,32 @@ class FFTBackend(LoadBackend):
 
         ``D`` counts the classes of ``P - P`` modulo the stabilizer of
         ``P``: 1 for a coset, ``2t - 1`` for ``t`` parallel linear
-        classes, at least ``|P|`` for a trivial stabilizer.  Builds
-        nothing: the verdict is remembered in the plan cache
-        (:func:`_cover`), so the :meth:`compute` that follows skips the
-        classification, but spectra are built by ``compute`` alone.
+        classes, at least ``|P|`` for a trivial stabilizer.  A placement
+        whose path table would count its loads ring by ring
+        (:func:`~repro.load.path_table.ring_cost_for`) is also declined
+        when the rings cost less than its spectral pass
+        (:func:`_spectral_cost`): before classifying when they beat even
+        a one-class pass, after it otherwise.  Builds nothing: the
+        verdict is remembered in the plan cache (:func:`_cover`), so the
+        :meth:`compute` that follows skips the classification, but
+        spectra are built by ``compute`` alone.
         """
         if pair_weights is not None or not getattr(
             routing, "translation_invariant", False
         ):
             return False
-        return bool(_cover(placement, current_plan_cache()).classes)
+        torus = placement.torus
+        rings = ring_cost_for(torus, routing, len(placement))
+        if rings is not None and rings < _spectral_cost(torus, 1):
+            _count_ring_decline()
+            return False
+        classes = len(_cover(placement, current_plan_cache()).classes)
+        if not classes:
+            return False
+        if rings is not None and rings < _spectral_cost(torus, classes):
+            _count_ring_decline()
+            return False
+        return True
 
     def compute(
         self,

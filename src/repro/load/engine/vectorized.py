@@ -3,10 +3,12 @@
 :class:`VectorizedBackend` serves the routings whose
 :class:`~repro.load.path_table.PathTable` rows have a closed form — the
 dimension-order family (the paper's ODR included) and UDR — under any
-traffic, through the table of the ambient plan cache: one row gather and
-one ``np.bincount`` per chunk of pairs.  Anything else is unsupported
-here; the ``auto`` engine falls through to the displacement or reference
-backends instead.
+traffic, through the table of the ambient plan cache: complete exchange
+on a large enough placement ring by ring from per-ring sender and
+receiver counts (:mod:`repro.load.rings`), every other call one row
+gather and one ``np.bincount`` per chunk of pairs.  Anything else is
+unsupported here; the ``auto`` engine falls through to the displacement
+or reference backends instead.
 """
 
 from __future__ import annotations

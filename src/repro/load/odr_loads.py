@@ -4,9 +4,11 @@ ODR (and any fixed dimension-order variant) routes each ordered pair over
 exactly one canonical path, so Definition 4 degenerates to *counting the
 pairs whose path crosses each edge*.  The path of ``p → q`` is the path
 of ``0 → (q - p) mod k`` shifted by ``p``, one row of the configuration's
-:class:`~repro.load.path_table.PathTable`: a full evaluation gathers the
-rows of all :math:`|P|^2` pairs and counts their edges with one
-``np.bincount`` per chunk, no Python-level per-pair loop.
+:class:`~repro.load.path_table.PathTable`.  A full evaluation of a large
+placement counts the crossings ring by ring, as products of per-ring
+sender and receiver counts (:mod:`repro.load.rings`, Theorem 2's
+count); a small one gathers the rows of all :math:`|P|^2` pairs and
+counts their edges with one ``np.bincount`` per chunk.
 
 Incremental updates (a processor added or swapped) touch only
 :math:`O(|P|)` pairs; a batch of such pairs — across any number of

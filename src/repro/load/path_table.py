@@ -39,6 +39,15 @@ sources:
   ``enumerate_paths=True``, which keeps the ``displacement`` backend an
   independent check on the closed forms.
 
+Applying the rows
+-----------------
+:meth:`PathTable.loads` has two exact paths.  Complete exchange on a
+closed-form table is counted ring by ring from per-ring sender and
+receiver counts (:mod:`repro.load.rings`) when the pair apply's
+``|P|(|P|-1)·width`` hop slots would cost more (:func:`ring_cost_for`);
+weighted traffic, enumerated tables and small placements apply their
+pairs' rows.
+
 Tables live in the spectral plans of :mod:`repro.load.plancache`, keyed
 by torus shape and routing structure.
 """
@@ -51,7 +60,15 @@ import numpy as np
 
 from repro.errors import EngineError, LoadError
 from repro.load.quantize import routing_load_quantum, snap_loads
+from repro.load.rings import (
+    RING_MAX_RADIUS,
+    dimension_order_ring_loads,
+    ring_cost,
+    ring_terms,
+    udr_ring_loads,
+)
 from repro.load.traffic import validate_pair_weights
+from repro.obs.tracer import current_tracer
 from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.dimension_order import DimensionOrderRouting
@@ -61,7 +78,7 @@ from repro.torus.topology import Torus
 from repro.util.itertools_ext import ordered_pair_index_arrays
 from repro.util.modular import minimal_correction_array
 
-__all__ = ["PathTable", "has_closed_form"]
+__all__ = ["PathTable", "has_closed_form", "ring_cost_for"]
 
 #: hop slots gathered per chunk of :meth:`PathTable.loads`; bounds the
 #: apply's scratch arrays to about a megabyte whatever the pair count.
@@ -77,6 +94,33 @@ def has_closed_form(routing: RoutingAlgorithm, d: int) -> bool:
     if isinstance(routing, DimensionOrderRouting):
         return len(routing.order) == d
     return isinstance(routing, UnorderedDimensionalRouting)
+
+
+def ring_cost_for(
+    torus: Torus, routing: RoutingAlgorithm, m: int
+) -> int | None:
+    """The ring sums' cost where a closed-form table takes them, else ``None``.
+
+    Complete exchange of ``m`` processors goes ring by ring
+    (:mod:`repro.load.rings`) when the pair apply's ``m(m-1)·width``
+    hop slots cost more than the rings'
+    (:func:`~repro.load.rings.ring_cost`, in the same slots), the radius
+    is at most :data:`~repro.load.rings.RING_MAX_RADIUS` and the ring
+    sums stay exact (``m^2·d! < 2^53``).  A closed-form row holds
+    ``k // 2`` hop slots per ring term, so ``width`` is the term count
+    times ``k // 2``.
+    """
+    k, d = torus.k, torus.d
+    if (
+        not has_closed_form(routing, d)
+        or k > RING_MAX_RADIUS
+        or m * m * math.factorial(d) >= 1 << 53
+    ):
+        return None
+    udr = isinstance(routing, UnorderedDimensionalRouting)
+    cost = ring_cost(k, d, udr)
+    width = ring_terms(d, udr) * (k // 2)
+    return cost if m * (m - 1) * width > cost else None
 
 
 class PathTable:
@@ -324,22 +368,53 @@ class PathTable:
             return edges, (edges != self.sink).astype(np.int64), paths
         return edges, np.rint(self.weights[codes] * paths[:, None]), paths
 
+    def takes_rings(self, m: int) -> bool:
+        """Whether complete exchange of ``m`` processors goes ring by ring.
+
+        Closed-form tables do where :func:`ring_cost_for` says so;
+        enumerated tables never do, so the ``displacement`` backend stays
+        an independent check on both closed forms.
+        """
+        return not self.enumerated and (
+            ring_cost_for(self.torus, self.routing, m) is not None
+        )
+
     def loads(
         self, placement: Placement, pair_weights: np.ndarray | None = None
     ) -> np.ndarray:
         """Exact Definition-4 loads of every ordered pair of ``placement``.
 
         ``pair_weights`` is an optional ``(|P|, |P|)`` traffic matrix
-        (default: complete exchange); pairs of weight zero are skipped.
-        Pairs are applied in chunks of about ``2^16`` hop slots: a gather
-        of their rows, one add, one gather through the wrap table and
-        one ``np.bincount``.  Complete-exchange loads of a weighted table
-        are snapped to the routing's load quantum when it is known
+        (default: complete exchange).  Complete exchange on a large
+        enough placement (:meth:`takes_rings`) is counted ring by ring
+        from per-ring sender and receiver counts
+        (:mod:`repro.load.rings`), with no pass over its pairs.  Every
+        other call applies the pairs, skipping those of weight zero, in
+        chunks of about ``2^16`` hop slots: a gather of their rows, one
+        add, one gather through the wrap table and one ``np.bincount``.
+        Complete-exchange loads of a weighted table are snapped to the
+        routing's load quantum when it is known
         (:func:`~repro.load.quantize.routing_load_quantum`), so UDR loads
-        sit exactly on the :math:`1/d!` lattice, as the FFT backend's do.
+        sit exactly on the :math:`1/d!` lattice, as the ring sums and the
+        FFT backend's do.  Traced, the path that ran bumps
+        ``engine.table.rings`` or ``engine.table.pairs``.
         """
         m = len(placement)
         pair_weights = validate_pair_weights(pair_weights, m)
+        rings = pair_weights is None and self.takes_rings(m)
+        tracer = current_tracer()
+        if tracer.enabled:
+            if rings:
+                tracer.metrics.counter("engine.table.rings").add(1)
+            else:
+                tracer.metrics.counter("engine.table.pairs").add(1)
+        if rings:
+            coords = self._coords[placement.node_ids]
+            if isinstance(self.routing, UnorderedDimensionalRouting):
+                return udr_ring_loads(coords, self.torus.shape)
+            return dimension_order_ring_loads(
+                coords, self.torus.shape, self.routing.order
+            )
         pi, qi = ordered_pair_index_arrays(m)
         scale = None
         if pair_weights is not None:

@@ -19,10 +19,14 @@ lie on the minimal directed segment from ``p_j`` towards ``q_j``.)
 :class:`~repro.load.path_table.PathTable`, whose closed-form rows hold
 these fractions for the pairs ``0 → δ`` (one slot per edge dimension
 ``j``, subset ``A`` and segment step, :math:`d·2^{d-1}·\\lfloor k/2\\rfloor`
-slots): a full evaluation is one row gather and one weighted
-``np.bincount`` per chunk of pairs, no per-pair Python work.  For every
-pair the weights over all its edges sum to its Lee distance, giving the
-conservation law the property tests check.
+slots).  A small placement is one row gather and one weighted
+``np.bincount`` per chunk of pairs.  A large one is counted ring by ring
+(:mod:`repro.load.rings`): the fractions make UDR the uniform mixture
+of all :math:`d!` dimension orders, so its loads are the dimension-order
+ring counts of every split ``A ≺ j ≺ B``, weighted :math:`|A|!\\,|B|!`
+and divided by :math:`d!`.  For every pair the weights over all its
+edges sum to its Lee distance, giving the conservation law the property
+tests check.
 """
 
 from __future__ import annotations

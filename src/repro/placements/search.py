@@ -132,13 +132,13 @@ def local_search_placement(
     accepted = 0
     rejections = 0
     while accepted < max_moves and rejections < 4 * max_moves:
-        # sample candidate swaps and take the best (the first, on ties)
-        draws = np.array(
-            [
-                (rng.integers(current_ids.size), rng.integers(routers.size))
-                for _ in range(candidates_per_move)
-            ],
-            dtype=np.int64,
+        # sample candidate swaps and take the best (the first, on ties);
+        # one call draws the (processor, router) pairs in the order the
+        # generator's stream would give them one by one
+        draws = rng.integers(
+            0,
+            np.array([current_ids.size, routers.size]),
+            size=(candidates_per_move, 2),
         )
         out_idx, in_idx = draws[:, 0], draws[:, 1]
         # row i keeps every processor except the one at out_idx[i]

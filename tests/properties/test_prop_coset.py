@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.load.edge_loads import edge_loads_reference
 from repro.load.engine import FFTBackend
+from repro.load.engine.fft import _spectral_cost
+from repro.load.path_table import ring_cost_for
 from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import snap_loads
 from repro.placements.base import Placement
@@ -142,9 +144,13 @@ _ROUTINGS = [
 @given(placement_case(ALL_TORI), st.sampled_from(_ROUTINGS))
 @settings(max_examples=150, deadline=None)
 def test_verdict_is_the_difference_set_test(placement, make_routing):
+    """``D < |P|``, unless the ring sums cost less than the spectral pass."""
     routing = make_routing(placement.torus.d)
     stabilizer, classes = _brute_force(placement)
-    expected = classes < len(placement)
+    rings = ring_cost_for(placement.torus, routing, len(placement))
+    expected = classes < len(placement) and not (
+        rings is not None and rings < _spectral_cost(placement.torus, classes)
+    )
     key = (placement.torus.k, placement.torus.d, placement.node_ids.tobytes())
     with using_plan_cache(PlanCache()) as cache:
         fresh = FFTBackend().supports(placement, routing)

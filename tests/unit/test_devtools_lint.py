@@ -7,12 +7,14 @@ the self-check that the repo's own sources are clean.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.devtools.lint import (
     SYNTAX_ERROR_CODE,
+    FileContext,
     all_rules,
     lint_file,
     lint_paths,
@@ -658,6 +660,23 @@ class TestFramework:
         assert run(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "RL004" in out and "RL007" in out
+
+    def test_segment_slices_parser_lines_by_utf8_offsets(self):
+        # a form feed is not a line break to the parser, a lone \r is;
+        # the non-ASCII text puts byte offsets ahead of character ones
+        source = (
+            "x = 'é' \f+ 1\r\ny = ('ü',\r  'ß')\n"
+            "\fz = f('€',\n      2)\n"
+        )
+        tree = ast.parse(source)
+        ctx = FileContext(Path("mod.py"), source, tree)
+        for node in ast.walk(tree):
+            assert ctx.segment(node) == (
+                ast.get_source_segment(source, node) or ""
+            )
+        call = tree.body[2].value
+        assert ctx.segment(call) == "f('€',\n      2)"
+        assert ctx.segment(tree) == ""
 
 
 class TestSelfCheck:

@@ -2,7 +2,9 @@
 
 The closed-form rows (dimension orders, UDR) must hold exactly the paths
 ``routing.paths`` enumerates, hop for hop and weight for weight; rows are
-built only when a call needs them.
+built only when a call needs them.  Complete exchange on a large enough
+placement is counted ring by ring instead, and the trace says which path
+ran.
 """
 
 import itertools
@@ -10,8 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.load.engine import LoadEngine
+from repro.load.odr_loads import odr_edge_loads
 from repro.load.path_table import PathTable, has_closed_form
-from repro.load.quantize import routing_load_quantum
+from repro.load.quantize import routing_load_quantum, snap_loads
+from repro.load.udr_loads import udr_edge_loads
+from repro.obs import Tracer, using_tracer
+from repro.placements.random_placement import random_placement
 from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.minimal import AllMinimalPaths
 from repro.routing.odr import OrderedDimensionalRouting
@@ -83,3 +90,63 @@ class TestRows:
         assert table.width > narrow
         # the earlier row keeps its hops, padded out to the new width
         assert np.count_nonzero(table.hops[torus.node_id((1, 0))] != table.pad) == 1
+
+
+def _paths_taken(tracer):
+    """``(ring calls, pair calls)`` of the path tables under ``tracer``."""
+    counters = tracer.metrics.snapshot()["counters"]
+    return (
+        counters.get("engine.table.rings", 0),
+        counters.get("engine.table.pairs", 0),
+    )
+
+
+class TestRingDispatch:
+    """Complete exchange on a large enough placement goes ring by ring."""
+
+    def test_tiny_placement_takes_the_pair_apply(self):
+        torus = Torus(6, 2)
+        placement = random_placement(torus, 3, seed=1)
+        tracer = Tracer()
+        with using_tracer(tracer):
+            odr_edge_loads(placement)
+            udr_edge_loads(placement)
+        assert _paths_taken(tracer) == (0, 2)
+
+    def test_t12_cubed_random_takes_the_rings(self):
+        torus = Torus(12, 3)
+        placement = random_placement(torus, 144, seed=1)
+        tracer = Tracer()
+        with using_tracer(tracer):
+            odr = odr_edge_loads(placement)
+            udr = udr_edge_loads(placement)
+            auto = LoadEngine("auto").edge_loads(
+                placement, OrderedDimensionalRouting(3)
+            )
+        assert _paths_taken(tracer) == (3, 0)
+        counters = tracer.metrics.snapshot()["counters"]
+        # the rings beat even a one-class spectral pass: no screen ran
+        assert counters["engine.fft.ring_declines"] == 1
+        assert np.array_equal(auto, odr)
+        quantum = routing_load_quantum(UnorderedDimensionalRouting(), 3)
+        assert np.array_equal(udr, snap_loads(udr, quantum))
+
+    def test_weighted_traffic_and_displacement_never_take_the_rings(self):
+        torus = Torus(8, 3)
+        placement = random_placement(torus, 64, seed=2)
+        routing = OrderedDimensionalRouting(3)
+        traffic = np.ones((64, 64)) - np.eye(64)
+        tracer = Tracer()
+        with using_tracer(tracer):
+            rings = LoadEngine("vectorized").edge_loads(placement, routing)
+            weighted = LoadEngine("vectorized").edge_loads(
+                placement, routing, pair_weights=traffic
+            )
+            enumerated = LoadEngine("displacement").edge_loads(
+                placement, routing
+            )
+        assert _paths_taken(tracer) == (1, 2)
+        assert np.array_equal(rings, weighted)
+        assert np.array_equal(rings, enumerated)
+        assert PathTable(torus, routing).takes_rings(64)
+        assert not PathTable(torus, routing, enumerate_paths=True).takes_rings(64)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.load.odr_loads import odr_edge_loads
@@ -123,7 +125,47 @@ class TestLcmPlacement:
             assert ratio == pytest.approx(0.5)
 
 
+def _walked_loads(placement):
+    """ODR loads by walking every ordered pair hop by hop (the oracle)."""
+    torus = placement.torus
+    loads = np.zeros(torus.num_edges)
+    coords = placement.coords()
+    for p in coords:
+        for q in coords:
+            here = p.copy()
+            delta = torus.minimal_corrections(p, q)[0]
+            for dim, k in enumerate(torus.shape):
+                step = 1 if delta[dim] > 0 else -1
+                for _ in range(abs(int(delta[dim]))):
+                    tail = int(torus.node_ids(here)[0])
+                    loads[tail * 2 * torus.d + 2 * dim + (step < 0)] += 1
+                    here[dim] = (here[dim] + step) % k
+    return loads
+
+
+@st.composite
+def _mixed_placements(draw):
+    # even radii put half-ring ties, corrected the + way, on the rings
+    shape = draw(
+        st.lists(st.integers(2, 8), min_size=1, max_size=3).filter(
+            lambda s: math.prod(s) <= 150
+        )
+    )
+    torus = MixedTorus(shape)
+    size = draw(st.integers(1, min(torus.num_nodes, 20)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return MixedPlacement(torus, rng.choice(torus.num_nodes, size, replace=False))
+
+
 class TestMixedLoads:
+    @given(_mixed_placements())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_sums_equal_the_pair_walk(self, placement):
+        assert np.array_equal(
+            mixed_odr_edge_loads(placement), _walked_loads(placement)
+        )
+
     def test_conservation(self):
         # coprime radii: no linear placement exists, use an ad-hoc one
         t = MixedTorus((3, 4))

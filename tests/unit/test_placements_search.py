@@ -61,15 +61,20 @@ class TestLocalSearch:
         [
             (6, 4, 8, 21, 0.0, (7.0, 5.0, 4.0), 545, [13, 17, 19, 22, 30, 32]),
             (5, 2, 6, 5, 0.7, (3.0,) * 5 + (2.0, 2.0), 97, [7, 8, 10, 12, 20]),
+            (
+                10, 11, 25, 4, 0.5,
+                (9.0,) + (7.0,) * 10 + (6.0,) * 10 + (7.0, 8.0, 7.0, 6.0, 6.0),
+                433, [5, 7, 14, 35, 37, 40, 62, 75, 78, 90],
+            ),
         ],
     )
     def test_pinned_runs(
         self, k, seed_start, moves, seed, temperature, trajectory, evaluations,
         best,
     ):
-        # recorded with one swap-delta call per candidate; evaluating a
-        # move's candidates in one batched call must not change any draw
-        # or any choice
+        # recorded with one swap-delta call and two scalar draws per
+        # candidate; evaluating a move's candidates in one batched call,
+        # drawn in one call, must not change any draw or any choice
         start = random_placement(Torus(k, 2), k, seed=seed_start)
         res = local_search_placement(
             start, max_moves=moves, temperature=temperature, seed=seed
