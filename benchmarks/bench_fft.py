@@ -4,8 +4,9 @@ The acceptance criterion behind these numbers: on every cell of
 {T_32^2, T_12^3} x {ODR, UDR} x {linear, multilinear, random}, a warm
 ``auto`` call must take at most **1.2x** the fastest of ``vectorized``,
 ``fft`` and ``displacement``, i.e. ``auto``'s dispatch picks the best
-backend, and ``fft`` runs only where it wins.  ``multilinear`` is the paper's two-class multiple linear
-placement, a union of two cosets that ``auto`` sends to ``fft``.  The
+backend, and the screen ``fft`` runs on random placements stays cheap.
+``multilinear`` is the paper's two-class multiple linear placement, a
+union of two cosets that ``auto`` sends to ``fft``.  The
 committed machine-recorded throughputs live in
 ``benchmarks/BENCH_engines.json``; timings there are informational
 (machines differ), while the exactness pins (``emax`` per configuration)
@@ -26,6 +27,7 @@ from _timing import best_of, interleaved_best_of, warm_seconds
 
 from repro.load.engine import LoadEngine
 from repro.load.odr_loads import odr_edge_loads
+from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.placements.linear import linear_placement
 from repro.placements.multiple import multiple_linear_placement
 from repro.placements.random_placement import random_placement
@@ -75,7 +77,8 @@ def test_fft_udr_loads(benchmark):
     engine.edge_loads(placement, routing)
     loads = benchmark(engine.edge_loads, placement, routing)
     disp = LoadEngine("displacement").edge_loads(placement, routing)
-    assert np.abs(loads - disp).max(initial=0.0) <= 1e-9
+    quantum = routing_load_quantum(routing, 2)
+    assert np.array_equal(snap_loads(loads, quantum), snap_loads(disp, quantum))
 
 
 @pytest.mark.parametrize("kind", ["linear", "multilinear", "random"])

@@ -203,15 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="render start-offset span bars plus the busy-worker timeline",
     )
     p_trace_wf.add_argument("path", help="the trace JSONL file")
-    p_trace_wf.add_argument(
-        "--width", type=int, default=48, help="bar width in columns (default 48)"
-    )
-    p_trace_wf.add_argument(
-        "--max-spans",
-        type=int,
-        default=200,
-        help="truncate the waterfall after N spans (default 200)",
-    )
     p_trace_diff = trace_sub.add_parser(
         "diff", help="span-by-span-name comparison of two traces"
     )
@@ -493,12 +484,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.scaling import fit_power_law, scaling_rows
+    from repro.errors import InvalidParameterError
     from repro.placements.registry import get_family
     from repro.routing.odr import OrderedDimensionalRouting
     from repro.routing.udr import UnorderedDimensionalRouting
     from repro.util.tables import Table
 
-    ks = [int(x) for x in args.ks.split(",")]
+    try:
+        ks = [int(x) for x in args.ks.split(",")]
+    except ValueError:
+        raise InvalidParameterError(
+            f"--ks takes comma-separated integer radii, got {args.ks!r}"
+        ) from None
     family = get_family(args.family)
     routing_factory = (
         OrderedDimensionalRouting
@@ -602,12 +599,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         from repro.obs import read_trace
         from repro.obs.analyze import render_waterfall
 
-        lines = render_waterfall(
-            read_trace(args.path),
-            width=args.width,
-            max_spans=args.max_spans,
-        )
-        print("\n".join(lines))
+        print("\n".join(render_waterfall(read_trace(args.path))))
         return 0
     if args.trace_command == "diff":
         from repro.obs import diff_traces, read_trace

@@ -34,14 +34,14 @@ def compute_loads(
     """Per-edge loads through the ``auto`` load engine.
 
     ``auto`` (see :class:`~repro.load.engine.LoadEngine`) sends
-    complete-exchange cosets and multiple linear placements (unions of
-    cosets with fewer difference classes than nodes) on
-    translation-invariant routings to the spectral ``fft`` backend, the
-    other dimension-order and unweighted UDR calls to ``vectorized``,
-    other translation-invariant routings to ``displacement``, and
-    everything else to the path-enumerating ``reference``.  Every
-    backend returns the same loads after
-    :func:`~repro.load.quantize.snap_loads`.
+    complete-exchange placements with a nontrivial translation
+    stabilizer (cosets, multiple linear placements) on
+    translation-invariant routings to the ``fft`` backend, which moves
+    the memoized loads of their translate through the origin; the other
+    dimension-order and UDR calls go to ``vectorized``, other
+    translation-invariant routings to ``displacement``, and everything
+    else to the path-enumerating ``reference``.  Every backend returns
+    the same loads after :func:`~repro.load.quantize.snap_loads`.
     """
     return _ENGINE.edge_loads(placement, routing)
 

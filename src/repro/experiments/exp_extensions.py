@@ -76,12 +76,12 @@ def run_symmetry(quick: bool = False) -> ExperimentResult:
         title=f"EXP-14: linear placement variants on T_{k}^{d} under ODR",
     )
     table.add_row(["offset 0, coeffs 1..1", k ** (d - 1), base, True])
-    # the k-1 remaining offsets through the fft engine: the cosets share
-    # one subgroup, so every call reuses the plan-cached spectrum — and
-    # because each call is snapped to the same integers as the oracle,
-    # equality with the odr_edge_loads base doubles as a bit-identity
-    # cross-check.
-    engine = LoadEngine("fft")
+    # the k-1 remaining offsets through the vectorized engine, which
+    # counts each offset's own pairs; the fft engine would move the
+    # offset-0 loads to every offset, assuming the invariance measured
+    # here.  Loads are exact integers, so equality with the
+    # odr_edge_loads base doubles as a bit-identity cross-check.
+    engine = LoadEngine("vectorized")
     routing = OrderedDimensionalRouting(d)
     offset_emaxes = [
         engine.emax(linear_placement(torus, offset=c), routing)
@@ -337,8 +337,10 @@ def run_wormhole(quick: bool = False) -> ExperimentResult:
         "linear": linear_placement(torus),
         "fully populated": fully_populated_placement(torus),
     }
-    # both analytic load vectors from the fft engine; the wormhole
-    # simulation below is cross-checked against them.
+    # both analytic load vectors from the fft engine (both placements
+    # contain node 0 and have a nontrivial stabilizer, so each is its own
+    # translate through the origin, evaluated once by the path table);
+    # the wormhole simulation below is cross-checked against them.
     engine = LoadEngine("fft")
     analytic = {
         name: engine.edge_loads(placement, odr)

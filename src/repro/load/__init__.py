@@ -22,9 +22,10 @@ computes it from two representations:
   kernels of the searches), :mod:`repro.load.udr_loads` (exact UDR
   loads) and the backends of
   :mod:`repro.load.engine` — the :class:`~repro.load.engine.LoadEngine`
-  facade, whose FFT circular-correlation backend gives all edges in one
-  spectral pass for cosets and multiple linear placements, exact via the
-  :mod:`repro.load.quantize` snap-back;
+  facade, whose ``fft`` backend serves cosets and multiple linear
+  placements by shifting the memoized loads of their translate through
+  the origin; exact rational loads are canonicalized by
+  :mod:`repro.load.quantize`;
 
 and provides every closed form and lower bound the paper states
 (:mod:`repro.load.formulas`, :mod:`repro.load.bounds`), traffic patterns

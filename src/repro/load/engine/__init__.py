@@ -15,11 +15,11 @@ translation-invariant routings the path set of a pair depends only on
 its displacement ``(q - p) mod k``, and one row per displacement
 replaces per-pair path enumeration.  ``vectorized`` reads the table's
 closed-form rows, ``displacement`` rows enumerated by the routing.  The
-``fft`` backend (:mod:`repro.load.engine.fft`) pushes that symmetry to
-its limit for unions of cosets of a placement's translation stabilizer:
-their loads are one correlation per difference class of a source field
-with the class's aggregated rows, evaluated for every edge at once by
-``numpy.fft.rfftn`` with an exact integer snap-back.
+``fft`` backend (:mod:`repro.load.engine.fft`) applies the same symmetry
+to whole placements: the loads of a translate ``P + r`` are those of
+``P`` moved by ``r``, so a placement with a nontrivial translation
+stabilizer (found by an FFT autocorrelation) is served by shifting the
+memoized exact loads of its translate through the origin.
 """
 
 from repro.load.engine.base import LoadBackend

@@ -20,20 +20,18 @@ Backends by name:
     Path-table rows enumerated through ``routing.paths``; any
     translation-invariant routing, weighted traffic included.
 ``fft``
-    Spectral circular correlation over :math:`Z_k^d` with integer
-    snap-back, all edges in one ``rfftn`` pass; spectral only for
-    complete exchange on placements whose pairs fall into fewer
-    difference classes modulo their translation stabilizer than they
-    have nodes (cosets, multiple linear placements), served by the
-    path-table apply otherwise.
+    Complete exchange on a placement with a nontrivial translation
+    stabilizer (cosets, multiple linear placements), found by an FFT
+    autocorrelation: the plan's memoized loads of the placement's
+    translate through the origin, moved back by one shift, bit for bit
+    the path table's; every other call is served by the path-table apply.
 ``auto``
     The first backend of fft → vectorized → displacement → reference
-    that supports the call: complete-exchange cosets and unions of
-    cosets on translation-invariant routings go to ``fft`` unless the
-    ring sums cost less than its spectral pass, other dimension-order
-    and UDR calls (any traffic) to ``vectorized``, every other
-    translation-invariant case to ``displacement``, and fault-masked
-    routings to ``reference``.
+    that supports the call: complete exchange on placements with a
+    nontrivial stabilizer under translation-invariant routings goes to
+    ``fft``, other dimension-order and UDR calls (any traffic) to
+    ``vectorized``, every other translation-invariant case to
+    ``displacement``, and fault-masked routings to ``reference``.
 
 Every backend returns the same loads after
 :func:`~repro.load.quantize.snap_loads`, so the package's own callers
@@ -64,10 +62,9 @@ __all__ = [
 ]
 
 #: the preference order the ``auto`` engine tries per call: ``fft``
-#: accepts only complete-exchange unions of cosets with fewer
-#: difference classes than nodes whose warm spectral pass costs less
-#: than the ring sums; ``vectorized`` serves the other dimension-order
-#: and UDR calls, ring by ring where that pays.
+#: accepts only complete exchange on placements with a nontrivial
+#: translation stabilizer; ``vectorized`` serves the other
+#: dimension-order and UDR calls, ring by ring where that pays.
 _AUTO_ORDER = ("fft", "vectorized", "displacement", "reference")
 
 _BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")
@@ -253,10 +250,10 @@ def cross_check(
     Tolerance policy (the explicit contract behind ``atol``): exact
     loads are rationals on the grid :mod:`repro.load.quantize` describes
     (multiples of ``1/Q``, e.g. integers for dimension-order routings and
-    multiples of ``1/d!`` for UDR).  The oracle approximates them by
-    float summation and the FFT backend recovers them by integer
-    snap-back, so agreeing backends may differ by accumulated float error
-    but never by a representable fraction of a quantum — the default
+    multiples of ``1/d!`` for UDR).  The oracle and the enumerated path
+    tables approximate them by float summation in different orders, so
+    agreeing backends may differ by accumulated float error but never by
+    a representable fraction of a quantum — the default
     ``atol`` of 1e-9 sits far below the smallest practical quantum and
     far above double-precision summation noise.  For *bit*-identity
     checks, canonicalize both sides with

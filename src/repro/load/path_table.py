@@ -6,7 +6,7 @@ set :math:`C^A_{0→δ}`, ``δ = (q - p) mod k``, shifted by ``p``:
 Definition 4's contribution of a pair is a function of its displacement
 alone.  :class:`PathTable` stores each displacement's paths once, and
 every load consumer in the package reads them from it: the ``vectorized``
-and ``displacement`` backends, the FFT backend's usage tensors and
+and ``displacement`` backends, the FFT backend's translates and
 fallbacks, the incremental ODR kernels of the exact and local searches,
 and the catalog's block scan.
 
@@ -44,17 +44,19 @@ Applying the rows
 :meth:`PathTable.loads` has two exact paths.  Complete exchange on a
 closed-form table is counted ring by ring from per-ring sender and
 receiver counts (:mod:`repro.load.rings`) when the pair apply's
-``|P|(|P|-1)·width`` hop slots would cost more (:func:`ring_cost_for`);
-weighted traffic, enumerated tables and small placements apply their
-pairs' rows.
+``|P|(|P|-1)·width`` hop slots would cost more
+(:meth:`PathTable.takes_rings`); weighted traffic, enumerated tables and
+small placements apply their pairs' rows.
 
-Tables live in the spectral plans of :mod:`repro.load.plancache`, keyed
-by torus shape and routing structure.
+Tables live in the plans of :mod:`repro.load.plancache`, keyed by torus
+shape and routing structure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +80,7 @@ from repro.torus.topology import Torus
 from repro.util.itertools_ext import ordered_pair_index_arrays
 from repro.util.modular import minimal_correction_array
 
-__all__ = ["PathTable", "has_closed_form", "ring_cost_for"]
+__all__ = ["ExtendedGrid", "PathTable", "extended_grid", "has_closed_form"]
 
 #: hop slots gathered per chunk of :meth:`PathTable.loads`; bounds the
 #: apply's scratch arrays to about a megabyte whatever the pair count.
@@ -96,31 +98,45 @@ def has_closed_form(routing: RoutingAlgorithm, d: int) -> bool:
     return isinstance(routing, UnorderedDimensionalRouting)
 
 
-def ring_cost_for(
-    torus: Torus, routing: RoutingAlgorithm, m: int
-) -> int | None:
-    """The ring sums' cost where a closed-form table takes them, else ``None``.
+class ExtendedGrid(NamedTuple):
+    """Read-only node tables of :math:`T_k^d` on the unwrapped grid.
 
-    Complete exchange of ``m`` processors goes ring by ring
-    (:mod:`repro.load.rings`) when the pair apply's ``m(m-1)·width``
-    hop slots cost more than the rings'
-    (:func:`~repro.load.rings.ring_cost`, in the same slots), the radius
-    is at most :data:`~repro.load.rings.RING_MAX_RADIUS` and the ring
-    sums stay exact (``m^2·d! < 2^53``).  A closed-form row holds
-    ``k // 2`` hop slots per ring term, so ``width`` is the term count
-    times ``k // 2``.
+    ``ext`` numbers the coordinates of the ``(2k)^d`` grid (strides
+    ``ext_strides``), so the sum of two torus coordinates never wraps:
+    the node at ``p + h`` is ``ext_node[node_ext[p] + node_ext[h]]``, and
+    the node at ``q - p`` is ``ext_node[node_ext[q] - node_ext[p] + shift]``,
+    ``shift`` being the extended id of ``(k, …, k)``.  ``coords`` holds
+    the coordinates of every node.
     """
-    k, d = torus.k, torus.d
-    if (
-        not has_closed_form(routing, d)
-        or k > RING_MAX_RADIUS
-        or m * m * math.factorial(d) >= 1 << 53
-    ):
-        return None
-    udr = isinstance(routing, UnorderedDimensionalRouting)
-    cost = ring_cost(k, d, udr)
-    width = ring_terms(d, udr) * (k // 2)
-    return cost if m * (m - 1) * width > cost else None
+
+    coords: np.ndarray
+    ext_strides: np.ndarray
+    node_ext: np.ndarray
+    ext_node: np.ndarray
+    shift: int
+
+
+@functools.lru_cache(maxsize=32)
+def extended_grid(k: int, d: int) -> ExtendedGrid:
+    """The :class:`ExtendedGrid` of :math:`T_k^d`, built once per shape.
+
+    The cache holds as many shapes as the default plan cache holds plans.
+    """
+    ext_strides = np.array(
+        [(2 * k) ** (d - 1 - i) for i in range(d)], dtype=np.int64
+    )
+    strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
+    coords = all_coords(k, d)
+    grid = ExtendedGrid(
+        coords,
+        ext_strides,
+        coords @ ext_strides,
+        np.mod(all_coords(2 * k, d), k) @ strides,
+        k * int(ext_strides.sum()),
+    )
+    for table in grid[:4]:
+        table.flags.writeable = False
+    return grid
 
 
 class PathTable:
@@ -176,20 +192,17 @@ class PathTable:
         self.pad = 2 * d
         #: padding edge id; :meth:`edge_counts` drops its column.
         self.sink = torus.num_edges
-        self.ext_strides = np.array(
-            [(2 * k) ** (d - 1 - i) for i in range(d)], dtype=np.int64
-        )
-        strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-        # node id of every point of the unwrapped grid
-        self._node = np.mod(all_coords(2 * k, d), k) @ strides
+        grid = extended_grid(k, d)
+        self.ext_strides = grid.ext_strides
+        self._node = grid.ext_node
         wrap = self._node[:, None] * (2 * d) + np.arange(self.slots)
         wrap[:, self.pad] = self.sink
         #: extended hop id -> torus edge id (padding -> :attr:`sink`).
         self.wrap = wrap.ravel().astype(np.int32)
-        self._coords = all_coords(k, d)
+        self._coords = grid.coords
         #: extended id of every node.
-        self.node_ext = self._coords @ self.ext_strides
-        self._shift = k * int(self.ext_strides.sum())
+        self.node_ext = grid.node_ext
+        self._shift = grid.shift
         if self.enumerated:
             width = 0
         elif isinstance(routing, UnorderedDimensionalRouting):
@@ -355,29 +368,29 @@ class PathTable:
         counts = np.bincount(flat.ravel(), minlength=rows * width)
         return counts.reshape(batch + (width,))[..., : self.sink]
 
-    def origin_rows(self, codes: np.ndarray):
-        """Edge ids, integer numerators and path counts of rows ``codes``.
-
-        The rows hold the paths ``0 → δ``, source at the origin; each hop
-        carries ``numerator / paths`` of its row's unit of traffic.
-        """
-        self._require(codes)
-        edges = self.wrap[self.hops[codes]]
-        paths = self.paths[codes]
-        if self.weights is None:
-            return edges, (edges != self.sink).astype(np.int64), paths
-        return edges, np.rint(self.weights[codes] * paths[:, None]), paths
-
     def takes_rings(self, m: int) -> bool:
         """Whether complete exchange of ``m`` processors goes ring by ring.
 
-        Closed-form tables do where :func:`ring_cost_for` says so;
-        enumerated tables never do, so the ``displacement`` backend stays
-        an independent check on both closed forms.
+        It does (:mod:`repro.load.rings`) when the pair apply's
+        ``m(m-1)·width`` hop slots cost more than the rings'
+        (:func:`~repro.load.rings.ring_cost`, in the same slots), the
+        radius is at most :data:`~repro.load.rings.RING_MAX_RADIUS` and
+        the ring sums stay exact (``m^2·d! < 2^53``).  A closed-form row
+        holds ``k // 2`` hop slots per ring term, so ``width`` is the
+        term count times ``k // 2``.  Enumerated tables never do, so the
+        ``displacement`` backend stays an independent check on both
+        closed forms.
         """
-        return not self.enumerated and (
-            ring_cost_for(self.torus, self.routing, m) is not None
-        )
+        k, d = self.torus.k, self.torus.d
+        if (
+            self.enumerated
+            or k > RING_MAX_RADIUS
+            or m * m * math.factorial(d) >= 1 << 53
+        ):
+            return False
+        udr = isinstance(self.routing, UnorderedDimensionalRouting)
+        width = ring_terms(d, udr) * (k // 2)
+        return m * (m - 1) * width > ring_cost(k, d, udr)
 
     def loads(
         self, placement: Placement, pair_weights: np.ndarray | None = None
@@ -395,8 +408,8 @@ class PathTable:
         Complete-exchange loads of a weighted table are snapped to the
         routing's load quantum when it is known
         (:func:`~repro.load.quantize.routing_load_quantum`), so UDR loads
-        sit exactly on the :math:`1/d!` lattice, as the ring sums and the
-        FFT backend's do.  Traced, the path that ran bumps
+        sit exactly on the :math:`1/d!` lattice, as the ring sums' do.
+        Traced, the path that ran bumps
         ``engine.table.rings`` or ``engine.table.pairs``.
         """
         m = len(placement)

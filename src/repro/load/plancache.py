@@ -1,11 +1,11 @@
-"""Spectral plan cache — shared warm state for the load engine.
+"""Plan cache — shared warm state for the load engine.
 
 Every load consumer's per-call cost splits into two parts: work that
 depends only on the *configuration* ``(torus shape, routing)`` — the
-:class:`~repro.load.path_table.PathTable` rows and the FFT backend's
-forward usage spectra — and work that depends on the *placement*.
-Caching the first part per backend instance would make every fresh
-:class:`~repro.load.engine.LoadEngine` re-derive it from scratch.
+:class:`~repro.load.path_table.PathTable` rows — and work that depends
+on the *placement*.  Caching the first part per backend instance would
+make every fresh :class:`~repro.load.engine.LoadEngine` re-derive it
+from scratch.
 
 This module hoists that state into a process-wide bounded LRU keyed by
 a structural fingerprint of the configuration: torus shape, routing
@@ -49,8 +49,8 @@ __all__ = [
 #: plans kept by the default LRU before the least-recently-used rolls off.
 DEFAULT_PLAN_CAPACITY = 32
 
-#: per-plan bound on memoized spectra entries, one per subgroup
-#: (cleared wholesale when full).
+#: per-plan bound on the FFT backend's memoized translates (cleared
+#: wholesale when full); the verdicts are bounded at this many per plan.
 MAX_PLAN_ENTRIES = 64
 
 #: the fingerprint: ``(shape, routing class, routing name, order)``.
@@ -80,12 +80,13 @@ class SpectralPlan:
 
     Holds the configuration's :class:`~repro.load.path_table.PathTable`
     (closed-form rows where the routing has them) plus the memo the FFT
-    backend fills lazily (values are opaque to this module):
-    ``spectra`` maps the sorted nonzero codes of a placement's
-    translation stabilizer to the forward usage-tensor spectra of its
-    difference classes — every placement covered by cosets of one
-    subgroup shares an entry, and :data:`MAX_PLAN_ENTRIES` bounds the
-    subgroups.
+    backend fills lazily (values are opaque to this module): ``spectra``
+    maps the sorted node ids of a placement's translate through the
+    origin, ``P - p_0`` with ``p_0`` its smallest node, to that
+    translate's exact loads.  Every translate of ``P`` maps to one of
+    ``P``'s ``|P| / |H|`` translates through the origin (``H`` its
+    translation stabilizer), and :data:`MAX_PLAN_ENTRIES` bounds the
+    entries.
 
     Raises :class:`~repro.errors.EngineError` for a routing that is not
     translation-invariant.

@@ -15,13 +15,11 @@ path-set sizes in play:
   instance-dependent path counts; the quantum exists but must be derived
   from the displacement classes actually present.
 
-Backends that compute in floating point (notably the FFT backend) use
-this contract to *snap back*: the raw result is rounded to the nearest
-representable multiple of ``1/Q``, recovering the exact rational value as
-long as the accumulated float error stays below half a quantum.  The
-engine treats a snap that has to move any value by
-:data:`LOAD_SNAP_TOLERANCE` or more as a failed computation rather than a
-rounding correction.
+Float summation lands within rounding noise of that grid, so
+:func:`snap_loads` — rounding to the nearest multiple of ``1/Q`` —
+recovers the exact rational value: the path table's pair apply snaps its
+UDR loads onto the :math:`1/d!` lattice with it, and bit-identity checks
+canonicalize both sides with it.
 
 Integer-weighted traffic preserves the contract (integer multiples of the
 same quanta); arbitrary real-valued traffic matrices void it, and
@@ -39,21 +37,7 @@ from repro.routing.base import RoutingAlgorithm
 from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.udr import UnorderedDimensionalRouting
 
-__all__ = [
-    "LOAD_SNAP_TOLERANCE",
-    "QUANTUM_DENOMINATOR_CAP",
-    "routing_load_quantum",
-    "snap_loads",
-]
-
-#: a snap-back may move a raw float load by strictly less than this; a
-#: larger correction means the computation (not the rounding) is wrong.
-LOAD_SNAP_TOLERANCE = 1e-6
-
-#: largest common denominator ``Q`` the integer snap-back will build; past
-#: this the numerators would start eating the float53 mantissa and the
-#: exact-rounding guarantee degrades, so callers split or skip instead.
-QUANTUM_DENOMINATOR_CAP = 1 << 20
+__all__ = ["routing_load_quantum", "snap_loads"]
 
 
 def routing_load_quantum(routing: RoutingAlgorithm, d: int) -> int | None:
@@ -62,8 +46,7 @@ def routing_load_quantum(routing: RoutingAlgorithm, d: int) -> int | None:
     Returns ``1`` for deterministic dimension-order routings (integer
     loads), ``d!`` for UDR, and ``None`` when the routing's path counts
     are instance-dependent (the quantum then has to be derived from the
-    displacement classes actually present; see
-    :meth:`repro.load.engine.fft.FFTBackend`).
+    displacement classes actually present).
     """
     if isinstance(routing, DimensionOrderRouting):
         return 1

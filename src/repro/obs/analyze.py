@@ -29,10 +29,11 @@ subcommands print.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.errors import TraceError
+from repro.errors import InvalidParameterError, TraceError
 
 __all__ = [
     "SpanNode",
@@ -297,7 +298,13 @@ def diff_traces(
     against the larger side — so a trace diffed against itself is empty
     at any tolerance).  Rows are sorted by descending absolute duration
     delta.  ``direction`` is ``added``/``removed``/``slower``/``faster``.
+    A negative or non-finite ``tolerance`` raises
+    :class:`~repro.errors.InvalidParameterError`.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidParameterError(
+            f"tolerance must be a finite number >= 0, got {tolerance!r}"
+        )
     rows: list[dict[str, Any]] = []
     left = {row["name"]: row for row in rollup(before)}
     right = {row["name"]: row for row in rollup(after)}
@@ -428,18 +435,24 @@ def render_critical_path(path: list[dict[str, Any]]) -> list[str]:
     return lines
 
 
+#: bar width of :func:`render_waterfall`, in columns.
+WATERFALL_WIDTH = 48
+#: spans :func:`render_waterfall` draws before it notes the rest.
+WATERFALL_MAX_SPANS = 200
+
+
 def render_waterfall(
     trace: list[dict[str, Any]] | list[SpanNode],
-    width: int = 48,
-    max_spans: int = 200,
 ) -> list[str]:
     """Start-offset waterfall plus the worker-utilization sparkline.
 
-    Each span renders as a bar positioned by its start offset within the
-    forest's wall-clock extent.  Output is capped at ``max_spans`` rows
+    Each span renders as a bar of :data:`WATERFALL_WIDTH` columns,
+    positioned by its start offset within the forest's wall-clock
+    extent.  Output is capped at :data:`WATERFALL_MAX_SPANS` rows
     (deepest-first truncation is noted), and a busy-workers timeline for
     ``exec.task`` spans is appended when any exist.
     """
+    width = WATERFALL_WIDTH
     roots = _forest(trace)
     if not roots:
         raise TraceError("trace has no spans to render")
@@ -454,7 +467,7 @@ def render_waterfall(
 
     def emit(node: SpanNode, depth: int) -> None:
         nonlocal rows, truncated
-        if rows >= max_spans:
+        if rows >= WATERFALL_MAX_SPANS:
             truncated += 1 + sum(1 for _ in node.walk()) - 1
             return
         rows += 1
@@ -473,7 +486,7 @@ def render_waterfall(
     for root in roots:
         emit(root, 0)
     if truncated:
-        lines.append(f"  ... {truncated} more spans (raise max_spans)")
+        lines.append(f"  ... {truncated} more spans")
 
     timeline = utilization(roots, buckets=width)
     if timeline["busy"]:

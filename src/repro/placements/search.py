@@ -76,7 +76,7 @@ def local_search_placement(
         Initial placement; its size is preserved by every move.
     max_moves:
         Accepted-move budget (the search also stops after
-        ``4 * max_moves`` consecutive rejections).
+        ``4 * max_moves`` rejections in all; the count is never reset).
     candidates_per_move:
         Random (processor, router) swap candidates evaluated per step; the
         best is taken (steepest descent over a sampled neighbourhood).
@@ -102,7 +102,12 @@ def local_search_placement(
 
     current_ids = start.node_ids.copy()
     current = start
-    current_emax = placement_objective(current)
+    # the full load vector, kept up to date so each candidate swap costs
+    # O(|P|) pair work via the incremental engine instead of O(|P|^2); a
+    # move's sampled candidates are evaluated together in one path-table
+    # scatter
+    current_loads = odr_edge_loads(current)
+    current_emax = float(current_loads.max())
     best = current
     best_emax = current_emax
     initial_emax = current_emax
@@ -122,10 +127,6 @@ def local_search_placement(
             trajectory=tuple(trajectory),
         )
 
-    # maintain the full load vector so each candidate swap costs O(|P|)
-    # pair work via the incremental engine instead of O(|P|^2); a move's
-    # sampled candidates are evaluated together in one path-table scatter
-    current_loads = odr_edge_loads(current)
     coords = torus.all_node_coords()
     slots = np.arange(current_ids.size - 1)
 

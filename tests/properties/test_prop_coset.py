@@ -1,19 +1,24 @@
-"""Property: the FFT backend's verdict is the stabilizer test ``D < |P|``.
+"""Properties: the FFT backend's verdict is the stabilizer test, and its
+shifted loads are the path table's.
 
-:meth:`FFTBackend.supports` covers a complete-exchange placement ``P``
-by the cosets of its translation stabilizer ``H = {h : P + h = P}`` and
-accepts it when its pairs fall into fewer difference classes than it
-has nodes: ``D = |P - P| / |H| < |P|``.  Hypothesis drives random
-placements, linear cosets, principal subtori, unions of two, of several
-and of two opposite classes of one linear form, and unions of two cosets
-of a spanned subgroup on tori up to :math:`T_6^3`.  The verdict is
-checked against a brute-force stabilizer over all :math:`k^d`
-translations — on a fresh plan cache, on the same cache once ``compute``
-has remembered the placement, and on a cache whose plan already holds
-the spectra of a translate of ``P``.  On the smaller tori the loads of
-every kind must equal the reference oracle's after ``snap_loads`` under
-ODR, UDR and all-minimal routing, whose class spectra are built from
-closed-form and from enumerated path-table rows.
+:meth:`FFTBackend.supports` accepts a complete-exchange placement ``P``
+whose translation stabilizer ``H = {h : P + h = P}`` is nontrivial, and
+records ``H`` and the ``D = |P - P| / |H|`` difference classes.
+Hypothesis drives random placements, linear cosets, principal subtori,
+unions of two, of several and of two opposite classes of one linear
+form, and unions of two cosets of a spanned subgroup on tori up to
+:math:`T_6^3`.  The verdict is checked against a brute-force stabilizer
+over all :math:`k^d` translations — on a fresh plan cache, on the same
+cache once ``compute`` has remembered the placement, and on a cache
+whose plan already holds the loads of a translate of ``P``.  On the
+smaller tori the loads of every kind must equal the reference oracle's
+after ``snap_loads`` under ODR, UDR and all-minimal routing.
+
+Unions of cosets of a spanned subgroup and their translates, on
+:math:`T_2^1` to :math:`T_9^4`, must take the shift and come out
+``np.array_equal`` to ``vectorized``'s loads, dtype included, under
+ODR, a drawn dimension order and UDR; on the smallest tori
+``cross_check`` holds under all-minimal routing too.
 """
 
 import math
@@ -23,15 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.load.edge_loads import edge_loads_reference
-from repro.load.engine import FFTBackend
-from repro.load.engine.fft import _spectral_cost
-from repro.load.path_table import ring_cost_for
+from repro.load.engine import FFTBackend, VectorizedBackend, cross_check
 from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import snap_loads
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
 from repro.placements.random_placement import random_placement
+from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.minimal import AllMinimalPaths
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.routing.udr import UnorderedDimensionalRouting
@@ -41,6 +45,8 @@ from repro.torus.topology import Torus
 ALL_TORI = [(k, d) for k in range(2, 7) for d in range(1, 4)]
 #: tori small enough for the reference oracle under all-minimal routing.
 ORACLE_TORI = [(k, d) for k, d in ALL_TORI if k**d <= 36]
+#: every torus of the shift property: d = 1-4, k = 2-9.
+SHIFT_TORI = [(k, d) for k in range(2, 10) for d in range(1, 5)]
 
 
 @st.composite
@@ -144,13 +150,10 @@ _ROUTINGS = [
 @given(placement_case(ALL_TORI), st.sampled_from(_ROUTINGS))
 @settings(max_examples=150, deadline=None)
 def test_verdict_is_the_difference_set_test(placement, make_routing):
-    """``D < |P|``, unless the ring sums cost less than the spectral pass."""
+    """Accepted iff ``H`` is nontrivial, recording ``H`` and its ``D`` classes."""
     routing = make_routing(placement.torus.d)
     stabilizer, classes = _brute_force(placement)
-    rings = ring_cost_for(placement.torus, routing, len(placement))
-    expected = classes < len(placement) and not (
-        rings is not None and rings < _spectral_cost(placement.torus, classes)
-    )
+    expected = stabilizer.size > 1
     key = (placement.torus.k, placement.torus.d, placement.node_ids.tobytes())
     with using_plan_cache(PlanCache()) as cache:
         fresh = FFTBackend().supports(placement, routing)
@@ -158,7 +161,7 @@ def test_verdict_is_the_difference_set_test(placement, make_routing):
         # compute remembers an accepted placement's verdict
         FFTBackend().compute(placement, routing)
         warm = FFTBackend().supports(placement, routing)
-    # a plan that already holds the spectra of a translate of P
+    # a plan that already holds the loads of a translate of P
     torus = placement.torus
     shifted = Placement(
         torus,
@@ -173,12 +176,12 @@ def test_verdict_is_the_difference_set_test(placement, make_routing):
             np.frombuffer(cover.subgroup, dtype=np.int64), stabilizer[1:]
         )
         assert len(cover.classes) == classes
-        # every ordered pair lands in exactly one class's correlation
-        pairs = sum(
-            source.size * (stabilizer.size - (label == 0))
-            for label, source in zip(cover.classes, cover.sources)
-        )
-        assert pairs == len(placement) * (len(placement) - 1)
+        # each class is named by the smallest node id of its coset of H
+        for label in cover.classes:
+            coset = torus.node_ids(
+                np.mod(torus.coords(label) + torus.coords(stabilizer), torus.k)
+            )
+            assert label == coset.min()
 
 
 @given(
@@ -203,3 +206,67 @@ def test_fft_loads_equal_the_reference(placement, make_routing):
     assert np.array_equal(
         snap_loads(got, quantum), snap_loads(oracle, quantum)
     )
+
+
+@st.composite
+def stabilized_case(draw, tori):
+    """A union of cosets of a nontrivial subgroup, and a translate of it.
+
+    The subgroup is spanned by a nonzero vector ``a`` and a vector ``b``;
+    one to three cosets are drawn, then a translation ``r``.
+    """
+    k, d = draw(st.sampled_from(tori))
+    torus = Torus(k, d)
+    vector = st.lists(
+        st.integers(min_value=0, max_value=k - 1), min_size=d, max_size=d
+    )
+    a = np.array(draw(vector))
+    a[draw(st.integers(min_value=0, max_value=d - 1))] = draw(
+        st.integers(min_value=1, max_value=k - 1)
+    )
+    b = np.array(draw(vector))
+    span = np.arange(k)
+    subgroup = np.mod(
+        span[:, None, None] * a + span[None, :, None] * b, k
+    ).reshape(-1, d)
+    offsets = np.array(draw(st.lists(vector, min_size=1, max_size=3)))
+    points = np.mod(subgroup[None] + offsets[:, None], k).reshape(-1, d)
+    r = np.array(draw(vector))
+    return (
+        Placement(torus, torus.node_ids(points), name="cosets"),
+        Placement(torus, torus.node_ids(np.mod(points + r, k)), name="moved"),
+    )
+
+
+@given(stabilized_case(SHIFT_TORI), st.data())
+@settings(max_examples=60, deadline=None)
+def test_translates_equal_vectorized(case, data):
+    base, moved = case
+    d = base.torus.d
+    order = data.draw(st.permutations(range(d)))
+    routings = [
+        OrderedDimensionalRouting(d),
+        DimensionOrderRouting(tuple(order)),
+        UnorderedDimensionalRouting(),
+    ]
+    with using_plan_cache(PlanCache()) as cache:
+        for routing in routings:
+            for placement in (base, moved):
+                assert FFTBackend().supports(placement, routing)
+                got = FFTBackend().compute(placement, routing)
+                expected = VectorizedBackend().compute(placement, routing)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), routing.name
+            # the memo holds translates through the origin only
+            memo = cache.get(base.torus, routing).spectra
+            assert memo
+            assert all(np.frombuffer(key, dtype=np.int64)[0] == 0 for key in memo)
+
+
+@given(stabilized_case(ORACLE_TORI))
+@settings(max_examples=30, deadline=None)
+def test_translates_cross_check_under_all_minimal_paths(case):
+    with using_plan_cache(PlanCache()):
+        for placement in case:
+            diffs = cross_check(placement, AllMinimalPaths(), backends=["fft"])
+            assert "fft" in diffs

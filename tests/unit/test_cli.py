@@ -130,6 +130,11 @@ _BAD_INPUT = {
         "--chaos-seed", "1", "--chaos-slow", "0.1",
     ],
     "deleted-bench-report": ["bench", "report", "--check"],
+    "deleted-waterfall-width": ["trace", "waterfall", "{missing}", "--width", "-3"],
+    "deleted-waterfall-max-spans": [
+        "trace", "waterfall", "{missing}", "--max-spans", "-1"
+    ],
+    "sweep-ks-not-integer": ["sweep", "--d", "2", "--ks", "4,x"],
 }
 for _command, _argv in _LOAD_COMMANDS.items():
     _BAD_INPUT[f"batch-size-on-{_command}"] = _argv + ["--batch-size", "8"]
@@ -162,6 +167,19 @@ class TestBadInput:
         # the --resume check runs before the incumbent screen
         assert "incumbent seed" not in captured.out
         assert not paths["{missing}"].exists()
+
+    def test_bad_ks_names_the_option(self, capsys):
+        captured = _assert_named_error(
+            capsys, ["sweep", "--d", "2", "--ks", "4,x"]
+        )
+        assert "--ks" in captured.err
+        assert "invalid literal" not in captured.err
+
+    def test_waterfall_rejects_width_in_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "waterfall", "t.jsonl", "--width", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --width 10" in capsys.readouterr().err
 
 
 class TestCertify:

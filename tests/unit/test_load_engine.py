@@ -233,9 +233,10 @@ class TestDisplacementCache:
         # each pair's fractional contributions sum to its Lee distance
         table = _enumerated_table(torus_5_2, AllMinimalPaths())
         code = torus_5_2.node_id((2, 1))
-        edges, numerators, paths = table.origin_rows(np.array([code]))
-        assert paths[0] == 3
-        assert numerators.sum() / paths[0] == 3.0
+        edges = table.edges(table.node_ext[0], table.node_ext[code])
+        numerators = np.rint(table.weights[code] * table.paths[code])
+        assert table.paths[code] == 3
+        assert numerators.sum() / table.paths[code] == 3.0
         assert np.count_nonzero(edges != table.sink) == np.count_nonzero(
             numerators
         )

@@ -1,11 +1,12 @@
-"""Unit tests for the FFT circular-correlation load backend.
+"""Unit tests for the FFT backend: translated loads of stabilized placements.
 
 The contract under test is *bit*-identity: after canonicalizing both
 sides with :func:`repro.load.quantize.snap_loads`, the FFT backend must
 equal the reference oracle exactly — not merely within a float
-tolerance — on every translation-invariant configuration, spectrally for
-complete-exchange unions of cosets with fewer difference classes than
-nodes and through the path-table fallback for everything else.
+tolerance — on every translation-invariant configuration, by moving the
+memoized loads of a translate through the origin for complete exchange
+on placements with a nontrivial translation stabilizer, and through the
+path-table fallback for everything else.
 """
 
 import numpy as np
@@ -20,14 +21,8 @@ from repro.load.engine import (
     VectorizedBackend,
     cross_check,
 )
-from repro.load.engine import fft as fft_module
-from repro.load.engine.fft import _usage_spectra
 from repro.load.plancache import PlanCache, current_plan_cache, using_plan_cache
-from repro.load.quantize import (
-    LOAD_SNAP_TOLERANCE,
-    routing_load_quantum,
-    snap_loads,
-)
+from repro.load.quantize import routing_load_quantum, snap_loads
 from repro.load.traffic import hotspot_traffic_weights
 from repro.obs import Tracer, using_tracer
 from repro.placements.base import Placement
@@ -35,7 +30,6 @@ from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
 from repro.placements.multiple import multiple_linear_placement
 from repro.placements.random_placement import random_placement
-from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.faults import FaultMaskedRouting
 from repro.routing.minimal import AllMinimalPaths
 from repro.routing.odr import OrderedDimensionalRouting
@@ -141,12 +135,14 @@ class TestBitIdentity:
 
 class TestRegimes:
     def test_linear_uses_coset_fast_path(self):
-        backend = FFTBackend()
         placement = linear_placement(Torus(5, 2))
         routing = OrderedDimensionalRouting(2)
-        backend.compute(placement, routing)
-        tracer_free_drift = backend.last_snap_drift
-        assert tracer_free_drift < LOAD_SNAP_TOLERANCE
+        tracer = Tracer()
+        with using_tracer(tracer):
+            got = FFTBackend().compute(placement, routing)
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters["engine.fft.fast_path"] == 1
+        assert np.array_equal(got, _table_loads(placement, routing))
 
     def test_plan_cache_reuse_is_exact(self):
         backend = FFTBackend()
@@ -172,9 +168,8 @@ class TestRegimes:
         assert np.abs(got - oracle).max(initial=0.0) <= 1e-9
 
     def test_non_coset_placement_uses_displacement_fallback(self):
-        # 3 nodes with a trivial stabilizer: D = |P - P| > |P|, so the
-        # fast path must not trigger and the displacement fallback must
-        # be exact.
+        # 3 nodes with a trivial stabilizer: the fast path must not
+        # trigger and the displacement fallback must be exact.
         torus = Torus(5, 2)
         placement = Placement(torus, [0, 1, 7], name="non-coset")
         for routing in _routings(2):
@@ -185,10 +180,42 @@ class TestRegimes:
             )
             _assert_bit_identical(placement, routing)
 
+    def test_offsets_of_one_class_share_one_evaluation(self):
+        # every offset of a linear class has the class through the origin
+        # as its translate: the path table evaluates it once, and each
+        # offset is a shift of that one array; a random placement (trivial
+        # stabilizer) takes the table apply and leaves the memo as it was
+        torus = Torus(8, 2)
+        routing = OrderedDimensionalRouting(2)
+        placements = [linear_placement(torus, offset=c) for c in range(8)]
+        random = random_placement(torus, 8, seed=1)
+        cache = PlanCache()
+        tracer = Tracer()
+        with using_plan_cache(cache), using_tracer(tracer):
+            shifted = [
+                LoadEngine("fft").edge_loads(placement, routing)
+                for placement in placements
+            ]
+            counters = tracer.metrics.snapshot()["counters"]
+            assert counters["engine.fft.fast_path"] == 8
+            assert counters.get("engine.table.rings", 0) + counters.get(
+                "engine.table.pairs", 0
+            ) == 1
+            memo = cache.get(torus, routing).spectra
+            assert list(memo) == [placements[0].node_ids.tobytes()]
+            LoadEngine("fft").edge_loads(random, routing)
+            counters = tracer.metrics.snapshot()["counters"]
+            assert counters["engine.fft.fast_path"] == 8
+            assert list(memo) == [placements[0].node_ids.tobytes()]
+        for placement, loads in zip(placements, shifted):
+            expected = LoadEngine("vectorized").edge_loads(placement, routing)
+            assert loads.dtype == expected.dtype
+            assert np.array_equal(loads, expected), placement.name
+
     def test_two_coset_placement_takes_the_fast_path(self):
         # two cosets of an order-4 subgroup of Z_4^3 that do not form a
-        # coset of anything larger: |H| = 4 and D = 3 < |P| = 8, so the
-        # pairs take three class correlations against one plan entry
+        # coset of anything larger: |H| = 4 and D = 3 classes of P - P;
+        # P holds node 0, so it is its own translate through the origin
         torus = Torus(4, 3)
         placement = Placement(
             torus, [0, 2, 12, 14, 37, 39, 41, 43], name="two-cosets"
@@ -201,29 +228,9 @@ class TestRegimes:
                 assert len(cover.classes) == 3
                 assert len(np.frombuffer(cover.subgroup, dtype=np.int64)) == 3
                 _assert_bit_identical(placement, routing)
-            (entry,) = cache.get(torus, routing).spectra.values()
-            assert sorted(entry) == sorted(cover.classes)
-
-    def test_snap_drift_falls_back_to_displacement(self, monkeypatch):
-        # a spectral result whose snap would move a load by a quarter
-        # must not ship: the row is re-served by the exact table apply
-        convolve = fft_module._convolve
-
-        def drifting(*args):
-            loads, drift = convolve(*args)
-            return loads + 0.25, drift + 0.25
-
-        monkeypatch.setattr(fft_module, "_convolve", drifting)
-        torus = Torus(6, 2)
-        routing = UnorderedDimensionalRouting()
-        for placement in (
-            linear_placement(torus),
-            multiple_linear_placement(torus, 2),
-        ):
-            backend = FFTBackend()
-            got = backend.compute(placement, routing)
-            assert backend.last_snap_drift >= LOAD_SNAP_TOLERANCE
-            assert np.array_equal(got, _table_loads(placement, routing))
+            assert list(cache.get(torus, routing).spectra) == [
+                placement.node_ids.tobytes()
+            ]
 
     def test_explicit_fft_serves_weighted_traffic_exactly(self):
         torus = Torus(5, 2)
@@ -251,47 +258,6 @@ class TestRegimes:
         )
         assert loads.shape == (torus.num_edges,)
         assert not loads.any()
-
-
-class TestColdPlans:
-    """Usage spectra from closed-form rows equal those from enumerated rows.
-
-    The cosets are linear classes whose subgroups hold a displacement
-    differing in every dimension, so the LCM of the rows' path counts is
-    the routing's quantum (``d!`` under UDR).
-    """
-
-    @pytest.mark.parametrize("k,d", [(4, 2), (5, 2), (4, 3), (6, 3)])
-    def test_kernel_spectra_equal_template_spectra(self, k, d):
-        torus = Torus(k, d)
-        routings = [
-            OrderedDimensionalRouting(d),
-            UnorderedDimensionalRouting(),
-            DimensionOrderRouting((1, 0) if d == 2 else (2, 0, 1)),
-        ]
-        ones = [1] * (d - 1)
-        cosets = [
-            linear_placement(torus),
-            linear_placement(torus, coefficients=ones + [k - 1]),
-            linear_placement(torus, coefficients=ones + [2], offset=1),
-        ]
-        for routing in routings:
-            plan = PlanCache().get(torus, routing)
-            for placement in cosets:
-                h = np.mod(placement.coords() - placement.coords()[0], k)
-                codes = torus.node_ids(h[1:])
-                closed = _usage_spectra(plan.table, codes)
-                enumerated = _usage_spectra(plan.enumerated_table(), codes)
-                assert len(closed) == len(enumerated) == 1
-                (q_closed, s_closed), (q_enumerated, s_enumerated) = (
-                    closed[0], enumerated[0]
-                )
-                assert q_closed == q_enumerated == routing_load_quantum(
-                    routing, d
-                )
-                assert np.array_equal(s_closed, s_enumerated), (
-                    routing.name, placement.name
-                )
 
 
 def _plan_lookups(tracer):

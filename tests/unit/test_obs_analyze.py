@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TraceError
+from repro.errors import InvalidParameterError, TraceError
 from repro.obs import (
     build_forest,
     canonical_form,
@@ -203,6 +203,13 @@ class TestDiffTraces:
     def test_self_diff_is_empty_at_any_tolerance(self):
         records = _forest_records()
         assert diff_traces(records, records, tolerance=0.0) == []
+
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_tolerance_is_rejected(self, tolerance):
+        # a self-diff would list every span as "faster" at -1 or nan
+        records = _forest_records()
+        with pytest.raises(InvalidParameterError, match="tolerance"):
+            diff_traces(records, records, tolerance=tolerance)
 
     def test_added_and_removed_names(self):
         before = [_span("old.phase", "a", None, 0.0, 1.0)]
